@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -61,6 +62,10 @@ class RunConfig:
             raise ValueError("table_id must be 1, 2, or 3")
         if not 1e-13 <= self.tol <= 1e-6:
             raise ValueError("tol out of range [1e-13, 1e-6]")
+        if not 1e-13 <= self.rtol <= 1e-6:
+            raise ValueError("rtol out of range [1e-13, 1e-6]")
+        if not 1.0 <= self.radius_factor < math.inf:
+            raise ValueError("radius_factor must be finite and >= 1")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 

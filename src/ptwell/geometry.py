@@ -75,6 +75,18 @@ def potential_value(model: ModelSpec, x: complex) -> complex:
     return x ** (2 * model.M) * cmath.exp(model.epsilon * cmath.log(ix))
 
 
+def potential_phase(model: ModelSpec, phi: float) -> complex:
+    """V(r e^{i phi}) / r^(2M+eps) for -pi <= phi <= 0.
+
+    In the closed lower half-plane arg(ix) = phi + pi/2 lies in
+    [-pi/2, pi/2], so the principal branch gives the phase
+    exp(i (2M phi + eps (phi + pi/2))) with no logarithm to evaluate.
+    """
+    if not -math.pi <= phi <= 0.0:
+        raise ValueError("phi must lie in [-pi, 0]")
+    return cmath.exp(1j * (2 * model.M * phi + model.epsilon * (phi + 0.5 * math.pi)))
+
+
 def wedge_angles(model: ModelSpec) -> WedgePair:
     """Centers and opening of the decay wedges continued from eps = 0.
 

@@ -20,8 +20,19 @@ Two matching surfaces exist:
   deformation, which is what makes the large-deformation golden values
   reachable in double precision.
 
-All operations are pure; batch scans can run solves concurrently (set
-PT_WELL_THREADS), with output order fixed by (epsilon, k).
+A solve builds its integration path (outer radius and match height) once,
+from the seed energy, and rebuilds it only when |E| leaves a band of
+PATH_BAND around the energy it was built for.  On the path the potential is
+a real power of |x| times a closed-form phase (fixed along each ray, turning
+along each arc), so no logarithm is taken in the integrator.
+
+The left and right integrations mirror each other, so for real E the defect
+is real and the PT-reality check sees no integration error.  A converged
+root is therefore re-checked on a second path to the same match point,
+whose arc runs at CHECK_ARC times the match height before it follows the
+imaginary axis down.  An eigenvalue does not depend on the path, so a root
+that moves by more than CHECK_REL |E| is reported unconverged.  All
+operations are pure.
 """
 
 from __future__ import annotations
@@ -29,14 +40,13 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import ModelSpec, potential_value, turning_radius, wedge_angles
+from .geometry import (ModelSpec, potential_phase, potential_value,
+                       turning_radius, wedge_angles)
 from .wkb import wkb_energy_closed, wkb_energy_quadrature
 
 logger = logging.getLogger(__name__)
@@ -46,6 +56,10 @@ DEFAULT_RTOL = 1e-11        # embedded RK relative tolerance
 DEFAULT_TOL = 1e-9          # secant convergence: |dE| <= tol |E|
 MAX_DEPTH = 120.0           # cap so radius_factor cannot explode the run
 MAX_ITER = 60
+PATH_BAND = 0.05            # |E| band per path; moves the decay depth at R by < 1
+CHECK_ARC = 1.1             # arc radius of the check path, in match heights
+CHECK_REL = 1e-6            # root shift allowed on the check path: the six
+                            # significant digits the golden tables print
 
 
 class ShootingError(RuntimeError):
@@ -85,12 +99,9 @@ def _decay_depth(model: ModelSpec, E: float, theta: float, R: float) -> float:
     if R <= r0:
         return 0.0
     nodes, wts = _GL32
-    ex = cmath.exp(1j * theta)
-    total = 0.0
-    for n, w in zip(nodes, wts):
-        s = 0.5 * (R - r0) * n + 0.5 * (R + r0)
-        total += w * abs(cmath.sqrt(potential_value(model, s * ex) - E))
-    return 0.5 * (R - r0) * total
+    s = 0.5 * (R - r0) * nodes + 0.5 * (R + r0)
+    v = potential_phase(model, theta) * s ** (2.0 * model.M + model.epsilon)
+    return 0.5 * (R - r0) * float(np.dot(wts, np.sqrt(np.abs(v - E))))
 
 
 def _outer_radius(model: ModelSpec, E: float, theta: float, depth: float) -> float:
@@ -110,6 +121,22 @@ def _outer_radius(model: ModelSpec, E: float, theta: float, depth: float) -> flo
     return hi
 
 
+def _ray_radius(model: ModelSpec, E: float, theta: float, radius_factor: float,
+                depth: float) -> float:
+    """Outer radius reaching decay `depth`, enlarged by `radius_factor`.
+
+    Because the depth grows like R^(M + eps/2 + 1), an enlarged radius is
+    capped where the depth reaches MAX_DEPTH to keep large-deformation runs
+    finite.
+    """
+    if not 1.0 <= radius_factor < math.inf:
+        raise ValueError("radius_factor must be finite and >= 1")
+    R = _outer_radius(model, E, theta, depth) * radius_factor
+    if radius_factor != 1.0 and _decay_depth(model, E, theta, R) > MAX_DEPTH:
+        R = _outer_radius(model, E, theta, MAX_DEPTH)
+    return R
+
+
 def build_contour(model: ModelSpec, E_guess: float,
                   radius_factor: float = 1.0,
                   depth: float = DEFAULT_DEPTH) -> tuple[RayContour, RayContour]:
@@ -117,20 +144,15 @@ def build_contour(model: ModelSpec, E_guess: float,
 
     The outer radius makes the WKB decay exponent along each ray at least
     `depth` (25 by default, truncation error ~ e^-50).  `radius_factor`
-    enlarges the radius for discretization-independence checks; because the
-    depth grows like R^(M + eps/2 + 1), the effective depth is capped at
-    MAX_DEPTH to keep large-deformation runs finite.
+    (>= 1) enlarges the radius for discretization-independence checks, with
+    the effective depth capped at MAX_DEPTH.
     """
     if E_guess <= 0.0:
         raise ValueError("E_guess must be positive")
     w = wedge_angles(model)
-    rays = []
-    for theta in (w.theta_left, w.theta_right):
-        R = _outer_radius(model, E_guess, theta, depth) * radius_factor
-        if radius_factor != 1.0 and _decay_depth(model, E_guess, theta, R) > MAX_DEPTH:
-            R = _outer_radius(model, E_guess, theta, MAX_DEPTH)
-        rays.append(RayContour(angle=theta, outer_radius=R))
-    return rays[0], rays[1]
+    left, right = (RayContour(theta, _ray_radius(model, E_guess, theta, radius_factor, depth))
+                   for theta in (w.theta_left, w.theta_right))
+    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +228,13 @@ def _integrate(f, s0: float, s1: float, y0: complex, y1: complex,
 def _ray_rhs(model: ModelSpec, E: complex, theta: float, R: float):
     ex = cmath.exp(1j * theta)
     ex2 = ex * ex
+    cv = ex2 * potential_phase(model, theta)
+    ce = ex2 * E
+    n = 2.0 * model.M + model.epsilon
 
     def f(s, a, b):
-        x = (R - s) * ex
-        return b, ex2 * (potential_value(model, x) - E) * a
+        # x = (R - s) e^{i theta}, V(x) = (R - s)^n potential_phase(theta)
+        return b, (cv * (R - s) ** n - ce) * a
 
     return f, ex
 
@@ -323,49 +348,80 @@ def match_height(model: ModelSpec, E: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _u_interior(model: ModelSpec, E: complex, side: str, ym: float,
-                rtol: float, radius_factor: float, depth: float) -> complex:
-    """psi'/psi at -i ym: ray from the outer point to radius ym, then the
-    circular arc |x| = ym down to the negative imaginary axis."""
-    w = wedge_angles(model)
-    theta = w.theta_left if side == "L" else w.theta_right
+@dataclass(frozen=True)
+class _Path:
+    """Integration path of one solve, built for |E| = E_ref: each ray runs in
+    from its outer radius to radius `arc`, along the circle |x| = arc to
+    -i arc, and down the imaginary axis to the match point -i ym.  The solve
+    itself uses arc = ym; a larger arc gives a second path to the same point.
+    """
+
+    E_ref: float
+    ym: float
+    arc: float
+    left: RayContour
+    right: RayContour
+
+
+def _build_path(model: ModelSpec, E_ref: float, radius_factor: float) -> _Path:
+    left, right = build_contour(model, E_ref, radius_factor)
+    ym = match_height(model, E_ref)
+    return _Path(E_ref, ym, ym, left, right)
+
+
+def _u_interior(model: ModelSpec, E: complex, side: str, path: _Path,
+                rtol: float) -> complex:
+    """psi'/psi at -i ym, integrated along `path` from the outer point."""
+    ray = path.left if side == "L" else path.right
+    theta, R, a, ym = ray.angle, ray.outer_radius, path.arc, path.ym
     sgn = 1.0 if side == "L" else -1.0   # arc direction of phi toward -pi/2
-    R = _outer_radius(model, abs(E), theta, depth) * radius_factor
-    if radius_factor != 1.0 and _decay_depth(model, abs(E), theta, R) > MAX_DEPTH:
-        R = _outer_radius(model, abs(E), theta, MAX_DEPTH)
     f, ex = _ray_rhs(model, E, theta, R)
     y0, y1 = _outgoing_ic(model, E, theta, R)
-    send = R - ym
+    send = R - a
     h0 = min(0.1 / max(abs(y1), 1.0), send / 50.0)
     y0, y1 = _integrate(f, 0.0, send, y0, y1, rtol, h0)
     dpsi_dx = -y1 / ex
-    if ym <= 0.0:
+    if a <= 0.0:
         return dpsi_dx / y0
     dphi = abs(-math.pi / 2.0 - theta)
+    n = 2.0 * model.M + model.epsilon
+    x2 = a * a * cmath.exp(2j * theta)
+    v = a ** n * potential_phase(model, theta)
 
-    def farc(t, a, b):
-        x = ym * cmath.exp(1j * (theta + sgn * t))
-        xp = sgn * 1j * x
-        return b, xp * xp * (potential_value(model, x) - E) * a + sgn * 1j * b
+    def farc(t, p, q):
+        # x = a e^{i(theta + sgn t)}: x^2 and V turn by e^{2i sgn t} and
+        # e^{i n sgn t}; with dx/dt = sgn i x, (dx/dt)^2 = -x^2
+        xx = x2 * cmath.exp(2j * sgn * t)
+        vv = v * cmath.exp(1j * n * sgn * t)
+        return q, -xx * (vv - E) * p + sgn * 1j * q
 
-    b0 = dpsi_dx * sgn * 1j * ym * cmath.exp(1j * theta)
+    b0 = dpsi_dx * sgn * 1j * a * cmath.exp(1j * theta)
     y0, y1 = _integrate(farc, 0.0, dphi, y0, b0, rtol, dphi / 50.0, nseg=4)
-    xm = -1j * ym
-    return y1 / (sgn * 1j * xm * y0)
+    u = y1 / (sgn * a * y0)     # dx/dt = sgn i x = sgn a at x = -i a
+    if a <= ym:
+        return u
+    vax = potential_phase(model, -0.5 * math.pi)
+
+    def faxis(t, p, q):
+        # x = -i (a - t): dx/dt = i, so psi_tt = -(V - E) psi
+        return q, -(vax * (a - t) ** n - E) * p
+
+    # psi_t = (dx/dt) psi' = i psi' along x = -i (a - t)
+    y0, y1 = _integrate(faxis, 0.0, a - ym, 1.0 + 0j, 1j * u, rtol,
+                        (a - ym) / 20.0, nseg=1)
+    return -1j * y1 / y0
 
 
-def _matching_defect(model: ModelSpec, E: complex, rtol: float = DEFAULT_RTOL,
-                     radius_factor: float = 1.0,
-                     depth: float = DEFAULT_DEPTH) -> complex:
+def _matching_defect(model: ModelSpec, E: complex, path: _Path,
+                     rtol: float) -> complex:
     """Interior-matched defect (u_L - u_R) / ((1 + |u_L|)(1 + |u_R|)).
 
     The product normalization keeps the defect bounded and vanishing at
     every eigenvalue, including states whose wavefunction has a node at the
     matching point (the log-derivatives then diverge on both sides).
     """
-    ym = match_height(model, abs(E))
-    uL = _u_interior(model, E, "L", ym, rtol, radius_factor, depth)
-    uR = _u_interior(model, E, "R", ym, rtol, radius_factor, depth)
+    uL = _u_interior(model, E, "L", path, rtol)
+    uR = _u_interior(model, E, "R", path, rtol)
     return (uL - uR) / ((1.0 + abs(uL)) * (1.0 + abs(uR)))
 
 
@@ -390,6 +446,17 @@ def default_seed(model: ModelSpec, k: int) -> float:
     return (0.25 * nu * nu * n * n) ** (n / (n + 2.0))
 
 
+def _check_shift(model: ModelSpec, E: complex, check: _Path,
+                 rtol: float) -> float:
+    """|root of the defect on `check` - E|, from one secant step at E, 1.001 E."""
+    try:
+        c0 = _matching_defect(model, E, check, rtol)
+        c1 = _matching_defect(model, 1.001 * E, check, rtol)
+    except ShootingError:
+        return math.inf
+    return abs(c0 * 0.001 * E / (c1 - c0)) if c1 != c0 else math.inf
+
+
 def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
                 tol: float = DEFAULT_TOL, rtol: float = DEFAULT_RTOL,
                 radius_factor: float = 1.0,
@@ -397,16 +464,24 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     """Converge level k by damped complex secant on the matching defect.
 
     Stops when |dE| <= tol |E|; the result is flagged converged only if the
-    PT-reality check |Im E| <= 1e-8 |Re E| also holds.  Failures return an
-    unconverged EigenResult instead of raising.
+    PT-reality check |Im E| <= 1e-8 |Re E| also holds, and if the root moves
+    by at most CHECK_REL |E| on the check path (see the module docstring).
+    Failures return an unconverged EigenResult instead of raising.
+
+    Raises:
+        ValueError: for k < 0, rtol outside [1e-13, 1e-6], or a
+            radius_factor that is not finite and >= 1.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if not 1e-13 <= rtol <= 1e-6:
+        raise ValueError("rtol out of range [1e-13, 1e-6]")
     E0 = complex(seed) if seed is not None else complex(default_seed(model, k))
     E1 = E0 * 1.001
     try:
-        w0 = _matching_defect(model, E0, rtol, radius_factor)
-        w1 = _matching_defect(model, E1, rtol, radius_factor)
+        path = _build_path(model, abs(E0), radius_factor)
+        w0 = _matching_defect(model, E0, path, rtol)
+        w1 = _matching_defect(model, E1, path, rtol)
     except ShootingError as exc:
         logger.warning("integration failed at seed for k=%d: %s", k, exc)
         return EigenResult(k, E0, math.inf, 0, False)
@@ -422,7 +497,11 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
         E0, w0 = E1, w1
         E1 = E1 + dE
         try:
-            w1 = _matching_defect(model, E1, rtol, radius_factor)
+            if abs(abs(E1) - path.E_ref) > PATH_BAND * path.E_ref:
+                # the defect depends on the path: keep both secant points on one
+                path = _build_path(model, abs(E1), radius_factor)
+                w0 = _matching_defect(model, E0, path, rtol)
+            w1 = _matching_defect(model, E1, path, rtol)
         except ShootingError as exc:
             logger.warning("integration failed at E=%s for k=%d: %s", E1, k, exc)
             return EigenResult(k, E1, math.inf, iterations, False)
@@ -432,20 +511,24 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     pt_real = abs(E1.imag) <= 1e-8 * abs(E1.real)
     if not pt_real:
         logger.warning("PT-reality violated for k=%d: E=%s", k, E1)
-    return EigenResult(k, E1, abs(w1), iterations, converged and pt_real)
+    path_ok = True
+    if converged and pt_real and path.ym > 0.0:
+        path_ok = _check_shift(model, E1, replace(path, arc=CHECK_ARC * path.ym),
+                               rtol) <= CHECK_REL * abs(E1)
+        if not path_ok:
+            logger.warning("path-dependent root for k=%d at E=%s", k, E1)
+    return EigenResult(k, E1, abs(w1), iterations, converged and pt_real and path_ok)
 
 
 def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
                 tol: float = DEFAULT_TOL, rtol: float = DEFAULT_RTOL) -> list[EigenResult]:
     """Levels k = 0..k_max over a deformation grid, with continuation seeds.
 
-    Results are ordered by (epsilon, k) regardless of execution schedule.
-    Per-point failures are reported as unconverged entries and the scan
-    continues.  A level that stops rising with epsilon triggers a warning,
-    as does a collision of two levels.
+    Results are ordered by (epsilon, k).  Per-point failures are reported as
+    unconverged entries and the scan continues.  A level that stops rising
+    with epsilon triggers a warning, as does a collision of two levels.
     """
     models = sorted(model_grid, key=lambda m: m.epsilon)
-    threads = int(os.environ.get("PT_WELL_THREADS", "1"))
     out: list[EigenResult] = []
     prev: dict[int, complex] = {}
     prev_eps: float | None = None
@@ -459,15 +542,8 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
                 seeds[k] = prev[k].real * ratio
             else:
                 seeds[k] = est
-
-        def run(k: int) -> EigenResult:
-            return solve_level(model, k, seeds[k], tol, rtol)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run, range(k_max + 1)))
-        else:
-            results = [run(k) for k in range(k_max + 1)]
+        results = [solve_level(model, k, seeds[k], tol, rtol)
+                   for k in range(k_max + 1)]
         for k, res in enumerate(results):
             if res.converged:
                 if k in prev and res.E.real < prev[k].real - tol * abs(res.E):

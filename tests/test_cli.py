@@ -15,6 +15,12 @@ class TestRunConfig:
             RunConfig(command="eigen", tol=1e-3)
         with pytest.raises(ValueError):
             RunConfig(command="eigen", format="xml")
+        for rtol in (0.0, 0.5):
+            with pytest.raises(ValueError):
+                RunConfig(command="eigen", rtol=rtol)
+        for factor in (0.0, -1.0, 0.5):
+            with pytest.raises(ValueError):
+                RunConfig(command="eigen", radius_factor=factor)
 
 
 class TestTableCommand:
@@ -117,6 +123,10 @@ class TestMainEntry:
         rc = main(["wkb", "--M", "2", "--epsilon", "1", "--order", "2"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+        for bad in (["--rtol", "0"], ["--radius-factor", "0.5"]):
+            rc = main(["eigen", "--epsilon", "8"] + bad)
+            assert rc == 2
+            assert "error" in capsys.readouterr().err
 
     def test_figure1_csv(self, capsys):
         rc = main(["figure1", "--eps-max", "1", "--k-max", "0", "--step", "1"])

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ptwell.geometry import (BranchCutError, ModelSpec, potential_value,
-                             turning_points, wedge_angles)
+from ptwell.geometry import (BranchCutError, ModelSpec, potential_phase,
+                             potential_value, turning_points, wedge_angles)
 
 
 class TestPotential:
@@ -35,6 +35,28 @@ class TestPotential:
                 lhs = potential_value(model, -x.conjugate())
                 rhs = potential_value(model, x).conjugate()
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+class TestPotentialPhase:
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, 8.0, 56.0])
+    def test_matches_principal_branch(self, M, eps):
+        # both wedge angles, and points of the arcs from them to -pi/2
+        model = ModelSpec(M, eps)
+        w = wedge_angles(model)
+        phis = [w.theta_left, w.theta_right, -0.5 * math.pi]
+        for t in (0.1, 0.45, 0.9):
+            phis += [w.theta_left + t * (-0.5 * math.pi - w.theta_left),
+                     w.theta_right + t * (-0.5 * math.pi - w.theta_right)]
+        n = 2 * M + eps
+        for r in (0.3, 1.0, 1.7):
+            for phi in phis:
+                want = potential_value(model, r * cmath.exp(1j * phi)) / r ** n
+                assert abs(potential_phase(model, phi) - want) <= 1e-13 * abs(want)
+
+    def test_upper_half_plane_rejected(self):
+        with pytest.raises(ValueError):
+            potential_phase(ModelSpec(1, 1.0), 0.5)
 
 
 class TestWedges:

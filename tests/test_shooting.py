@@ -1,8 +1,10 @@
 import cmath
 import math
+from dataclasses import replace
 
 import pytest
 
+import ptwell.shooting as shooting
 from ptwell.geometry import ModelSpec, potential_value
 from ptwell.shooting import (build_contour, integrate_log_derivative,
                              match_height, mismatch, scan_levels, solve_level)
@@ -116,6 +118,77 @@ class TestSolveLevel:
             assert a.converged and b.converged
             assert abs(a.E - b.E) <= 1e-7 * abs(b.E)
 
+    @pytest.mark.parametrize("rtol", [0.0, 0.5, 1e-14, 1e-5, math.nan])
+    def test_rtol_domain(self, rtol):
+        # rtol = 0 overflowed the step control; 0.5 "converged" to 0.99973
+        with pytest.raises(ValueError):
+            solve_level(ModelSpec(1, 0.0), 0, rtol=rtol)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, 0.5, math.inf, math.nan])
+    def test_radius_factor_domain(self, factor):
+        # 0, -1 and 0.5 "converged" to 7.694, 8.133 and 5.5063, not 5.55331
+        with pytest.raises(ValueError):
+            solve_level(ModelSpec(1, 8.0), 0, radius_factor=factor)
+
+
+class TestSolvePath:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"match_height": 0, "defect": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(shooting, "match_height",
+                            counted("match_height", shooting.match_height))
+        monkeypatch.setattr(shooting, "_matching_defect",
+                            counted("defect", shooting._matching_defect))
+        return counts
+
+    def test_built_once_near_seed(self, counts):
+        res = solve_level(ModelSpec(1, 58.0), 0)
+        assert res.converged
+        assert res.E.real == pytest.approx(196.0341706067545, rel=1e-12)
+        assert counts["match_height"] == 1
+        assert counts["defect"] > 1
+
+    def test_rebuilt_after_large_move(self, counts):
+        model = ModelSpec(2, 6.0)
+        seed = shooting.default_seed(model, 3)
+        res = solve_level(model, 3)
+        assert res.converged
+        assert abs(res.E.real - seed) > 0.3 * seed
+        assert res.E.real == pytest.approx(45.90602785378239, rel=1e-10)
+        assert counts["match_height"] >= 2
+        assert counts["match_height"] < counts["defect"]
+
+    def test_check_path_reaches_match_point(self):
+        # arc at a larger radius, then down the imaginary axis: same psi'/psi
+        model = ModelSpec(1, 8.0)
+        E = 5.553310025131625
+        path = shooting._build_path(model, E, 1.0)
+        check = replace(path, arc=shooting.CHECK_ARC * path.ym)
+        for side in "LR":
+            u = shooting._u_interior(model, E, side, path, 1e-11)
+            u_check = shooting._u_interior(model, E, side, check, 1e-11)
+            assert abs(u_check - u) <= 1e-9 * abs(u)
+
+    # p^2 - x^4 levels from its Hermitian equivalent p^2 + 4x^4 - 2x
+    # (Buslaev-Grecchi), oscillator-basis eigvalsh at 200 and 260 states
+    @pytest.mark.parametrize("k,E_ref", [(14, 122.65325555460625),
+                                         (15, 134.05801339251497),
+                                         (16, 145.7108917610595),
+                                         (24, 246.8232804182049)])
+    def test_check_path_flags_inaccurate_levels(self, k, E_ref):
+        # the mirrored ray and arc integrations keep Im E = 0 here, so only
+        # the check path can flag them: k = 14 is off by 1.6e-7 and accepted,
+        # k = 15, 16 by 2.2e-6 and 1.4e-5, and k = 24 lands near another level
+        res = solve_level(ModelSpec(1, 2.0), k)
+        assert res.converged == (abs(res.E.real - E_ref) <= 1e-6 * E_ref)
+
 
 class TestScan:
     def test_hermitian_anchor(self):
@@ -144,13 +217,6 @@ class TestScan:
         results = scan_levels(grid, 0)
         assert results[0].E.real == pytest.approx(5.55331, abs=2e-5)
         assert results[1].E.real == pytest.approx(20.67629, abs=2e-5)
-
-    def test_threaded_scan_matches_serial(self, monkeypatch):
-        grid = [ModelSpec(1, e) for e in (0.0, 1.0)]
-        serial = scan_levels(grid, 1)
-        monkeypatch.setenv("PT_WELL_THREADS", "4")
-        threaded = scan_levels(grid, 1)
-        assert [(r.k, r.E) for r in threaded] == [(r.k, r.E) for r in serial]
 
 
 class TestMatchHeight:

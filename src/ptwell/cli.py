@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -37,37 +36,6 @@ from .shooting import DEFAULT_RTOL, DEFAULT_TOL, EigenResult, scan_levels, solve
 from .wkb import wkb_estimate
 
 TABLE_GRID = (8.0, 18.0, 28.0, 38.0, 48.0, 58.0)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    M: int = 1
-    epsilon: float = 0.0
-    k: int = 0
-    k_max: int = 0
-    table_id: int = 1
-    tol: float = DEFAULT_TOL
-    rtol: float = DEFAULT_RTOL
-    radius_factor: float = 1.0
-    eps_max: float = 4.0
-    step: float = 1.0
-    E: float = 1.0
-    order: int = 1
-    format: str = "json"
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.command == "table" and self.table_id not in (1, 2, 3):
-            raise ValueError("table_id must be 1, 2, or 3")
-        if not 1e-13 <= self.tol <= 1e-6:
-            raise ValueError("tol out of range [1e-13, 1e-6]")
-        if not 1e-13 <= self.rtol <= 1e-6:
-            raise ValueError("rtol out of range [1e-13, 1e-6]")
-        if not 1.0 <= self.radius_factor < math.inf:
-            raise ValueError("radius_factor must be finite and >= 1")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
 
 
 @dataclass
@@ -187,10 +155,10 @@ def _chunks(seq, size):
         yield seq[i:i + size]
 
 
-def run_eigen(cfg: RunConfig):
-    model = ModelSpec(cfg.M, cfg.epsilon)
-    res = solve_level(model, cfg.k, tol=cfg.tol, rtol=cfg.rtol,
-                      radius_factor=cfg.radius_factor)
+def run_eigen(args: argparse.Namespace):
+    model = ModelSpec(args.M, args.epsilon)
+    res = solve_level(model, args.k, tol=args.tol, rtol=args.rtol,
+                      radius_factor=args.radius_factor)
     payload = {
         "model": {"M": model.M, "epsilon": model.epsilon},
         "results": [{
@@ -204,8 +172,8 @@ def run_eigen(cfg: RunConfig):
     return payload, res.converged
 
 
-def run_wkb(cfg: RunConfig):
-    est = wkb_estimate(ModelSpec(cfg.M, cfg.epsilon), cfg.k, cfg.order)
+def run_wkb(args: argparse.Namespace):
+    est = wkb_estimate(ModelSpec(args.M, args.epsilon), args.k, args.order)
     payload = {
         "model": {"M": est.M, "epsilon": est.epsilon},
         "results": [{"k": est.k, "order": est.order, "E": est.E}],
@@ -213,26 +181,26 @@ def run_wkb(cfg: RunConfig):
     return payload, True
 
 
-def run_limit(cfg: RunConfig):
-    levels = nu_spectrum(cfg.M, cfg.k_max)
+def run_limit(args: argparse.Namespace):
+    levels = nu_spectrum(args.M, args.k_max)
     payload = {
-        "model": {"M": cfg.M},
+        "model": {"M": args.M},
         "levels": [{"k": lv.k, "P": lv.P, "nu": lv.nu, "F": lv.F}
                    for lv in levels],
     }
     return payload, True
 
 
-def run_period(cfg: RunConfig):
-    res = period_exact(cfg.epsilon, cfg.E)
+def run_period(args: argparse.Namespace):
+    res = period_exact(args.epsilon, args.E)
     payload = {
-        "epsilon": cfg.epsilon,
-        "E": cfg.E,
+        "epsilon": args.epsilon,
+        "E": args.E,
         "T": res.T,
         "ET_product": res.ET_product,
     }
-    if cfg.epsilon > 0.0:
-        payload["T_asymptotic"] = period_asymptotic(cfg.epsilon, cfg.E)
+    if args.epsilon > 0.0:
+        payload["T_asymptotic"] = period_asymptotic(args.epsilon, args.E)
     return payload, True
 
 
@@ -271,79 +239,62 @@ def _build_parser() -> argparse.ArgumentParser:
                     "solvable limit, golden tables.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_default):
+    def output(sp, fmt_default):
+        sp.add_argument("--format", choices=("csv", "json"), default=fmt_default)
+        sp.add_argument("--output", default=None, help="output path (default stdout)")
+
+    def tolerances(sp):
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="secant convergence tolerance (relative dE)")
         sp.add_argument("--rtol", type=float, default=DEFAULT_RTOL,
                         help="integrator relative tolerance")
-        sp.add_argument("--radius-factor", type=float, default=1.0,
-                        help="outer-radius multiplier (discretization checks)")
-        sp.add_argument("--format", choices=("csv", "json"), default=fmt_default)
-        sp.add_argument("--output", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("eigen", help="one shooting solve")
     sp.add_argument("--M", type=int, default=1)
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--k", type=int, default=0)
-    common(sp, "json")
+    tolerances(sp)
+    sp.add_argument("--radius-factor", type=float, default=1.0,
+                    help="outer-radius multiplier (discretization checks)")
+    output(sp, "json")
 
     sp = sub.add_parser("wkb", help="WKB estimate")
     sp.add_argument("--M", type=int, default=1)
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--order", type=int, choices=(1, 2), default=1)
-    common(sp, "json")
+    output(sp, "json")
 
     sp = sub.add_parser("limit", help="solvable-limit spectrum")
     sp.add_argument("--M", type=int, default=1)
     sp.add_argument("--k-max", type=int, default=0)
-    common(sp, "json")
+    output(sp, "json")
 
     sp = sub.add_parser("table", help="golden table 1, 2, or 3")
     sp.add_argument("--id", type=int, choices=(1, 2, 3), required=True)
-    common(sp, "csv")
+    tolerances(sp)
+    output(sp, "csv")
 
     sp = sub.add_parser("figure1", help="level curves for M = 1")
     sp.add_argument("--eps-max", type=float, default=4.0)
     sp.add_argument("--k-max", type=int, default=2)
     sp.add_argument("--step", type=float, default=1.0)
-    common(sp, "csv")
+    tolerances(sp)
+    output(sp, "csv")
 
     sp = sub.add_parser("period", help="classical period")
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--E", type=float, default=1.0)
-    common(sp, "json")
+    output(sp, "json")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            M=getattr(args, "M", 1),
-            epsilon=getattr(args, "epsilon", 0.0),
-            k=getattr(args, "k", 0),
-            k_max=getattr(args, "k_max", 0),
-            table_id=getattr(args, "id", 1),
-            tol=args.tol,
-            rtol=args.rtol,
-            radius_factor=args.radius_factor,
-            eps_max=getattr(args, "eps_max", 4.0),
-            step=getattr(args, "step", 1.0),
-            E=getattr(args, "E", 1.0),
-            order=getattr(args, "order", 1),
-            format=args.format,
-            output_path=args.output,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if cfg.command == "table":
-            result = run_table(cfg.table_id, cfg.tol, cfg.rtol)
-            if cfg.format == "csv":
+        if args.command == "table":
+            result = run_table(args.id, args.tol, args.rtol)
+            if args.format == "csv":
                 text = format_csv(table_csv_rows(result))
             else:
                 text = dumps_json({
@@ -352,12 +303,12 @@ def main(argv: list[str] | None = None) -> int:
                     "E0": result.E0,
                     **{name: col for name, col in result.columns.items()},
                 })
-            _emit(text, cfg.output_path)
+            _emit(text, args.output)
             return 0 if result.all_converged else 1
-        if cfg.command == "figure1":
-            curves, failures, ok = run_figure1(cfg.eps_max, cfg.k_max, cfg.step,
-                                               cfg.tol, cfg.rtol)
-            if cfg.format == "csv":
+        if args.command == "figure1":
+            curves, failures, ok = run_figure1(args.eps_max, args.k_max, args.step,
+                                               args.tol, args.rtol)
+            if args.format == "csv":
                 rows = [["k", "epsilon", "E"]]
                 for k in sorted(curves):
                     for eps, E in curves[k]:
@@ -370,16 +321,16 @@ def main(argv: list[str] | None = None) -> int:
                                for k, pts in sorted(curves.items())],
                     "failures": failures,
                 })
-            _emit(text, cfg.output_path)
+            _emit(text, args.output)
             return 0 if ok else 1
         runner = {"eigen": run_eigen, "wkb": run_wkb,
-                  "limit": run_limit, "period": run_period}[cfg.command]
-        payload, ok = runner(cfg)
-        if cfg.format == "csv":
+                  "limit": run_limit, "period": run_period}[args.command]
+        payload, ok = runner(args)
+        if args.format == "csv":
             text = format_csv(_flat_csv(payload))
         else:
             text = dumps_json(payload)
-        _emit(text, cfg.output_path)
+        _emit(text, args.output)
         return 0 if ok else 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

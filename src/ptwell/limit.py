@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
+import numpy as np
 
 from .specfun import (EULER_GAMMA, bessel_I_logw, bessel_J_logw,
                       bessel_K_logw, bessel_K_scaled, bessel_Y_logw)
@@ -122,8 +122,8 @@ def limit_wavefunction(M: int, nu: float, z: complex) -> complex:
 
     Odd M:  psi = C1 I_nu(w) + C2 K_nu(w), even M: psi = C1 J_nu(w) +
     C2 Y_nu(w), with w = nu e^(i pi z/2) evaluated through the log-argument
-    series so the analytic continuation across |arg w| > pi (needed for
-    |Re z| up to M + 1) is built in.  C2 is normalized to 1/pi for M = 1,
+    entry points so the analytic continuation across |arg w| > pi (needed
+    for |Re z| up to M + 1) is built in.  C2 is normalized to 1/pi for M = 1,
     which makes the ground function literally I_1/2 + K_1/2/pi =
     e^w / sqrt(2 pi w); the overall scale is otherwise arbitrary.
 
@@ -212,12 +212,22 @@ def f1_oracle() -> float:
 
     The ratio of contour integrals reduces to real quantities: the
     numerator's branch-cut discontinuity gives 4 pi i int_0^inf e^(-2t)
-    ln(2t) dt (adaptive quadrature), the denominator is -4 pi i from the
-    residue of e^(2w)/w^2 at the origin traversed clockwise (the analytic
-    4 e^(2w) part integrates to zero).  Returns (1/2) numerator/denominator.
+    ln(2t) dt, the denominator is -4 pi i from the residue of e^(2w)/w^2 at
+    the origin traversed clockwise (the analytic 4 e^(2w) part integrates
+    to zero).  Returns (1/2) numerator/denominator.
+
+    With 2t = e^x the integral becomes (1/2) int x e^(x - e^x) dx over the
+    real line, an entire integrand decaying on both sides, on which the
+    trapezoidal rule converges geometrically in 1/h; the rule at twice the
+    step serves as the error estimate.  (scipy.integrate is not imported:
+    it would add about 26 MB to every process that imports ptwell.)
     """
-    val, err = quad(lambda t: math.exp(-2.0 * t) * math.log(2.0 * t),
-                    0.0, math.inf, limit=200)
+    def trapezoid(h: float) -> float:
+        x = np.arange(-50.0, 5.0, h)
+        return 0.5 * h * float(np.sum(x * np.exp(x - np.exp(x))))
+
+    val = trapezoid(0.25)
+    err = abs(val - trapezoid(0.5))
     if err > 1e-7:
         raise RuntimeError(f"f1 quadrature error estimate too large: {err:.2e}")
     numerator = 4.0 * math.pi * val * 1j

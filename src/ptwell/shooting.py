@@ -7,18 +7,12 @@ accumulated decay exponent exceeds a fixed depth.  Eigenvalues are the zeros
 of a normalized log-derivative matching defect, located by a damped complex
 secant iteration.
 
-Two matching surfaces exist:
-
-* the public diagnostic `mismatch` matches psi'/psi at the origin, where
-  both rays terminate (this is the simple, easily interpreted quantity, but
-  its eigenvalue signal falls off exponentially once the deformation is
-  large, because the origin then sits deep on the far side of a classically
-  forbidden stretch);
-* the solver matches on the negative imaginary axis at the height where the
-  classically allowed arch joining the turning points crosses it, reached
-  from each ray by a circular arc.  The signal there stays O(1) for every
-  deformation, which is what makes the large-deformation golden values
-  reachable in double precision.
+The solver matches on the negative imaginary axis at the height where the
+classically allowed arch joining the turning points crosses it, reached from
+each ray by a circular arc.  The signal there stays O(1) for every
+deformation, which is what makes the large-deformation golden values
+reachable in double precision; at the origin, where both rays would
+terminate, it falls off exponentially once the deformation is large.
 
 A solve builds its integration path (outer radius and match height) once,
 from the seed energy, and rebuilds it only when |E| leaves a band of
@@ -67,15 +61,6 @@ class ShootingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RayContour:
-    """One inward integration ray: direction, outer radius, matching point."""
-
-    angle: float
-    outer_radius: float
-    matching_point: complex = 0j
-
-
-@dataclass(frozen=True)
 class EigenResult:
     """A converged (or failed) eigenvalue solve for one level."""
 
@@ -121,9 +106,9 @@ def _outer_radius(model: ModelSpec, E: float, theta: float, depth: float) -> flo
     return hi
 
 
-def _ray_radius(model: ModelSpec, E: float, theta: float, radius_factor: float,
-                depth: float) -> float:
-    """Outer radius reaching decay `depth`, enlarged by `radius_factor`.
+def _ray_radius(model: ModelSpec, E: float, theta: float,
+                radius_factor: float) -> float:
+    """Outer radius reaching DEFAULT_DEPTH, enlarged by `radius_factor`.
 
     Because the depth grows like R^(M + eps/2 + 1), an enlarged radius is
     capped where the depth reaches MAX_DEPTH to keep large-deformation runs
@@ -131,28 +116,10 @@ def _ray_radius(model: ModelSpec, E: float, theta: float, radius_factor: float,
     """
     if not 1.0 <= radius_factor < math.inf:
         raise ValueError("radius_factor must be finite and >= 1")
-    R = _outer_radius(model, E, theta, depth) * radius_factor
+    R = _outer_radius(model, E, theta, DEFAULT_DEPTH) * radius_factor
     if radius_factor != 1.0 and _decay_depth(model, E, theta, R) > MAX_DEPTH:
         R = _outer_radius(model, E, theta, MAX_DEPTH)
     return R
-
-
-def build_contour(model: ModelSpec, E_guess: float,
-                  radius_factor: float = 1.0,
-                  depth: float = DEFAULT_DEPTH) -> tuple[RayContour, RayContour]:
-    """The two anti-Stokes rays for a given energy scale.
-
-    The outer radius makes the WKB decay exponent along each ray at least
-    `depth` (25 by default, truncation error ~ e^-50).  `radius_factor`
-    (>= 1) enlarges the radius for discretization-independence checks, with
-    the effective depth capped at MAX_DEPTH.
-    """
-    if E_guess <= 0.0:
-        raise ValueError("E_guess must be positive")
-    w = wedge_angles(model)
-    left, right = (RayContour(theta, _ray_radius(model, E_guess, theta, radius_factor, depth))
-                   for theta in (w.theta_left, w.theta_right))
-    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -248,42 +215,6 @@ def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
     return 1.0 + 0j, q * ex
 
 
-def integrate_log_derivative(model: ModelSpec, E: complex, ray: RayContour,
-                             tol: float = DEFAULT_RTOL) -> complex:
-    """u = psi'/psi at the ray's matching point (the origin).
-
-    Integrates the linear pair (psi, dpsi/ds) inward from the outer point
-    with the decaying WKB initial condition, renormalizing the amplitude
-    between segments (u is renormalization invariant).
-
-    Raises:
-        ShootingError: on step underflow or amplitude overflow.
-    """
-    if not 1e-13 <= tol <= 1e-6:
-        raise ValueError("tol out of range [1e-13, 1e-6]")
-    R = ray.outer_radius
-    f, ex = _ray_rhs(model, E, ray.angle, R)
-    y0, y1 = _outgoing_ic(model, E, ray.angle, R)
-    h0 = min(0.1 / max(abs(y1), 1.0), R / 50.0)
-    y0, y1 = _integrate(f, 0.0, R, y0, y1, tol, h0)
-    # psi'(x) = -e^{-i theta} dpsi/ds
-    return -y1 / (ex * y0)
-
-
-def mismatch(model: ModelSpec, E: complex, tol: float = DEFAULT_RTOL,
-             radius_factor: float = 1.0) -> complex:
-    """Origin-matched defect D = (u_L - u_R) / (1 + |u_L| + |u_R|).
-
-    Zero at eigenvalues whose eigenfunction does not vanish at the origin;
-    see the module docstring for why the solver uses the interior matching
-    point instead.
-    """
-    left, right = build_contour(model, abs(E), radius_factor)
-    uL = integrate_log_derivative(model, E, left, tol)
-    uR = integrate_log_derivative(model, E, right, tol)
-    return (uL - uR) / (1.0 + abs(uL) + abs(uR))
-
-
 # ---------------------------------------------------------------------------
 # interior matching: arch height and ray + arc integration
 # ---------------------------------------------------------------------------
@@ -350,21 +281,24 @@ def match_height(model: ModelSpec, E: float) -> float:
 
 @dataclass(frozen=True)
 class _Path:
-    """Integration path of one solve, built for |E| = E_ref: each ray runs in
-    from its outer radius to radius `arc`, along the circle |x| = arc to
-    -i arc, and down the imaginary axis to the match point -i ym.  The solve
-    itself uses arc = ym; a larger arc gives a second path to the same point.
+    """Integration path of one solve, built for |E| = E_ref: each ray
+    (angle, outer radius) runs in from its outer radius to radius `arc`,
+    along the circle |x| = arc to -i arc, and down the imaginary axis to the
+    match point -i ym.  The solve itself uses arc = ym; a larger arc gives a
+    second path to the same point.
     """
 
     E_ref: float
     ym: float
     arc: float
-    left: RayContour
-    right: RayContour
+    left: tuple[float, float]
+    right: tuple[float, float]
 
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float) -> _Path:
-    left, right = build_contour(model, E_ref, radius_factor)
+    w = wedge_angles(model)
+    left, right = ((theta, _ray_radius(model, E_ref, theta, radius_factor))
+                   for theta in (w.theta_left, w.theta_right))
     ym = match_height(model, E_ref)
     return _Path(E_ref, ym, ym, left, right)
 
@@ -372,8 +306,8 @@ def _build_path(model: ModelSpec, E_ref: float, radius_factor: float) -> _Path:
 def _u_interior(model: ModelSpec, E: complex, side: str, path: _Path,
                 rtol: float) -> complex:
     """psi'/psi at -i ym, integrated along `path` from the outer point."""
-    ray = path.left if side == "L" else path.right
-    theta, R, a, ym = ray.angle, ray.outer_radius, path.arc, path.ym
+    theta, R = path.left if side == "L" else path.right
+    a, ym = path.arc, path.ym
     sgn = 1.0 if side == "L" else -1.0   # arc direction of phi toward -pi/2
     f, ex = _ray_rhs(model, E, theta, R)
     y0, y1 = _outgoing_ic(model, E, theta, R)
@@ -469,11 +403,13 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     Failures return an unconverged EigenResult instead of raising.
 
     Raises:
-        ValueError: for k < 0, rtol outside [1e-13, 1e-6], or a
+        ValueError: for k < 0, tol or rtol outside [1e-13, 1e-6], or a
             radius_factor that is not finite and >= 1.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if not 1e-13 <= tol <= 1e-6:
+        raise ValueError("tol out of range [1e-13, 1e-6]")
     if not 1e-13 <= rtol <= 1e-6:
         raise ValueError("rtol out of range [1e-13, 1e-6]")
     E0 = complex(seed) if seed is not None else complex(default_seed(model, k))

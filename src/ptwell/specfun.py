@@ -1,31 +1,22 @@
-"""Self-contained double-precision special functions.
+"""Double-precision special functions over scipy.special.
 
-Provides the real Gamma function and the Bessel functions I_nu, K_nu, J_nu,
-Y_nu of real (non-negative, mostly non-integer) order and complex argument,
-plus exponentially scaled variants and "log-argument" entry points that
-evaluate the analytic continuation off the principal sheet.
+Provides the Bessel functions I_nu, K_nu, J_nu, Y_nu of real order and
+complex argument, exponentially scaled variants, and "log-argument" entry
+points that evaluate the analytic continuation off the principal sheet.
 
-Evaluation strategy
--------------------
-* ascending power series for |w| <= nu + 20 (with a conditioning guard,
-  see below), truncated at relative term size 1e-18;
-* large-argument asymptotic expansions beyond, truncated at the smallest
-  term;
-* K_nu on the growth half-plane (Re w > 4) via the integral
-  K_nu(w) = int_0^inf exp(-w cosh t) cosh(nu t) dt, which is free of the
-  catastrophic cancellation that ruins the I-connection formula there;
-* K_nu and Y_nu otherwise through the non-integer-order connection formulas
-      K_nu = pi (I_{-nu} - I_nu) / (2 sin nu pi),
-      Y_nu = (J_nu cos nu pi - J_{-nu}) / sin nu pi.
+Principal-sheet values come from scipy's iv/kv/jv/yv and ive/kve (Amos'
+algorithm, ACM TOMS 12 (1986) 265).  A log-argument t = log w names a point
+on the Riemann surface of log; it is written as w0 e^(m pi i) with w0 in the
+right half-plane, and the rotation identities (DLMF 10.11.1-2, 10.34.1-2)
 
-Accuracy domain: with both routes available, relative accuracy is ~1e-12 or
-better except inside the cancellation cones at large |w| where a function is
-exponentially subdominant (e.g. I_nu near the imaginary axis at |w| ~ 20,
-where plain double precision cannot do better than ~1e-8).  The series /
-asymptotic switchover therefore moves in from |w| = nu + 20 to |w| = 13 in
-directions where the ascending series loses more than ~e^10 to cancellation.
+    I_nu(w0 e^(m pi i)) = e^(m nu pi i) I_nu(w0),
+    K_nu(w0 e^(m pi i)) = e^(-m nu pi i) K_nu(w0)
+                          - pi i sin(m nu pi)/sin(nu pi) I_nu(w0),
+    J_nu(w0 e^(m pi i)) = e^(m nu pi i) J_nu(w0),
+    Y_nu(w0 e^(m pi i)) = e^(-m nu pi i) Y_nu(w0)
+                          + 2i sin(m nu pi) cot(nu pi) J_nu(w0)
 
-All functions are pure; no global mutable state.
+carry the principal values there.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -34,10 +25,9 @@ import cmath
 import math
 
 import numpy as np
+from scipy import special
 
-EULER_GAMMA = 0.5772156649015329
-
-_LN2 = math.log(2.0)
+EULER_GAMMA = float(np.euler_gamma)
 
 # Lanczos coefficients, g = 7, n = 9.
 _LANCZOS_G = 7.0
@@ -53,23 +43,19 @@ _LANCZOS = (
     1.5056327351493116e-7,
 )
 
-_GL32 = np.polynomial.legendre.leggauss(32)
-
 
 class SpecialFunctionError(ValueError):
     """Domain violation in a special-function evaluation."""
-
-
-def euler_gamma() -> float:
-    """Euler's constant gamma = 0.5772156649..., stored to double precision."""
-    return EULER_GAMMA
 
 
 def gamma_fn(x: float) -> float:
     """Gamma(x) for real x, via the Lanczos approximation.
 
     Relative error is a few 1e-15 on (0, 30].  Negative non-integer arguments
-    go through the reflection formula.
+    go through the reflection formula.  It seeds the M = 1 shooting solves
+    through the closed-form WKB energy, and the secant path of a level that
+    does not converge depends on the last bits of its seed; math.gamma
+    differs from it there by an ulp or so.
 
     Raises:
         SpecialFunctionError: at the poles x = 0, -1, -2, ...
@@ -86,271 +72,114 @@ def gamma_fn(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * a
 
 
-# ---------------------------------------------------------------------------
-# ascending series in the log-argument representation
-# ---------------------------------------------------------------------------
-
-def _series_logw(nu: float, t: complex, sign: float) -> complex:
-    """sum_k sign^k (e^t/2)^(nu+2k) / (k! Gamma(nu+k+1)).
-
-    sign=+1 gives I_nu(e^t), sign=-1 gives J_nu(e^t), both with
-    (w/2)^nu = exp(nu (t - ln 2)), i.e. single-valued in t.  This is what
-    makes the rotation identities exact for arguments off the principal
-    sheet.
-    """
-    pref = cmath.exp(nu * (t - _LN2))
-    z2 = cmath.exp(2.0 * (t - _LN2))
-    term = 1.0 / gamma_fn(nu + 1.0)
-    total = term
-    for k in range(1, 400):
-        term = term * sign * z2 / (k * (nu + k))
-        total += term
-        if abs(term) <= 1e-18 * abs(total) + 1e-300:
-            break
-    return pref * total
+def _check_arg(w: complex, singular: str | None = None) -> complex:
+    w = complex(w)
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise SpecialFunctionError("non-finite argument")
+    if singular is not None and w == 0:
+        raise SpecialFunctionError(f"{singular} is singular at w = 0")
+    return w
 
 
-def bessel_I_logw(nu: float, t: complex) -> complex:
-    """I_nu(e^t) by the ascending series; t is the log-argument.
-
-    Valid for |e^t| <= nu + 25 (raises beyond; precision would degrade and
-    the callers that need large arguments use the scaled asymptotic forms).
-    """
-    if abs(t.real) > math.log(nu + 25.0):
-        raise SpecialFunctionError("log-argument series limited to |w| <= nu + 25")
-    return _series_logw(nu, t, 1.0)
-
-
-def bessel_J_logw(nu: float, t: complex) -> complex:
-    """J_nu(e^t) by the ascending series; t is the log-argument."""
-    if abs(t.real) > math.log(nu + 25.0):
-        raise SpecialFunctionError("log-argument series limited to |w| <= nu + 25")
-    return _series_logw(nu, t, -1.0)
-
-
-def bessel_K_logw(nu: float, t: complex) -> complex:
-    """K_nu(e^t) through the connection formula, non-integer nu only."""
-    s = math.sin(nu * math.pi)
-    if abs(s) < 1e-12:
-        raise SpecialFunctionError("connection formula requires non-integer order")
-    return math.pi * (bessel_I_logw(-nu, t) - bessel_I_logw(nu, t)) / (2.0 * s)
-
-
-def bessel_Y_logw(nu: float, t: complex) -> complex:
-    """Y_nu(e^t) through the connection formula, non-integer nu only."""
-    s = math.sin(nu * math.pi)
-    if abs(s) < 1e-12:
-        raise SpecialFunctionError("connection formula requires non-integer order")
-    return (bessel_J_logw(nu, t) * math.cos(nu * math.pi) - bessel_J_logw(-nu, t)) / s
-
-
-# ---------------------------------------------------------------------------
-# large-argument asymptotics (principal sheet)
-# ---------------------------------------------------------------------------
-
-def _asym_sums(nu: float, w: complex) -> tuple[complex, complex]:
-    """(sum a_k/w^k, sum (-1)^k a_k/w^k), truncated at the smallest term."""
-    mu = 4.0 * nu * nu
-    term = 1.0 + 0j
-    sp = term
-    sm = term
-    smallest = abs(term)
-    for k in range(1, 60):
-        term = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * w)
-        at = abs(term)
-        if at > smallest:
-            break
-        smallest = at
-        sp += term
-        sm += term if k % 2 == 0 else -term
-        if at < 1e-18 * abs(sp):
-            break
-    return sp, sm
-
-
-def _bessel_I_asym(nu: float, w: complex, scaled: bool) -> complex:
-    # two-exponential form; the recessive branch is selected by sign(Im w)
-    sp, sm = _asym_sums(nu, w)
-    pref = 1.0 / cmath.sqrt(2.0 * math.pi * w)
-    sgn = 1.0 if w.imag >= 0.0 else -1.0
-    phase = cmath.exp(sgn * 1j * math.pi * (nu + 0.5))
-    if scaled:
-        return pref * (cmath.exp(1j * w.imag) * sm
-                       + phase * cmath.exp(-w - w.real) * sp)
-    return pref * (cmath.exp(w) * sm + phase * cmath.exp(-w) * sp)
-
-
-def _bessel_K_asym(nu: float, w: complex, scaled: bool) -> complex:
-    sp, _ = _asym_sums(nu, w)
-    pref = cmath.sqrt(math.pi / (2.0 * w))
-    if scaled:
-        return pref * cmath.exp(-1j * w.imag) * sp
-    return pref * cmath.exp(-w) * sp
-
-
-def _hankel_asym(nu: float, w: complex) -> tuple[complex, complex]:
-    """(H1_nu, H2_nu) asymptotics; accurate for Re w >= 0, |w| >= ~13."""
-    mu = 4.0 * nu * nu
-    pref = cmath.sqrt(2.0 / (math.pi * w))
-    term = 1.0 + 0j
-    s1 = term
-    s2 = term
-    smallest = abs(term)
-    for k in range(1, 60):
-        term = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * w)
-        at = abs(term)
-        if at > smallest:
-            break
-        smallest = at
-        rot = (1j) ** (k % 4)
-        s1 += term * rot
-        s2 += term * rot.conjugate()
-        if at < 1e-18:
-            break
-    ph = w - nu * math.pi / 2.0 - math.pi / 4.0
-    return pref * cmath.exp(1j * ph) * s1, pref * cmath.exp(-1j * ph) * s2
-
-
-def _bessel_K_integral(nu: float, w: complex) -> complex:
-    """K_nu(w) = int_0^inf e^{-w cosh t} cosh(nu t) dt for Re w > 0.
-
-    Panelled Gauss-Legendre on [0, T] with w cosh T deep below the target
-    precision; the panel count tracks the oscillation phase |Im w| sinh T so
-    complex arguments stay resolved.  Used on 4 < Re w, |w| <= nu + 20 where
-    both the connection formula and the asymptotic expansion fall short.
-    """
-    x = w.real
-    T = math.acosh(1.0 + 48.0 / x)
-    phase = abs(w.imag) * math.sinh(T)
-    panels = max(2, int(phase / 8.0) + 1)
-    nodes, wts = _GL32
-    tot = 0j
-    for p in range(panels):
-        a = T * p / panels
-        b = T * (p + 1) / panels
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for n, wt in zip(nodes, wts):
-            t = mid + half * n
-            tot += wt * half * cmath.exp(-w * math.cosh(t)) * math.cosh(nu * t)
-    return tot
+def _finite(value: complex, name: str) -> complex:
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{name} overflow; use the scaled variant")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # public principal-sheet evaluations
 # ---------------------------------------------------------------------------
 
-def _check_arg(w: complex) -> complex:
-    w = complex(w)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise SpecialFunctionError("non-finite argument")
-    return w
-
-
-def _series_ok(nu: float, w: complex, growth_axis: str) -> bool:
-    """Ascending series acceptable: inside |w| <= nu + 20 and conditioned.
-
-    The series loses ~exp(|w| - |proj|) digits to cancellation, where proj
-    is the component of w along the function's growth axis (real axis for
-    I/K, imaginary axis for J/Y).  Beyond e^10 of loss (and once |w| >= 13,
-    where the asymptotics are reliable) the asymptotic route takes over.
-    """
-    aw = abs(w)
-    if aw > nu + 20.0:
-        return False
-    if aw < 13.0:
-        return True
-    proj = abs(w.real) if growth_axis == "re" else abs(w.imag)
-    return aw - proj <= 10.0
-
-
 def bessel_I(nu: float, w: complex) -> complex:
     """Modified Bessel function I_nu(w), real order nu >= 0, complex w."""
     w = _check_arg(w)
     if nu < 0:
         raise SpecialFunctionError("order must be non-negative")
-    if w == 0:
-        return 0j if nu > 0 else 1.0 + 0j
-    if _series_ok(nu, w, "re"):
-        return _series_logw(nu, cmath.log(w), 1.0)
-    if abs(w.real) > 700.0:
-        raise OverflowError("I_nu overflow; use bessel_I_scaled")
-    return _bessel_I_asym(nu, w, scaled=False)
+    return _finite(complex(special.iv(nu, w)), "I_nu")
 
 
 def bessel_I_scaled(nu: float, w: complex) -> complex:
     """I_nu(w) * exp(-Re w): overflow-safe along the growth direction."""
     w = _check_arg(w)
-    if _series_ok(nu, w, "re"):
-        return _series_logw(nu, cmath.log(w), 1.0) * cmath.exp(-w.real)
-    return _bessel_I_asym(nu, w, scaled=True)
+    # scipy's ive scales by exp(-|Re w|)
+    return complex(special.ive(nu, w)) * math.exp(abs(w.real) - w.real)
 
 
 def bessel_K(nu: float, w: complex) -> complex:
-    """Modified Bessel function K_nu(w), non-integer order, w != 0."""
-    w = _check_arg(w)
-    if w == 0:
-        raise SpecialFunctionError("K_nu is singular at w = 0")
-    if abs(w) > nu + 20.0:
-        if w.real < -700.0:
-            raise OverflowError("K_nu overflow; use bessel_K_scaled")
-        return _bessel_K_asym(nu, w, scaled=False)
-    if w.real > 4.0:
-        return _bessel_K_integral(nu, w)
-    return bessel_K_logw(nu, cmath.log(w))
+    """Modified Bessel function K_nu(w), w != 0."""
+    return _finite(complex(special.kv(nu, _check_arg(w, "K_nu"))), "K_nu")
 
 
 def bessel_K_scaled(nu: float, w: complex) -> complex:
     """K_nu(w) * exp(+Re w): underflow-safe for large positive Re w."""
-    w = _check_arg(w)
-    if abs(w) > nu + 20.0:
-        return _bessel_K_asym(nu, w, scaled=True)
-    return bessel_K(nu, w) * cmath.exp(w.real)
+    w = _check_arg(w, "K_nu")
+    # scipy's kve scales by exp(+w)
+    return complex(special.kve(nu, w)) * cmath.exp(-1j * w.imag)
 
 
 def bessel_J(nu: float, w: complex) -> complex:
     """Ordinary Bessel function J_nu(w)."""
-    w = _check_arg(w)
-    if w == 0:
-        return 0j if nu > 0 else 1.0 + 0j
-    if _series_ok(nu, w, "im"):
-        return _series_logw(nu, cmath.log(w), -1.0)
-    if w.real >= 0.0:
-        h1, h2 = _hankel_asym(nu, w)
-        return 0.5 * (h1 + h2)
-    # reflect into the right half-plane: J_nu(e^{s pi i} w') = e^{s nu pi i} J_nu(w')
-    s = 1.0 if w.imag >= 0.0 else -1.0
-    wp = w * cmath.exp(-1j * math.pi * s)
-    h1, h2 = _hankel_asym(nu, wp)
-    return cmath.exp(1j * nu * math.pi * s) * 0.5 * (h1 + h2)
+    return complex(special.jv(nu, _check_arg(w)))
 
 
 def bessel_Y(nu: float, w: complex) -> complex:
-    """Ordinary Bessel function Y_nu(w), non-integer order, w != 0."""
-    w = _check_arg(w)
-    if w == 0:
-        raise SpecialFunctionError("Y_nu is singular at w = 0")
-    if _series_ok(nu, w, "im"):
-        return bessel_Y_logw(nu, cmath.log(w))
-    if w.real >= 0.0:
-        h1, h2 = _hankel_asym(nu, w)
-        return (h1 - h2) / 2j
-    s = 1.0 if w.imag >= 0.0 else -1.0
-    wp = w * cmath.exp(-1j * math.pi * s)
-    h1, h2 = _hankel_asym(nu, wp)
-    jv = 0.5 * (h1 + h2)
-    yv = (h1 - h2) / 2j
-    # Y_nu(w' e^{s pi i}) = e^{-s nu pi i} Y_nu(w') + 2i sin(s nu pi) cot(nu pi) J_nu(w')
-    cot = math.cos(nu * math.pi) / math.sin(nu * math.pi)
-    return cmath.exp(-1j * s * nu * math.pi) * yv + 2j * math.sin(s * nu * math.pi) * cot * jv
+    """Ordinary Bessel function Y_nu(w), w != 0."""
+    return complex(special.yv(nu, _check_arg(w, "Y_nu")))
 
 
 def bessel_I_prime(nu: float, w: complex) -> complex:
-    """d/dw I_nu(w) = I_{nu+1}(w) + (nu/w) I_nu(w)."""
-    w = _check_arg(w)
-    return bessel_I(nu + 1.0, w) + (nu / w) * bessel_I(nu, w)
+    """d/dw I_nu(w) = (I_{nu-1}(w) + I_{nu+1}(w)) / 2."""
+    return complex(special.ivp(nu, _check_arg(w)))
 
 
 def bessel_K_prime(nu: float, w: complex) -> complex:
-    """d/dw K_nu(w) = -K_{nu+1}(w) + (nu/w) K_nu(w)."""
-    w = _check_arg(w)
-    return -bessel_K(nu + 1.0, w) + (nu / w) * bessel_K(nu, w)
+    """d/dw K_nu(w) = -(K_{nu-1}(w) + K_{nu+1}(w)) / 2, w != 0."""
+    return complex(special.kvp(nu, _check_arg(w, "K_nu")))
+
+
+# ---------------------------------------------------------------------------
+# log-argument entry points: continuation off the principal sheet
+# ---------------------------------------------------------------------------
+
+def _sheet(t: complex) -> tuple[complex, int]:
+    """(w0, m) with e^t = w0 e^(m pi i) and |arg w0| <= pi/2."""
+    t = _check_arg(t)
+    m = round(t.imag / math.pi)
+    return cmath.exp(complex(t.real, t.imag - m * math.pi)), m
+
+
+def _connection_ratio(nu: float, m: int) -> float:
+    """sin(m nu pi) / sin(nu pi), non-integer nu only."""
+    s = math.sin(nu * math.pi)
+    if abs(s) < 1e-12:
+        raise SpecialFunctionError("connection formula requires non-integer order")
+    return math.sin(m * nu * math.pi) / s
+
+
+def bessel_I_logw(nu: float, t: complex) -> complex:
+    """I_nu(e^t) on the sheet of log named by the log-argument t."""
+    w0, m = _sheet(t)
+    return cmath.exp(1j * m * nu * math.pi) * complex(special.iv(nu, w0))
+
+
+def bessel_J_logw(nu: float, t: complex) -> complex:
+    """J_nu(e^t) on the sheet of log named by the log-argument t."""
+    w0, m = _sheet(t)
+    return cmath.exp(1j * m * nu * math.pi) * complex(special.jv(nu, w0))
+
+
+def bessel_K_logw(nu: float, t: complex) -> complex:
+    """K_nu(e^t) on the sheet named by t, non-integer nu only."""
+    w0, m = _sheet(t)
+    ratio = _connection_ratio(nu, m)
+    return (cmath.exp(-1j * m * nu * math.pi) * complex(special.kv(nu, w0))
+            - 1j * math.pi * ratio * complex(special.iv(nu, w0)))
+
+
+def bessel_Y_logw(nu: float, t: complex) -> complex:
+    """Y_nu(e^t) on the sheet named by t, non-integer nu only."""
+    w0, m = _sheet(t)
+    ratio = _connection_ratio(nu, m)
+    return (cmath.exp(-1j * m * nu * math.pi) * complex(special.yv(nu, w0))
+            + 2j * ratio * math.cos(nu * math.pi) * complex(special.jv(nu, w0)))

@@ -3,9 +3,9 @@
 The quantization rule is int_{x_left}^{x_right} sqrt(E - V) dx = (k + 1/2) pi
 with the integral taken between the complex turning points.  For M = 1 the
 leading-order rule has a closed form in Gamma functions; for general M the
-energy is found by root-solving the quadrature.  The next-order corrected
-formula and the large-deformation expansions of the ground-state energy are
-also provided.
+energy follows from the quadrature at E = 1 through the exact scaling of the
+action with E.  The next-order corrected formula and the large-deformation
+expansions of the ground-state energy are also provided.
 """
 
 from __future__ import annotations
@@ -146,49 +146,18 @@ def wkb_energy_closed(k: int, epsilon: float) -> float:
     return (num / den) ** ((2.0 * epsilon + 4.0) / (epsilon + 4.0))
 
 
-def wkb_energy_quadrature(model: ModelSpec, k: int, tol: float = 1e-10) -> float:
+def wkb_energy_quadrature(model: ModelSpec, k: int) -> float:
     """Leading WKB energy for any M: root of action_integral(E) = (k+1/2) pi.
 
-    Bracketed secant (bisection fallback) on the monotone action.  Serves as
-    the general-M counterpart of the closed form, and as the default solver
-    seed for M >= 2.
+    V is homogeneous of degree N = 2M + eps along rays, so scaling x by
+    E^(1/N) gives A(E) = A(1) E^(1/2 + 1/N) exactly, and the root follows
+    from one action integral.  Serves as the general-M counterpart of the
+    closed form, and as the default solver seed for M >= 2.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    target = (k + 0.5) * math.pi
-    # power-law initial guess: action ~ c E^{1/2 + 1/(2M+eps)}
     expo = 0.5 + 1.0 / (2.0 * model.M + model.epsilon)
-    E0 = 1.0
-    a0 = action_integral(model, E0)
-    E1 = E0 * (target / a0) ** (1.0 / expo)
-    a1 = action_integral(model, E1)
-    lo, hi = (E0, E1) if a0 < a1 else (E1, E0)
-    alo, ahi = min(a0, a1), max(a0, a1)
-    while alo > target:
-        lo *= 0.5
-        alo = action_integral(model, lo)
-    while ahi < target:
-        hi *= 2.0
-        ahi = action_integral(model, hi)
-        if hi > 1e12:
-            raise RuntimeError("bracketing failure in WKB quadrature")
-    fa, fb = alo - target, ahi - target
-    a, b = lo, hi
-    for _ in range(200):
-        # secant proposal, clipped into the bracket
-        x = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
-        if not (a < x < b):
-            x = 0.5 * (a + b)
-        fx = action_integral(model, x) - target
-        if fx == 0.0:
-            return x
-        if fa * fx < 0.0:
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-        if b - a <= tol * b:
-            break
-    return 0.5 * (a + b)
+    return ((k + 0.5) * math.pi / action_integral(model, 1.0)) ** (1.0 / expo)
 
 
 def wkb_energy_next(k: int, epsilon: float) -> float:

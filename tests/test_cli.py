@@ -3,24 +3,36 @@ import math
 
 import pytest
 
-from ptwell.cli import (RunConfig, dumps_json, format_csv, main, parse_csv,
-                        run_figure1, table_csv_rows)
+from ptwell.cli import (dumps_json, format_csv, main, parse_csv, run_figure1,
+                        table_csv_rows)
 
 
 class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="table", table_id=4)
-        with pytest.raises(ValueError):
-            RunConfig(command="eigen", tol=1e-3)
-        with pytest.raises(ValueError):
-            RunConfig(command="eigen", format="xml")
-        for rtol in (0.0, 0.5):
-            with pytest.raises(ValueError):
-                RunConfig(command="eigen", rtol=rtol)
-        for factor in (0.0, -1.0, 0.5):
-            with pytest.raises(ValueError):
-                RunConfig(command="eigen", radius_factor=factor)
+    @pytest.mark.parametrize("argv", [
+        ["table", "--id", "4"],
+        ["eigen", "--epsilon", "8", "--format", "xml"],
+        # flags only the solving subcommands take
+        ["table", "--id", "1", "--radius-factor", "3"],
+        ["figure1", "--radius-factor", "2"],
+        ["wkb", "--epsilon", "1", "--rtol", "1e-3"],
+        ["limit", "--tol", "1e-9"],
+        ["period", "--epsilon", "0", "--radius-factor", "2"],
+    ])
+    def test_rejected_by_parser(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_validation(self, capsys):
+        bad = [["eigen", "--epsilon", "8", "--tol", "1e-3"],
+               ["table", "--id", "1", "--tol", "0"],
+               ["figure1", "--rtol", "1e-3"]]
+        bad += [["eigen", "--epsilon", "8", "--rtol", rtol] for rtol in ("0", "0.5")]
+        bad += [["eigen", "--epsilon", "8", "--radius-factor", factor]
+                for factor in ("0", "-1", "0.5")]
+        for argv in bad:
+            assert main(argv) == 2, argv
+            assert "error" in capsys.readouterr().err
 
 
 class TestTableCommand:

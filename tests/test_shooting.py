@@ -6,25 +6,32 @@ import pytest
 
 import ptwell.shooting as shooting
 from ptwell.geometry import ModelSpec, potential_value
-from ptwell.shooting import (build_contour, integrate_log_derivative,
-                             match_height, mismatch, scan_levels, solve_level)
+from ptwell.shooting import match_height, scan_levels, solve_level
+
+
+def _path(model, E):
+    return shooting._build_path(model, E, 1.0)
+
+
+def _u(model, E, side, path):
+    return shooting._u_interior(model, E, side, path, shooting.DEFAULT_RTOL)
 
 
 class TestContour:
     def test_hermitian_rays_on_real_axis(self):
-        left, right = build_contour(ModelSpec(1, 0.0), 1.0)
-        assert right.angle == 0.0
-        assert left.angle == pytest.approx(-math.pi)
-        assert left.matching_point == 0j
+        path = _path(ModelSpec(1, 0.0), 1.0)
+        assert path.right[0] == 0.0
+        assert path.left[0] == pytest.approx(-math.pi)
+        assert path.ym == 0.0     # matching at the origin
 
     def test_wedge_substitution(self):
-        left, right = build_contour(ModelSpec(1, 8.0), 5.5)
-        assert right.angle == pytest.approx(-math.pi / 3.0)
-        assert left.angle == pytest.approx(-2.0 * math.pi / 3.0)
+        path = _path(ModelSpec(1, 8.0), 5.5)
+        assert path.right[0] == pytest.approx(-math.pi / 3.0)
+        assert path.left[0] == pytest.approx(-2.0 * math.pi / 3.0)
 
     def test_radius_shrinks_toward_one(self):
-        r_small = build_contour(ModelSpec(1, 8.0), 5.55)[1].outer_radius
-        r_large = build_contour(ModelSpec(1, 58.0), 196.0)[1].outer_radius
+        r_small = _path(ModelSpec(1, 8.0), 5.55).right[1]
+        r_large = _path(ModelSpec(1, 58.0), 196.0).right[1]
         assert r_large < r_small
         assert 1.0 < r_large < 2.0
 
@@ -32,53 +39,55 @@ class TestContour:
         # Re[(V - E)^(1/2) x] >= 25 at the outer point of every ray
         for model, E in ((ModelSpec(1, 0.0), 1.0), (ModelSpec(1, 8.0), 5.55),
                          (ModelSpec(2, 6.0), 2.65), (ModelSpec(1, 58.0), 196.0)):
-            for ray in build_contour(model, E):
-                x0 = ray.outer_radius * cmath.exp(1j * ray.angle)
+            path = _path(model, E)
+            for theta, R in (path.left, path.right):
+                x0 = R * cmath.exp(1j * theta)
                 q = cmath.sqrt(potential_value(model, x0) - E)
-                if (q * cmath.exp(1j * ray.angle)).real < 0.0:
+                if (q * cmath.exp(1j * theta)).real < 0.0:
                     q = -q
                 assert (q * x0).real >= 25.0
 
 
 class TestLogDerivative:
+    # psi'/psi at the match point -i y*, which is the origin at M = 1, eps = 0
+
     def test_even_ground_state(self):
         # psi'(0) = 0 for the harmonic ground state reached from either side
         model = ModelSpec(1, 0.0)
-        left, right = build_contour(model, 1.0)
-        uR = integrate_log_derivative(model, 1.0, right)
+        uR = _u(model, 1.0, "R", _path(model, 1.0))
         assert abs(uR) <= 1e-6
 
     def test_parity(self):
         model = ModelSpec(1, 0.0)
-        left, right = build_contour(model, 1.0)
-        uL = integrate_log_derivative(model, 1.0, left)
-        uR = integrate_log_derivative(model, 1.0, right)
-        assert abs(uL + uR) <= 1e-6
+        path = _path(model, 1.0)
+        assert abs(_u(model, 1.0, "L", path) + _u(model, 1.0, "R", path)) <= 1e-6
 
     def test_matching_at_golden_energy(self):
         model = ModelSpec(1, 8.0)
-        left, right = build_contour(model, 5.55331)
-        uL = integrate_log_derivative(model, 5.55331, left)
-        uR = integrate_log_derivative(model, 5.55331, right)
+        path = _path(model, 5.55331)
+        uL = _u(model, 5.55331, "L", path)
+        uR = _u(model, 5.55331, "R", path)
         assert abs(uL - uR) <= 1e-5
-
-    def test_tolerance_domain(self):
-        model = ModelSpec(1, 0.0)
-        _, right = build_contour(model, 1.0)
-        with pytest.raises(ValueError):
-            integrate_log_derivative(model, 1.0, right, tol=1e-3)
 
 
 class TestMismatch:
+    # the solver's matching defect on the path built for E
+
     def test_zero_at_eigenvalue(self):
-        assert abs(mismatch(ModelSpec(1, 0.0), 1.0)) <= 1e-6
+        model = ModelSpec(1, 0.0)
+        assert abs(shooting._matching_defect(model, 1.0, _path(model, 1.0),
+                                             shooting.DEFAULT_RTOL)) <= 1e-6
 
     def test_bounded_away_between_levels(self):
-        assert abs(mismatch(ModelSpec(1, 0.0), 2.0)) >= 0.1
+        model = ModelSpec(1, 0.0)
+        assert abs(shooting._matching_defect(model, 2.0, _path(model, 2.0),
+                                             shooting.DEFAULT_RTOL)) >= 0.1
 
     def test_quartic_golden_row(self):
         # golden table row label 8 (deformation 6): E listed as 2.65128
-        assert abs(mismatch(ModelSpec(2, 6.0), 2.65128)) <= 1e-5
+        model = ModelSpec(2, 6.0)
+        assert abs(shooting._matching_defect(model, 2.65128, _path(model, 2.65128),
+                                             shooting.DEFAULT_RTOL)) <= 1e-5
 
 
 class TestSolveLevel:
@@ -125,6 +134,15 @@ class TestSolveLevel:
         # rtol = 0 overflowed the step control; 0.5 "converged" to 0.99973
         with pytest.raises(ValueError):
             solve_level(ModelSpec(1, 0.0), 0, rtol=rtol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1e-14, 1e-5, math.nan])
+    def test_tol_domain(self, tol):
+        # nan, 0 and -1 ran 15 iterations and reported a converging level
+        # unconverged
+        with pytest.raises(ValueError):
+            solve_level(ModelSpec(1, 2.0), 0, tol=tol)
+        with pytest.raises(ValueError):
+            scan_levels([ModelSpec(1, 2.0)], 0, tol=tol)
 
     @pytest.mark.parametrize("factor", [0.0, -1.0, 0.5, math.inf, math.nan])
     def test_radius_factor_domain(self, factor):

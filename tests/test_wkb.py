@@ -106,6 +106,21 @@ class TestQuadrature:
         got = wkb_energy_quadrature(ModelSpec(1, eps), k)
         assert got == pytest.approx(wkb_energy_closed(k, eps), rel=1e-8)
 
+    # (2, 0.9, 0), (3, 0.2, 0), (3, 0.3, 0) and (3, 2.5, 0) once landed
+    # 11-25% off, when a root search walked away from an exact first guess
+    @pytest.mark.parametrize("M, eps, k", [(2, 0.9, 0), (3, 0.2, 0),
+                                           (3, 0.3, 0), (3, 2.5, 0),
+                                           (2, 6.0, 3), (3, 40.0, 10)])
+    def test_analytic_leading_level(self, M, eps, k):
+        # the action between the turning points of x^N (ix)^eps at E = 1 is
+        # u = cos(eps pi/2N) sqrt(pi) Gamma(1 + 1/N) / Gamma(3/2 + 1/N)
+        N = 2 * M + eps
+        u = (math.cos(eps * math.pi / (2.0 * N)) * math.sqrt(math.pi)
+             * math.gamma(1.0 + 1.0 / N) / math.gamma(1.5 + 1.0 / N))
+        want = ((k + 0.5) * math.pi / u) ** (2.0 * N / (N + 2.0))
+        assert wkb_energy_quadrature(ModelSpec(M, eps), k) == pytest.approx(
+            want, rel=1e-8)
+
     def test_quartic_ground_accuracy(self):
         # leading WKB at k = 0 is crude but lands within 25% of the golden
         # quartic-table value printed at row label 8

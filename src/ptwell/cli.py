@@ -130,8 +130,8 @@ def run_figure1(eps_max: float, k_max: int, step: float,
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    if eps_max > 10.0:
-        raise ValueError("eps_max is limited to 10 (desk-scale scans)")
+    if not 0.0 <= eps_max <= 10.0:
+        raise ValueError("eps_max must lie in [0, 10] (desk-scale scans)")
     grid = []
     e = 0.0
     while e <= eps_max + 1e-12:

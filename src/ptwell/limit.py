@@ -55,6 +55,8 @@ def nu_spectrum(M: int, k_max: int) -> list[LimitLevel]:
     """All limit levels with k <= k_max, sorted by nu."""
     if M < 1:
         raise ValueError("M must be >= 1")
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     levels = [LimitLevel(k, P, k + P / (M + 1.0), (k + P / (M + 1.0)) ** 2 / 4.0)
               for k in range(k_max + 1) for P in range(1, M + 1)]
     levels.sort(key=lambda lv: lv.nu)

@@ -20,13 +20,18 @@ PATH_BAND around the energy it was built for.  On the path the potential is
 a real power of |x| times a closed-form phase (fixed along each ray, turning
 along each arc), so no logarithm is taken in the integrator.
 
-The left and right integrations mirror each other, so for real E the defect
-is real and the PT-reality check sees no integration error.  A converged
-root is therefore re-checked on a second path to the same match point,
-whose arc runs at CHECK_ARC times the match height before it follows the
-imaginary axis down.  An eigenvalue does not depend on the path, so a root
-that moves by more than CHECK_REL |E| is reported unconverged.  All
-operations are pure.
+For real E the left solution is the PT mirror of the right one,
+u_L(-i y*) = -conj(u_R(-i y*)), so the defect needs only the right ray and
+is real: a real seed keeps the secant on the real axis.  Complex E
+integrates both rays.  After a real root converges the left ray is
+integrated once there, and the PT-reality check is applied to the secant
+step that this two-ray defect would take.  The ray integrations mirror
+each other to rounding, so that check sees no integration error; a
+converged root is therefore also re-checked on a second path to the same
+match point, whose arc runs at CHECK_ARC times the match height before it
+follows the imaginary axis down.  An eigenvalue does not depend on the
+path, so a root that moves by more than CHECK_REL |E| is reported
+unconverged.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -296,11 +301,11 @@ class _Path:
 
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float) -> _Path:
+    # the left ray mirrors the right one, and so does its decay depth
     w = wedge_angles(model)
-    left, right = ((theta, _ray_radius(model, E_ref, theta, radius_factor))
-                   for theta in (w.theta_left, w.theta_right))
+    R = _ray_radius(model, E_ref, w.theta_right, radius_factor)
     ym = match_height(model, E_ref)
-    return _Path(E_ref, ym, ym, left, right)
+    return _Path(E_ref, ym, ym, (w.theta_left, R), (w.theta_right, R))
 
 
 def _u_interior(model: ModelSpec, E: complex, side: str, path: _Path,
@@ -346,17 +351,26 @@ def _u_interior(model: ModelSpec, E: complex, side: str, path: _Path,
     return -1j * y1 / y0
 
 
-def _matching_defect(model: ModelSpec, E: complex, path: _Path,
-                     rtol: float) -> complex:
+def _defect(uL: complex, uR: complex) -> complex:
     """Interior-matched defect (u_L - u_R) / ((1 + |u_L|)(1 + |u_R|)).
 
     The product normalization keeps the defect bounded and vanishing at
     every eigenvalue, including states whose wavefunction has a node at the
     matching point (the log-derivatives then diverge on both sides).
     """
-    uL = _u_interior(model, E, "L", path, rtol)
-    uR = _u_interior(model, E, "R", path, rtol)
     return (uL - uR) / ((1.0 + abs(uL)) * (1.0 + abs(uR)))
+
+
+def _matching_defect(model: ModelSpec, E: complex, path: _Path,
+                     rtol: float) -> tuple[complex, complex]:
+    """(defect, u_R) at E.  For real E, u_L = -conj(u_R) by PT symmetry, so
+    only the right ray is integrated and the defect is real."""
+    uR = _u_interior(model, E, "R", path, rtol)
+    if E.imag == 0.0:
+        uL = -uR.conjugate()
+    else:
+        uL = _u_interior(model, E, "L", path, rtol)
+    return _defect(uL, uR), uR
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +398,8 @@ def _check_shift(model: ModelSpec, E: complex, check: _Path,
                  rtol: float) -> float:
     """|root of the defect on `check` - E|, from one secant step at E, 1.001 E."""
     try:
-        c0 = _matching_defect(model, E, check, rtol)
-        c1 = _matching_defect(model, 1.001 * E, check, rtol)
+        c0 = _matching_defect(model, E, check, rtol)[0]
+        c1 = _matching_defect(model, 1.001 * E, check, rtol)[0]
     except ShootingError:
         return math.inf
     return abs(c0 * 0.001 * E / (c1 - c0)) if c1 != c0 else math.inf
@@ -400,7 +414,10 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     Stops when |dE| <= tol |E|; the result is flagged converged only if the
     PT-reality check |Im E| <= 1e-8 |Re E| also holds, and if the root moves
     by at most CHECK_REL |E| on the check path (see the module docstring).
-    Failures return an unconverged EigenResult instead of raising.
+    A real seed integrates one ray per defect and stays real; at its root
+    the check reads Im E from the step w2 (E1 - E0) / (w1 - w0) of the
+    two-ray defect w2.  Failures return an unconverged EigenResult instead
+    of raising.
 
     Raises:
         ValueError: for k < 0, tol or rtol outside [1e-13, 1e-6], or a
@@ -416,8 +433,8 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     E1 = E0 * 1.001
     try:
         path = _build_path(model, abs(E0), radius_factor)
-        w0 = _matching_defect(model, E0, path, rtol)
-        w1 = _matching_defect(model, E1, path, rtol)
+        w0 = _matching_defect(model, E0, path, rtol)[0]
+        w1, uR = _matching_defect(model, E1, path, rtol)
     except ShootingError as exc:
         logger.warning("integration failed at seed for k=%d: %s", k, exc)
         return EigenResult(k, E0, math.inf, 0, False)
@@ -436,15 +453,24 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
             if abs(abs(E1) - path.E_ref) > PATH_BAND * path.E_ref:
                 # the defect depends on the path: keep both secant points on one
                 path = _build_path(model, abs(E1), radius_factor)
-                w0 = _matching_defect(model, E0, path, rtol)
-            w1 = _matching_defect(model, E1, path, rtol)
+                w0 = _matching_defect(model, E0, path, rtol)[0]
+            w1, uR = _matching_defect(model, E1, path, rtol)
         except ShootingError as exc:
             logger.warning("integration failed at E=%s for k=%d: %s", E1, k, exc)
             return EigenResult(k, E1, math.inf, iterations, False)
         if abs(dE) <= tol * abs(E1):
             converged = True
             break
-    pt_real = abs(E1.imag) <= 1e-8 * abs(E1.real)
+    im = E1.imag
+    if converged and im == 0.0:
+        # the one-ray defect is real by construction: test the two-ray one
+        try:
+            w2 = _defect(_u_interior(model, E1, "L", path, rtol), uR)
+        except ShootingError as exc:
+            logger.warning("left-ray integration failed for k=%d: %s", k, exc)
+            return EigenResult(k, E1, math.inf, iterations, False)
+        im = (w2 * (E1 - E0) / (w1 - w0)).imag if w1 != w0 else math.inf
+    pt_real = abs(im) <= 1e-8 * abs(E1.real)
     if not pt_real:
         logger.warning("PT-reality violated for k=%d: E=%s", k, E1)
     path_ok = True
@@ -463,7 +489,12 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
     Results are ordered by (epsilon, k).  Per-point failures are reported as
     unconverged entries and the scan continues.  A level that stops rising
     with epsilon triggers a warning, as does a collision of two levels.
+
+    Raises:
+        ValueError: for k_max < 0, or a tol or rtol that solve_level rejects.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     models = sorted(model_grid, key=lambda m: m.epsilon)
     out: list[EigenResult] = []
     prev: dict[int, complex] = {}

@@ -76,6 +76,16 @@ class TestFigure1:
         with pytest.raises(ValueError):
             run_figure1(eps_max=12.0, k_max=0, step=1.0)
 
+    @pytest.mark.parametrize("eps_max", [-1.0, math.nan])
+    def test_negative_eps_max(self, eps_max, capsys):
+        # -1 printed a header-only CSV and exited 0
+        with pytest.raises(ValueError, match="eps_max"):
+            run_figure1(eps_max=eps_max, k_max=0, step=1.0)
+        assert main(["figure1", "--eps-max", str(eps_max)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eps_max" in captured.err
+
     def test_small_scan(self):
         curves, failures, ok = run_figure1(eps_max=2.0, k_max=1, step=1.0)
         assert ok and not failures
@@ -139,6 +149,17 @@ class TestMainEntry:
             rc = main(["eigen", "--epsilon", "8"] + bad)
             assert rc == 2
             assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["limit", "--k-max", "-1", "--format", "csv"],   # IndexError traceback
+        ["limit", "--k-max", "-1"],                      # "levels": [], exit 0
+        ["figure1", "--k-max", "-1"],                    # range() arg 3 is zero
+    ])
+    def test_negative_k_max(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k_max" in captured.err
 
     def test_figure1_csv(self, capsys):
         rc = main(["figure1", "--eps-max", "1", "--k-max", "0", "--step", "1"])

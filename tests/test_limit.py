@@ -32,6 +32,12 @@ class TestSpectrum:
         assert nus == sorted(nus)
         assert len(levels) == 9
 
+    @pytest.mark.parametrize("k_max", [-1, -5])
+    def test_negative_k_max(self, k_max):
+        # used to return an empty spectrum
+        with pytest.raises(ValueError, match="k_max"):
+            nu_spectrum(2, k_max)
+
 
 class TestQuantization:
     def test_oscillator_zero(self):

@@ -76,18 +76,89 @@ class TestMismatch:
     def test_zero_at_eigenvalue(self):
         model = ModelSpec(1, 0.0)
         assert abs(shooting._matching_defect(model, 1.0, _path(model, 1.0),
-                                             shooting.DEFAULT_RTOL)) <= 1e-6
+                                             shooting.DEFAULT_RTOL)[0]) <= 1e-6
 
     def test_bounded_away_between_levels(self):
         model = ModelSpec(1, 0.0)
         assert abs(shooting._matching_defect(model, 2.0, _path(model, 2.0),
-                                             shooting.DEFAULT_RTOL)) >= 0.1
+                                             shooting.DEFAULT_RTOL)[0]) >= 0.1
 
     def test_quartic_golden_row(self):
         # golden table row label 8 (deformation 6): E listed as 2.65128
         model = ModelSpec(2, 6.0)
         assert abs(shooting._matching_defect(model, 2.65128, _path(model, 2.65128),
-                                             shooting.DEFAULT_RTOL)) <= 1e-5
+                                             shooting.DEFAULT_RTOL)[0]) <= 1e-5
+
+
+class TestOneRayDefect:
+    # for real E the defect integrates the right ray only, u_L = -conj(u_R)
+
+    @pytest.fixture
+    def left_calls(self, monkeypatch):
+        calls = []
+        u_interior = shooting._u_interior
+
+        def counted(model, E, side, path, rtol):
+            if side == "L":
+                calls.append(E)
+            return u_interior(model, E, side, path, rtol)
+
+        monkeypatch.setattr(shooting, "_u_interior", counted)
+        return calls
+
+    @pytest.mark.parametrize("M,eps", [(1, 0.0), (1, 8.0), (2, 6.0),
+                                       (2, 56.0), (3, 1.3)])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_equals_two_ray_defect(self, M, eps, k):
+        model = ModelSpec(M, eps)
+        E = complex(shooting.default_seed(model, k))
+        path = _path(model, E.real)
+        w, uR = shooting._matching_defect(model, E, path, shooting.DEFAULT_RTOL)
+        uL = _u(model, E, "L", path)
+        assert uR == _u(model, E, "R", path)
+        assert w.imag == 0.0
+        assert abs(w - (uL - uR) / ((1 + abs(uL)) * (1 + abs(uR)))) <= 1e-12
+
+    @pytest.mark.parametrize("M,eps,E", [(1, 2.0, 6.0), (1, 8.0, 5.55),
+                                         (1, 58.0, 196.0), (2, 6.0, 2.65),
+                                         (2, 56.0, 86.3), (3, 1.3, 10.5)])
+    def test_mirrored_radius(self, M, eps, E):
+        # the path searches the right ray only; the left ray's own search
+        # lands on the same radius
+        model = ModelSpec(M, eps)
+        path = _path(model, E)
+        assert path.left[0] == pytest.approx(-math.pi - path.right[0])
+        assert shooting._ray_radius(model, E, path.left[0], 1.0) == path.left[1]
+        assert path.left[1] == path.right[1]
+
+    def test_real_seed_integrates_left_ray_once(self, left_calls):
+        res = solve_level(ModelSpec(1, 8.0), 0)
+        assert res.converged
+        assert res.E.imag == 0.0
+        assert res.E.real == pytest.approx(5.553310025131625, rel=1e-12)
+        assert left_calls == [res.E]
+
+    def test_complex_seed_integrates_both_rays(self, left_calls):
+        res = solve_level(ModelSpec(1, 8.0), 0, seed=5.55 + 0.01j)
+        assert res.converged
+        assert res.E.real == pytest.approx(5.553310025131625, rel=1e-12)
+        assert abs(res.E.imag) <= 1e-8 * res.E.real
+        assert len(left_calls) >= res.iterations + 2
+
+    @pytest.mark.parametrize("offset", [1e-6, -1e-6])
+    def test_pt_check_sees_left_ray(self, monkeypatch, offset):
+        # an imaginary error in the left ray alone must fail the PT check
+        u_interior = shooting._u_interior
+
+        def skewed(model, E, side, path, rtol):
+            u = u_interior(model, E, side, path, rtol)
+            return u + 1j * offset * abs(u) if side == "L" else u
+
+        monkeypatch.setattr(shooting, "_u_interior", skewed)
+        for model in (ModelSpec(1, 8.0), ModelSpec(2, 6.0)):
+            res = solve_level(model, 0)
+            assert res.E.imag == 0.0
+            assert not res.converged
 
 
 class TestSolveLevel:

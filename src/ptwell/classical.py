@@ -25,11 +25,16 @@ class PeriodResult:
 
 
 def period_exact(epsilon: float, E: float) -> PeriodResult:
-    """Exact period of the complex pendulum at energy E (M = 1 only)."""
-    if E <= 0.0:
-        raise ValueError("E must be positive")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    """Exact period of the complex pendulum at energy E (M = 1 only).
+
+    Raises:
+        ValueError: for E that is not finite and positive, or epsilon that
+            is not finite and >= 0.
+    """
+    if not 0.0 < E < math.inf:
+        raise ValueError("E must be finite and positive")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     T = (4.0 * math.sqrt(math.pi)
          * E ** (-epsilon / (4.0 + 2.0 * epsilon))
          * gamma_fn((3.0 + epsilon) / (2.0 + epsilon))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -128,8 +129,8 @@ def run_figure1(eps_max: float, k_max: int, step: float,
     Returns (curves, failures, all_converged); failed points leave gaps in
     the curves and are listed in failures.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be finite and positive")
     if not 0.0 <= eps_max <= 10.0:
         raise ValueError("eps_max must lie in [0, 10] (desk-scale scans)")
     grid = []

@@ -129,6 +129,11 @@ def limit_wavefunction(M: int, nu: float, z: complex) -> complex:
     which makes the ground function literally I_1/2 + K_1/2/pi =
     e^w / sqrt(2 pi w); the overall scale is otherwise arbitrary.
 
+    Near the legs of the arch (for M = 1, nu = 2.5 at |Re z| of about 1.8)
+    psi is a small difference of its C1 and C2 parts, and there it is
+    accurate only to 2e-7..5e-7 relative, against a median of about 1e-15
+    over the arch region.
+
     Raises:
         ValueError: if nu is not a spectrum value (decay can then be
             enforced on one vertical only), or M not in {1, 2}.

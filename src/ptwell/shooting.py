@@ -2,10 +2,14 @@
 
 The Schroedinger equation -psi'' + V psi = E psi is integrated inward along
 the two anti-Stokes rays that carry the decay boundary conditions, starting
-from the leading WKB decaying solution at an outer radius chosen so the
-accumulated decay exponent exceeds a fixed depth.  Eigenvalues are the zeros
-of a normalized log-derivative matching defect, located by a damped complex
-secant iteration.
+from the WKB decaying solution with its first correction at the outer radius
+where the accumulated decay exponent reaches 1/2 ln(1/rtol) + 1.5: the
+inward integration damps the start error by about e^(-2 depth), so it ends
+below the integrator tolerance.  Eigenvalues are the zeros of a normalized
+log-derivative matching defect, located by a damped complex secant
+iteration.  Where the seed is Bohr-Sommerfeld (M = 1, or eps < 4) level k
+lies between the WKB energies at k - 1/2 and k + 1/2, and an iterate that
+leaves that window ends the solve unconverged.
 
 The solver matches on the negative imaginary axis at the height where the
 classically allowed arch joining the turning points crosses it, reached from
@@ -50,7 +54,6 @@ from .wkb import wkb_energy_closed, wkb_energy_quadrature
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_DEPTH = 25.0        # target WKB decay exponent at the outer point
 DEFAULT_RTOL = 1e-11        # embedded RK relative tolerance
 DEFAULT_TOL = 1e-9          # secant convergence: |dE| <= tol |E|
 MAX_DEPTH = 120.0           # cap so radius_factor cannot explode the run
@@ -112,16 +115,20 @@ def _outer_radius(model: ModelSpec, E: float, theta: float, depth: float) -> flo
 
 
 def _ray_radius(model: ModelSpec, E: float, theta: float,
-                radius_factor: float) -> float:
-    """Outer radius reaching DEFAULT_DEPTH, enlarged by `radius_factor`.
+                radius_factor: float, rtol: float) -> float:
+    """Outer radius where the decay depth reaches 1/2 ln(1/rtol) + 1.5,
+    enlarged by `radius_factor`.
 
-    Because the depth grows like R^(M + eps/2 + 1), an enlarged radius is
-    capped where the depth reaches MAX_DEPTH to keep large-deformation runs
-    finite.
+    Integrated inward, the solution growing outward that the corrected WKB
+    start admixes is damped by about e^(-2 depth) against the wanted one,
+    which puts it below rtol at this depth.  Because the depth grows like
+    R^(M + eps/2 + 1), an enlarged radius is capped where the depth reaches
+    MAX_DEPTH to keep large-deformation runs finite.
     """
     if not 1.0 <= radius_factor < math.inf:
         raise ValueError("radius_factor must be finite and >= 1")
-    R = _outer_radius(model, E, theta, DEFAULT_DEPTH) * radius_factor
+    depth = 0.5 * math.log(1.0 / rtol) + 1.5
+    R = _outer_radius(model, E, theta, depth) * radius_factor
     if radius_factor != 1.0 and _decay_depth(model, E, theta, R) > MAX_DEPTH:
         R = _outer_radius(model, E, theta, MAX_DEPTH)
     return R
@@ -212,12 +219,18 @@ def _ray_rhs(model: ModelSpec, E: complex, theta: float, R: float):
 
 
 def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
-    """(psi, dpsi/ds) of the WKB solution decaying outward, at s = 0."""
+    """(psi, dpsi/ds) of the WKB solution decaying outward, at s = 0.
+
+    psi'/psi = -sqrt(Q) - Q'/(4Q) with Q = V - E and Q' = n V/x: the leading
+    form with its first correction.
+    """
     ex = cmath.exp(1j * theta)
-    q = cmath.sqrt(potential_value(model, R * ex) - E)
+    v = potential_value(model, R * ex)
+    q = cmath.sqrt(v - E)
     if (q * ex).real < 0.0:
         q = -q
-    return 1.0 + 0j, q * ex
+    n = 2.0 * model.M + model.epsilon
+    return 1.0 + 0j, (q + n * v / (4.0 * R * ex * (v - E))) * ex
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +247,17 @@ def _im_action_to_axis(model: ModelSpec, E: float, y: float) -> float:
     a, b = xR, -1j * y
     nodes, wts = _GL64
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = [E - potential_value(model, mid + half * t) for t in nodes]
-    n = len(vals)
-    roots: list[complex] = [0j] * n
-    q = cmath.sqrt(vals[-1])
-    if q.imag < 0.0:
-        q = -q
-    roots[-1] = q
-    for i in range(n - 2, -1, -1):
-        q = cmath.sqrt(vals[i])
-        if abs(q - roots[i + 1]) > abs(q + roots[i + 1]):
-            q = -q
-        roots[i] = q
-    tot = 0j
-    for i in range(n):
-        tot += wts[i] * roots[i]
-    return (tot * half).imag
+    x = mid + half * nodes
+    # V(x) on the principal branch, as potential_value gives it
+    roots = np.sqrt(E - x ** (2 * model.M) * np.exp(model.epsilon * np.log(1j * x)))
+    # branch by continuity from the axis end, where Im sqrt >= 0: node i
+    # flips against node i + 1 when the principal roots are closer negated
+    flips = np.where(np.abs(roots[:-1] - roots[1:]) > np.abs(roots[:-1] + roots[1:]),
+                     -1.0, 1.0)
+    signs = np.append(np.cumprod(flips[::-1])[::-1], 1.0)
+    if roots[-1].imag < 0.0:
+        signs = -signs
+    return (sum((wts * signs * roots).tolist()) * half).imag
 
 
 def match_height(model: ModelSpec, E: float) -> float:
@@ -300,10 +308,11 @@ class _Path:
     right: tuple[float, float]
 
 
-def _build_path(model: ModelSpec, E_ref: float, radius_factor: float) -> _Path:
+def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
+                rtol: float) -> _Path:
     # the left ray mirrors the right one, and so does its decay depth
     w = wedge_angles(model)
-    R = _ray_radius(model, E_ref, w.theta_right, radius_factor)
+    R = _ray_radius(model, E_ref, w.theta_right, radius_factor, rtol)
     ym = match_height(model, E_ref)
     return _Path(E_ref, ym, ym, (w.theta_left, R), (w.theta_right, R))
 
@@ -394,6 +403,21 @@ def default_seed(model: ModelSpec, k: int) -> float:
     return (0.25 * nu * nu * n * n) ** (n / (n + 2.0))
 
 
+def _wkb_window(model: ModelSpec, k: int, E_k: float) -> tuple[float, float]:
+    """Bracket of level k: the leading WKB energies at k - 1/2 and k + 1/2
+    (0 for k = 0), from the level-k estimate E_k.
+
+    Both Bohr-Sommerfeld seeds, the M = 1 closed form and the quadrature,
+    scale as (k + 1/2)^(2N/(N + 2)) with N = 2M + eps.  Where default_seed
+    is the solvable-limit scale (M >= 2, eps >= 4) there is no bracket.
+    """
+    if model.M > 1 and model.epsilon >= 4.0:
+        return 0.0, math.inf
+    n = 2.0 * model.M + model.epsilon
+    p = 2.0 * n / (n + 2.0)
+    return E_k * (k / (k + 0.5)) ** p, E_k * ((k + 1.0) / (k + 0.5)) ** p
+
+
 def _check_shift(model: ModelSpec, E: complex, check: _Path,
                  rtol: float) -> float:
     """|root of the defect on `check` - E|, from one secant step at E, 1.001 E."""
@@ -411,13 +435,16 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
                 max_iter: int = MAX_ITER) -> EigenResult:
     """Converge level k by damped complex secant on the matching defect.
 
-    Stops when |dE| <= tol |E|; the result is flagged converged only if the
-    PT-reality check |Im E| <= 1e-8 |Re E| also holds, and if the root moves
-    by at most CHECK_REL |E| on the check path (see the module docstring).
-    A real seed integrates one ray per defect and stays real; at its root
-    the check reads Im E from the step w2 (E1 - E0) / (w1 - w0) of the
-    two-ray defect w2.  Failures return an unconverged EigenResult instead
-    of raising.
+    Stops when |dE| <= tol |E|, or when the step no longer changes E; the
+    result is flagged converged only if the PT-reality check
+    |Im E| <= 1e-8 |Re E| also holds, and if the root moves by at most
+    CHECK_REL |E| on the check path (see the module docstring).  A real seed
+    integrates one ray per defect and stays real; at its root the check
+    reads Im E from the secant step w2 (E1 - E0) / (w1 - w0) of the two-ray
+    defect w2, with the slope of the last step taken.  Where default_seed is
+    WKB, an iterate whose real part leaves the WKB window of level k (see
+    _wkb_window), widened to include the seed, ends the solve unconverged.
+    Failures return an unconverged EigenResult instead of raising.
 
     Raises:
         ValueError: for k < 0, tol or rtol outside [1e-13, 1e-6], or a
@@ -429,10 +456,13 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
         raise ValueError("tol out of range [1e-13, 1e-6]")
     if not 1e-13 <= rtol <= 1e-6:
         raise ValueError("rtol out of range [1e-13, 1e-6]")
-    E0 = complex(seed) if seed is not None else complex(default_seed(model, k))
+    est = default_seed(model, k)
+    E0 = complex(seed) if seed is not None else complex(est)
+    lo, hi = _wkb_window(model, k, est)
+    lo, hi = min(lo, E0.real), max(hi, E0.real)
     E1 = E0 * 1.001
     try:
-        path = _build_path(model, abs(E0), radius_factor)
+        path = _build_path(model, abs(E0), radius_factor, rtol)
         w0 = _matching_defect(model, E0, path, rtol)[0]
         w1, uR = _matching_defect(model, E1, path, rtol)
     except ShootingError as exc:
@@ -443,16 +473,25 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     for iterations in range(1, max_iter + 1):
         if w1 == w0:
             break
-        dE = -w1 * (E1 - E0) / (w1 - w0)
+        slope = (E1 - E0) / (w1 - w0)
+        dE = -w1 * slope
         cap = 0.25 * abs(E1)
         if abs(dE) > cap:
             dE *= cap / abs(dE)
+        if E1 + dE == E1:
+            # below half an ulp of E1: E1 is the root
+            converged = True
+            break
+        if not lo <= (E1 + dE).real <= hi:
+            logger.warning("secant left the WKB window [%g, %g] for k=%d at E=%s",
+                           lo, hi, k, E1 + dE)
+            return EigenResult(k, E1, abs(w1), iterations, False)
         E0, w0 = E1, w1
         E1 = E1 + dE
         try:
             if abs(abs(E1) - path.E_ref) > PATH_BAND * path.E_ref:
                 # the defect depends on the path: keep both secant points on one
-                path = _build_path(model, abs(E1), radius_factor)
+                path = _build_path(model, abs(E1), radius_factor, rtol)
                 w0 = _matching_defect(model, E0, path, rtol)[0]
             w1, uR = _matching_defect(model, E1, path, rtol)
         except ShootingError as exc:
@@ -469,7 +508,10 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
         except ShootingError as exc:
             logger.warning("left-ray integration failed for k=%d: %s", k, exc)
             return EigenResult(k, E1, math.inf, iterations, False)
-        im = (w2 * (E1 - E0) / (w1 - w0)).imag if w1 != w0 else math.inf
+        # the slope of the step that led here: its pair lies more than
+        # tol |E| apart, whereas the last pair can be an ulp apart, where
+        # w1 - w0 is rounding noise
+        im = (w2 * slope).imag
     pt_real = abs(im) <= 1e-8 * abs(E1.real)
     if not pt_real:
         logger.warning("PT-reality violated for k=%d: E=%s", k, E1)

@@ -22,6 +22,12 @@ class TestPeriodExact:
         with pytest.raises(ValueError):
             period_exact(1.0, -2.0)
 
+    @pytest.mark.parametrize("epsilon,E", [(1.0, math.nan), (1.0, math.inf),
+                                           (math.nan, 1.0), (math.inf, 1.0)])
+    def test_non_finite_domain(self, epsilon, E):
+        with pytest.raises(ValueError):
+            period_exact(epsilon, E)
+
 
 class TestAsymptotics:
     def test_substitution(self):

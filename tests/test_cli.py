@@ -86,6 +86,16 @@ class TestFigure1:
         assert captured.out == ""
         assert "eps_max" in captured.err
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step(self, step, capsys):
+        # printed the eps = 0 rows alone and exited 0
+        with pytest.raises(ValueError, match="step"):
+            run_figure1(eps_max=2.0, k_max=0, step=float(step))
+        assert main(["figure1", "--step", step]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "step" in captured.err
+
     def test_small_scan(self):
         curves, failures, ok = run_figure1(eps_max=2.0, k_max=1, step=1.0)
         assert ok and not failures
@@ -121,6 +131,18 @@ class TestMainEntry:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["T"] == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["--epsilon", "1", "--E", "nan"],   # printed "T": NaN, exit 0
+        ["--epsilon", "1", "--E", "inf"],
+        ["--epsilon", "nan", "--E", "1"],
+        ["--epsilon", "inf", "--E", "1"],
+    ])
+    def test_period_non_finite(self, argv, capsys):
+        assert main(["period"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
 
     def test_wkb_closed(self, capsys):
         rc = main(["wkb", "--M", "1", "--epsilon", "0", "--k", "2"])

@@ -2,15 +2,19 @@ import cmath
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import ptwell.shooting as shooting
-from ptwell.geometry import ModelSpec, potential_value
+from _ray_oracle import _wkb_start
+from ptwell.cli import TABLE_GRID
+from ptwell.geometry import ModelSpec, potential_value, turning_radius
 from ptwell.shooting import match_height, scan_levels, solve_level
+from ptwell.wkb import wkb_energy_closed, wkb_energy_quadrature
 
 
 def _path(model, E):
-    return shooting._build_path(model, E, 1.0)
+    return shooting._build_path(model, E, 1.0, shooting.DEFAULT_RTOL)
 
 
 def _u(model, E, side, path):
@@ -46,6 +50,33 @@ class TestContour:
                 if (q * cmath.exp(1j * theta)).real < 0.0:
                     q = -q
                 assert (q * x0).real >= 25.0
+
+
+class TestRayStart:
+    # the outer point carries the WKB log-derivative with its first
+    # correction, -sqrt(Q) - Q'/(4Q); the straight-ray oracle computes the
+    # same start with no code shared
+
+    @pytest.mark.parametrize("M,eps,E", [(1, 0.0, 1.0), (1, 8.0, 5.55),
+                                         (1, 58.0, 196.0), (2, 6.0, 2.65),
+                                         (3, 1.3, 1.26)])
+    def test_matches_oracle_start(self, M, eps, E):
+        model = ModelSpec(M, eps)
+        path = _path(model, E)
+        for theta, R in (path.left, path.right):
+            y0, y1 = shooting._outgoing_ic(model, E, theta, R)
+            psi, dpsi_dx = _wkb_start(theta, R, M, eps, E)
+            want = dpsi_dx / psi
+            assert abs(-y1 / (cmath.exp(1j * theta) * y0) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("M,eps", [(1, 8.0), (2, 6.0), (1, 58.0)])
+    def test_depth_from_rtol_suffices(self, M, eps):
+        # a 1.5x outer radius, hence a far deeper start, leaves E0 in place
+        model = ModelSpec(M, eps)
+        a = solve_level(model, 0, rtol=1e-13)
+        b = solve_level(model, 0, rtol=1e-13, radius_factor=1.5)
+        assert a.converged and b.converged
+        assert abs(a.E - b.E) <= 1e-12 * abs(b.E)
 
 
 class TestLogDerivative:
@@ -128,7 +159,8 @@ class TestOneRayDefect:
         model = ModelSpec(M, eps)
         path = _path(model, E)
         assert path.left[0] == pytest.approx(-math.pi - path.right[0])
-        assert shooting._ray_radius(model, E, path.left[0], 1.0) == path.left[1]
+        R = shooting._ray_radius(model, E, path.left[0], 1.0, shooting.DEFAULT_RTOL)
+        assert R == path.left[1]
         assert path.left[1] == path.right[1]
 
     def test_real_seed_integrates_left_ray_once(self, left_calls):
@@ -159,6 +191,135 @@ class TestOneRayDefect:
             res = solve_level(model, 0)
             assert res.E.imag == 0.0
             assert not res.converged
+
+
+class TestRootSeed:
+    # re-seeded with its own root, a level's last secant step rounds to
+    # nothing or spans an ulp; the PT check then divided rounding noise by
+    # rounding noise and reported the level unconverged
+
+    @pytest.mark.parametrize("M,eps,tol", [(1, 2.0, 1e-9), (1, 8.0, 1e-12),
+                                           (1, 8.0, 1e-9)])
+    def test_reseed_near_root(self, monkeypatch, M, eps, tol):
+        model = ModelSpec(M, eps)
+        root = solve_level(model, 0, tol=tol).E.real
+        calls = []
+        defect = shooting._matching_defect
+
+        def recorded(model, E, path, rtol):
+            calls.append((E, path))
+            return defect(model, E, path, rtol)
+
+        monkeypatch.setattr(shooting, "_matching_defect", recorded)
+        for ulps in range(-6, 7):
+            calls.clear()
+            res = solve_level(model, 0, seed=root + ulps * math.ulp(root), tol=tol)
+            assert res.converged, ulps
+            assert res.E.real == pytest.approx(root, rel=1e-12)
+            # a step that leaves E unchanged stops without evaluating again
+            assert all(a != b for a, b in zip(calls, calls[1:]))
+
+
+def _im_action_loop(model, E, y):
+    """Scalar reference for _im_action_to_axis: (Im action, sum |terms|)."""
+    d = model.epsilon * math.pi / (4.0 * model.M + 2.0 * model.epsilon)
+    a, b = turning_radius(model, E) * cmath.exp(-1j * d), -1j * y
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    roots = [cmath.sqrt(E - potential_value(model, mid + half * t)) for t in nodes]
+    if roots[-1].imag < 0.0:
+        roots[-1] = -roots[-1]
+    for i in range(len(roots) - 2, -1, -1):
+        if abs(roots[i] - roots[i + 1]) > abs(roots[i] + roots[i + 1]):
+            roots[i] = -roots[i]
+    tot = 0j
+    for w, q in zip(wts, roots):
+        tot += w * q
+    return (tot * half).imag, sum(abs(w * q) for w, q in zip(wts, roots)) * abs(half)
+
+
+class TestImActionToAxis:
+    # the principal roots change sign along the segment at M = 3, eps = 54
+    @pytest.mark.parametrize("M,eps", [(1, 2.0), (1, 58.0), (2, 6.0), (2, 56.0),
+                                       (3, 1.3), (3, 54.0)])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_equals_scalar_loop(self, M, eps, k):
+        model = ModelSpec(M, eps)
+        E = shooting.default_seed(model, k)
+        r = turning_radius(model, E)
+        for y in list(np.linspace(0.0, 1.25 * r, 26)) + [match_height(model, E)]:
+            want, scale = _im_action_loop(model, E, float(y))
+            got = shooting._im_action_to_axis(model, E, float(y))
+            assert abs(got - want) <= 1e-15 * scale
+
+
+def _bohr_sommerfeld(model, k):
+    # leading WKB level; k may be a half-integer
+    if model.M == 1:
+        return wkb_energy_closed(k, model.epsilon)
+    return wkb_energy_quadrature(model, k)
+
+
+class TestWkbWindow:
+    @pytest.mark.parametrize("M,eps", [(1, 0.0), (1, 2.0), (1, 58.0), (2, 1.0),
+                                       (3, 3.9)])
+    @pytest.mark.parametrize("k", [0, 1, 5, 24])
+    def test_bohr_sommerfeld_neighbours(self, M, eps, k):
+        model = ModelSpec(M, eps)
+        lo, hi = shooting._wkb_window(model, k, shooting.default_seed(model, k))
+        if k == 0:
+            assert lo == 0.0
+        else:
+            assert lo == pytest.approx(_bohr_sommerfeld(model, k - 0.5), rel=1e-12)
+        assert hi == pytest.approx(_bohr_sommerfeld(model, k + 0.5), rel=1e-12)
+
+    def test_none_at_limit_scale_seed(self):
+        model = ModelSpec(2, 6.0)
+        assert shooting._wkb_window(model, 0, shooting.default_seed(model, 0)) == \
+            (0.0, math.inf)
+
+    def test_ends_runaway_secant(self, caplog):
+        # without the window: 25 iterations, ending 16% off the level
+        res = solve_level(ModelSpec(1, 2.0), 24)
+        assert not res.converged
+        assert res.iterations <= 5
+        assert "WKB window" in caplog.text
+
+    def test_converging_iterates_stay_inside(self, monkeypatch):
+        solves = []
+        solve, defect = shooting.solve_level, shooting._matching_defect
+
+        def recorded_solve(model, k, seed=None, *args, **kwargs):
+            energies = []
+            solves.append((model, k, seed, energies))
+            res = solve(model, k, seed, *args, **kwargs)
+            assert res.converged, (model, k)
+            return res
+
+        def recorded_defect(model, E, path, rtol):
+            solves[-1][3].append(E.real)
+            return defect(model, E, path, rtol)
+
+        monkeypatch.setattr(shooting, "solve_level", recorded_solve)
+        monkeypatch.setattr(shooting, "_matching_defect", recorded_defect)
+        # the 12 distinct solves of the golden tables (table 3 repeats M = 1)
+        for M in (1, 2):
+            for label in TABLE_GRID:
+                shooting.solve_level(ModelSpec(M, label - (2 * M - 2)), 0)
+        for M in (1, 2):
+            scan_levels([ModelSpec(M, eps) for eps in (0.0, 1.0, 2.0, 3.0)], 5)
+        assert len(solves) == 12 + 2 * 4 * 6
+        windowed = 0
+        for model, k, seed, energies in solves:
+            if model.M > 1 and model.epsilon >= 4.0:
+                continue
+            lo = _bohr_sommerfeld(model, k - 0.5) if k else 0.0
+            hi = _bohr_sommerfeld(model, k + 0.5)
+            if seed is not None:
+                lo, hi = min(lo, seed.real), max(hi, seed.real)
+            assert energies and all(lo <= E <= hi for E in energies), (model, k)
+            windowed += 1
+        assert windowed == 6 + 2 * 4 * 6
 
 
 class TestSolveLevel:
@@ -260,7 +421,7 @@ class TestSolvePath:
         # arc at a larger radius, then down the imaginary axis: same psi'/psi
         model = ModelSpec(1, 8.0)
         E = 5.553310025131625
-        path = shooting._build_path(model, E, 1.0)
+        path = shooting._build_path(model, E, 1.0, shooting.DEFAULT_RTOL)
         check = replace(path, arc=shooting.CHECK_ARC * path.ym)
         for side in "LR":
             u = shooting._u_interior(model, E, side, path, 1e-11)

@@ -18,6 +18,16 @@ deformation, which is what makes the large-deformation golden values
 reachable in double precision; at the origin, where both rays would
 terminate, it falls off exponentially once the deformation is large.
 
+The ray is integrated by the sixth-order three-Gauss-point Magnus method:
+psi'' = q psi is linear, so uniform steps are formed and multiplied as numpy
+arrays, and their number is doubled until two results agree to
+max(rtol/100, 2e-14) in the scaled state (psi, psi'/k).  The arc and the
+imaginary-axis leg keep the adaptive Dormand-Prince 5(4) integrator.  On
+the arc the wanted solution is subdominant, and a long Magnus step's error,
+which is relative to the step's dominant solution, is amplified by up to
+e^(2 h sqrt|q|): in a trial, Magnus steps on the arc moved M = 1,
+eps = 2, k = 8..11 by about 2e-4.
+
 A solve builds its integration path (outer radius and match height) once,
 from the seed energy, and rebuilds it only when |E| leaves a band of
 PATH_BAND around the energy it was built for.  On the path the potential is
@@ -54,7 +64,8 @@ from .wkb import wkb_energy_closed, wkb_energy_quadrature
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_RTOL = 1e-11        # embedded RK relative tolerance
+DEFAULT_RTOL = 1e-11        # relative tolerance of the DP45 arc and axis;
+                            # the ray's Magnus steps are refined to rtol/100
 DEFAULT_TOL = 1e-9          # secant convergence: |dE| <= tol |E|
 MAX_DEPTH = 120.0           # cap so radius_factor cannot explode the run
 MAX_ITER = 60
@@ -199,23 +210,9 @@ def _integrate(f, s0: float, s1: float, y0: complex, y1: complex,
                 h *= max(0.2, 0.9 * err ** -0.2)
         m = max(abs(y0), abs(y1))
         if not (m > 0.0 and math.isfinite(m)):
-            raise ShootingError("renormalization overflow in ray integration")
+            raise ShootingError("renormalization overflow in arc or axis integration")
         y0, y1, k10, k11 = y0 / m, y1 / m, k10 / m, k11 / m
     return y0, y1
-
-
-def _ray_rhs(model: ModelSpec, E: complex, theta: float, R: float):
-    ex = cmath.exp(1j * theta)
-    ex2 = ex * ex
-    cv = ex2 * potential_phase(model, theta)
-    ce = ex2 * E
-    n = 2.0 * model.M + model.epsilon
-
-    def f(s, a, b):
-        # x = (R - s) e^{i theta}, V(x) = (R - s)^n potential_phase(theta)
-        return b, (cv * (R - s) ** n - ce) * a
-
-    return f, ex
 
 
 def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
@@ -231,6 +228,108 @@ def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
         q = -q
     n = 2.0 * model.M + model.epsilon
     return 1.0 + 0j, (q + n * v / (4.0 * R * ex * (v - E))) * ex
+
+
+# ---------------------------------------------------------------------------
+# the ray: sixth-order Magnus steps for psi_ss = q(s) psi
+# ---------------------------------------------------------------------------
+
+_GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
+_IDENTITY = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
+_MAX_RAY_STEPS = 2 ** 16     # a ray that needs more raises: caps its memory
+_TAIL = 16                  # transfer matrices left for a scalar loop
+
+
+def _magnus(q, s1: float, y0: complex, y1: complex,
+            n: int) -> tuple[complex, complex]:
+    """(psi, dpsi/ds) at s1 from (y0, y1) at 0, for psi_ss = q(s) psi, in n
+    uniform sixth-order Magnus steps, up to a common scale.
+
+    The three-Gauss-point scheme of Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470 (2009) 151, section 4: with A_j = [[0, 1], [q_j, 0]] at the nodes,
+    a1 = h A_2, a2 = sqrt(15) h/3 (A_3 - A_1), a3 = 10 h/3 (A_3 - 2 A_2 + A_1),
+    C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60 and
+    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.  In the basis
+    E12, E21, H = diag(1, -1) the commutators are closed forms, and the
+    traceless exp(Omega) = cosh d I + sinh d/d Omega with d^2 = -det Omega.
+    The step matrices are multiplied pairwise as a tree, renormalized by
+    the largest entry of each level; `q` takes an array of s.
+    """
+    h = s1 / n
+    q1, q2, q3 = q(h * (np.arange(n)[:, None] + _GAUSS3)).T
+    b2 = (math.sqrt(15.0) / 3.0 * h) * (q3 - q1)
+    b3 = (10.0 / 3.0 * h) * (q3 - 2.0 * q2 + q1)
+    hq2, hb2 = h * q2, h * b2
+    # Omega = [[w, w12], [w21, -w]]
+    w12 = h + h * (hb2 * hb2 - 20.0 * h * b3) / 3600.0
+    w21 = hq2 + b3 / 12.0 + (20.0 * h * hq2 * b3 + h * b3 * b3
+                             - 30.0 * hb2 * b2 + hq2 * hb2 * hb2) / 3600.0
+    w = hb2 * (h * (40.0 * hq2 + b3) / 30.0 - 20.0) / 240.0
+    d2 = w * w + w12 * w21
+    d = np.sqrt(d2)
+    ed = np.exp(d)
+    ch = 0.5 * (ed + 1.0 / ed)
+    small = np.abs(d2) < 1e-6
+    sh = 0.5 * (ed - 1.0 / ed) / np.where(small, 1.0, d)
+    sh[small] = (1.0 + d2 / 6.0 + d2 * d2 / 120.0)[small]
+    m = np.stack([ch + sh * w, sh * w12, sh * w21, ch - sh * w])
+    while True:
+        scale = np.abs(m).max()
+        if not 0.0 < scale < math.inf:
+            raise ShootingError("non-finite ray propagator")
+        m /= scale
+        if m.shape[1] <= _TAIL:
+            break
+        if m.shape[1] % 2:
+            m = np.concatenate([m, _IDENTITY], axis=1)
+        # later step on the left: (l r) for l = m[:, 2i + 1], r = m[:, 2i]
+        l, r = m[:, 1::2], m[:, 0::2]
+        m = l[[0, 0, 2, 2]] * r[[0, 1, 0, 1]] + l[[1, 1, 3, 3]] * r[[2, 3, 2, 3]]
+    for a, b, c, e in m.T.tolist():
+        y0, y1 = a * y0 + b * y1, c * y0 + e * y1
+    scale = max(abs(y0), abs(y1))
+    return y0 / scale, y1 / scale
+
+
+def _ray_state(model: ModelSpec, E: complex, theta: float, R: float,
+               send: float, rtol: float) -> tuple[complex, complex]:
+    """(psi, dpsi/ds) at s = send on the ray x = (R - s) e^{i theta}, from
+    the WKB start at s = 0, up to a common scale.
+
+    Magnus steps are doubled until the results for n and 2n agree in the
+    scaled coordinates (psi, psi_s/k), k = sqrt|q(send)| + 1, to
+    max(rtol/100, 2e-14): |a0 b1 - a1 b0| <= tol |a| |b|.  The projective
+    test holds also where psi or psi_s vanishes at the end, as at the
+    origin for even and odd levels at eps = 0.  The first n is 0.16
+    tol^(-1/6) steps per radian of the WKB phase int sqrt|q| ds, above the
+    0.05..0.14 that the test needs on the rays of M = 1..3, eps = 0..58,
+    k = 0..28, so that a ray takes two passes.
+    """
+    ex2 = cmath.exp(2j * theta)
+    cv, ce = ex2 * potential_phase(model, theta), ex2 * E
+    n = 2.0 * model.M + model.epsilon
+
+    def q(s):
+        # x = (R - s) e^{i theta}, V(x) = (R - s)^n potential_phase(theta)
+        return cv * (R - s) ** n - ce
+
+    qs = q(np.linspace(0.0, send, 33))
+    if not np.isfinite(qs).all():
+        raise ShootingError("non-finite potential on the ray")
+    tol = max(rtol / 100.0, 2e-14)
+    phase = float(np.trapezoid(np.sqrt(np.abs(qs)), dx=send / 32.0))
+    steps = max(8, math.ceil(0.16 * phase * tol ** (-1.0 / 6.0)))
+    k = math.sqrt(abs(qs[-1])) + 1.0
+    y0, y1 = _outgoing_ic(model, E, theta, R)
+    prev = None
+    while steps <= _MAX_RAY_STEPS:
+        psi, dpsi = _magnus(q, send, y0, y1, steps)
+        a0, a1 = psi, dpsi / k
+        if prev is not None and abs(prev[0] * a1 - prev[1] * a0) <= tol * \
+                math.hypot(abs(prev[0]), abs(prev[1])) * math.hypot(abs(a0), abs(a1)):
+            return psi, dpsi
+        prev, steps = (a0, a1), 2 * steps
+    raise ShootingError(f"ray needs more than {_MAX_RAY_STEPS} Magnus steps")
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +422,8 @@ def _u_interior(model: ModelSpec, E: complex, side: str, path: _Path,
     theta, R = path.left if side == "L" else path.right
     a, ym = path.arc, path.ym
     sgn = 1.0 if side == "L" else -1.0   # arc direction of phi toward -pi/2
-    f, ex = _ray_rhs(model, E, theta, R)
-    y0, y1 = _outgoing_ic(model, E, theta, R)
-    send = R - a
-    h0 = min(0.1 / max(abs(y1), 1.0), send / 50.0)
-    y0, y1 = _integrate(f, 0.0, send, y0, y1, rtol, h0)
-    dpsi_dx = -y1 / ex
+    y0, y1 = _ray_state(model, E, theta, R, R - a, rtol)
+    dpsi_dx = -y1 / cmath.exp(1j * theta)
     if a <= 0.0:
         return dpsi_dx / y0
     dphi = abs(-math.pi / 2.0 - theta)
@@ -452,11 +547,18 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    return _solve(model, k, seed, default_seed(model, k), tol, rtol,
+                  radius_factor, max_iter)
+
+
+def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
+           tol: float, rtol: float, radius_factor: float,
+           max_iter: int) -> EigenResult:
+    """solve_level, given the level-k estimate est = default_seed(model, k)."""
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol out of range [1e-13, 1e-6]")
     if not 1e-13 <= rtol <= 1e-6:
         raise ValueError("rtol out of range [1e-13, 1e-6]")
-    est = default_seed(model, k)
     E0 = complex(seed) if seed is not None else complex(est)
     lo, hi = _wkb_window(model, k, est)
     lo, hi = min(lo, E0.real), max(hi, E0.real)
@@ -539,19 +641,13 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
         raise ValueError("k_max must be >= 0")
     models = sorted(model_grid, key=lambda m: m.epsilon)
     out: list[EigenResult] = []
-    prev: dict[int, complex] = {}
-    prev_eps: float | None = None
+    prev: dict[int, complex] = {}       # last converged E of each level
+    prev_ests: list[float] = []         # default_seed at the previous point
     for model in models:
-        seeds = {}
-        for k in range(k_max + 1):
-            est = default_seed(model, k)
-            if k in prev and prev_eps is not None:
-                prev_model = ModelSpec(model.M, prev_eps)
-                ratio = est / default_seed(prev_model, k)
-                seeds[k] = prev[k].real * ratio
-            else:
-                seeds[k] = est
-        results = [solve_level(model, k, seeds[k], tol, rtol)
+        ests = [default_seed(model, k) for k in range(k_max + 1)]
+        seeds = [prev[k].real * (est / prev_ests[k]) if k in prev else est
+                 for k, est in enumerate(ests)]
+        results = [_solve(model, k, seeds[k], ests[k], tol, rtol, 1.0, MAX_ITER)
                    for k in range(k_max + 1)]
         for k, res in enumerate(results):
             if res.converged:
@@ -566,5 +662,5 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
                         abs(results[i].E - results[j].E) < 1e-6 * abs(results[i].E):
                     logger.warning("level collision at epsilon=%g: k=%d and k=%d",
                                    model.epsilon, i, j)
-        prev_eps = model.epsilon
+        prev_ests = ests
     return out

@@ -163,6 +163,14 @@ class TestMainEntry:
         assert float(rows[1][t_col]) == pytest.approx(4.0 * math.pi / 200.0)
         assert format_csv(parse_csv(text)) == text
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        # exit 1 means "not converged": an output error is a usage error
+        target = tmp_path / "missing" / "x.json"
+        rc = main(["eigen", "--epsilon", "1", "--output", str(target)])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+        assert not target.exists()
+
     def test_usage_error_exit_code(self, capsys):
         rc = main(["wkb", "--M", "2", "--epsilon", "1", "--order", "2"])
         assert rc == 2

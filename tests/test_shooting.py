@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gamma, j0, j1, y0, y1
 
 import ptwell.shooting as shooting
 from _ray_oracle import _wkb_start
 from ptwell.cli import TABLE_GRID
-from ptwell.geometry import ModelSpec, potential_value, turning_radius
+from ptwell.geometry import ModelSpec, potential_phase, potential_value, turning_radius
 from ptwell.shooting import match_height, scan_levels, solve_level
 from ptwell.wkb import wkb_energy_closed, wkb_energy_quadrature
 
@@ -77,6 +78,90 @@ class TestRayStart:
         b = solve_level(model, 0, rtol=1e-13, radius_factor=1.5)
         assert a.converged and b.converged
         assert abs(a.E - b.E) <= 1e-12 * abs(b.E)
+
+
+def _projective(a, b):
+    """|a0 b1 - a1 b0| / (|a| |b|): the sine of the angle between two states."""
+    return abs(a[0] * b[1] - a[1] * b[0]) / (math.hypot(abs(a[0]), abs(a[1]))
+                                             * math.hypot(abs(b[0]), abs(b[1])))
+
+
+def _dp45_ray_end(model, E, theta, R, send, rtol):
+    """(psi, dpsi/ds) at s = send by the embedded RK integrator."""
+    ex2 = cmath.exp(2j * theta)
+    cv, ce = ex2 * potential_phase(model, theta), ex2 * E
+    n = 2.0 * model.M + model.epsilon
+
+    def f(s, a, b):
+        return b, (cv * (R - s) ** n - ce) * a
+
+    y0, y1 = shooting._outgoing_ic(model, E, theta, R)
+    h0 = min(0.1 / max(abs(y1), 1.0), send / 50.0)
+    return shooting._integrate(f, 0.0, send, y0, y1, rtol, h0), cv * (R - send) ** n - ce
+
+
+class TestMagnusRay:
+    # the ray runs by sixth-order Magnus steps; the arc and the axis by DP45
+
+    @pytest.mark.parametrize("E", [0.5, 2.2, 6.3, 3.7 + 0.4j])
+    def test_oscillator_closed_form(self, E):
+        # psi = U(-E/2, sqrt(2) x) decays on the right: at the origin
+        # psi'/psi = -2 Gamma((3 - E)/4) / Gamma((1 - E)/4); the left solution
+        # is its mirror image
+        model = ModelSpec(1, 0.0)
+        path = shooting._build_path(model, abs(E), 1.0, 1e-13)
+        want = -2.0 * gamma((3.0 - E) / 4.0) / gamma((1.0 - E) / 4.0)
+        for side, sign in (("R", 1.0), ("L", -1.0)):
+            u = shooting._u_interior(model, complex(E), side, path, 1e-13)
+            assert abs(u - sign * want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("M,eps,k", [(1, 6.0, 0), (1, 58.0, 0), (2, 56.0, 0),
+                                         (1, 2.0, 8), (2, 0.0, 8), (2, 0.0, 11)])
+    def test_agrees_with_dp45(self, M, eps, k):
+        # at the level; at M = 2, eps = 0 the ray ends at the origin, where
+        # psi' = 0 for even k and psi = 0 for odd k
+        model = ModelSpec(M, eps)
+        E = complex(solve_level(model, k).E.real)
+        path = _path(model, E.real)
+        theta, R = path.right
+        send = R - path.arc
+        (a0, a1), q_end = _dp45_ray_end(model, E, theta, R, send, 1e-13)
+        b0, b1 = shooting._ray_state(model, E, theta, R, send, shooting.DEFAULT_RTOL)
+        scale = math.sqrt(abs(q_end)) + 1.0
+        assert _projective((a0, a1 / scale), (b0, b1 / scale)) <= 1e-11
+
+    def test_sixth_order_on_bessel(self):
+        # psi'' = -e^s psi over [-2, 3] is solved by J0(t) and Y0(t), with
+        # t = 2 e^(s/2) and dt/ds = t/2; q has nonzero derivatives of every
+        # order, so each term of Omega up to order h^6 is exercised
+        def fundamental(s):
+            t = 2.0 * math.exp(s / 2.0)
+            return np.array([[j0(t), y0(t)], [-j1(t) * t / 2.0, -y1(t) * t / 2.0]])
+
+        exact = fundamental(3.0) @ np.linalg.inv(fundamental(-2.0))
+        errors = []
+        for n in (64, 128):
+            errors.append(max(
+                _projective(shooting._magnus(lambda s: -np.exp(s - 2.0) + 0j, 5.0,
+                                             1.0 - column, 0.0 + column, n),
+                            exact[:, column])
+                for column in range(2)))
+        assert errors[1] <= 1e-9
+        assert errors[0] / errors[1] >= 50.0     # 2^6 = 64
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(shooting, "_MAX_RAY_STEPS", 256)
+        model = ModelSpec(2, 0.0)
+        with pytest.raises(shooting.ShootingError):
+            _u(model, 172.6 + 0j, "R", _path(model, 172.6))
+
+    def test_non_finite_q_raises(self):
+        with pytest.raises(shooting.ShootingError), np.errstate(invalid="ignore"):
+            shooting._magnus(lambda s: np.full(s.shape, complex(math.nan)),
+                             1.0, 1.0, 0.0, 64)
+        model = ModelSpec(1, 8.0)
+        with pytest.raises(shooting.ShootingError):
+            _u(model, complex(math.inf), "R", _path(model, 5.55))
 
 
 class TestLogDerivative:
@@ -287,12 +372,13 @@ class TestWkbWindow:
 
     def test_converging_iterates_stay_inside(self, monkeypatch):
         solves = []
-        solve, defect = shooting.solve_level, shooting._matching_defect
+        # solve_level and scan_levels both solve through _solve
+        solve, defect = shooting._solve, shooting._matching_defect
 
-        def recorded_solve(model, k, seed=None, *args, **kwargs):
+        def recorded_solve(model, k, seed, *args):
             energies = []
             solves.append((model, k, seed, energies))
-            res = solve(model, k, seed, *args, **kwargs)
+            res = solve(model, k, seed, *args)
             assert res.converged, (model, k)
             return res
 
@@ -300,7 +386,7 @@ class TestWkbWindow:
             solves[-1][3].append(E.real)
             return defect(model, E, path, rtol)
 
-        monkeypatch.setattr(shooting, "solve_level", recorded_solve)
+        monkeypatch.setattr(shooting, "_solve", recorded_solve)
         monkeypatch.setattr(shooting, "_matching_defect", recorded_defect)
         # the 12 distinct solves of the golden tables (table 3 repeats M = 1)
         for M in (1, 2):
@@ -463,6 +549,23 @@ class TestScan:
         results = scan_levels(grid, 1)
         assert [r.k for r in results] == [0, 1, 0, 1]
         assert results[0].E.real < results[2].E.real  # eps = 0 rows first
+
+    def test_one_quadrature_per_level(self, monkeypatch):
+        # shaped like a level-scan item at M = 2: the seed, the continuation
+        # ratio and the WKB window share one quadrature per (model, k)
+        calls = []
+        quadrature = shooting.wkb_energy_quadrature
+
+        def counted(model, k):
+            calls.append((model, k))
+            return quadrature(model, k)
+
+        monkeypatch.setattr(shooting, "wkb_energy_quadrature", counted)
+        grid = [ModelSpec(2, eps) for eps in (0.0, 1.1, 2.9)]
+        results = scan_levels(grid, 5)
+        assert all(r.converged for r in results)
+        assert sorted(calls, key=lambda c: (c[0].epsilon, c[1])) == \
+            [(model, k) for model in grid for k in range(6)]
 
     def test_scan_reproduces_table_rows(self):
         grid = [ModelSpec(1, e) for e in (8.0, 18.0)]

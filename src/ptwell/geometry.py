@@ -3,7 +3,8 @@
 The family of Hamiltonians is H = p^2 + x^(2M) (ix)^eps with integer M >= 1
 and deformation eps >= 0.  This module fixes the branch convention of the
 potential, the anti-Stokes wedge directions that carry the boundary
-conditions, and the turning points of E - V.
+conditions, the turning points of E - V, and the branch of sqrt(E - V)
+along a path.
 
 Branch convention: (ix)^eps = exp(eps Log(ix)) with the principal logarithm,
 so the potential is analytic on the cut plane with the cut along the
@@ -14,8 +15,11 @@ closed lower half-plane where V is smooth.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class BranchCutError(ValueError):
@@ -57,22 +61,50 @@ class TurningPair:
     x_right: complex
 
 
-def potential_value(model: ModelSpec, x: complex) -> complex:
+def potential_value(model: ModelSpec, x: complex | np.ndarray) -> complex | np.ndarray:
     """V(x) = x^(2M) exp(eps Log(ix)) on the principal branch.
+
+    x is a scalar, for which V(0) = 0 and the result is a complex, or an
+    ndarray, evaluated elementwise (0 is then excluded for eps > 0).
 
     Raises:
         BranchCutError: if x lies on the positive imaginary axis (arg(ix)
             would be pi exactly) and eps > 0.
     """
-    x = complex(x)
-    if x == 0:
-        return 0j
+    array = isinstance(x, np.ndarray)
+    if not array:
+        x = complex(x)
+        if x == 0:
+            return 0j
     if model.epsilon == 0.0:
         return x ** (2 * model.M)
     ix = 1j * x
-    if ix.real < 0.0 and ix.imag == 0.0:
+    on_cut = (ix.real < 0.0) & (ix.imag == 0.0)
+    if on_cut.any() if array else on_cut:
         raise BranchCutError("potential branch cut along the positive imaginary axis")
-    return x ** (2 * model.M) * cmath.exp(model.epsilon * cmath.log(ix))
+    lib = np if array else cmath
+    return x ** (2 * model.M) * lib.exp(model.epsilon * lib.log(ix))
+
+
+def continued_sqrt(model: ModelSpec, E: complex, x: np.ndarray,
+                   anchor: int) -> np.ndarray:
+    """sqrt(E - V) at the points x of a path, on one branch along it.
+
+    The root at x[anchor] is the principal one.  Node i + 1 flips sign
+    against node i when their principal roots are closer negated; the flips
+    multiplied from node 0, times the product at the anchor, give each
+    node's sign.  Neighbouring points must be close on the scale where the
+    root turns.
+    """
+    roots = np.sqrt(E - potential_value(model, x))
+    flip = np.abs(roots[:-1] - roots[1:]) > np.abs(roots[:-1] + roots[1:])
+    signs = np.cumprod(np.append(1.0, np.where(flip, -1.0, 1.0)))
+    return signs[anchor] * signs * roots
+
+
+# Gauss-Legendre nodes and weights on [-1, 1], computed once per order (at
+# order 200 leggauss outlasts the integral) and shared: callers only read them
+gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
 def potential_phase(model: ModelSpec, phi: float) -> complex:

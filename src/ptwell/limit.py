@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .specfun import (EULER_GAMMA, bessel_I_logw, bessel_J_logw,
-                      bessel_K_logw, bessel_K_scaled, bessel_Y_logw)
+from .specfun import (EULER_GAMMA, bessel_J_logw, bessel_K_logw,
+                      bessel_K_scaled, bessel_Y_logw)
 
 
 @dataclass(frozen=True)
@@ -129,10 +129,10 @@ def limit_wavefunction(M: int, nu: float, z: complex) -> complex:
     which makes the ground function literally I_1/2 + K_1/2/pi =
     e^w / sqrt(2 pi w); the overall scale is otherwise arbitrary.
 
-    Near the legs of the arch (for M = 1, nu = 2.5 at |Re z| of about 1.8)
-    psi is a small difference of its C1 and C2 parts, and there it is
-    accurate only to 2e-7..5e-7 relative, against a median of about 1e-15
-    over the arch region.
+    For odd M, cos(nu pi) = 0 makes C1 I + C2 K equal to
+    e^(+-i nu pi)/pi K_nu(w e^(+-i pi)), which decays on Re z = -+(M + 1);
+    the sign of -Re z avoids the cancellation of the C1 and C2 parts near
+    the legs of the arch.
 
     Raises:
         ValueError: if nu is not a spectrum value (decay can then be
@@ -145,7 +145,8 @@ def limit_wavefunction(M: int, nu: float, z: complex) -> complex:
         raise ValueError(f"nu = {nu} is not a limit eigenvalue for M = {M}")
     t = math.log(nu) + 1j * math.pi * z / 2.0
     if M % 2 == 1:
-        return c1 * bessel_I_logw(nu, t) + c2 * bessel_K_logw(nu, t)
+        s = 1j * math.pi if z.real <= 0.0 else -1j * math.pi
+        return cmath.exp(s * nu) / math.pi * bessel_K_logw(nu, t + s)
     return c1 * bessel_J_logw(nu, t) + c2 * bessel_Y_logw(nu, t)
 
 

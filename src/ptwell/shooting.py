@@ -16,7 +16,9 @@ classically allowed arch joining the turning points crosses it, reached from
 each ray by a circular arc.  The signal there stays O(1) for every
 deformation, which is what makes the large-deformation golden values
 reachable in double precision; at the origin, where both rays would
-terminate, it falls off exponentially once the deformation is large.
+terminate, it falls off exponentially once the deformation is large.  The
+height zeroes the imaginary part of an action of sqrt(E - V), whose root
+geometry.continued_sqrt continues along a straight segment.
 
 The ray is integrated by the sixth-order three-Gauss-point Magnus method:
 psi'' = q psi is linear, so uniform steps are formed and multiplied as numpy
@@ -58,8 +60,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (ModelSpec, potential_phase, potential_value,
-                       turning_radius, wedge_angles)
+from .geometry import (ModelSpec, continued_sqrt, gauss_legendre,
+                       potential_phase, turning_points, turning_radius,
+                       wedge_angles)
 from .wkb import wkb_energy_closed, wkb_energy_quadrature
 
 logger = logging.getLogger(__name__)
@@ -94,15 +97,12 @@ class EigenResult:
 # outer radius from the decay depth
 # ---------------------------------------------------------------------------
 
-_GL32 = np.polynomial.legendre.leggauss(32)
-
-
 def _decay_depth(model: ModelSpec, E: float, theta: float, R: float) -> float:
     """int |sqrt(V - E)| d|x| along the ray between turning radius and R."""
     r0 = turning_radius(model, E)
     if R <= r0:
         return 0.0
-    nodes, wts = _GL32
+    nodes, wts = gauss_legendre(32)
     s = 0.5 * (R - r0) * nodes + 0.5 * (R + r0)
     v = potential_phase(model, theta) * s ** (2.0 * model.M + model.epsilon)
     return 0.5 * (R - r0) * float(np.dot(wts, np.sqrt(np.abs(v - E))))
@@ -222,11 +222,11 @@ def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
     form with its first correction.
     """
     ex = cmath.exp(1j * theta)
-    v = potential_value(model, R * ex)
+    n = 2.0 * model.M + model.epsilon
+    v = R ** n * potential_phase(model, theta)
     q = cmath.sqrt(v - E)
     if (q * ex).real < 0.0:
         q = -q
-    n = 2.0 * model.M + model.epsilon
     return 1.0 + 0j, (q + n * v / (4.0 * R * ex * (v - E))) * ex
 
 
@@ -336,27 +336,16 @@ def _ray_state(model: ModelSpec, E: complex, theta: float, R: float,
 # interior matching: arch height and ray + arc integration
 # ---------------------------------------------------------------------------
 
-_GL64 = np.polynomial.legendre.leggauss(64)
-
-
 def _im_action_to_axis(model: ModelSpec, E: float, y: float) -> float:
-    """Im of int sqrt(E - V) dx from the right turning point to -i y."""
-    d = model.epsilon * math.pi / (4.0 * model.M + 2.0 * model.epsilon)
-    xR = turning_radius(model, E) * cmath.exp(-1j * d)
-    a, b = xR, -1j * y
-    nodes, wts = _GL64
+    """Im of int sqrt(E - V) dx from the right turning point to -i y, on
+    the branch continued from the axis end, where Im sqrt >= 0."""
+    a, b = turning_points(model, E).x_right, -1j * y
+    nodes, wts = gauss_legendre(64)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + half * nodes
-    # V(x) on the principal branch, as potential_value gives it
-    roots = np.sqrt(E - x ** (2 * model.M) * np.exp(model.epsilon * np.log(1j * x)))
-    # branch by continuity from the axis end, where Im sqrt >= 0: node i
-    # flips against node i + 1 when the principal roots are closer negated
-    flips = np.where(np.abs(roots[:-1] - roots[1:]) > np.abs(roots[:-1] + roots[1:]),
-                     -1.0, 1.0)
-    signs = np.append(np.cumprod(flips[::-1])[::-1], 1.0)
+    roots = continued_sqrt(model, E, mid + half * nodes, -1)
     if roots[-1].imag < 0.0:
-        signs = -signs
-    return (sum((wts * signs * roots).tolist()) * half).imag
+        roots = -roots
+    return (sum((wts * roots).tolist()) * half).imag
 
 
 def match_height(model: ModelSpec, E: float) -> float:
@@ -393,34 +382,34 @@ def match_height(model: ModelSpec, E: float) -> float:
 
 @dataclass(frozen=True)
 class _Path:
-    """Integration path of one solve, built for |E| = E_ref: each ray
-    (angle, outer radius) runs in from its outer radius to radius `arc`,
-    along the circle |x| = arc to -i arc, and down the imaginary axis to the
-    match point -i ym.  The solve itself uses arc = ym; a larger arc gives a
-    second path to the same point.
+    """Integration path of one solve, built for |E| = E_ref: the right ray
+    at angle theta and its mirror at -pi - theta run in from radius R to
+    radius `arc`, along the circle |x| = arc to -i arc, and down the
+    imaginary axis to the match point -i ym.  The solve itself uses
+    arc = ym; a larger arc gives a second path to the same point.
     """
 
     E_ref: float
     ym: float
     arc: float
-    left: tuple[float, float]
-    right: tuple[float, float]
+    theta: float
+    R: float
 
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
                 rtol: float) -> _Path:
     # the left ray mirrors the right one, and so does its decay depth
-    w = wedge_angles(model)
-    R = _ray_radius(model, E_ref, w.theta_right, radius_factor, rtol)
+    theta = wedge_angles(model).theta_right
+    R = _ray_radius(model, E_ref, theta, radius_factor, rtol)
     ym = match_height(model, E_ref)
-    return _Path(E_ref, ym, ym, (w.theta_left, R), (w.theta_right, R))
+    return _Path(E_ref, ym, ym, theta, R)
 
 
 def _u_interior(model: ModelSpec, E: complex, side: str, path: _Path,
                 rtol: float) -> complex:
     """psi'/psi at -i ym, integrated along `path` from the outer point."""
-    theta, R = path.left if side == "L" else path.right
-    a, ym = path.arc, path.ym
+    theta = -math.pi - path.theta if side == "L" else path.theta
+    R, a, ym = path.R, path.arc, path.ym
     sgn = 1.0 if side == "L" else -1.0   # arc direction of phi toward -pi/2
     y0, y1 = _ray_state(model, E, theta, R, R - a, rtol)
     dpsi_dx = -y1 / cmath.exp(1j * theta)

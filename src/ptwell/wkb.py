@@ -14,9 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import ModelSpec, potential_value, turning_points
+from .geometry import ModelSpec, gauss_legendre, potential_value, turning_points
 from .specfun import EULER_GAMMA, gamma_fn
 
 
@@ -58,15 +56,6 @@ class BranchContinuityError(RuntimeError):
     """The square-root branch could not be tracked along the segment."""
 
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _NODE_CACHE:
-        _NODE_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _NODE_CACHE[n]
-
-
 def _action_once(model: ModelSpec, E: float, n: int) -> complex:
     """Gauss-Legendre action along the straight turning-point segment.
 
@@ -78,7 +67,7 @@ def _action_once(model: ModelSpec, E: float, n: int) -> complex:
     tp = turning_points(model, E)
     mid = 0.5 * (tp.x_left + tp.x_right)
     half = 0.5 * (tp.x_right - tp.x_left)
-    nodes, wts = _gl(n)
+    nodes, wts = gauss_legendre(n)
     u = 0.5 * math.pi * nodes
     vals = [E - potential_value(model, mid + half * math.sin(ui)) for ui in u]
     roots: list[complex] = [0j] * n

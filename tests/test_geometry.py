@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from ptwell.geometry import (BranchCutError, ModelSpec, potential_phase,
-                             potential_value, turning_points, wedge_angles)
+from ptwell.geometry import (BranchCutError, ModelSpec, continued_sqrt,
+                             potential_phase, potential_value, turning_points,
+                             wedge_angles)
 
 
 class TestPotential:
@@ -25,6 +26,8 @@ class TestPotential:
     def test_branch_cut_raises(self):
         with pytest.raises(BranchCutError):
             potential_value(ModelSpec(1, 0.5), 2j)
+        with pytest.raises(BranchCutError):
+            potential_value(ModelSpec(1, 0.5), np.array([-1j, 2j]))
 
     def test_pt_symmetry(self):
         # V(-conj(x)) = conj(V(x)) off the cut
@@ -35,6 +38,32 @@ class TestPotential:
                 lhs = potential_value(model, -x.conjugate())
                 rhs = potential_value(model, x).conjugate()
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("M,eps", [(1, 0.0), (1, 0.7), (2, 3.2), (3, 54.0)])
+    def test_array_matches_scalar(self, M, eps):
+        model = ModelSpec(M, eps)
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 0.0, 40)
+        got = potential_value(model, x)
+        want = [potential_value(model, xi) for xi in x]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestContinuedSqrt:
+    def test_follows_root_twice_around_a_turning_point(self):
+        # x = 1 + e^(i phi)/2 circles the zero x = 1 of E - V = 1 - x^2
+        # twice; the analytic root is i e^(i phi/2) sqrt(1/2) sqrt(1 + x),
+        # whose principal value changes sign at phi = 0 and at phi = 2 pi,
+        # one crossing on each side of the anchor at phi = 1
+        phi = np.linspace(1.0 - 2.0 * math.pi, 1.0 + 2.0 * math.pi, 401)
+        x = 1.0 + 0.5 * np.exp(1j * phi)
+        want = 1j * np.exp(0.5j * phi) * math.sqrt(0.5) * np.sqrt(1.0 + x)
+        got = continued_sqrt(ModelSpec(1, 0.0), 1.0, x, 200)
+        assert got[200] == np.sqrt(1.0 - x[200] ** 2)
+        sign = 1.0 if abs(want[200] - got[200]) < abs(want[200]) else -1.0
+        assert np.abs(got - sign * want).max() <= 1e-14
+        principal = np.sqrt(1.0 - x ** 2)
+        assert np.any(np.abs(principal + sign * want) < 1e-14)
 
 
 class TestPotentialPhase:

@@ -69,6 +69,24 @@ class TestWavefunction:
             got = limit_wavefunction(1, 0.5, z)
             want = math.exp(w) / math.sqrt(2.0 * math.pi * w)
             assert abs(got - want) <= 1e-12 * abs(want)
+        # for nu = n + 1/2 it is e^(i nu pi)/pi K_nu(w e^(i pi)), and
+        # K_(n+1/2)(v) = sqrt(pi/2v) e^-v sum_j (n+j)!/(j!(n-j)!) (2v)^-j
+        # (DLMF 10.49.12); up to the legs of the arch, where psi once was
+        # the small difference of its I and K parts
+        for nu in (1.5, 2.5, 3.5):
+            n = round(nu - 0.5)
+            for x in np.linspace(-1.98, 1.98, 23):
+                for y in np.linspace(0.0, 2.0, 11):
+                    t = math.log(nu) + 0.5j * math.pi * complex(x, -y)
+                    w = cmath.exp(t)
+                    series = sum(math.factorial(n + j)
+                                 / (math.factorial(j) * math.factorial(n - j))
+                                 * (-2.0 * w) ** -j for j in range(n + 1))
+                    want = cmath.exp(1j * nu * math.pi) / math.pi \
+                        * math.sqrt(math.pi / 2.0) * cmath.exp(-(t + 1j * math.pi) / 2.0) \
+                        * cmath.exp(w) * series
+                    got = limit_wavefunction(1, nu, complex(x, -y))
+                    assert abs(got - want) <= 1e-13 * abs(want), (nu, x, y)
 
     def test_decay_on_vertical(self):
         # |psi| collapses doubly exponentially down the boundary line

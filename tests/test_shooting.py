@@ -9,13 +9,19 @@ from scipy.special import gamma, j0, j1, y0, y1
 import ptwell.shooting as shooting
 from _ray_oracle import _wkb_start
 from ptwell.cli import TABLE_GRID
-from ptwell.geometry import ModelSpec, potential_phase, potential_value, turning_radius
+from ptwell.geometry import (ModelSpec, potential_phase, potential_value,
+                             turning_radius, wedge_angles)
 from ptwell.shooting import match_height, scan_levels, solve_level
 from ptwell.wkb import wkb_energy_closed, wkb_energy_quadrature
 
 
 def _path(model, E):
     return shooting._build_path(model, E, 1.0, shooting.DEFAULT_RTOL)
+
+
+def _rays(path):
+    """(angle, outer radius) of the left and the right ray of `path`."""
+    return [(-math.pi - path.theta, path.R), (path.theta, path.R)]
 
 
 def _u(model, E, side, path):
@@ -25,18 +31,18 @@ def _u(model, E, side, path):
 class TestContour:
     def test_hermitian_rays_on_real_axis(self):
         path = _path(ModelSpec(1, 0.0), 1.0)
-        assert path.right[0] == 0.0
-        assert path.left[0] == pytest.approx(-math.pi)
+        assert path.theta == 0.0
+        assert -math.pi - path.theta == pytest.approx(-math.pi)
         assert path.ym == 0.0     # matching at the origin
 
     def test_wedge_substitution(self):
         path = _path(ModelSpec(1, 8.0), 5.5)
-        assert path.right[0] == pytest.approx(-math.pi / 3.0)
-        assert path.left[0] == pytest.approx(-2.0 * math.pi / 3.0)
+        assert path.theta == pytest.approx(-math.pi / 3.0)
+        assert -math.pi - path.theta == pytest.approx(-2.0 * math.pi / 3.0)
 
     def test_radius_shrinks_toward_one(self):
-        r_small = _path(ModelSpec(1, 8.0), 5.55).right[1]
-        r_large = _path(ModelSpec(1, 58.0), 196.0).right[1]
+        r_small = _path(ModelSpec(1, 8.0), 5.55).R
+        r_large = _path(ModelSpec(1, 58.0), 196.0).R
         assert r_large < r_small
         assert 1.0 < r_large < 2.0
 
@@ -45,7 +51,7 @@ class TestContour:
         for model, E in ((ModelSpec(1, 0.0), 1.0), (ModelSpec(1, 8.0), 5.55),
                          (ModelSpec(2, 6.0), 2.65), (ModelSpec(1, 58.0), 196.0)):
             path = _path(model, E)
-            for theta, R in (path.left, path.right):
+            for theta, R in _rays(path):
                 x0 = R * cmath.exp(1j * theta)
                 q = cmath.sqrt(potential_value(model, x0) - E)
                 if (q * cmath.exp(1j * theta)).real < 0.0:
@@ -64,7 +70,7 @@ class TestRayStart:
     def test_matches_oracle_start(self, M, eps, E):
         model = ModelSpec(M, eps)
         path = _path(model, E)
-        for theta, R in (path.left, path.right):
+        for theta, R in _rays(path):
             y0, y1 = shooting._outgoing_ic(model, E, theta, R)
             psi, dpsi_dx = _wkb_start(theta, R, M, eps, E)
             want = dpsi_dx / psi
@@ -123,7 +129,7 @@ class TestMagnusRay:
         model = ModelSpec(M, eps)
         E = complex(solve_level(model, k).E.real)
         path = _path(model, E.real)
-        theta, R = path.right
+        theta, R = path.theta, path.R
         send = R - path.arc
         (a0, a1), q_end = _dp45_ray_end(model, E, theta, R, send, 1e-13)
         b0, b1 = shooting._ray_state(model, E, theta, R, send, shooting.DEFAULT_RTOL)
@@ -243,10 +249,10 @@ class TestOneRayDefect:
         # lands on the same radius
         model = ModelSpec(M, eps)
         path = _path(model, E)
-        assert path.left[0] == pytest.approx(-math.pi - path.right[0])
-        R = shooting._ray_radius(model, E, path.left[0], 1.0, shooting.DEFAULT_RTOL)
-        assert R == path.left[1]
-        assert path.left[1] == path.right[1]
+        theta_left = -math.pi - path.theta
+        assert theta_left == wedge_angles(model).theta_left
+        R = shooting._ray_radius(model, E, theta_left, 1.0, shooting.DEFAULT_RTOL)
+        assert R == path.R
 
     def test_real_seed_integrates_left_ray_once(self, left_calls):
         res = solve_level(ModelSpec(1, 8.0), 0)

@@ -134,9 +134,13 @@ def wedge_angles(model: ModelSpec) -> WedgePair:
 
 
 def turning_radius(model: ModelSpec, E: float) -> float:
-    """|x| of the turning points, E^(1/(2M+eps))."""
-    if E <= 0.0:
-        raise ValueError("E must be positive")
+    """|x| of the turning points, E^(1/(2M+eps)).
+
+    Raises:
+        ValueError: unless 0 < E < inf (nan included).
+    """
+    if not 0.0 < E < math.inf:
+        raise ValueError("E must be finite and positive")
     return E ** (1.0 / (2.0 * model.M + model.epsilon))
 
 
@@ -147,7 +151,7 @@ def turning_points(model: ModelSpec, E: float) -> TurningPair:
     mirror through the imaginary axis; V(x) = E holds exactly at both.
 
     Raises:
-        ValueError: for E <= 0.
+        ValueError: unless 0 < E < inf (nan included).
     """
     r = turning_radius(model, E)
     d = model.epsilon * math.pi / (4.0 * model.M + 2.0 * model.epsilon)

@@ -48,11 +48,17 @@ match point, whose arc runs at CHECK_ARC times the match height before it
 follows the imaginary axis down.  An eigenvalue does not depend on the
 path, so a root that moves by more than CHECK_REL |E| is reported
 unconverged.  All operations are pure.
+
+scan_levels shoots only the levels that the spectral engine
+(ptwell.spectral) does not certify: at each grid point it takes levels
+0, 1, ... from two Chebyshev-collocation eigensolves as long as both
+contours agree within tol, and shoots the rest from continuation seeds.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -63,6 +69,7 @@ import numpy as np
 from .geometry import (ModelSpec, continued_sqrt, gauss_legendre,
                        potential_phase, turning_points, turning_radius,
                        wedge_angles)
+from .spectral import certified_levels
 from .wkb import wkb_energy_closed, wkb_energy_quadrature
 
 logger = logging.getLogger(__name__)
@@ -88,7 +95,9 @@ class EigenResult:
 
     k: int
     E: complex
-    residual: float     # |matching defect| at the final iterate
+    residual: float     # |matching defect| at the final iterate; for a
+                        # level from scan_levels' spectral engine, the
+                        # relative disagreement of its two contours
     iterations: int
     converged: bool
 
@@ -513,6 +522,13 @@ def _check_shift(model: ModelSpec, E: complex, check: _Path,
     return abs(c0 * 0.001 * E / (c1 - c0)) if c1 != c0 else math.inf
 
 
+def _check_tolerances(tol: float, rtol: float) -> None:
+    if not 1e-13 <= tol <= 1e-6:
+        raise ValueError("tol out of range [1e-13, 1e-6]")
+    if not 1e-13 <= rtol <= 1e-6:
+        raise ValueError("rtol out of range [1e-13, 1e-6]")
+
+
 def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
                 tol: float = DEFAULT_TOL, rtol: float = DEFAULT_RTOL,
                 radius_factor: float = 1.0,
@@ -531,8 +547,9 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     Failures return an unconverged EigenResult instead of raising.
 
     Raises:
-        ValueError: for k < 0, tol or rtol outside [1e-13, 1e-6], or a
-            radius_factor that is not finite and >= 1.
+        ValueError: for k < 0, tol or rtol outside [1e-13, 1e-6], a
+            radius_factor that is not finite and >= 1, or a seed whose
+            modulus is 0, inf or nan (the path is built for |seed|).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -544,10 +561,7 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
            tol: float, rtol: float, radius_factor: float,
            max_iter: int) -> EigenResult:
     """solve_level, given the level-k estimate est = default_seed(model, k)."""
-    if not 1e-13 <= tol <= 1e-6:
-        raise ValueError("tol out of range [1e-13, 1e-6]")
-    if not 1e-13 <= rtol <= 1e-6:
-        raise ValueError("rtol out of range [1e-13, 1e-6]")
+    _check_tolerances(tol, rtol)
     E0 = complex(seed) if seed is not None else complex(est)
     lo, hi = _wkb_window(model, k, est)
     lo, hi = min(lo, E0.real), max(hi, E0.real)
@@ -617,7 +631,19 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
 
 def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
                 tol: float = DEFAULT_TOL, rtol: float = DEFAULT_RTOL) -> list[EigenResult]:
-    """Levels k = 0..k_max over a deformation grid, with continuation seeds.
+    """Levels k = 0..k_max over a deformation grid.
+
+    At each grid point the spectral engine (ptwell.spectral) gives level k
+    when it and every lower level agree within tol on two collocation
+    contours; it is returned converged, with 0 iterations and that relative
+    disagreement as its residual.  Every other level is shot, by the solver
+    of solve_level (rtol is its integrator tolerance), from a continuation
+    seed: the last converged E of the level times the ratio of default_seed
+    here to default_seed at the previous grid point.  With k_max = 5 the
+    engine certifies every level at M = 1 for eps = 0 and
+    0.25 <= eps <= 14, at M = 2 for eps <= 10 and at M = 3 for eps <= 8;
+    M = 1 near eps = 0+ (below about 0.23) and larger deformations are
+    shot.
 
     Results are ordered by (epsilon, k).  Per-point failures are reported as
     unconverged entries and the scan continues.  A level that stops rising
@@ -628,16 +654,20 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    _check_tolerances(tol, rtol)
     models = sorted(model_grid, key=lambda m: m.epsilon)
     out: list[EigenResult] = []
     prev: dict[int, complex] = {}       # last converged E of each level
-    prev_ests: list[float] = []         # default_seed at the previous point
+    prev_model = None
+    est = functools.cache(default_seed)     # evaluated once per (model, k)
     for model in models:
-        ests = [default_seed(model, k) for k in range(k_max + 1)]
-        seeds = [prev[k].real * (est / prev_ests[k]) if k in prev else est
-                 for k, est in enumerate(ests)]
-        results = [_solve(model, k, seeds[k], ests[k], tol, rtol, 1.0, MAX_ITER)
-                   for k in range(k_max + 1)]
+        results = [EigenResult(k, complex(E), rel, 0, True) for k, (E, rel)
+                   in enumerate(certified_levels(model, k_max, tol))]
+        for k in range(len(results), k_max + 1):
+            seed = prev[k].real * (est(model, k) / est(prev_model, k)) \
+                if k in prev else est(model, k)
+            results.append(_solve(model, k, seed, est(model, k), tol, rtol,
+                                  1.0, MAX_ITER))
         for k, res in enumerate(results):
             if res.converged:
                 if k in prev and res.E.real < prev[k].real - tol * abs(res.E):
@@ -651,5 +681,5 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
                         abs(results[i].E - results[j].E) < 1e-6 * abs(results[i].E):
                     logger.warning("level collision at epsilon=%g: k=%d and k=%d",
                                    model.epsilon, i, j)
-        prev_ests = ests
+        prev_model = model
     return out

@@ -102,11 +102,11 @@ def action_integral(model: ModelSpec, E: float, nodes: int = 200) -> float:
     giving up.
 
     Raises:
-        ValueError: for E <= 0.
+        ValueError: unless 0 < E < inf (nan included).
         BranchContinuityError: if the residual imaginary part persists.
     """
-    if E <= 0.0:
-        raise ValueError("E must be positive")
+    if not 0.0 < E < math.inf:
+        raise ValueError("E must be finite and positive")
     total = _action_once(model, E, nodes)
     if abs(total.imag) > 1e-9 * abs(total):
         total = _action_once(model, E, 2 * nodes)

@@ -12,6 +12,11 @@ TABLE1_E0 = [5.55331, 20.67629, 46.94324, 84.78728, 134.43752, 196.03417]
 # (test_ray_oracle.py).  The datum is that value rounded to five decimals.
 TABLE2_E0 = [2.65128, 9.21477, 20.70525, 37.32010, 59.16865, 86.31764]
 LABELS = [8.0, 18.0, 28.0, 38.0, 48.0, 58.0]
+# levels k of p^2 - x^4 (M = 1, eps = 2) from its Hermitian equivalent
+# p^2 + 4x^4 - 2x (Buslaev-Grecchi), oscillator-basis eigvalsh at 200 and
+# 260 states
+QUARTIC_LEVELS = {14: 122.65325555460625, 15: 134.05801339251497,
+                  16: 145.7108917610595, 24: 246.8232804182049}
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 
 from ptwell.geometry import (BranchCutError, ModelSpec, continued_sqrt,
                              potential_phase, potential_value, turning_points,
-                             wedge_angles)
+                             turning_radius, wedge_angles)
 
 
 class TestPotential:
@@ -157,6 +157,14 @@ class TestTurningPoints:
     def test_nonpositive_energy_raises(self):
         with pytest.raises(ValueError):
             turning_points(ModelSpec(1, 1.0), 0.0)
+
+    @pytest.mark.parametrize("E", [math.nan, math.inf])
+    def test_non_finite_energy_raises(self, E):
+        # nan passed the E <= 0 guard and gave nan turning points
+        with pytest.raises(ValueError):
+            turning_points(ModelSpec(1, 1.0), E)
+        with pytest.raises(ValueError):
+            turning_radius(ModelSpec(1, 1.0), E)
 
 
 class TestModelSpec:

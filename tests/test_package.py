@@ -15,13 +15,14 @@ def test_exports_resolve():
 
 def test_import_leaves_out_heavy_scipy():
     # scipy.optimize alone adds about 21 MB of resident memory and 0.2 s to
-    # every process that imports ptwell; scipy.integrate is as heavy
+    # every process that imports ptwell; scipy.integrate is as heavy; the
+    # spectral engine's eigensolves use numpy.linalg, not scipy.linalg
     src = str(Path(ptwell.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, ptwell; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
+            "'scipy.linalg') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -8,6 +8,7 @@ from scipy.special import gamma, j0, j1, y0, y1
 
 import ptwell.shooting as shooting
 from _ray_oracle import _wkb_start
+from conftest import QUARTIC_LEVELS
 from ptwell.cli import TABLE_GRID
 from ptwell.geometry import (ModelSpec, potential_phase, potential_value,
                              turning_radius, wedge_angles)
@@ -377,6 +378,9 @@ class TestWkbWindow:
         assert "WKB window" in caplog.text
 
     def test_converging_iterates_stay_inside(self, monkeypatch):
+        # with no level certified by the spectral engine, the scans shoot
+        # every level from its continuation seed
+        monkeypatch.setattr(shooting, "certified_levels", lambda *args: [])
         solves = []
         # solve_level and scan_levels both solve through _solve
         solve, defect = shooting._solve, shooting._matching_defect
@@ -468,6 +472,12 @@ class TestSolveLevel:
         with pytest.raises(ValueError):
             scan_levels([ModelSpec(1, 2.0)], 0, tol=tol)
 
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, complex(math.nan, 0.0)])
+    def test_non_finite_seed(self, seed):
+        # the path is built for |seed|; a nan seed used to return unconverged
+        with pytest.raises(ValueError):
+            solve_level(ModelSpec(1, 2.0), 0, seed=seed)
+
     @pytest.mark.parametrize("factor", [0.0, -1.0, 0.5, math.inf, math.nan])
     def test_radius_factor_domain(self, factor):
         # 0, -1 and 0.5 "converged" to 7.694, 8.133 and 5.5063, not 5.55331
@@ -520,12 +530,7 @@ class TestSolvePath:
             u_check = shooting._u_interior(model, E, side, check, 1e-11)
             assert abs(u_check - u) <= 1e-9 * abs(u)
 
-    # p^2 - x^4 levels from its Hermitian equivalent p^2 + 4x^4 - 2x
-    # (Buslaev-Grecchi), oscillator-basis eigvalsh at 200 and 260 states
-    @pytest.mark.parametrize("k,E_ref", [(14, 122.65325555460625),
-                                         (15, 134.05801339251497),
-                                         (16, 145.7108917610595),
-                                         (24, 246.8232804182049)])
+    @pytest.mark.parametrize("k,E_ref", sorted(QUARTIC_LEVELS.items()))
     def test_check_path_flags_inaccurate_levels(self, k, E_ref):
         # the mirrored ray and arc integrations keep Im E = 0 here, so only
         # the check path can flag them: k = 14 is off by 1.6e-7 and accepted,
@@ -557,8 +562,10 @@ class TestScan:
         assert results[0].E.real < results[2].E.real  # eps = 0 rows first
 
     def test_one_quadrature_per_level(self, monkeypatch):
-        # shaped like a level-scan item at M = 2: the seed, the continuation
+        # shaped like a level-scan item at M = 2, with every level shot as if
+        # the spectral engine had certified none: the seed, the continuation
         # ratio and the WKB window share one quadrature per (model, k)
+        monkeypatch.setattr(shooting, "certified_levels", lambda *args: [])
         calls = []
         quadrature = shooting.wkb_energy_quadrature
 
@@ -572,6 +579,23 @@ class TestScan:
         assert all(r.converged for r in results)
         assert sorted(calls, key=lambda c: (c[0].epsilon, c[1])) == \
             [(model, k) for model in grid for k in range(6)]
+
+    @pytest.mark.parametrize("M,want", [
+        (2, [1.905812, 7.753113, 17.684143, 29.998397, 44.784535, 61.656818]),
+        (3, [1.743317, 6.963227, 15.562837, 27.161729, 41.103504, 57.296217])])
+    def test_labels_at_limit_scale_seeds(self, M, want):
+        # at eps >= 4, M >= 2 default_seed is no WKB bracket, and shooting
+        # from it gave levels 3 and 4 (M = 2) or 3, 4 and 5 (M = 3) one
+        # energy; these certified spectral values are roots that shooting
+        # started from them converges to
+        results = scan_levels([ModelSpec(M, 4.0)], 5)
+        assert [r.E.real for r in results] == pytest.approx(want, abs=1e-6)
+        assert all(r.converged and r.iterations == 0 and r.residual <= 1e-9
+                   for r in results)
+
+    def test_levels_increase_at_eps_8(self):
+        energies = [r.E.real for r in scan_levels([ModelSpec(2, 8.0)], 5)]
+        assert all(b > a for a, b in zip(energies, energies[1:]))
 
     def test_scan_reproduces_table_rows(self):
         grid = [ModelSpec(1, e) for e in (8.0, 18.0)]

@@ -1,0 +1,85 @@
+import numpy as np
+import pytest
+
+import ptwell.spectral as spectral
+from conftest import QUARTIC_LEVELS
+from ptwell.geometry import ModelSpec
+from ptwell.shooting import solve_level
+from ptwell.spectral import certified_levels, contour_levels
+
+
+class TestOracles:
+    # oracles that share no code with the collocation
+
+    def test_oscillator(self):
+        levels = certified_levels(ModelSpec(1, 0.0), 10, 1e-9)
+        assert len(levels) == 11
+        for k, (E, rel) in enumerate(levels):
+            assert E == pytest.approx(2 * k + 1, rel=1e-12)
+            assert 0.0 <= rel <= 1e-9
+
+    def test_hermitian_quartic(self):
+        # p^2 - x^4 with PT boundary conditions is isospectral to the
+        # Hermitian p^2 + 4x^4 - 2x; a level is either certified within 1e-12
+        # of it or not certified at all
+        levels = certified_levels(ModelSpec(1, 2.0), max(QUARTIC_LEVELS), 1e-9)
+        assert len(levels) > 16
+        for k, want in QUARTIC_LEVELS.items():
+            if k < len(levels):
+                assert levels[k][0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.3, 1.1, 2.6, 3.75])
+    def test_matches_shooting(self, M, eps):
+        model = ModelSpec(M, eps)
+        levels = certified_levels(model, 5, 1e-9)
+        assert len(levels) == 6
+        for k, (E, _) in enumerate(levels):
+            res = solve_level(model, k)
+            assert res.converged
+            assert abs(res.E.real - E) <= 1e-10 * E
+
+
+class TestCertification:
+    def test_contour_cut_short_is_rejected(self, monkeypatch):
+        # ends at a ground-level decay depth of 8 cut the wedges short: two
+        # sizes on that contour agree to 1e-12, yet level 0 is 6e-8 off
+        model = ModelSpec(1, 0.3)
+        true = certified_levels(model, 5, 1e-9)[0][0]
+        a, b = (contour_levels(model, 5, 8.0, n) for n in (90, 110))
+        assert np.all(np.abs(a - b) <= 1e-12 * b)
+        assert abs(b[0] - true) > 1e-8 * true
+        monkeypatch.setattr(spectral, "CONTOURS", ((8.0, 90), (40.0, 110)))
+        assert certified_levels(model, 5, 1e-9) == []
+
+    def test_walled_contour_is_rejected(self):
+        # at M = 3, eps = 54 both contours give 196.034171 as the lowest
+        # level: that of the problem between walls in the wedges next to
+        # the boundary ones (the M = 1, eps = 58 ground level); shooting
+        # gives 48.649358 for k = 0
+        model = ModelSpec(3, 54.0)
+        a, b = (contour_levels(model, 5, depth, n)
+                for depth, n in spectral.CONTOURS)
+        assert a[0] == pytest.approx(196.034171, rel=1e-8)
+        assert abs(a[0] - b[0]) <= 1e-12 * b[0]
+        assert certified_levels(model, 5, 1e-9) == []
+
+    @pytest.mark.parametrize("eps", [18.0, 28.0, 58.0])
+    def test_large_deformation_disagrees(self, eps):
+        assert certified_levels(ModelSpec(1, eps), 5, 1e-9) == []
+
+    def test_near_branch_point_disagrees(self):
+        # the vertex of the hyperbola passes 0.04 rho from the branch point
+        # of V at the origin
+        assert certified_levels(ModelSpec(1, 0.1), 5, 1e-9) == []
+
+    def test_prefix_within_tol(self):
+        # levels ascend, and certification stops at the first level whose
+        # contours disagree by more than tol
+        model = ModelSpec(2, 1.1)
+        levels = certified_levels(model, 5, 1e-9)
+        assert len(levels) == 6
+        assert [E for E, _ in levels] == sorted(E for E, _ in levels)
+        for _, tol in levels:
+            m = next((k for k, (_, rel) in enumerate(levels) if rel > tol), 6)
+            assert certified_levels(model, 5, tol) == levels[:m]

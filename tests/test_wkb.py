@@ -66,6 +66,12 @@ class TestActionIntegral:
         with pytest.raises(ValueError):
             action_integral(ModelSpec(1, 1.0), -1.0)
 
+    @pytest.mark.parametrize("E", [math.nan, math.inf])
+    def test_rejects_non_finite_energy(self, E):
+        # both returned nan
+        with pytest.raises(ValueError):
+            action_integral(ModelSpec(1, 1.0), E)
+
 
 class TestClosedForm:
     @pytest.mark.parametrize("k", range(6))

@@ -12,29 +12,27 @@ lies between the WKB energies at k - 1/2 and k + 1/2, and an iterate that
 leaves that window ends the solve unconverged.
 
 The solver matches on the negative imaginary axis at the height where the
-classically allowed arch joining the turning points crosses it, reached from
-each ray by a circular arc.  The signal there stays O(1) for every
-deformation, which is what makes the large-deformation golden values
-reachable in double precision; at the origin, where both rays would
-terminate, it falls off exponentially once the deformation is large.  The
-height zeroes the imaginary part of an action of sqrt(E - V), whose root
-geometry.continued_sqrt continues along a straight segment.
+classically allowed arch joining the turning points crosses it.  The signal
+there stays O(1) for every deformation, which is what makes the
+large-deformation golden values reachable in double precision; at the
+origin, where both rays would meet, it falls off exponentially once the
+deformation is large.  The height zeroes the imaginary part of an action
+of sqrt(E - V), whose root geometry.continued_sqrt continues along a
+straight segment.
 
-The ray is integrated by the sixth-order three-Gauss-point Magnus method:
-psi'' = q psi is linear, so uniform steps are formed and multiplied as numpy
-arrays, and their number is doubled until two results agree to
-max(rtol/100, 2e-14) in the scaled state (psi, psi'/k).  The arc and the
-imaginary-axis leg keep the adaptive Dormand-Prince 5(4) integrator.  On
-the arc the wanted solution is subdominant, and a long Magnus step's error,
-which is relative to the step's dominant solution, is amplified by up to
-e^(2 h sqrt|q|): in a trial, Magnus steps on the arc moved M = 1,
-eps = 2, k = 8..11 by about 2e-4.
+Each ray runs in to the turning radius, and a straight chord joins its end
+to the match point.  Both legs are integrated by the sixth-order
+three-Gauss-point Magnus method: psi'' = (V - E) psi is linear, so uniform
+steps are formed and multiplied as numpy arrays, and their number is
+doubled until two results agree to max(rtol/100, 2e-14) in the scaled state
+(psi, psi'/k), or until the agreement stops improving.  On the chord the
+wanted solution loses e^(2G) against the other one, G = int |Im sqrt(E - V)
+dx|; a chord from the turning radius keeps G about half of what an arc at
+the match height would give.
 
-A solve builds its integration path (outer radius and match height) once,
-from the seed energy, and rebuilds it only when |E| leaves a band of
-PATH_BAND around the energy it was built for.  On the path the potential is
-a real power of |x| times a closed-form phase (fixed along each ray, turning
-along each arc), so no logarithm is taken in the integrator.
+A solve builds its integration path (outer radius, corner radius and match
+height) once, from the seed energy, and rebuilds it only when |E| leaves a
+band of PATH_BAND around the energy it was built for.
 
 For real E the left solution is the PT mirror of the right one,
 u_L(-i y*) = -conj(u_R(-i y*)), so the defect needs only the right ray and
@@ -44,10 +42,9 @@ integrated once there, and the PT-reality check is applied to the secant
 step that this two-ray defect would take.  The ray integrations mirror
 each other to rounding, so that check sees no integration error; a
 converged root is therefore also re-checked on a second path to the same
-match point, whose arc runs at CHECK_ARC times the match height before it
-follows the imaginary axis down.  An eigenvalue does not depend on the
-path, so a root that moves by more than CHECK_REL |E| is reported
-unconverged.  All operations are pure.
+match point, whose rays turn at CHECK_CORNER times the turning radius.  An
+eigenvalue does not depend on the path, so a root that moves by more than
+CHECK_REL |E| is reported unconverged.  All operations are pure.
 
 scan_levels shoots only the levels that the spectral engine
 (ptwell.spectral) does not certify: at each grid point it takes levels
@@ -67,20 +64,20 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (ModelSpec, continued_sqrt, gauss_legendre,
-                       potential_phase, turning_points, turning_radius,
-                       wedge_angles)
+                       potential_phase, potential_value, turning_points,
+                       turning_radius, wedge_angles)
 from .spectral import certified_levels
 from .wkb import wkb_energy_closed, wkb_energy_quadrature
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_RTOL = 1e-11        # relative tolerance of the DP45 arc and axis;
-                            # the ray's Magnus steps are refined to rtol/100
+DEFAULT_RTOL = 1e-11        # integrator tolerance: Magnus steps are
+                            # refined to rtol/100 on each leg
 DEFAULT_TOL = 1e-9          # secant convergence: |dE| <= tol |E|
 MAX_DEPTH = 120.0           # cap so radius_factor cannot explode the run
 MAX_ITER = 60
 PATH_BAND = 0.05            # |E| band per path; moves the decay depth at R by < 1
-CHECK_ARC = 1.1             # arc radius of the check path, in match heights
+CHECK_CORNER = 0.95         # corner radius of the check path, in turning radii
 CHECK_REL = 1e-6            # root shift allowed on the check path: the six
                             # significant digits the golden tables print
 
@@ -154,76 +151,6 @@ def _ray_radius(model: ModelSpec, E: float, theta: float,
     return R
 
 
-# ---------------------------------------------------------------------------
-# embedded Dormand-Prince 5(4) for the complex pair (psi, dpsi/ds)
-# ---------------------------------------------------------------------------
-
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (_B1 - 5179 / 57600, _B3 - 7571 / 16695,
-                                _B4 - 393 / 640, _B5 + 92097 / 339200,
-                                _B6 - 187 / 2100, -1 / 40)
-
-
-def _integrate(f, s0: float, s1: float, y0: complex, y1: complex,
-               rtol: float, h0: float, nseg: int = 8) -> tuple[complex, complex]:
-    """Adaptive DP45 from s0 to s1 with per-segment amplitude renormalization.
-
-    The state is the complex pair (psi, dpsi/ds) of a linear ODE, so dividing
-    both components by a common scale between segments leaves the final
-    log-derivative untouched while keeping amplitudes in range.
-    """
-    s, h = s0, h0
-    k10, k11 = f(s, y0, y1)
-    steps = 0
-    for iseg in range(nseg):
-        send = s0 + (s1 - s0) * (iseg + 1) / nseg
-        while s < send:
-            if s + h > send:
-                h = send - s
-            ya0 = y0 + h * _A21 * k10
-            ya1 = y1 + h * _A21 * k11
-            k20, k21 = f(s + h / 5, ya0, ya1)
-            ya0 = y0 + h * (_A31 * k10 + _A32 * k20)
-            ya1 = y1 + h * (_A31 * k11 + _A32 * k21)
-            k30, k31 = f(s + 3 * h / 10, ya0, ya1)
-            ya0 = y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30)
-            ya1 = y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
-            k40, k41 = f(s + 4 * h / 5, ya0, ya1)
-            ya0 = y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)
-            ya1 = y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
-            k50, k51 = f(s + 8 * h / 9, ya0, ya1)
-            ya0 = y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)
-            ya1 = y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
-            k60, k61 = f(s + h, ya0, ya1)
-            yn0 = y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)
-            yn1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-            k70, k71 = f(s + h, yn0, yn1)
-            e0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
-            e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
-            sc0 = 1e-300 + rtol * max(abs(y0), abs(yn0))
-            sc1 = 1e-300 + rtol * max(abs(y1), abs(yn1))
-            err = math.sqrt(0.5 * ((abs(e0) / sc0) ** 2 + (abs(e1) / sc1) ** 2))
-            steps += 1
-            if steps > 2_000_000:
-                raise ShootingError("step underflow: integration not advancing")
-            if err <= 1.0:
-                s += h
-                y0, y1, k10, k11 = yn0, yn1, k70, k71
-                h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
-            else:
-                h *= max(0.2, 0.9 * err ** -0.2)
-        m = max(abs(y0), abs(y1))
-        if not (m > 0.0 and math.isfinite(m)):
-            raise ShootingError("renormalization overflow in arc or axis integration")
-        y0, y1, k10, k11 = y0 / m, y1 / m, k10 / m, k11 / m
-    return y0, y1
-
-
 def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
     """(psi, dpsi/ds) of the WKB solution decaying outward, at s = 0.
 
@@ -240,12 +167,12 @@ def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
 
 
 # ---------------------------------------------------------------------------
-# the ray: sixth-order Magnus steps for psi_ss = q(s) psi
+# straight segments: sixth-order Magnus steps for psi_ss = q(s) psi
 # ---------------------------------------------------------------------------
 
 _GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 _IDENTITY = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
-_MAX_RAY_STEPS = 2 ** 16     # a ray that needs more raises: caps its memory
+_MAX_RAY_STEPS = 2 ** 16     # a segment that needs more raises: caps its memory
 _TAIL = 16                  # transfer matrices left for a scalar loop
 
 
@@ -261,8 +188,10 @@ def _magnus(q, s1: float, y0: complex, y1: complex,
     Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.  In the basis
     E12, E21, H = diag(1, -1) the commutators are closed forms, and the
     traceless exp(Omega) = cosh d I + sinh d/d Omega with d^2 = -det Omega.
-    The step matrices are multiplied pairwise as a tree, renormalized by
-    the largest entry of each level; `q` takes an array of s.
+    The step matrices are multiplied pairwise as a tree, and at each level
+    every matrix is divided by its own largest entry: a common scale would
+    let matrices far below the largest one underflow to zero.  `q` takes
+    an array of s.
     """
     h = s1 / n
     q1, q2, q3 = q(h * (np.arange(n)[:, None] + _GAUSS3)).T
@@ -283,9 +212,9 @@ def _magnus(q, s1: float, y0: complex, y1: complex,
     sh[small] = (1.0 + d2 / 6.0 + d2 * d2 / 120.0)[small]
     m = np.stack([ch + sh * w, sh * w12, sh * w21, ch - sh * w])
     while True:
-        scale = np.abs(m).max()
-        if not 0.0 < scale < math.inf:
-            raise ShootingError("non-finite ray propagator")
+        scale = np.abs(m).max(axis=0)
+        if not ((0.0 < scale) & (scale < math.inf)).all():
+            raise ShootingError("non-finite propagator")
         m /= scale
         if m.shape[1] <= _TAIL:
             break
@@ -300,49 +229,52 @@ def _magnus(q, s1: float, y0: complex, y1: complex,
     return y0 / scale, y1 / scale
 
 
-def _ray_state(model: ModelSpec, E: complex, theta: float, R: float,
-               send: float, rtol: float) -> tuple[complex, complex]:
-    """(psi, dpsi/ds) at s = send on the ray x = (R - s) e^{i theta}, from
-    the WKB start at s = 0, up to a common scale.
+def _segment(model: ModelSpec, E: complex, x0: complex, x1: complex,
+             psi: complex, dpsi: complex, rtol: float) -> tuple[complex, complex]:
+    """(psi, dpsi/dx) at x1 from (psi, dpsi/dx) at x0, carried along the
+    straight segment between them, up to a common scale.
 
-    Magnus steps are doubled until the results for n and 2n agree in the
-    scaled coordinates (psi, psi_s/k), k = sqrt|q(send)| + 1, to
-    max(rtol/100, 2e-14): |a0 b1 - a1 b0| <= tol |a| |b|.  The projective
-    test holds also where psi or psi_s vanishes at the end, as at the
-    origin for even and odd levels at eps = 0.  The first n is 0.16
-    tol^(-1/6) steps per radian of the WKB phase int sqrt|q| ds, above the
-    0.05..0.14 that the test needs on the rays of M = 1..3, eps = 0..58,
-    k = 0..28, so that a ray takes two passes.
+    With u the segment's unit direction, psi_ss = q(s) psi with
+    q = u^2 (V(x0 + s u) - E), and Magnus steps are doubled until the
+    results for n and 2n agree in the scaled coordinates (psi, psi_s/k),
+    k = sqrt|q| + 1 at x1, to max(rtol/100, 2e-14):
+    |a0 b1 - a1 b0| <= tol |a| |b|, or until a doubling shrinks that gap
+    by less than 8: the sixth-order error shrinks by 64, so the rest is
+    rounding.  The projective test holds also where psi or psi_s vanishes
+    at x1, as at the origin for even and odd levels at eps = 0.  The first
+    n is 0.16 tol^(-1/6) steps per radian of the WKB phase int sqrt|q| ds,
+    above the 0.05..0.14 that the test needs on the rays of M = 1..3,
+    eps = 0..58, k = 0..28, so that a ray takes two passes; a chord takes
+    three or four.
     """
-    ex2 = cmath.exp(2j * theta)
-    cv, ce = ex2 * potential_phase(model, theta), ex2 * E
-    n = 2.0 * model.M + model.epsilon
+    length = abs(x1 - x0)
+    u = (x1 - x0) / length
 
     def q(s):
-        # x = (R - s) e^{i theta}, V(x) = (R - s)^n potential_phase(theta)
-        return cv * (R - s) ** n - ce
+        return u * u * (potential_value(model, x0 + s * u) - E)
 
-    qs = q(np.linspace(0.0, send, 33))
+    qs = q(np.linspace(0.0, length, 33))
     if not np.isfinite(qs).all():
-        raise ShootingError("non-finite potential on the ray")
+        raise ShootingError("non-finite potential on the path")
     tol = max(rtol / 100.0, 2e-14)
-    phase = float(np.trapezoid(np.sqrt(np.abs(qs)), dx=send / 32.0))
+    phase = float(np.trapezoid(np.sqrt(np.abs(qs)), dx=length / 32.0))
     steps = max(8, math.ceil(0.16 * phase * tol ** (-1.0 / 6.0)))
     k = math.sqrt(abs(qs[-1])) + 1.0
-    y0, y1 = _outgoing_ic(model, E, theta, R)
-    prev = None
+    prev, gap = None, math.inf
     while steps <= _MAX_RAY_STEPS:
-        psi, dpsi = _magnus(q, send, y0, y1, steps)
-        a0, a1 = psi, dpsi / k
-        if prev is not None and abs(prev[0] * a1 - prev[1] * a0) <= tol * \
-                math.hypot(abs(prev[0]), abs(prev[1])) * math.hypot(abs(a0), abs(a1)):
-            return psi, dpsi
+        y0, y1 = _magnus(q, length, psi, u * dpsi, steps)
+        a0, a1 = y0, y1 / k
+        if prev is not None:
+            last, gap = gap, abs(prev[0] * a1 - prev[1] * a0) / (
+                math.hypot(abs(prev[0]), abs(prev[1])) * math.hypot(abs(a0), abs(a1)))
+            if gap <= tol or 8.0 * gap > last:
+                return y0, y1 / u
         prev, steps = (a0, a1), 2 * steps
-    raise ShootingError(f"ray needs more than {_MAX_RAY_STEPS} Magnus steps")
+    raise ShootingError(f"segment needs more than {_MAX_RAY_STEPS} Magnus steps")
 
 
 # ---------------------------------------------------------------------------
-# interior matching: arch height and ray + arc integration
+# interior matching: arch height, ray and chord
 # ---------------------------------------------------------------------------
 
 def _im_action_to_axis(model: ModelSpec, E: float, y: float) -> float:
@@ -393,14 +325,14 @@ def match_height(model: ModelSpec, E: float) -> float:
 class _Path:
     """Integration path of one solve, built for |E| = E_ref: the right ray
     at angle theta and its mirror at -pi - theta run in from radius R to
-    radius `arc`, along the circle |x| = arc to -i arc, and down the
-    imaginary axis to the match point -i ym.  The solve itself uses
-    arc = ym; a larger arc gives a second path to the same point.
+    the corner at radius `corner`, and a chord joins each corner to the
+    match point -i ym.  The solve itself puts the corner at the turning
+    radius; CHECK_CORNER times it gives a second path to the same point.
     """
 
     E_ref: float
     ym: float
-    arc: float
+    corner: float
     theta: float
     R: float
 
@@ -410,47 +342,20 @@ def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
     # the left ray mirrors the right one, and so does its decay depth
     theta = wedge_angles(model).theta_right
     R = _ray_radius(model, E_ref, theta, radius_factor, rtol)
-    ym = match_height(model, E_ref)
-    return _Path(E_ref, ym, ym, theta, R)
+    return _Path(E_ref, match_height(model, E_ref), turning_radius(model, E_ref),
+                 theta, R)
 
 
 def _u_interior(model: ModelSpec, E: complex, side: str, path: _Path,
                 rtol: float) -> complex:
     """psi'/psi at -i ym, integrated along `path` from the outer point."""
     theta = -math.pi - path.theta if side == "L" else path.theta
-    R, a, ym = path.R, path.arc, path.ym
-    sgn = 1.0 if side == "L" else -1.0   # arc direction of phi toward -pi/2
-    y0, y1 = _ray_state(model, E, theta, R, R - a, rtol)
-    dpsi_dx = -y1 / cmath.exp(1j * theta)
-    if a <= 0.0:
-        return dpsi_dx / y0
-    dphi = abs(-math.pi / 2.0 - theta)
-    n = 2.0 * model.M + model.epsilon
-    x2 = a * a * cmath.exp(2j * theta)
-    v = a ** n * potential_phase(model, theta)
-
-    def farc(t, p, q):
-        # x = a e^{i(theta + sgn t)}: x^2 and V turn by e^{2i sgn t} and
-        # e^{i n sgn t}; with dx/dt = sgn i x, (dx/dt)^2 = -x^2
-        xx = x2 * cmath.exp(2j * sgn * t)
-        vv = v * cmath.exp(1j * n * sgn * t)
-        return q, -xx * (vv - E) * p + sgn * 1j * q
-
-    b0 = dpsi_dx * sgn * 1j * a * cmath.exp(1j * theta)
-    y0, y1 = _integrate(farc, 0.0, dphi, y0, b0, rtol, dphi / 50.0, nseg=4)
-    u = y1 / (sgn * a * y0)     # dx/dt = sgn i x = sgn a at x = -i a
-    if a <= ym:
-        return u
-    vax = potential_phase(model, -0.5 * math.pi)
-
-    def faxis(t, p, q):
-        # x = -i (a - t): dx/dt = i, so psi_tt = -(V - E) psi
-        return q, -(vax * (a - t) ** n - E) * p
-
-    # psi_t = (dx/dt) psi' = i psi' along x = -i (a - t)
-    y0, y1 = _integrate(faxis, 0.0, a - ym, 1.0 + 0j, 1j * u, rtol,
-                        (a - ym) / 20.0, nseg=1)
-    return -1j * y1 / y0
+    ex = cmath.exp(1j * theta)
+    corner = path.corner * ex
+    psi, dpsi_ds = _outgoing_ic(model, E, theta, path.R)    # s = R - |x|
+    psi, dpsi = _segment(model, E, path.R * ex, corner, psi, -dpsi_ds / ex, rtol)
+    psi, dpsi = _segment(model, E, corner, -1j * path.ym, psi, dpsi, rtol)
+    return dpsi / psi
 
 
 def _defect(uL: complex, uR: complex) -> complex:
@@ -622,8 +527,8 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
         logger.warning("PT-reality violated for k=%d: E=%s", k, E1)
     path_ok = True
     if converged and pt_real and path.ym > 0.0:
-        path_ok = _check_shift(model, E1, replace(path, arc=CHECK_ARC * path.ym),
-                               rtol) <= CHECK_REL * abs(E1)
+        check = replace(path, corner=CHECK_CORNER * path.corner)
+        path_ok = _check_shift(model, E1, check, rtol) <= CHECK_REL * abs(E1)
         if not path_ok:
             logger.warning("path-dependent root for k=%d at E=%s", k, E1)
     return EigenResult(k, E1, abs(w1), iterations, converged and pt_real and path_ok)

@@ -7,11 +7,13 @@ import pytest
 from scipy.special import gamma, j0, j1, y0, y1
 
 import ptwell.shooting as shooting
+from _ray_oracle import _segment as oracle_segment
 from _ray_oracle import _wkb_start
-from conftest import QUARTIC_LEVELS
+from _ray_oracle import level as oracle_level
+from conftest import QUARTIC_LEVELS, oscillator_levels
 from ptwell.cli import TABLE_GRID
-from ptwell.geometry import (ModelSpec, potential_phase, potential_value,
-                             turning_radius, wedge_angles)
+from ptwell.geometry import (ModelSpec, potential_value, turning_radius,
+                             wedge_angles)
 from ptwell.shooting import match_height, scan_levels, solve_level
 from ptwell.wkb import wkb_energy_closed, wkb_energy_quadrature
 
@@ -93,22 +95,15 @@ def _projective(a, b):
                                              * math.hypot(abs(b[0]), abs(b[1])))
 
 
-def _dp45_ray_end(model, E, theta, R, send, rtol):
-    """(psi, dpsi/ds) at s = send by the embedded RK integrator."""
-    ex2 = cmath.exp(2j * theta)
-    cv, ce = ex2 * potential_phase(model, theta), ex2 * E
-    n = 2.0 * model.M + model.epsilon
-
-    def f(s, a, b):
-        return b, (cv * (R - s) ** n - ce) * a
-
-    y0, y1 = shooting._outgoing_ic(model, E, theta, R)
-    h0 = min(0.1 / max(abs(y1), 1.0), send / 50.0)
-    return shooting._integrate(f, 0.0, send, y0, y1, rtol, h0), cv * (R - send) ** n - ce
+def _scaled(model, E, x, y):
+    """(psi, dpsi/dx) scaled to (psi, psi'/k), k = sqrt|V(x) - E| + 1."""
+    k = math.sqrt(abs(potential_value(model, x) - E)) + 1.0
+    return y[0], y[1] / k
 
 
 class TestMagnusRay:
-    # the ray runs by sixth-order Magnus steps; the arc and the axis by DP45
+    # the ray and the chord run by sixth-order Magnus steps; the oracle is
+    # scipy's Dormand-Prince DOP853 in _ray_oracle, which shares no code
 
     @pytest.mark.parametrize("E", [0.5, 2.2, 6.3, 3.7 + 0.4j])
     def test_oscillator_closed_form(self, E):
@@ -125,17 +120,33 @@ class TestMagnusRay:
     @pytest.mark.parametrize("M,eps,k", [(1, 6.0, 0), (1, 58.0, 0), (2, 56.0, 0),
                                          (1, 2.0, 8), (2, 0.0, 8), (2, 0.0, 11)])
     def test_agrees_with_dp45(self, M, eps, k):
-        # at the level; at M = 2, eps = 0 the ray ends at the origin, where
-        # psi' = 0 for even k and psi = 0 for odd k
+        # the ray from the outer point to the corner, at the level
         model = ModelSpec(M, eps)
-        E = complex(solve_level(model, k).E.real)
-        path = _path(model, E.real)
-        theta, R = path.theta, path.R
-        send = R - path.arc
-        (a0, a1), q_end = _dp45_ray_end(model, E, theta, R, send, 1e-13)
-        b0, b1 = shooting._ray_state(model, E, theta, R, send, shooting.DEFAULT_RTOL)
-        scale = math.sqrt(abs(q_end)) + 1.0
-        assert _projective((a0, a1 / scale), (b0, b1 / scale)) <= 1e-11
+        E = solve_level(model, k).E.real
+        path = _path(model, E)
+        ex = cmath.exp(1j * path.theta)
+        x0, x1 = path.R * ex, path.corner * ex
+        want = oracle_segment(x0, x1, _wkb_start(path.theta, path.R, M, eps, E),
+                              M, eps, E)
+        psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
+        got = shooting._segment(model, E, x0, x1, psi, -dpsi_ds / ex,
+                                shooting.DEFAULT_RTOL)
+        assert _projective(_scaled(model, E, x1, want),
+                           _scaled(model, E, x1, got)) <= 1e-11
+
+    def test_chord_agrees_with_oracle(self):
+        # psi'/psi at the match point, carried down the ray and the chord
+        model = ModelSpec(1, 2.0)
+        E = solve_level(model, 8).E.real
+        path = _path(model, E)
+        ex = cmath.exp(1j * path.theta)
+        corner, x_match = path.corner * ex, -1j * path.ym
+        y = oracle_segment(path.R * ex, corner,
+                           _wkb_start(path.theta, path.R, 1, 2.0, E), 1, 2.0, E)
+        want = oracle_segment(corner, x_match, y, 1, 2.0, E)
+        u = _u(model, E, "R", path)
+        assert _projective(_scaled(model, E, x_match, want),
+                           _scaled(model, E, x_match, (1.0, u))) <= 1e-11
 
     def test_sixth_order_on_bessel(self):
         # psi'' = -e^s psi over [-2, 3] is solved by J0(t) and Y0(t), with
@@ -155,6 +166,16 @@ class TestMagnusRay:
                 for column in range(2)))
         assert errors[1] <= 1e-9
         assert errors[0] / errors[1] >= 50.0     # 2^6 = 64
+
+    def test_step_matrices_of_unequal_size(self):
+        # psi'' = k^2 psi on [0, 1/2), each step growing by e^460, then
+        # psi'' = 0 on [1/2, 1]: (psi, psi') ends along (1 + k/2, k).  Scaled
+        # by the largest entry of all, the free steps' matrices would
+        # underflow to zero when two of them are multiplied
+        k = math.sqrt(8.7e8)
+        y = shooting._magnus(lambda s: np.where(s < 0.5, k * k, 0.0) + 0j,
+                             1.0, 1.0, 0.0, 64)
+        assert _projective(y, (1.0 + 0.5 * k, k)) <= 1e-14
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(shooting, "_MAX_RAY_STEPS", 256)
@@ -370,9 +391,14 @@ class TestWkbWindow:
         assert shooting._wkb_window(model, 0, shooting.default_seed(model, 0)) == \
             (0.0, math.inf)
 
-    def test_ends_runaway_secant(self, caplog):
-        # without the window: 25 iterations, ending 16% off the level
-        res = solve_level(ModelSpec(1, 2.0), 24)
+    def test_ends_runaway_secant(self, monkeypatch, caplog):
+        # a defect whose only root lies 30% above the seed, outside the
+        # window: the first capped secant step leaves it
+        model = ModelSpec(1, 2.0)
+        root = 1.3 * shooting.default_seed(model, 24)
+        monkeypatch.setattr(shooting, "_matching_defect",
+                            lambda model, E, path, rtol: ((E - root) / root, 1.0))
+        res = solve_level(model, 24)
         assert not res.converged
         assert res.iterations <= 5
         assert "WKB window" in caplog.text
@@ -457,6 +483,14 @@ class TestSolveLevel:
             assert a.converged and b.converged
             assert abs(a.E - b.E) <= 1e-7 * abs(b.E)
 
+    def test_tight_tolerances_at_m3(self):
+        # at tol = 1e-12 and rtol = 1e-13 the solve returns a level, not an
+        # exception from a zero scale in _magnus
+        res = solve_level(ModelSpec(3, 8.0), 9, seed=279.1894151783502,
+                          tol=1e-12, rtol=1e-13)
+        assert res.converged
+        assert res.E.real == pytest.approx(279.189415, abs=1e-6)
+
     @pytest.mark.parametrize("rtol", [0.0, 0.5, 1e-14, 1e-5, math.nan])
     def test_rtol_domain(self, rtol):
         # rtol = 0 overflowed the step control; 0.5 "converged" to 0.99973
@@ -520,11 +554,11 @@ class TestSolvePath:
         assert counts["match_height"] < counts["defect"]
 
     def test_check_path_reaches_match_point(self):
-        # arc at a larger radius, then down the imaginary axis: same psi'/psi
+        # rays that turn inside the turning radius: same psi'/psi
         model = ModelSpec(1, 8.0)
         E = 5.553310025131625
         path = shooting._build_path(model, E, 1.0, shooting.DEFAULT_RTOL)
-        check = replace(path, arc=shooting.CHECK_ARC * path.ym)
+        check = replace(path, corner=shooting.CHECK_CORNER * path.corner)
         for side in "LR":
             u = shooting._u_interior(model, E, side, path, 1e-11)
             u_check = shooting._u_interior(model, E, side, check, 1e-11)
@@ -532,11 +566,35 @@ class TestSolvePath:
 
     @pytest.mark.parametrize("k,E_ref", sorted(QUARTIC_LEVELS.items()))
     def test_check_path_flags_inaccurate_levels(self, k, E_ref):
-        # the mirrored ray and arc integrations keep Im E = 0 here, so only
-        # the check path can flag them: k = 14 is off by 1.6e-7 and accepted,
-        # k = 15, 16 by 2.2e-6 and 1.4e-5, and k = 24 lands near another level
+        # the mirrored ray and chord integrations keep Im E = 0 here, so only
+        # the check path can flag an inaccurate level
         res = solve_level(ModelSpec(1, 2.0), k)
         assert res.converged == (abs(res.E.real - E_ref) <= 1e-6 * E_ref)
+
+
+class TestHermitianLevels:
+    # levels with an independent reference, each converged within 1e-9
+
+    @pytest.mark.parametrize("M,eps,coeffs,k_max", [
+        # p^2 - x^4 has the levels of p^2 + 4x^4 - 2x (Buslaev & Grecchi,
+        # J. Phys. A 26 (1993) 5541)
+        (1, 2.0, [0.0, -2.0, 0.0, 0.0, 4.0], 30),
+        (2, 0.0, [0.0, 0.0, 0.0, 0.0, 1.0], 26)])
+    def test_oscillator_basis_reference(self, M, eps, coeffs, k_max):
+        model = ModelSpec(M, eps)
+        for k, E_ref in enumerate(oscillator_levels(coeffs, k_max + 1)):
+            res = solve_level(model, k)
+            assert res.converged, k
+            assert abs(res.E.real - E_ref) <= 1e-9 * E_ref, k
+
+    @pytest.mark.parametrize("eps,k,lo,hi", [(42.5, 2, 2253.0, 2254.0),
+                                             (51.5, 1, 1265.0, 1266.0)])
+    def test_large_eps_ray_oracle(self, eps, k, lo, hi):
+        # at large eps the check path must accept right levels
+        res = solve_level(ModelSpec(1, eps), k)
+        assert res.converged
+        E_ref = oracle_level(1, eps, lo, hi)
+        assert abs(res.E.real - E_ref) <= 1e-10 * E_ref
 
 
 class TestScan:

@@ -21,18 +21,24 @@ of sqrt(E - V), whose root geometry.continued_sqrt continues along a
 straight segment.
 
 Each ray runs in to the turning radius, and a straight chord joins its end
-to the match point.  Both legs are integrated by the sixth-order
-three-Gauss-point Magnus method: psi'' = (V - E) psi is linear, so uniform
-steps are formed and multiplied as numpy arrays, and their number is
-doubled until two results agree to max(rtol/100, 2e-14) in the scaled state
-(psi, psi'/k), or until the agreement stops improving.  On the chord the
-wanted solution loses e^(2G) against the other one, G = int |Im sqrt(E - V)
-dx|; a chord from the turning radius keeps G about half of what an arc at
-the match height would give.
+to the match point.  On the ray V = r^(2M + eps) potential_phase(theta).
+Both legs are integrated by the sixth-order three-Gauss-point Magnus
+method: psi'' = (V - E) psi is linear, so uniform steps are formed and
+multiplied as numpy arrays, and their number is doubled until two results
+agree to max(rtol/100, 2e-14) in the scaled state (psi, psi'/k), or until
+the agreement stops improving.  On the chord the wanted solution loses
+e^(2G) against the other one, G = int |Im sqrt(E - V) dx|; a chord from the
+turning radius keeps G about half of what an arc at the match height would
+give.
 
-A solve builds its integration path (outer radius, corner radius and match
-height) once, from the seed energy, and rebuilds it only when |E| leaves a
-band of PATH_BAND around the energy it was built for.
+A solve builds its integration path (outer radius, corner radius, match
+height and the step count each leg starts from) once, from the seed
+energy, and rebuilds it only when |E| leaves a band of PATH_BAND around the
+energy it was built for.  The build integrates the right side once at that
+energy, starting each leg from a count proportional to its WKB phase, and
+keeps the count at which the sixth-order error law puts the first pair of
+counts a factor 4 inside the tolerance: every later integration on the path
+then takes two passes per leg, and still doubles a count that falls short.
 
 For real E the left solution is the PT mirror of the right one,
 u_L(-i y*) = -conj(u_R(-i y*)), so the defect needs only the right ray and
@@ -42,9 +48,12 @@ integrated once there, and the PT-reality check is applied to the secant
 step that this two-ray defect would take.  The ray integrations mirror
 each other to rounding, so that check sees no integration error; a
 converged root is therefore also re-checked on a second path to the same
-match point, whose rays turn at CHECK_CORNER times the turning radius.  An
-eigenvalue does not depend on the path, so a root that moves by more than
-CHECK_REL |E| is reported unconverged.  All operations are pure.
+match point, whose rays turn at CHECK_CORNER times the turning radius and
+which starts from the step counts of the solve's path.  An eigenvalue does
+not depend on the path, so a root that moves by more than CHECK_REL |E| is
+reported unconverged.  The defect at a fixed match point does not depend on
+the path either, so one defect evaluation on the check path and the slope
+of the solve's last secant step give that move.  All operations are pure.
 
 scan_levels shoots only the levels that the spectral engine
 (ptwell.spectral) does not certify: at each grid point it takes levels
@@ -229,46 +238,66 @@ def _magnus(q, s1: float, y0: complex, y1: complex,
     return y0 / scale, y1 / scale
 
 
-def _segment(model: ModelSpec, E: complex, x0: complex, x1: complex,
-             psi: complex, dpsi: complex, rtol: float) -> tuple[complex, complex]:
-    """(psi, dpsi/dx) at x1 from (psi, dpsi/dx) at x0, carried along the
-    straight segment between them, up to a common scale.
+def _leg_tol(rtol: float) -> float:
+    """Projective agreement that ends the step doubling on a leg."""
+    return max(rtol / 100.0, 2e-14)
 
-    With u the segment's unit direction, psi_ss = q(s) psi with
-    q = u^2 (V(x0 + s u) - E), and Magnus steps are doubled until the
-    results for n and 2n agree in the scaled coordinates (psi, psi_s/k),
-    k = sqrt|q| + 1 at x1, to max(rtol/100, 2e-14):
-    |a0 b1 - a1 b0| <= tol |a| |b|, or until a doubling shrinks that gap
-    by less than 8: the sixth-order error shrinks by 64, so the rest is
-    rounding.  The projective test holds also where psi or psi_s vanishes
-    at x1, as at the origin for even and odd levels at eps = 0.  The first
-    n is 0.16 tol^(-1/6) steps per radian of the WKB phase int sqrt|q| ds,
-    above the 0.05..0.14 that the test needs on the rays of M = 1..3,
-    eps = 0..58, k = 0..28, so that a ray takes two passes; a chord takes
-    three or four.
+
+def _phase_count(v, E: float, x0: complex, x1: complex, rtol: float) -> int:
+    """Magnus steps to try first on the segment from x0 to x1, with no
+    count known: 0.16 tol^(-1/6) per radian of the WKB phase
+    int sqrt|V - E| ds (33-point trapezoid), above the 0.05..0.14 that the
+    agreement needs on the rays of M = 1..3, eps = 0..58, k = 0..28."""
+    qs = v(x0 + (x1 - x0) * np.linspace(0.0, 1.0, 33)) - E
+    phase = float(np.trapezoid(np.sqrt(np.abs(qs)), dx=abs(x1 - x0) / 32.0))
+    return max(8, math.ceil(0.16 * phase * _leg_tol(rtol) ** (-1.0 / 6.0)))
+
+
+def _segment(v, E: complex, x0: complex, x1: complex, psi: complex,
+             dpsi: complex, steps: int, rtol: float) -> tuple[complex, complex, int]:
+    """(psi, dpsi/dx) at x1 from (psi, dpsi/dx) at x0, carried along the
+    straight segment between them, up to a common scale; and the step count
+    to start from on a segment like it.
+
+    `v` gives V at an array of points of the segment.  With u the segment's
+    unit direction, psi_ss = q(s) psi with q = u^2 (V(x0 + s u) - E).  Magnus
+    steps, `steps` of them first, are doubled until the results for n and 2n
+    agree in the scaled coordinates (psi, psi_s/k), k = sqrt|q| + 1 at x1,
+    to tol = max(rtol/100, 2e-14): |a0 b1 - a1 b0| <= tol |a| |b|, or until
+    a doubling shrinks that gap by less than 8: the sixth-order error
+    shrinks by 64, so the rest is rounding.  The projective test holds also
+    where psi or psi_s vanishes at x1, as at the origin for even and odd
+    levels at eps = 0.  A count too small for this segment is therefore
+    doubled, never trusted.
+
+    The count returned: the gap falls as n^-6, so a pair (n, 2n) at gap g
+    puts the pair that meets tol with a margin of 4 at n (4 g/tol)^(1/6)
+    steps.  After agreement, max(8, ceil(.)) of the smallest such count over
+    the pairs compared: a last gap near the rounding floor overstates the
+    truncation error, which the larger gaps before it measure.  After the
+    rounding floor, the count two doublings below the last, which reaches
+    the floor again in three passes.
     """
     length = abs(x1 - x0)
     u = (x1 - x0) / length
 
     def q(s):
-        return u * u * (potential_value(model, x0 + s * u) - E)
+        return u * u * (v(x0 + s * u) - E)
 
-    qs = q(np.linspace(0.0, length, 33))
-    if not np.isfinite(qs).all():
-        raise ShootingError("non-finite potential on the path")
-    tol = max(rtol / 100.0, 2e-14)
-    phase = float(np.trapezoid(np.sqrt(np.abs(qs)), dx=length / 32.0))
-    steps = max(8, math.ceil(0.16 * phase * tol ** (-1.0 / 6.0)))
-    k = math.sqrt(abs(qs[-1])) + 1.0
-    prev, gap = None, math.inf
+    tol = _leg_tol(rtol)
+    k = math.sqrt(abs(q(np.array([length]))[0])) + 1.0
+    prev, gap, best = None, math.inf, math.inf
     while steps <= _MAX_RAY_STEPS:
         y0, y1 = _magnus(q, length, psi, u * dpsi, steps)
         a0, a1 = y0, y1 / k
         if prev is not None:
             last, gap = gap, abs(prev[0] * a1 - prev[1] * a0) / (
                 math.hypot(abs(prev[0]), abs(prev[1])) * math.hypot(abs(a0), abs(a1)))
-            if gap <= tol or 8.0 * gap > last:
-                return y0, y1 / u
+            best = min(best, steps / 2 * (4.0 * gap / tol) ** (1.0 / 6.0))
+            if gap <= tol:
+                return y0, y1 / u, max(8, math.ceil(best))
+            if 8.0 * gap > last:
+                return y0, y1 / u, steps // 4
         prev, steps = (a0, a1), 2 * steps
     raise ShootingError(f"segment needs more than {_MAX_RAY_STEPS} Magnus steps")
 
@@ -277,16 +306,25 @@ def _segment(model: ModelSpec, E: complex, x0: complex, x1: complex,
 # interior matching: arch height, ray and chord
 # ---------------------------------------------------------------------------
 
-def _im_action_to_axis(model: ModelSpec, E: float, y: float) -> float:
+def _im_action_to_axis(model: ModelSpec, E: float, y):
     """Im of int sqrt(E - V) dx from the right turning point to -i y, on
-    the branch continued from the axis end, where Im sqrt >= 0."""
-    a, b = turning_points(model, E).x_right, -1j * y
+    the branch continued from the axis end, where Im sqrt >= 0: a float for
+    a float y, an array for an array of heights.
+
+    The segments of all heights form one path for continued_sqrt; its flips
+    between the end of one segment and the start of the next are undone when
+    each segment is turned to its own axis end.  Each sum runs over the
+    nodes in order, as a scalar loop would add them.
+    """
+    ys = np.atleast_1d(y)
+    a, b = turning_points(model, E).x_right, -1j * ys[:, None]
     nodes, wts = gauss_legendre(64)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    roots = continued_sqrt(model, E, mid + half * nodes, -1)
-    if roots[-1].imag < 0.0:
-        roots = -roots
-    return (sum((wts * roots).tolist()) * half).imag
+    x = mid + half * nodes
+    roots = continued_sqrt(model, E, x.ravel(), -1).reshape(x.shape)
+    roots = np.where(roots[:, -1:].imag < 0.0, -roots, roots)
+    im = (np.cumsum(wts * roots, axis=1)[:, -1:] * half).imag[:, 0]
+    return im if np.ndim(y) else float(im[0])
 
 
 def match_height(model: ModelSpec, E: float) -> float:
@@ -295,30 +333,42 @@ def match_height(model: ModelSpec, E: float) -> float:
     Found as the zero of the imaginary part of the action accumulated from
     the right turning point (path independent).  This is the origin at
     eps = 0 and approaches the turning radius as the deformation grows.
+    The highest sign change among 26 heights up to 1.25 turning radii is
+    refined by the Illinois method (Dowell & Jarratt, BIT 11 (1971) 168)
+    until the bracket is narrower than 1e-12 max(1, r) or the iterate stops
+    moving.
     """
     if model.epsilon == 0.0 and model.M % 2 == 1:
         return 0.0
     r = turning_radius(model, E)
     ys = np.linspace(0.0, 1.25 * r, 26)
-    gs = [_im_action_to_axis(model, E, float(y)) for y in ys]
-    lo = hi = None
-    for i in range(len(ys) - 1, 0, -1):
-        if gs[i] * gs[i - 1] <= 0.0:
-            lo, hi = float(ys[i - 1]), float(ys[i])
-            break
-    if lo is None:
+    gs = _im_action_to_axis(model, E, ys)
+    cross = np.flatnonzero(gs[:-1] * gs[1:] <= 0.0)
+    if not cross.size:
         return float(ys[int(np.argmin(np.abs(gs)))])
-    glo = _im_action_to_axis(model, E, lo)
+    i = int(cross[-1])
+    a, b, fa, fb = float(ys[i]), float(ys[i + 1]), float(gs[i]), float(gs[i + 1])
+    c, side = a, 0
     for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        gm = _im_action_to_axis(model, E, mid)
-        if glo * gm <= 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-        if hi - lo < 1e-12 * max(1.0, r):
+        if b - a < 1e-12 * max(1.0, r):
             break
-    return 0.5 * (lo + hi)
+        c_prev, c = c, (a * fb - b * fa) / (fb - fa)
+        if c == c_prev:
+            break
+        fc = _im_action_to_axis(model, E, c)
+        if fc * fb > 0.0:
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5       # a kept twice: halve its weight
+            side = -1
+        elif fc * fa > 0.0:
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+        else:
+            break
+    return c
 
 
 @dataclass(frozen=True)
@@ -328,6 +378,8 @@ class _Path:
     the corner at radius `corner`, and a chord joins each corner to the
     match point -i ym.  The solve itself puts the corner at the turning
     radius; CHECK_CORNER times it gives a second path to the same point.
+    `steps` holds the Magnus step counts that the ray and the chord start
+    from, fixed when the path is built.
     """
 
     E_ref: float
@@ -335,27 +387,55 @@ class _Path:
     corner: float
     theta: float
     R: float
+    steps: tuple[int, int]
+
+
+def _legs(model: ModelSpec, theta: float, path: _Path):
+    """(V on an array of points, start, end) of the ray of `path` at angle
+    theta and of its chord.  On the ray V = |x|^N potential_phase(theta)."""
+    ex = cmath.exp(1j * theta)
+    n = 2.0 * model.M + model.epsilon
+    phase = potential_phase(model, theta)
+    corner = path.corner * ex
+    return ((lambda x: phase * np.abs(x) ** n, path.R * ex, corner),
+            (functools.partial(potential_value, model), corner, -1j * path.ym))
+
+
+def _shoot(model: ModelSpec, E: complex, theta: float, path: _Path,
+           steps: tuple[int, int], rtol: float) -> tuple[complex, tuple[int, int]]:
+    """psi'/psi at -i ym, carried down the ray of `path` at angle theta and
+    along its chord from `steps` Magnus steps first; and the counts that
+    _segment returns for the two legs."""
+    psi, dpsi_ds = _outgoing_ic(model, E, theta, path.R)    # s = R - |x|
+    dpsi = -dpsi_ds / cmath.exp(1j * theta)
+    counts = []
+    for (v, x0, x1), n in zip(_legs(model, theta, path), steps):
+        psi, dpsi, n = _segment(v, E, x0, x1, psi, dpsi, n, rtol)
+        counts.append(n)
+    return dpsi / psi, tuple(counts)
 
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
                 rtol: float) -> _Path:
-    # the left ray mirrors the right one, and so does its decay depth
+    """The path for E_ref.  Its step counts come from one integration of the
+    right side at E_ref, started from _phase_count on each leg; the left
+    side mirrors the right one, and so do its decay depth and its counts."""
     theta = wedge_angles(model).theta_right
     R = _ray_radius(model, E_ref, theta, radius_factor, rtol)
-    return _Path(E_ref, match_height(model, E_ref), turning_radius(model, E_ref),
-                 theta, R)
+    path = _Path(E_ref, match_height(model, E_ref), turning_radius(model, E_ref),
+                 theta, R, (0, 0))
+    first = [_phase_count(v, E_ref, x0, x1, rtol)
+             for v, x0, x1 in _legs(model, theta, path)]
+    return replace(path, steps=_shoot(model, E_ref, theta, path, first, rtol)[1])
 
 
 def _u_interior(model: ModelSpec, E: complex, side: str, path: _Path,
                 rtol: float) -> complex:
     """psi'/psi at -i ym, integrated along `path` from the outer point."""
+    if not cmath.isfinite(E):
+        raise ShootingError("non-finite energy")
     theta = -math.pi - path.theta if side == "L" else path.theta
-    ex = cmath.exp(1j * theta)
-    corner = path.corner * ex
-    psi, dpsi_ds = _outgoing_ic(model, E, theta, path.R)    # s = R - |x|
-    psi, dpsi = _segment(model, E, path.R * ex, corner, psi, -dpsi_ds / ex, rtol)
-    psi, dpsi = _segment(model, E, corner, -1j * path.ym, psi, dpsi, rtol)
-    return dpsi / psi
+    return _shoot(model, E, theta, path, path.steps, rtol)[0]
 
 
 def _defect(uL: complex, uR: complex) -> complex:
@@ -416,15 +496,15 @@ def _wkb_window(model: ModelSpec, k: int, E_k: float) -> tuple[float, float]:
     return E_k * (k / (k + 0.5)) ** p, E_k * ((k + 1.0) / (k + 0.5)) ** p
 
 
-def _check_shift(model: ModelSpec, E: complex, check: _Path,
+def _check_shift(model: ModelSpec, E: complex, check: _Path, slope: complex,
                  rtol: float) -> float:
-    """|root of the defect on `check` - E|, from one secant step at E, 1.001 E."""
+    """|root of the defect on `check` - E|, from one secant step at E with
+    the solve's slope dE/dw: at a fixed match point the defect does not
+    depend on the path, so neither does its slope."""
     try:
-        c0 = _matching_defect(model, E, check, rtol)[0]
-        c1 = _matching_defect(model, 1.001 * E, check, rtol)[0]
+        return abs(_matching_defect(model, E, check, rtol)[0] * slope)
     except ShootingError:
         return math.inf
-    return abs(c0 * 0.001 * E / (c1 - c0)) if c1 != c0 else math.inf
 
 
 def _check_tolerances(tol: float, rtol: float) -> None:
@@ -526,9 +606,9 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
     if not pt_real:
         logger.warning("PT-reality violated for k=%d: E=%s", k, E1)
     path_ok = True
-    if converged and pt_real and path.ym > 0.0:
+    if converged and pt_real:
         check = replace(path, corner=CHECK_CORNER * path.corner)
-        path_ok = _check_shift(model, E1, check, rtol) <= CHECK_REL * abs(E1)
+        path_ok = _check_shift(model, E1, check, slope, rtol) <= CHECK_REL * abs(E1)
         if not path_ok:
             logger.warning("path-dependent root for k=%d at E=%s", k, E1)
     return EigenResult(k, E1, abs(w1), iterations, converged and pt_real and path_ok)

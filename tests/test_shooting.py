@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -129,7 +130,8 @@ class TestMagnusRay:
         want = oracle_segment(x0, x1, _wkb_start(path.theta, path.R, M, eps, E),
                               M, eps, E)
         psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
-        got = shooting._segment(model, E, x0, x1, psi, -dpsi_ds / ex,
+        v = shooting._legs(model, path.theta, path)[0][0]
+        got = shooting._segment(v, E, x0, x1, psi, -dpsi_ds / ex, path.steps[0],
                                 shooting.DEFAULT_RTOL)
         assert _projective(_scaled(model, E, x1, want),
                            _scaled(model, E, x1, got)) <= 1e-11
@@ -187,9 +189,14 @@ class TestMagnusRay:
         with pytest.raises(shooting.ShootingError), np.errstate(invalid="ignore"):
             shooting._magnus(lambda s: np.full(s.shape, complex(math.nan)),
                              1.0, 1.0, 0.0, 64)
+        # a non-finite energy raises before numpy sees it: no RuntimeWarning
         model = ModelSpec(1, 8.0)
-        with pytest.raises(shooting.ShootingError):
-            _u(model, complex(math.inf), "R", _path(model, 5.55))
+        path = _path(model, 5.55)
+        for E in (math.inf, math.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(shooting.ShootingError):
+                    _u(model, complex(E), "R", path)
 
 
 class TestLogDerivative:
@@ -364,6 +371,59 @@ class TestImActionToAxis:
             want, scale = _im_action_loop(model, E, float(y))
             got = shooting._im_action_to_axis(model, E, float(y))
             assert abs(got - want) <= 1e-15 * scale
+
+
+    @pytest.mark.parametrize("M,eps", [(1, 2.0), (1, 58.0), (2, 6.0), (2, 56.0),
+                                       (3, 1.3), (3, 54.0)])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_heights_at_once(self, M, eps, k):
+        # an array of heights gives what the heights give one by one
+        model = ModelSpec(M, eps)
+        E = shooting.default_seed(model, k)
+        ys = np.linspace(0.0, 1.25 * turning_radius(model, E), 26)
+        got = shooting._im_action_to_axis(model, E, ys)
+        assert got.tolist() == [shooting._im_action_to_axis(model, E, float(y))
+                                for y in ys]
+
+
+def _bisected_height(model, E):
+    """match_height by bisection of the scalar action to 1e-13 max(1, r)."""
+    r = turning_radius(model, E)
+    ys = np.linspace(0.0, 1.25 * r, 26)
+    gs = [shooting._im_action_to_axis(model, E, float(y)) for y in ys]
+    i = max(i for i in range(25) if gs[i] * gs[i + 1] <= 0.0)
+    lo, hi, glo = float(ys[i]), float(ys[i + 1]), gs[i]
+    while hi - lo > 1e-13 * max(1.0, r):
+        mid = 0.5 * (lo + hi)
+        gm = shooting._im_action_to_axis(model, E, mid)
+        if glo * gm <= 0.0:
+            hi = mid
+        else:
+            lo, glo = mid, gm
+    return 0.5 * (lo + hi)
+
+
+class TestMatchHeightRoot:
+    @pytest.mark.parametrize("M,eps", [(1, 2.0), (1, 58.0), (2, 6.0), (2, 56.0),
+                                       (3, 1.3), (3, 54.0)])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_equals_bisection(self, monkeypatch, M, eps, k):
+        # one array scan of the heights, then at most 12 actions to the root
+        model = ModelSpec(M, eps)
+        E = shooting.default_seed(model, k)
+        want = _bisected_height(model, E)
+        calls = []
+        action = shooting._im_action_to_axis
+
+        def counted(model, E, y):
+            calls.append(y)
+            return action(model, E, y)
+
+        monkeypatch.setattr(shooting, "_im_action_to_axis", counted)
+        got = match_height(model, E)
+        assert np.ndim(calls[0]) == 1 and len(calls[0]) == 26
+        assert len(calls) - 1 <= 12
+        assert abs(got - want) <= 1e-13 * max(1.0, turning_radius(model, E))
 
 
 def _bohr_sommerfeld(model, k):
@@ -570,6 +630,112 @@ class TestSolvePath:
         # the check path can flag an inaccurate level
         res = solve_level(ModelSpec(1, 2.0), k)
         assert res.converged == (abs(res.E.real - E_ref) <= 1e-6 * E_ref)
+
+
+    @pytest.mark.parametrize("M,eps,k", [(1, 58.0, 0), (2, 0.0, 20)])
+    def test_two_passes_per_leg(self, monkeypatch, M, eps, k):
+        # the step counts fixed when the path is built let every later
+        # integration on it finish each leg in two Magnus passes; the check
+        # path, whose ray runs on past the turning radius, may double once
+        model = ModelSpec(M, eps)
+        magnus, u_interior = shooting._magnus, shooting._u_interior
+        passes, calls = [0], []
+
+        def counted(*args):
+            passes[0] += 1
+            return magnus(*args)
+
+        def recorded(model, E, side, path, rtol):
+            before = passes[0]
+            u = u_interior(model, E, side, path, rtol)
+            calls.append((path, passes[0] - before))
+            return u
+
+        monkeypatch.setattr(shooting, "_magnus", counted)
+        monkeypatch.setattr(shooting, "_u_interior", recorded)
+        res = solve_level(model, k)
+        assert res.converged
+        solve = [n for path, n in calls
+                 if path.corner == turning_radius(model, path.E_ref)]
+        assert len(solve) >= res.iterations + 2
+        assert solve == [4] * len(solve)
+        assert len(calls) == len(solve) + 1     # one check-path integration
+
+    def test_stored_counts_still_doubled(self):
+        # started from 8 steps on each leg, the doubling reaches the same u
+        model = ModelSpec(1, 58.0)
+        E = 196.0341706067545
+        path = _path(model, E)
+        u = _u(model, E, "R", path)
+        assert abs(_u(model, E, "R", replace(path, steps=(8, 8))) - u) <= 1e-12 * abs(u)
+
+    @staticmethod
+    def _chord_passes(monkeypatch, model, path):
+        """Step counts of the _magnus passes on the chord of `path`, as they
+        run, with their results."""
+        _, x0, x1 = shooting._legs(model, path.theta, path)[1]
+        passes = []
+        magnus = shooting._magnus
+
+        def recorded(q, s1, y0, y1, n):
+            y = magnus(q, s1, y0, y1, n)
+            if s1 == abs(x1 - x0):
+                passes.append((n, y))
+            return y
+
+        monkeypatch.setattr(shooting, "_magnus", recorded)
+        return passes
+
+    def test_count_from_first_pair(self, monkeypatch):
+        # at M = 1, eps = 2, k = 9 the chord's agreeing pair lies at the
+        # rounding floor, and a count taken from it alone is 4.7 times the
+        # phase count; the first pair the build compares bounds it
+        model = ModelSpec(1, 2.0)
+        E = shooting.default_seed(model, 9)
+        path = _path(model, E)
+        passes = self._chord_passes(monkeypatch, model, path)
+        assert _path(model, E) == path
+        assert len(passes) > 2
+        (n, a), (_, b) = passes[:2]
+        k = math.sqrt(abs(potential_value(model, -1j * path.ym) - E)) + 1.0
+        gap = _projective((a[0], a[1] / k), (b[0], b[1] / k))
+        tol = shooting._leg_tol(shooting.DEFAULT_RTOL)
+        assert path.steps[1] <= n * (4.0 * gap / tol) ** (1.0 / 6.0) + 1.0
+
+    def test_floor_count_repeats_last_passes(self, monkeypatch):
+        # at M = 1, eps = 2, k = 14 the chord stops at the rounding floor;
+        # started two doublings below that count, it stops there again
+        model = ModelSpec(1, 2.0)
+        E = shooting.default_seed(model, 14)
+        path = _path(model, E)
+        passes = self._chord_passes(monkeypatch, model, path)
+        assert _path(model, E) == path
+        built = [n for n, _ in passes]
+        passes.clear()
+        _u(model, E, "R", path)
+        assert [n for n, _ in passes] == built[-3:]
+        assert len(built) > 3
+
+    @pytest.mark.parametrize("M,eps,k", [(1, 8.0, 0)] + [(1, 2.0, k) for k in range(8, 17)])
+    def test_one_defect_check_shift(self, monkeypatch, M, eps, k):
+        # the check-path shift from the solve's slope is within a factor 2
+        # of a secant step between E and 1.001 E on the check path
+        model = ModelSpec(M, eps)
+        seen = []
+        check_shift = shooting._check_shift
+
+        def recorded(model, E, check, slope, rtol):
+            shift = check_shift(model, E, check, slope, rtol)
+            seen.append((E, check, shift))
+            return shift
+
+        monkeypatch.setattr(shooting, "_check_shift", recorded)
+        assert solve_level(model, k).converged
+        (E, check, shift), = seen
+        c0 = shooting._matching_defect(model, E, check, shooting.DEFAULT_RTOL)[0]
+        c1 = shooting._matching_defect(model, 1.001 * E, check, shooting.DEFAULT_RTOL)[0]
+        two = abs(c0 * 0.001 * E / (c1 - c0))
+        assert 0.5 * two <= shift <= 2.0 * two
 
 
 class TestHermitianLevels:

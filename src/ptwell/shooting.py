@@ -26,10 +26,10 @@ Both legs are integrated by the sixth-order three-Gauss-point Magnus
 method: psi'' = (V - E) psi is linear, so uniform steps are formed and
 multiplied as numpy arrays, and their number is doubled until two results
 agree to max(rtol/100, 2e-14) in the scaled state (psi, psi'/k), or until
-the agreement stops improving.  On the chord the wanted solution loses
-e^(2G) against the other one, G = int |Im sqrt(E - V) dx|; a chord from the
-turning radius keeps G about half of what an arc at the match height would
-give.
+the agreement, once within its square root, stops improving.  On the chord
+the wanted solution loses e^(2G) against the other one,
+G = int |Im sqrt(E - V) dx|; a chord from the turning radius keeps G about
+half of what an arc at the match height would give.
 
 A solve builds its integration path (outer radius, corner radius, match
 height and the step count each leg starts from) once, from the seed
@@ -264,8 +264,12 @@ def _segment(v, E: complex, x0: complex, x1: complex, psi: complex,
     steps, `steps` of them first, are doubled until the results for n and 2n
     agree in the scaled coordinates (psi, psi_s/k), k = sqrt|q| + 1 at x1,
     to tol = max(rtol/100, 2e-14): |a0 b1 - a1 b0| <= tol |a| |b|, or until
-    a doubling shrinks that gap by less than 8: the sixth-order error
-    shrinks by 64, so the rest is rounding.  The projective test holds also
+    a doubling shrinks a gap of at most sqrt(tol) by less than 8: the
+    sixth-order error shrinks by 64, so the rest is rounding.  The bound
+    keeps out counts short of the sixth-order regime, which also shrink the
+    gap by less than 8, at gaps near 0.16 (M = 1, eps = 2, k = 30 from 8
+    steps); the largest rounding floor met is 0.44 sqrt(tol), 1.4e-7 at
+    tol = 1e-13 on the chord of that level.  The projective test holds also
     where psi or psi_s vanishes at x1, as at the origin for even and odd
     levels at eps = 0.  A count too small for this segment is therefore
     doubled, never trusted.
@@ -296,7 +300,7 @@ def _segment(v, E: complex, x0: complex, x1: complex, psi: complex,
             best = min(best, steps / 2 * (4.0 * gap / tol) ** (1.0 / 6.0))
             if gap <= tol:
                 return y0, y1 / u, max(8, math.ceil(best))
-            if 8.0 * gap > last:
+            if 8.0 * gap > last and gap <= math.sqrt(tol):
                 return y0, y1 / u, steps // 4
         prev, steps = (a0, a1), 2 * steps
     raise ShootingError(f"segment needs more than {_MAX_RAY_STEPS} Magnus steps")

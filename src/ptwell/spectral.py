@@ -12,9 +12,11 @@ is analytic.  rho is the turning radius of the leading WKB energy of the
 highest wanted level.  The half-width L puts the ends where the WKB decay
 exponent of the ground level, int sqrt(r^N - r0^N) dr from its turning
 radius r0, reaches a fixed depth; a fixed L cuts the wedges short for some
-(M, eps) while two sizes on it still agree.  One numpy.linalg.eigvals of
-the interior collocation matrix gives every level, and by PT symmetry the
-levels are its real eigenvalues in ascending order.
+(M, eps) while two sizes on it still agree.  The levels are the real
+eigenvalues of the interior collocation matrix A, in ascending order.  PT
+symmetry makes A centrohermitian, J conj(A) J = A with J the flip, so Lee's
+unitary Q makes Q^H A Q real (A. Lee, Linear Algebra Appl. 29 (1980) 205),
+and one real numpy.linalg.eigvals of it gives every level.
 
 A level is certified only when two contours of different depth and size
 (CONTOURS) agree on it and on every level below it.  A contour too short
@@ -65,31 +67,53 @@ def _cheb(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, d, d @ d
 
 
-def _end_radius(n: float, r0: float, depth: float) -> float:
-    """R where int_r0^R sqrt(r^n - r0^n) dr reaches depth.
+@functools.cache
+def _lee(m: int) -> np.ndarray:
+    """Lee's unitary Q of size m, (1/sqrt 2) [[I, 0, iI], [0, sqrt 2, 0],
+    [J, 0, -iJ]] with blocks of size m // 2 and the middle row and column
+    only for odd m: Q^H A Q is real when J conj(A) J = A; shared and only
+    read by callers."""
+    h = m // 2
+    i = np.arange(h)
+    q = np.zeros((m, m), dtype=complex)
+    q[i, i] = q[m - 1 - i, i] = math.sqrt(0.5)
+    q[i, m - h + i] = 1j * math.sqrt(0.5)
+    q[m - 1 - i, m - h + i] = -1j * math.sqrt(0.5)
+    if m % 2:
+        q[h, h] = 1.0
+    return q
 
-    With r = r0 (1 + (T - 1) w^2) the integrand is smooth in w on [0, 1],
-    so 32 Gauss-Legendre nodes give the exponent; T is found by bisection.
-    """
+
+def _decay(n: float, T: float) -> float:
+    """int_1^T sqrt(t^n - 1) dt.  With t = 1 + (T - 1) w^2 the integrand is
+    smooth in w on [0, 1], so 32 Gauss-Legendre nodes give it."""
     nodes, wts = gauss_legendre(32)
     w = 0.5 * (nodes + 1.0)
-    scale = r0 ** (0.5 * n + 1.0)
+    t = 1.0 + (T - 1.0) * w * w
+    return (T - 1.0) * float(np.dot(wts, w * np.sqrt(t ** n - 1.0)))
 
-    def reached(T: float) -> float:
-        t = 1.0 + (T - 1.0) * w * w
-        with np.errstate(over="ignore"):    # inf: depth reached
-            return scale * (T - 1.0) * float(np.dot(wts, w * np.sqrt(t ** n - 1.0)))
 
-    lo, hi = 1.0, 2.0
-    while reached(hi) < depth:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if reached(mid) < depth:
-            lo = mid
-        else:
-            hi = mid
-    return r0 * hi
+def _end_radius(n: float, r0: float, depth: float) -> float:
+    """R = r0 T where int_r0^R sqrt(r^n - r0^n) dr reaches depth.
+
+    With p = n/2 + 1 that is _decay(n, T) = depth/r0^p, solved by Newton in
+    log T with the exact slope sqrt(T^n - 1), started where
+    T^p = 1 + p depth/r0^p.  There _decay <= depth/r0^p, as
+    sqrt(t^n - 1) <= t^(n/2), and the iterates rise to the root from below.
+    From the matching bound above, (T - 1)^p = p depth/r0^p, the first step
+    overshoots below the root, and for depth = WALL_DEPTH at M = 1, eps >= 9
+    below T = 1.
+    """
+    p = 0.5 * n + 1.0
+    target = depth / r0 ** p
+    T = (1.0 + p * target) ** (1.0 / p)
+    for _ in range(50):
+        got = _decay(n, T)
+        step = math.log(got / target) * got / (T * math.sqrt(T ** n - 1.0))
+        T *= math.exp(-step)
+        if abs(step) <= 1e-14:
+            break
+    return r0 * T
 
 
 def _scales(model: ModelSpec, k_max: int) -> tuple[float, float, float]:
@@ -126,8 +150,11 @@ def _walled(model: ModelSpec, theta: float, rho: float, r0: float) -> bool:
     return r > _end_radius(n, r0, WALL_DEPTH)
 
 
-def _levels(model: ModelSpec, scales: tuple[float, float, float],
-            k_max: int, depth: float, n: int) -> np.ndarray:
+def _interior(model: ModelSpec, scales: tuple[float, float, float],
+              depth: float, n: int) -> np.ndarray:
+    """The interior rows and columns of the n-point collocation matrix of
+    -d^2/dx^2 + V on the hyperbola for `scales` (_scales), whose ends reach
+    the ground level's WKB decay depth `depth` or the radius rho."""
     theta, rho, r0 = scales
     R = max(_end_radius(2.0 * model.M + model.epsilon, r0, depth), rho)
     # |x(s)|^2 = rho^2 (sinh^2 s + sin^2 theta)
@@ -141,7 +168,16 @@ def _levels(model: ModelSpec, scales: tuple[float, float, float],
     # d/ds = d/dt / L
     a = (x / (L * xs ** 3))[:, None] * d1 - (1.0 / (L * xs) ** 2)[:, None] * d2
     a += np.diag(potential_value(model, x))
-    ev = np.linalg.eigvals(a[1:-1, 1:-1])
+    return a[1:-1, 1:-1]
+
+
+def _levels(model: ModelSpec, scales: tuple[float, float, float],
+            k_max: int, depth: float, n: int) -> np.ndarray:
+    # x(-s) = -conj x(s), x_s(-s) = conj x_s(s), V(-conj x) = conj V(x), d1
+    # skew- and d2 centrosymmetric: the interior is centrohermitian, and
+    # .real drops only rounding, as the nodes are symmetric only to rounding
+    q = _lee(n - 1)
+    ev = np.linalg.eigvals((q.conj().T @ _interior(model, scales, depth, n) @ q).real)
     real = ev[(np.abs(ev.imag) <= REAL_REL * np.abs(ev)) & (ev.real > 0.0)].real
     return np.sort(real)[:k_max + 1]
 

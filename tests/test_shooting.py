@@ -669,6 +669,24 @@ class TestSolvePath:
         u = _u(model, E, "R", path)
         assert abs(_u(model, E, "R", replace(path, steps=(8, 8))) - u) <= 1e-12 * abs(u)
 
+    @pytest.mark.parametrize("M,eps,k,coeffs,tol", [
+        (2, 0.0, 20, [0, 0, 0, 0, 1], 1e-9),
+        # the k = 30 chord's rounding floor moves u by up to 4e-7 between
+        # start counts that reach the sixth-order regime
+        (1, 2.0, 30, [0, -2, 0, 0, 4], 1e-6)])
+    def test_coarse_start_not_taken_for_floor(self, M, eps, k, coeffs, tol):
+        # from 8 steps, the first doublings shrink O(1) gaps by less than 8;
+        # they must be doubled on, not returned as the rounding floor
+        model = ModelSpec(M, eps)
+        E = oscillator_levels(coeffs, k + 1)[k]
+        path = _path(model, E)
+        u = _u(model, E, "R", path)
+        try:
+            coarse = _u(model, E, "R", replace(path, steps=(8, 8)))
+        except shooting.ShootingError:
+            return
+        assert abs(shooting._defect(coarse, u)) <= tol
+
     @staticmethod
     def _chord_passes(monkeypatch, model, path):
         """Step counts of the _magnus passes on the chord of `path`, as they

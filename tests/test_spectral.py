@@ -83,3 +83,97 @@ class TestCertification:
         for _, tol in levels:
             m = next((k for k, (_, rel) in enumerate(levels) if rel > tol), 6)
             assert certified_levels(model, 5, tol) == levels[:m]
+
+
+def _complex_levels(model, scales, k_max, depth, n):
+    # _levels by the complex eigensolve of the interior matrix itself
+    ev = np.linalg.eigvals(spectral._interior(model, scales, depth, n))
+    real = ev[(np.abs(ev.imag) <= spectral.REAL_REL * np.abs(ev)) & (ev.real > 0.0)].real
+    return np.sort(real)[:k_max + 1]
+
+
+SMALL_GRID = [(M, eps) for M in (1, 2, 3) for eps in (0.0, 1.1, 4.5, 8.0)]
+
+
+class TestRealEigensolve:
+    @pytest.mark.parametrize("M,eps", SMALL_GRID)
+    def test_interior_centrohermitian(self, M, eps):
+        model = ModelSpec(M, eps)
+        scales = spectral._scales(model, 5)
+        for depth, n in spectral.CONTOURS:
+            a = spectral._interior(model, scales, depth, n)
+            assert np.linalg.norm(a[::-1, ::-1].conj() - a) <= 1e-13 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 88, 89, 109])
+    def test_lee_unitary(self, m):
+        q = spectral._lee(m)
+        assert np.abs(q.conj().T @ q - np.eye(m)).max() <= 1e-15
+
+    @pytest.mark.parametrize("M,eps", SMALL_GRID)
+    def test_levels_match_complex_eigensolve(self, M, eps):
+        model = ModelSpec(M, eps)
+        scales = spectral._scales(model, 5)
+        count = len(certified_levels(model, 5, 1e-9))
+        assert count > 0
+        for depth, n in spectral.CONTOURS:
+            got = spectral._levels(model, scales, 5, depth, n)[:count]
+            want = _complex_levels(model, scales, 5, depth, n)[:count]
+            assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+    def test_certified_counts_match_complex_eigensolve(self, monkeypatch):
+        points = [(M, eps, (0, 5, 10)[(i + M) % 3]) for M in (1, 2, 3)
+                  for i, eps in enumerate(np.linspace(0.0, 40.0, 10))]
+        real = [len(certified_levels(ModelSpec(M, eps), k, 1e-9))
+                for M, eps, k in points]
+        monkeypatch.setattr(spectral, "_levels", _complex_levels)
+        assert real == [len(certified_levels(ModelSpec(M, eps), k, 1e-9))
+                        for M, eps, k in points]
+        assert sum(real) > 50
+
+
+def _bisection(n, r0, depth, decay=spectral._decay):
+    # R of _end_radius by doubling and 40 bisection steps
+    target = depth / r0 ** (0.5 * n + 1.0)
+    lo, hi = 1.0, 2.0
+    while decay(n, hi) < target:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if decay(n, mid) < target else (lo, mid)
+    return r0 * hi
+
+
+class TestEndRadius:
+    @pytest.mark.parametrize("eps", [9.0, 40.0, 160.0])
+    def test_small_target(self, eps):
+        # at M = 1 the wall depth is small against r0^(n/2 + 1), and a
+        # Newton start above the root steps below T = 1
+        n, r0 = 2.0 + eps, spectral._scales(ModelSpec(1, eps), 0)[2]
+        got = spectral._end_radius(n, r0, spectral.WALL_DEPTH)
+        assert got == pytest.approx(_bisection(n, r0, spectral.WALL_DEPTH), rel=1e-12)
+
+    def test_newton_matches_bisection(self, monkeypatch):
+        end_radius, decay = spectral._end_radius, spectral._decay
+        calls, evals = [], []
+
+        def recorded(n, r0, depth):
+            calls.append((n, r0, depth))
+            return end_radius(n, r0, depth)
+
+        def counted(n, T):
+            evals[-1] += 1
+            return decay(n, T)
+
+        monkeypatch.setattr(spectral, "_end_radius", recorded)
+        for M in (1, 2, 3, 4):
+            for eps in np.arange(0.0, 61.0, 10.0):
+                for k_max in (0, 10):
+                    certified_levels(ModelSpec(M, eps), k_max, 1e-9)
+        assert {depth for _, _, depth in calls} == {spectral.WALL_DEPTH} | {
+            depth for depth, _ in spectral.CONTOURS}
+        monkeypatch.setattr(spectral, "_decay", counted)
+        for args in calls:
+            evals.append(0)
+            R = end_radius(*args)
+            assert evals[-1] <= 8
+            assert R == pytest.approx(_bisection(*args), rel=1e-12)

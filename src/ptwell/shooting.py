@@ -1,15 +1,15 @@
 """Finite-deformation eigensolver by complex-ray shooting.
 
 The Schroedinger equation -psi'' + V psi = E psi is integrated inward along
-the two anti-Stokes rays that carry the decay boundary conditions, starting
-from the WKB decaying solution with its first correction at the outer radius
-where the accumulated decay exponent reaches 1/2 ln(1/rtol) + 1.5: the
-inward integration damps the start error by about e^(-2 depth), so it ends
-below the integrator tolerance.  Eigenvalues are the zeros of a normalized
-log-derivative matching defect, located by a damped complex secant
-iteration.  Where the seed is Bohr-Sommerfeld (M = 1, or eps < 4) level k
-lies between the WKB energies at k - 1/2 and k + 1/2, and an iterate that
-leaves that window ends the solve unconverged.
+the two anti-Stokes rays that carry the decay boundary conditions, from the
+WKB decaying solution with its first correction at the outer radius where
+the decay exponent reaches 1/2 ln(1/rtol) + 1.5: the inward integration
+damps the start error by about e^(-2 depth), below the integrator
+tolerance.  Eigenvalues are the zeros of a normalized log-derivative
+matching defect, located by a damped complex secant iteration.  Where the
+seed is Bohr-Sommerfeld (M = 1, or eps < 4) level k lies between the WKB
+energies at k - 1/2 and k + 1/2, and an iterate that leaves that window
+ends the solve unconverged.
 
 The solver matches on the negative imaginary axis at the height where the
 classically allowed arch joining the turning points crosses it.  The signal
@@ -21,24 +21,17 @@ of sqrt(E - V), whose root geometry.continued_sqrt continues along a
 straight segment.
 
 Each ray runs in to the turning radius, and a straight chord joins its end
-to the match point.  On the ray V = r^(2M + eps) potential_phase(theta).
-Both legs are integrated by the sixth-order three-Gauss-point Magnus
-method: psi'' = (V - E) psi is linear, so uniform steps are formed and
-multiplied as numpy arrays, and their number is doubled until two results
-agree to max(rtol/100, 2e-14) in the scaled state (psi, psi'/k), or until
-the agreement, once within its square root, stops improving.  On the chord
-the wanted solution loses e^(2G) against the other one,
-G = int |Im sqrt(E - V) dx|; a chord from the turning radius keeps G about
-half of what an arc at the match height would give.
-
-A solve builds its integration path (outer radius, corner radius, match
-height and the step count each leg starts from) once, from the seed
-energy, and rebuilds it only when |E| leaves a band of PATH_BAND around the
-energy it was built for.  The build integrates the right side once at that
-energy, starting each leg from a count proportional to its WKB phase, and
-keeps the count at which the sixth-order error law puts the first pair of
-counts a factor 4 inside the tolerance: every later integration on the path
-then takes two passes per leg, and still doubles a count that falls short.
+to the match point; on the chord the wanted solution loses e^(2G) against
+the other one, G = int |Im sqrt(E - V) dx|, about half of what an arc at
+the match height would give.  Both legs are integrated by the sixth-order
+Magnus method, doubling the step count until two counts agree (_segment).
+psi'' = (V - E) psi is linear and a transfer matrix does not depend on the
+state it carries, so one call of the kernel _transfers forms the first two
+counts of both legs of a shot in one numpy pass and one pairwise tree.  A
+solve builds its path (outer radius, corner, match height and the count
+each leg starts from) once, from the seed energy, and rebuilds it only when
+|E| leaves a band of PATH_BAND around it; the counts it keeps let every
+later integration on the path take two passes per leg (_build_path).
 
 For real E the left solution is the PT mirror of the right one,
 u_L(-i y*) = -conj(u_R(-i y*)), so the defect needs only the right ray and
@@ -48,23 +41,18 @@ integrated once there, and the PT-reality check is applied to the secant
 step that this two-ray defect would take.  The ray integrations mirror
 each other to rounding, so that check sees no integration error; a
 converged root is therefore also re-checked on a second path to the same
-match point, whose rays turn at CHECK_CORNER times the turning radius and
-which starts from the step counts of the solve's path.  An eigenvalue does
-not depend on the path, so a root that moves by more than CHECK_REL |E| is
-reported unconverged.  The defect at a fixed match point does not depend on
-the path either, so one defect evaluation on the check path and the slope
-of the solve's last secant step give that move.  All operations are pure.
-
-scan_levels shoots only the levels that the spectral engine
-(ptwell.spectral) does not certify: at each grid point it takes levels
-0, 1, ... from two Chebyshev-collocation eigensolves as long as both
-contours agree within tol, and shoots the rest from continuation seeds.
+match point, whose rays turn at CHECK_CORNER times the turning radius: an
+eigenvalue does not depend on the path, so a root that moves there by more
+than CHECK_REL |E| is reported unconverged (_check_shift gives the move).
+All operations are pure.  scan_levels shoots only the levels that the
+spectral engine (ptwell.spectral) does not certify.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -180,15 +168,13 @@ def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
 # ---------------------------------------------------------------------------
 
 _GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
-_IDENTITY = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
+_IDENTITY = np.eye(2, dtype=complex)[..., None]
 _MAX_RAY_STEPS = 2 ** 16     # a segment that needs more raises: caps its memory
-_TAIL = 16                  # transfer matrices left for a scalar loop
 
 
-def _magnus(q, s1: float, y0: complex, y1: complex,
-            n: int) -> tuple[complex, complex]:
-    """(psi, dpsi/ds) at s1 from (y0, y1) at 0, for psi_ss = q(s) psi, in n
-    uniform sixth-order Magnus steps, up to a common scale.
+def _step_matrices(qs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Entries (a, b, c, e), shape (4, N), of the matrices [[a, b], [c, e]]
+    of Magnus steps of sizes h, from q at their Gauss nodes, shape (3, N).
 
     The three-Gauss-point scheme of Blanes, Casas, Oteo & Ros, Phys. Rep.
     470 (2009) 151, section 4: with A_j = [[0, 1], [q_j, 0]] at the nodes,
@@ -197,13 +183,8 @@ def _magnus(q, s1: float, y0: complex, y1: complex,
     Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.  In the basis
     E12, E21, H = diag(1, -1) the commutators are closed forms, and the
     traceless exp(Omega) = cosh d I + sinh d/d Omega with d^2 = -det Omega.
-    The step matrices are multiplied pairwise as a tree, and at each level
-    every matrix is divided by its own largest entry: a common scale would
-    let matrices far below the largest one underflow to zero.  `q` takes
-    an array of s.
     """
-    h = s1 / n
-    q1, q2, q3 = q(h * (np.arange(n)[:, None] + _GAUSS3)).T
+    q1, q2, q3 = qs
     b2 = (math.sqrt(15.0) / 3.0 * h) * (q3 - q1)
     b3 = (10.0 / 3.0 * h) * (q3 - 2.0 * q2 + q1)
     hq2, hb2 = h * q2, h * b2
@@ -219,21 +200,59 @@ def _magnus(q, s1: float, y0: complex, y1: complex,
     small = np.abs(d2) < 1e-6
     sh = 0.5 * (ed - 1.0 / ed) / np.where(small, 1.0, d)
     sh[small] = (1.0 + d2 / 6.0 + d2 * d2 / 120.0)[small]
-    m = np.stack([ch + sh * w, sh * w12, sh * w21, ch - sh * w])
+    return np.stack([ch + sh * w, sh * w12, sh * w21, ch - sh * w])
+
+
+def _transfers(legs: Sequence[tuple]) -> list[list[complex]]:
+    """[a, b, c, e] of the transfer matrix [[a, b], [c, e]], up to a scale,
+    of n uniform Magnus steps on [0, length] for psi_ss = q(s) psi, q taking
+    an array of s, for each count n of each (q, length, counts) in `legs`.
+
+    The one Magnus kernel: q is called once per leg, every step matrix is
+    formed in one vector pass, and the blocks of steps, one per count, are
+    multiplied pairwise in one tree.  Each block is padded with identities
+    to a power of two and the blocks are laid out largest first, so no pair
+    straddles two blocks and a block leaves the tree, from the end, once it
+    is one matrix.  At each level every matrix is divided by its own largest
+    entry: a common scale would let matrices far below it underflow to zero.
+    """
+    counts = [n for _, _, ns in legs for n in ns]
+    if max(counts) > _MAX_RAY_STEPS:
+        raise ShootingError(f"segment needs more than {_MAX_RAY_STEPS} Magnus steps")
+    qs = np.concatenate([q(np.concatenate(
+        [length / n * (np.arange(n) + _GAUSS3[:, None]) for n in ns], axis=1))
+        for q, length, ns in legs], axis=1)
+    hs = np.repeat([length / n for _, length, ns in legs for n in ns], counts)
+    steps = _step_matrices(qs, hs).reshape(2, 2, -1)
+    blocks = [steps[..., e - n:e] for n, e in zip(counts, itertools.accumulate(counts))]
+    sizes = [1 << (n - 1).bit_length() for n in counts]
+    order = sorted(range(len(counts)), key=sizes.__getitem__, reverse=True)
+    m = np.concatenate([part for i in order for part in (
+        blocks[i], np.broadcast_to(_IDENTITY, (2, 2, sizes[i] - counts[i])))], axis=2)
+    out, width = [None] * len(counts), 1
     while True:
-        scale = np.abs(m).max(axis=0)
-        if not ((0.0 < scale) & (scale < math.inf)).all():
+        scale = np.abs(m).max(axis=(0, 1))
+        if not 0.0 < scale.min() <= scale.max() < math.inf:
             raise ShootingError("non-finite propagator")
         m /= scale
-        if m.shape[1] <= _TAIL:
-            break
-        if m.shape[1] % 2:
-            m = np.concatenate([m, _IDENTITY], axis=1)
-        # later step on the left: (l r) for l = m[:, 2i + 1], r = m[:, 2i]
-        l, r = m[:, 1::2], m[:, 0::2]
-        m = l[[0, 0, 2, 2]] * r[[0, 1, 0, 1]] + l[[1, 1, 3, 3]] * r[[2, 3, 2, 3]]
-    for a, b, c, e in m.T.tolist():
-        y0, y1 = a * y0 + b * y1, c * y0 + e * y1
+        while order and sizes[order[-1]] == width:
+            out[order.pop()] = m[..., -1].ravel().tolist()
+            m = m[..., :-1]
+        if not order:
+            return out
+        # later step on the left: l r for l = m[..., 2i + 1], r = m[..., 2i]
+        l, r = m[..., 1::2], m[..., 0::2]
+        m = l[:, :1] * r[:1] + l[:, 1:] * r[1:]
+        width *= 2
+
+
+def _magnus(q, s1: float, y0: complex, y1: complex, n: int,
+            t: list[complex] | None = None) -> tuple[complex, complex]:
+    """(psi, dpsi/ds) at s1 from (y0, y1) at 0, for psi_ss = q(s) psi, in n
+    uniform sixth-order Magnus steps, up to a common scale: by their
+    transfer matrix t, else by _transfers.  Every Magnus pass comes here."""
+    a, b, c, e = t if t is not None else _transfers([(q, s1, (n,))])[0]
+    y0, y1 = a * y0 + b * y1, c * y0 + e * y1
     scale = max(abs(y0), abs(y1))
     return y0 / scale, y1 / scale
 
@@ -243,36 +262,31 @@ def _leg_tol(rtol: float) -> float:
     return max(rtol / 100.0, 2e-14)
 
 
-def _phase_count(v, E: float, x0: complex, x1: complex, rtol: float) -> int:
-    """Magnus steps to try first on the segment from x0 to x1, with no
-    count known: 0.16 tol^(-1/6) per radian of the WKB phase
-    int sqrt|V - E| ds (33-point trapezoid), above the 0.05..0.14 that the
-    agreement needs on the rays of M = 1..3, eps = 0..58, k = 0..28."""
-    qs = v(x0 + (x1 - x0) * np.linspace(0.0, 1.0, 33)) - E
-    phase = float(np.trapezoid(np.sqrt(np.abs(qs)), dx=abs(x1 - x0) / 32.0))
+def _phase_count(q, length: float, rtol: float) -> int:
+    """Magnus steps to try first on a leg, with no count known:
+    0.16 tol^(-1/6) per radian of the WKB phase int sqrt|V - E| ds
+    (33-point trapezoid), above the 0.05..0.14 that the agreement needs on
+    the rays of M = 1..3, eps = 0..58, k = 0..28."""
+    qs = q(np.linspace(0.0, length, 33))
+    phase = float(np.trapezoid(np.sqrt(np.abs(qs)), dx=length / 32.0))
     return max(8, math.ceil(0.16 * phase * _leg_tol(rtol) ** (-1.0 / 6.0)))
 
 
-def _segment(v, E: complex, x0: complex, x1: complex, psi: complex,
-             dpsi: complex, steps: int, rtol: float) -> tuple[complex, complex, int]:
-    """(psi, dpsi/dx) at x1 from (psi, dpsi/dx) at x0, carried along the
-    straight segment between them, up to a common scale; and the step count
-    to start from on a segment like it.
+def _segment(leg: tuple, psi: complex, dpsi: complex, steps: int, rtol: float,
+             first: Sequence[list[complex]]) -> tuple[complex, complex, int]:
+    """(psi, dpsi/dx) at the end x1 of `leg` (see _legs) from (psi, dpsi/dx)
+    at its start, up to a common scale, and the step count to start from on
+    a leg like it.  `first` holds the transfer matrices of the first passes.
 
-    `v` gives V at an array of points of the segment.  With u the segment's
-    unit direction, psi_ss = q(s) psi with q = u^2 (V(x0 + s u) - E).  Magnus
-    steps, `steps` of them first, are doubled until the results for n and 2n
-    agree in the scaled coordinates (psi, psi_s/k), k = sqrt|q| + 1 at x1,
-    to tol = max(rtol/100, 2e-14): |a0 b1 - a1 b0| <= tol |a| |b|, or until
-    a doubling shrinks a gap of at most sqrt(tol) by less than 8: the
-    sixth-order error shrinks by 64, so the rest is rounding.  The bound
-    keeps out counts short of the sixth-order regime, which also shrink the
-    gap by less than 8, at gaps near 0.16 (M = 1, eps = 2, k = 30 from 8
-    steps); the largest rounding floor met is 0.44 sqrt(tol), 1.4e-7 at
-    tol = 1e-13 on the chord of that level.  The projective test holds also
-    where psi or psi_s vanishes at x1, as at the origin for even and odd
-    levels at eps = 0.  A count too small for this segment is therefore
-    doubled, never trusted.
+    The count, `steps` first, is doubled until the results for n and 2n
+    agree in (psi, psi_s/k), k = sqrt|q| + 1 at x1, to
+    tol = max(rtol/100, 2e-14): |a0 b1 - a1 b0| <= tol |a| |b|, a test that
+    holds also where psi or psi_s vanishes at x1; or until a doubling shrinks
+    a gap of at most sqrt(tol) by less than 8, where the sixth-order error
+    shrinks by 64, so the rest is rounding.  The bound keeps out coarse
+    counts, which stall at gaps near 0.16 (M = 1, eps = 2, k = 30 from 8
+    steps); rounding floors stay below 0.44 sqrt(tol).  A count too small is
+    therefore doubled, never trusted.
 
     The count returned: the gap falls as n^-6, so a pair (n, 2n) at gap g
     puts the pair that meets tol with a margin of 4 at n (4 g/tol)^(1/6)
@@ -282,17 +296,13 @@ def _segment(v, E: complex, x0: complex, x1: complex, psi: complex,
     rounding floor, the count two doublings below the last, which reaches
     the floor again in three passes.
     """
-    length = abs(x1 - x0)
-    u = (x1 - x0) / length
-
-    def q(s):
-        return u * u * (v(x0 + s * u) - E)
-
+    q, length, u = leg
     tol = _leg_tol(rtol)
     k = math.sqrt(abs(q(np.array([length]))[0])) + 1.0
+    first = iter(first)
     prev, gap, best = None, math.inf, math.inf
-    while steps <= _MAX_RAY_STEPS:
-        y0, y1 = _magnus(q, length, psi, u * dpsi, steps)
+    while True:     # _transfers raises past _MAX_RAY_STEPS
+        y0, y1 = _magnus(q, length, psi, u * dpsi, steps, next(first, None))
         a0, a1 = y0, y1 / k
         if prev is not None:
             last, gap = gap, abs(prev[0] * a1 - prev[1] * a0) / (
@@ -303,7 +313,6 @@ def _segment(v, E: complex, x0: complex, x1: complex, psi: complex,
             if 8.0 * gap > last and gap <= math.sqrt(tol):
                 return y0, y1 / u, steps // 4
         prev, steps = (a0, a1), 2 * steps
-    raise ShootingError(f"segment needs more than {_MAX_RAY_STEPS} Magnus steps")
 
 
 # ---------------------------------------------------------------------------
@@ -394,29 +403,36 @@ class _Path:
     steps: tuple[int, int]
 
 
-def _legs(model: ModelSpec, theta: float, path: _Path):
-    """(V on an array of points, start, end) of the ray of `path` at angle
-    theta and of its chord.  On the ray V = |x|^N potential_phase(theta)."""
+def _legs(model: ModelSpec, E: complex, theta: float, path: _Path) -> list[tuple]:
+    """(q, length, u) of the ray of `path` at angle theta, where
+    V = |x|^N potential_phase(theta), and of its chord, at energy E:
+    psi_ss = q(s) psi on [0, length] along the unit direction u."""
     ex = cmath.exp(1j * theta)
     n = 2.0 * model.M + model.epsilon
     phase = potential_phase(model, theta)
+
+    def leg(v, x0, x1):
+        u = (x1 - x0) / abs(x1 - x0)
+        return (lambda s: u * u * (v(x0 + s * u) - E)), abs(x1 - x0), u
+
     corner = path.corner * ex
-    return ((lambda x: phase * np.abs(x) ** n, path.R * ex, corner),
-            (functools.partial(potential_value, model), corner, -1j * path.ym))
+    return [leg(lambda x: phase * np.abs(x) ** n, path.R * ex, corner),
+            leg(functools.partial(potential_value, model), corner, -1j * path.ym)]
 
 
 def _shoot(model: ModelSpec, E: complex, theta: float, path: _Path,
            steps: tuple[int, int], rtol: float) -> tuple[complex, tuple[int, int]]:
     """psi'/psi at -i ym, carried down the ray of `path` at angle theta and
-    along its chord from `steps` Magnus steps first; and the counts that
-    _segment returns for the two legs."""
+    along its chord from `steps` Magnus steps first, whose first two passes
+    take one call of _transfers; and the counts that _segment returns."""
     psi, dpsi_ds = _outgoing_ic(model, E, theta, path.R)    # s = R - |x|
     dpsi = -dpsi_ds / cmath.exp(1j * theta)
-    counts = []
-    for (v, x0, x1), n in zip(_legs(model, theta, path), steps):
-        psi, dpsi, n = _segment(v, E, x0, x1, psi, dpsi, n, rtol)
-        counts.append(n)
-    return dpsi / psi, tuple(counts)
+    legs = _legs(model, E, theta, path)
+    firsts = _transfers([(q, length, (n, 2 * n))
+                         for (q, length, _), n in zip(legs, steps)])
+    psi, dpsi, ray = _segment(legs[0], psi, dpsi, steps[0], rtol, firsts[:2])
+    psi, dpsi, chord = _segment(legs[1], psi, dpsi, steps[1], rtol, firsts[2:])
+    return dpsi / psi, (ray, chord)
 
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
@@ -428,8 +444,8 @@ def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
     R = _ray_radius(model, E_ref, theta, radius_factor, rtol)
     path = _Path(E_ref, match_height(model, E_ref), turning_radius(model, E_ref),
                  theta, R, (0, 0))
-    first = [_phase_count(v, E_ref, x0, x1, rtol)
-             for v, x0, x1 in _legs(model, theta, path)]
+    first = [_phase_count(q, length, rtol)
+             for q, length, _ in _legs(model, E_ref, theta, path)]
     return replace(path, steps=_shoot(model, E_ref, theta, path, first, rtol)[1])
 
 

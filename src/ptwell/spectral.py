@@ -23,7 +23,10 @@ A level is certified only when two contours of different depth and size
 for a level, or a size too small for it, moves the level by more on one
 contour than on the other; so does a spurious eigenvalue, which shifts the
 labels of every level above it.  The two agree to about 1e-13 where
-collocation resolves the levels.  Where it does not, they disagree instead
+collocation resolves the levels on a contour sized for them; low levels on
+a contour sized for a much higher k_max carry rounding noise up to about
+3e-10 (M = 1, eps = 3, k_max = 30), which a tol of 1e-9 still certifies.
+Where collocation does not resolve the levels, the contours disagree instead
 of agreeing on a wrong value: near eps = 0+, where the vertex passes close
 to the branch point of V at the origin (M = 1, eps = 0.2: 3e-9), and at
 large deformations (M = 1, eps = 18: 3e-7; eps >= 28: no agreement).  The

@@ -138,6 +138,15 @@ class TestScaledOde:
                 for z in _z_samples(rng):
                     assert scaled_ode_residual(M, lv.F, z, psi) <= 1e-6
 
+    def test_near_node_at_origin(self):
+        # the M = 2, nu = 2/3 eigenfunction vanishes at z = 0; there the
+        # difference step's rounding noise is largest against |psi''|
+        psi = lambda zz: limit_wavefunction(2, 2.0 / 3.0, zz)
+        grid = np.linspace(-0.05, 0.05, 11)
+        worst = max(scaled_ode_residual(2, 1.0 / 9.0, complex(x, y), psi)
+                    for x in grid for y in grid)
+        assert worst <= 1e-6
+
     def test_wrong_level_rejected(self):
         # the nu = 3/2 eigenfunction does not satisfy the F = 1/16 equation
         rng = np.random.default_rng(42)

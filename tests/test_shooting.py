@@ -130,9 +130,9 @@ class TestMagnusRay:
         want = oracle_segment(x0, x1, _wkb_start(path.theta, path.R, M, eps, E),
                               M, eps, E)
         psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
-        v = shooting._legs(model, path.theta, path)[0][0]
-        got = shooting._segment(v, E, x0, x1, psi, -dpsi_ds / ex, path.steps[0],
-                                shooting.DEFAULT_RTOL)
+        leg = shooting._legs(model, E, path.theta, path)[0]
+        got = shooting._segment(leg, psi, -dpsi_ds / ex, path.steps[0],
+                                shooting.DEFAULT_RTOL, ())
         assert _projective(_scaled(model, E, x1, want),
                            _scaled(model, E, x1, got)) <= 1e-11
 
@@ -177,6 +177,37 @@ class TestMagnusRay:
         k = math.sqrt(8.7e8)
         y = shooting._magnus(lambda s: np.where(s < 0.5, k * k, 0.0) + 0j,
                              1.0, 1.0, 0.0, 64)
+        assert _projective(y, (1.0 + 0.5 * k, k)) <= 1e-14
+
+    def test_batched_product_of_unequal_blocks(self):
+        # blocks of unequal sizes, reduced in one tree, give the sequential
+        # product of their step matrices, later step on the left; each block
+        # also gives exactly what it gives alone
+        def q(s):
+            return (3.0 - 2.0j) * np.cos(2.0 * s) + (1.0 + 4.0j) * s
+
+        counts = (1, 3, 17, 64, 100)
+        got = shooting._transfers([(q, 2.0, counts)])
+        for n, t in zip(counts, got):
+            h = 2.0 / n
+            nodes = h * (np.arange(n) + shooting._GAUSS3[:, None])
+            steps = shooting._step_matrices(q(nodes), np.full(n, h))
+            want = np.eye(2, dtype=complex)
+            for a, b, c, e in steps.T:
+                want = np.array([[a, b], [c, e]]) @ want
+            assert shooting._transfers([(q, 2.0, (n,))]) == [t]
+            t = np.array(t).reshape(2, 2) / np.linalg.norm(t)
+            assert np.linalg.norm(t - want / np.linalg.norm(want)) <= 1e-13
+
+    def test_batched_blocks_of_unequal_growth(self):
+        # the two halves of test_step_matrices_of_unequal_size as two blocks
+        # of one tree: every step of the first grows by e^460, and the free
+        # steps of the second would underflow under a scale common to both
+        k = math.sqrt(8.7e8)
+        grow, free = shooting._transfers([
+            (lambda s: np.full(s.shape, k * k + 0j), 0.5, (32,)),
+            (lambda s: np.zeros(s.shape, complex), 0.5, (17,))])
+        y = np.array(free).reshape(2, 2) @ np.array(grow).reshape(2, 2) @ [1.0, 0.0]
         assert _projective(y, (1.0 + 0.5 * k, k)) <= 1e-14
 
     def test_step_cap_raises(self, monkeypatch):
@@ -691,13 +722,13 @@ class TestSolvePath:
     def _chord_passes(monkeypatch, model, path):
         """Step counts of the _magnus passes on the chord of `path`, as they
         run, with their results."""
-        _, x0, x1 = shooting._legs(model, path.theta, path)[1]
+        _, length, _ = shooting._legs(model, path.E_ref, path.theta, path)[1]
         passes = []
         magnus = shooting._magnus
 
-        def recorded(q, s1, y0, y1, n):
-            y = magnus(q, s1, y0, y1, n)
-            if s1 == abs(x1 - x0):
+        def recorded(q, s1, y0, y1, n, t=None):
+            y = magnus(q, s1, y0, y1, n, t)
+            if s1 == length:
                 passes.append((n, y))
             return y
 
@@ -834,6 +865,16 @@ class TestScan:
         assert [r.E.real for r in results] == pytest.approx(want, abs=1e-6)
         assert all(r.converged and r.iterations == 0 and r.residual <= 1e-9
                    for r in results)
+
+    def test_python_scalars_out(self):
+        # E and residual are Python scalars, whether a level is shot or taken
+        # from the spectral engine: numpy scalars must not leak out of the
+        # transfer matrices
+        results = scan_levels([ModelSpec(1, e) for e in (0.1, 1.0)], 1)
+        results.append(solve_level(ModelSpec(1, 8.0), 0))
+        assert {r.iterations > 0 for r in results} == {True, False}
+        for r in results:
+            assert type(r.E) is complex and type(r.residual) is float
 
     def test_levels_increase_at_eps_8(self):
         energies = [r.E.real for r in scan_levels([ModelSpec(2, 8.0)], 5)]

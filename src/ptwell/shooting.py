@@ -12,38 +12,37 @@ energies at k - 1/2 and k + 1/2, and an iterate that leaves that window
 ends the solve unconverged.
 
 The solver matches on the negative imaginary axis at the height where the
-classically allowed arch joining the turning points crosses it.  The signal
-there stays O(1) for every deformation, which is what makes the
-large-deformation golden values reachable in double precision; at the
-origin, where both rays would meet, it falls off exponentially once the
-deformation is large.  The height zeroes the imaginary part of an action
-of sqrt(E - V), whose root geometry.continued_sqrt continues along a
-straight segment.
+classically allowed arch joining the turning points crosses it: the signal
+there stays O(1) for every deformation, which makes the large-deformation
+golden values reachable in double precision, while at the origin it falls
+off exponentially once the deformation is large (match_height).
 
-Each ray runs in to the turning radius, and a straight chord joins its end
-to the match point; on the chord the wanted solution loses e^(2G) against
-the other one, G = int |Im sqrt(E - V) dx|, about half of what an arc at
-the match height would give.  Both legs are integrated by the sixth-order
-Magnus method, doubling the step count until two counts agree (_segment).
-psi'' = (V - E) psi is linear and a transfer matrix does not depend on the
-state it carries, so one call of the kernel _transfers forms the first two
-counts of both legs of a shot in one numpy pass and one pairwise tree.  A
-solve builds its path (outer radius, corner, match height and the count
-each leg starts from) once, from the seed energy, and rebuilds it only when
-|E| leaves a band of PATH_BAND around it; the counts it keeps let every
-later integration on the path take two passes per leg (_build_path).
+The path of each side is monotone.  A straight leg runs from the outer
+point to the turning point x_t, and on it the wanted solution only grows; a
+chord joins x_t to the match point, and on it the solution gains and loses
+the same few e-folds (0.5 to 1.8 at M = 1, eps = 2, k = 8..30), so rounding
+is not amplified.  Both legs are integrated by the sixth-order Magnus
+method, the step count doubled until two counts agree (_segment).  The
+equation is linear and a transfer matrix does not depend on the state it
+carries, so one call of the kernel _transfers forms the first two counts of
+both legs of a shot in one numpy pass and one pairwise tree.  A solve
+builds its path (outer radius, vertex, match height and the count each leg
+starts from) once, from the seed energy, and rebuilds it only when |E|
+leaves a band of PATH_BAND around it; the counts it keeps let every later
+integration on the path take two passes per leg, and V, which does not
+depend on E, is evaluated once per path and node set (_build_path, _legs).
 
 For real E the left solution is the PT mirror of the right one,
-u_L(-i y*) = -conj(u_R(-i y*)), so the defect needs only the right ray and
+u_L(-i y*) = -conj(u_R(-i y*)), so the defect needs only the right side and
 is real: a real seed keeps the secant on the real axis.  Complex E
-integrates both rays.  After a real root converges the left ray is
+integrates both sides.  After a real root converges the left side is
 integrated once there, and the PT-reality check is applied to the secant
-step that this two-ray defect would take.  The ray integrations mirror
+step that this two-sided defect would take.  The two integrations mirror
 each other to rounding, so that check sees no integration error; a
 converged root is therefore also re-checked on a second path to the same
-match point, whose rays turn at CHECK_CORNER times the turning radius: an
-eigenvalue does not depend on the path, so a root that moves there by more
-than CHECK_REL |E| is reported unconverged (_check_shift gives the move).
+match point, whose vertex is CHECK_CORNER x_t: an eigenvalue does not
+depend on the path, so a root that moves there by more than CHECK_REL |E|
+is reported unconverged (_check_shift gives the move).
 All operations are pure.  scan_levels shoots only the levels that the
 spectral engine (ptwell.spectral) does not certify.
 """
@@ -55,13 +54,13 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import (ModelSpec, continued_sqrt, gauss_legendre,
-                       potential_phase, potential_value, turning_points,
+                       potential_phase, turning_points,
                        turning_radius, wedge_angles)
 from .spectral import certified_levels
 from .wkb import wkb_energy_closed, wkb_energy_quadrature
@@ -208,20 +207,20 @@ def _transfers(legs: Sequence[tuple]) -> list[list[complex]]:
     of n uniform Magnus steps on [0, length] for psi_ss = q(s) psi, q taking
     an array of s, for each count n of each (q, length, counts) in `legs`.
 
-    The one Magnus kernel: q is called once per leg, every step matrix is
-    formed in one vector pass, and the blocks of steps, one per count, are
-    multiplied pairwise in one tree.  Each block is padded with identities
-    to a power of two and the blocks are laid out largest first, so no pair
-    straddles two blocks and a block leaves the tree, from the end, once it
-    is one matrix.  At each level every matrix is divided by its own largest
-    entry: a common scale would let matrices far below it underflow to zero.
+    The one Magnus kernel: q is called once per count, on the (3, n) Gauss
+    nodes of its n steps, every step matrix is formed in one vector pass,
+    and the blocks of steps, one per count, are multiplied pairwise in one
+    tree.  Each block is padded with identities to a power of two and the
+    blocks are laid out largest first, so no pair straddles two blocks and a
+    block leaves the tree, from the end, once it is one matrix.  At each
+    level every matrix is divided by its own largest entry: a common scale
+    would let matrices far below it underflow to zero.
     """
     counts = [n for _, _, ns in legs for n in ns]
     if max(counts) > _MAX_RAY_STEPS:
         raise ShootingError(f"segment needs more than {_MAX_RAY_STEPS} Magnus steps")
-    qs = np.concatenate([q(np.concatenate(
-        [length / n * (np.arange(n) + _GAUSS3[:, None]) for n in ns], axis=1))
-        for q, length, ns in legs], axis=1)
+    qs = np.concatenate([q(length / n * (np.arange(n) + _GAUSS3[:, None]))
+                         for q, length, ns in legs for n in ns], axis=1)
     hs = np.repeat([length / n for _, length, ns in legs for n in ns], counts)
     steps = _step_matrices(qs, hs).reshape(2, 2, -1)
     blocks = [steps[..., e - n:e] for n, e in zip(counts, itertools.accumulate(counts))]
@@ -284,9 +283,8 @@ def _segment(leg: tuple, psi: complex, dpsi: complex, steps: int, rtol: float,
     holds also where psi or psi_s vanishes at x1; or until a doubling shrinks
     a gap of at most sqrt(tol) by less than 8, where the sixth-order error
     shrinks by 64, so the rest is rounding.  The bound keeps out coarse
-    counts, which stall at gaps near 0.16 (M = 1, eps = 2, k = 30 from 8
-    steps); rounding floors stay below 0.44 sqrt(tol).  A count too small is
-    therefore doubled, never trusted.
+    counts, whose gaps stall near 0.16, far above rounding floors (below
+    0.44 sqrt(tol)): a count too small is doubled, never trusted.
 
     The count returned: the gap falls as n^-6, so a pair (n, 2n) at gap g
     puts the pair that meets tol with a margin of 4 at n (4 g/tol)^(1/6)
@@ -384,16 +382,20 @@ def match_height(model: ModelSpec, E: float) -> float:
     return c
 
 
+def _potential(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """V(x) = |x|^N e^{i(N phi + eps pi/2)} in the closed lower half-plane,
+    with N = 2M + eps and phi = arg x: potential_value with no logarithm."""
+    n = 2.0 * model.M + model.epsilon
+    return np.abs(x) ** n * np.exp(1j * (n * np.angle(x) + 0.5 * math.pi * model.epsilon))
+
+
 @dataclass(frozen=True)
 class _Path:
-    """Integration path of one solve, built for |E| = E_ref: the right ray
-    at angle theta and its mirror at -pi - theta run in from radius R to
-    the corner at radius `corner`, and a chord joins each corner to the
-    match point -i ym.  The solve itself puts the corner at the turning
-    radius; CHECK_CORNER times it gives a second path to the same point.
-    `steps` holds the Magnus step counts that the ray and the chord start
-    from, fixed when the path is built.
-    """
+    """Path of one solve, built for |E| = E_ref: on the right a straight leg
+    from R e^{i theta} to the vertex, the turning point x_t of E_ref scaled
+    to radius `corner` (CHECK_CORNER r_t on the check path), then a chord to
+    the match point -i ym; the left side is its mirror image -conj(x).  The
+    legs start from `steps` Magnus steps; `v` keeps V (see _legs)."""
 
     E_ref: float
     ym: float
@@ -401,30 +403,41 @@ class _Path:
     theta: float
     R: float
     steps: tuple[int, int]
+    v: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _legs(model: ModelSpec, E: complex, theta: float, path: _Path) -> list[tuple]:
-    """(q, length, u) of the ray of `path` at angle theta, where
-    V = |x|^N potential_phase(theta), and of its chord, at energy E:
-    psi_ss = q(s) psi on [0, length] along the unit direction u."""
-    ex = cmath.exp(1j * theta)
-    n = 2.0 * model.M + model.epsilon
-    phase = potential_phase(model, theta)
+    """(q, length, u) of the first leg and the chord of `path` on the side of
+    the ray at angle theta (path.theta, or -pi - path.theta on the left), at
+    energy E: psi_ss = q(s) psi = u^2 (V - E) psi on [0, length] along the
+    unit direction u.  q is called on fixed node sets, one per shape (Gauss
+    nodes of n Magnus steps, the leg's end, _phase_count's probes), so V on
+    the right side is evaluated once per leg and shape and kept in path.v;
+    on the left, V at -conj(x) is conj V(x)."""
+    x_t = turning_points(model, path.E_ref).x_right
+    ends = (path.R * cmath.exp(1j * path.theta), path.corner / abs(x_t) * x_t,
+            -1j * path.ym)
+    mirror = theta != path.theta
 
-    def leg(v, x0, x1):
-        u = (x1 - x0) / abs(x1 - x0)
-        return (lambda s: u * u * (v(x0 + s * u) - E)), abs(x1 - x0), u
+    def leg(j):
+        x0, length = ends[j], abs(ends[j + 1] - ends[j])
+        u = (ends[j + 1] - x0) / length
 
-    corner = path.corner * ex
-    return [leg(lambda x: phase * np.abs(x) ** n, path.R * ex, corner),
-            leg(functools.partial(potential_value, model), corner, -1j * path.ym)]
+        def q(s):
+            v = path.v.get((j, s.shape))
+            if v is None:
+                v = path.v[j, s.shape] = _potential(model, x0 + s * u)
+            return (u * u).conjugate() * (v.conjugate() - E) if mirror else u * u * (v - E)
+        return q, length, -u.conjugate() if mirror else u
+
+    return [leg(0), leg(1)]
 
 
 def _shoot(model: ModelSpec, E: complex, theta: float, path: _Path,
            steps: tuple[int, int], rtol: float) -> tuple[complex, tuple[int, int]]:
-    """psi'/psi at -i ym, carried down the ray of `path` at angle theta and
-    along its chord from `steps` Magnus steps first, whose first two passes
-    take one call of _transfers; and the counts that _segment returns."""
+    """psi'/psi at -i ym, carried along the legs of `path` on the side of
+    the ray at angle theta from `steps` Magnus steps first, whose first two
+    passes take one call of _transfers; and the counts _segment returns."""
     psi, dpsi_ds = _outgoing_ic(model, E, theta, path.R)    # s = R - |x|
     dpsi = -dpsi_ds / cmath.exp(1j * theta)
     legs = _legs(model, E, theta, path)
@@ -446,7 +459,9 @@ def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
                  theta, R, (0, 0))
     first = [_phase_count(q, length, rtol)
              for q, length, _ in _legs(model, E_ref, theta, path)]
-    return replace(path, steps=_shoot(model, E_ref, theta, path, first, rtol)[1])
+    built = replace(path, steps=_shoot(model, E_ref, theta, path, first, rtol)[1])
+    built.v.update(path.v)
+    return built
 
 
 def _u_interior(model: ModelSpec, E: complex, side: str, path: _Path,
@@ -473,10 +488,7 @@ def _matching_defect(model: ModelSpec, E: complex, path: _Path,
     """(defect, u_R) at E.  For real E, u_L = -conj(u_R) by PT symmetry, so
     only the right ray is integrated and the defect is real."""
     uR = _u_interior(model, E, "R", path, rtol)
-    if E.imag == 0.0:
-        uL = -uR.conjugate()
-    else:
-        uL = _u_interior(model, E, "L", path, rtol)
+    uL = -uR.conjugate() if E.imag == 0.0 else _u_interior(model, E, "L", path, rtol)
     return _defect(uL, uR), uR
 
 
@@ -680,11 +692,9 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
                                    k, model.epsilon)
                 prev[k] = res.E
             out.append(res)
-        for i in range(len(results)):
-            for j in range(i + 1, len(results)):
-                if results[i].converged and results[j].converged and \
-                        abs(results[i].E - results[j].E) < 1e-6 * abs(results[i].E):
-                    logger.warning("level collision at epsilon=%g: k=%d and k=%d",
-                                   model.epsilon, i, j)
+        for a, b in itertools.combinations(results, 2):
+            if a.converged and b.converged and abs(a.E - b.E) < 1e-6 * abs(a.E):
+                logger.warning("level collision at epsilon=%g: k=%d and k=%d",
+                               model.epsilon, a.k, b.k)
         prev_model = model
     return out

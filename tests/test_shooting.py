@@ -13,8 +13,8 @@ from _ray_oracle import _wkb_start
 from _ray_oracle import level as oracle_level
 from conftest import QUARTIC_LEVELS, oscillator_levels
 from ptwell.cli import TABLE_GRID
-from ptwell.geometry import (ModelSpec, potential_value, turning_radius,
-                             wedge_angles)
+from ptwell.geometry import (ModelSpec, potential_value, turning_points,
+                             turning_radius, wedge_angles)
 from ptwell.shooting import match_height, scan_levels, solve_level
 from ptwell.wkb import wkb_energy_closed, wkb_energy_quadrature
 
@@ -102,6 +102,13 @@ def _scaled(model, E, x, y):
     return y[0], y[1] / k
 
 
+def _straight_leg(model, E, x0, x1):
+    """(q, length, u) of the segment from x0 to x1, as _segment takes it,
+    with V from potential_value."""
+    u = (x1 - x0) / abs(x1 - x0)
+    return (lambda s: u * u * (potential_value(model, x0 + s * u) - E)), abs(x1 - x0), u
+
+
 class TestMagnusRay:
     # the ray and the chord run by sixth-order Magnus steps; the oracle is
     # scipy's Dormand-Prince DOP853 in _ray_oracle, which shares no code
@@ -121,12 +128,12 @@ class TestMagnusRay:
     @pytest.mark.parametrize("M,eps,k", [(1, 6.0, 0), (1, 58.0, 0), (2, 56.0, 0),
                                          (1, 2.0, 8), (2, 0.0, 8), (2, 0.0, 11)])
     def test_agrees_with_dp45(self, M, eps, k):
-        # the ray from the outer point to the corner, at the level
+        # the first leg, from the outer point to the turning point, at the level
         model = ModelSpec(M, eps)
         E = solve_level(model, k).E.real
         path = _path(model, E)
         ex = cmath.exp(1j * path.theta)
-        x0, x1 = path.R * ex, path.corner * ex
+        x0, x1 = path.R * ex, turning_points(model, E).x_right
         want = oracle_segment(x0, x1, _wkb_start(path.theta, path.R, M, eps, E),
                               M, eps, E)
         psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
@@ -702,8 +709,10 @@ class TestSolvePath:
 
     @pytest.mark.parametrize("M,eps,k,coeffs,tol", [
         (2, 0.0, 20, [0, 0, 0, 0, 1], 1e-9),
-        # the k = 30 chord's rounding floor moves u by up to 4e-7 between
-        # start counts that reach the sixth-order regime
+        # stale: this bound dates from the chord that started at the turning
+        # radius, whose rounding floor moved u by up to 4e-7 between start
+        # counts in the sixth-order regime; the chord from the turning point
+        # moves it by 3e-13, and the bound is kept as it was
         (1, 2.0, 30, [0, -2, 0, 0, 4], 1e-6)])
     def test_coarse_start_not_taken_for_floor(self, M, eps, k, coeffs, tol):
         # from 8 steps, the first doublings shrink O(1) gaps by less than 8;
@@ -752,18 +761,81 @@ class TestSolvePath:
         assert path.steps[1] <= n * (4.0 * gap / tol) ** (1.0 / 6.0) + 1.0
 
     def test_floor_count_repeats_last_passes(self, monkeypatch):
-        # at M = 1, eps = 2, k = 14 the chord stops at the rounding floor;
-        # started two doublings below that count, it stops there again
+        # _segment's floor exit, on a hand-built radial path: at M = 1,
+        # eps = 2, k = 14 the chord from the turning radius r_t e^(i theta)
+        # to -i y* loses several e-folds to the other solution and stops at
+        # the rounding floor; started two doublings below that count, it
+        # stops there again
         model = ModelSpec(1, 2.0)
         E = shooting.default_seed(model, 14)
         path = _path(model, E)
-        passes = self._chord_passes(monkeypatch, model, path)
         assert _path(model, E) == path
-        built = [n for n, _ in passes]
+        rtol = shooting.DEFAULT_RTOL
+        ex = cmath.exp(1j * path.theta)
+        corner = turning_radius(model, E) * ex
+        ray, chord = (_straight_leg(model, E, x0, x1) for x0, x1 in
+                      ((path.R * ex, corner), (corner, -1j * path.ym)))
+        psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
+        psi, dpsi, _ = shooting._segment(
+            ray, psi, -dpsi_ds / ex, shooting._phase_count(*ray[:2], rtol), rtol, ())
+        passes = []
+        magnus = shooting._magnus
+
+        def recorded(q, s1, y0, y1, n, t=None):
+            passes.append(n)
+            return magnus(q, s1, y0, y1, n, t)
+
+        monkeypatch.setattr(shooting, "_magnus", recorded)
+        *_, count = shooting._segment(
+            chord, psi, dpsi, shooting._phase_count(*chord[:2], rtol), rtol, ())
+        built = list(passes)
         passes.clear()
-        _u(model, E, "R", path)
-        assert [n for n, _ in passes] == built[-3:]
+        shooting._segment(chord, psi, dpsi, count, rtol, ())
+        assert passes == built[-3:]
         assert len(built) > 3
+
+    def test_chord_agrees_in_two_passes(self, monkeypatch):
+        # at M = 1, eps = 2, k = 24 the chord from the turning point gains and
+        # loses about e^1.8, so rounding stays below the leg tolerance: a shot
+        # agrees in the two passes the path starts from, with no floor exit
+        model = ModelSpec(1, 2.0)
+        E = oscillator_levels([0.0, -2.0, 0.0, 0.0, 4.0], 25)[24]
+        path = _path(model, E)
+        passes = self._chord_passes(monkeypatch, model, path)
+        _u(model, E, "R", path)
+        (n, a), (n2, b) = passes
+        assert (n, n2) == (path.steps[1], 2 * path.steps[1])
+        k = math.sqrt(abs(potential_value(model, -1j * path.ym) - E)) + 1.0
+        gap = _projective((a[0], a[1] / k), (b[0], b[1] / k))
+        assert gap <= shooting._leg_tol(shooting.DEFAULT_RTOL)
+
+    def test_potential_once_per_node_set(self, monkeypatch):
+        # V does not depend on E: a solve evaluates it once per path, leg and
+        # node set that its shots use, on either side, not once per shot
+        model = ModelSpec(1, 2.0)
+        evaluated, used, calls = [0], set(), [0]
+        potential, legs = shooting._potential, shooting._legs
+
+        def counted_potential(model, x):
+            evaluated[0] += 1
+            return potential(model, x)
+
+        def recorded_legs(model, E, theta, path):
+            def recorded(j, q):
+                def q_used(s):
+                    calls[0] += 1
+                    used.add((path.R, path.corner, path.ym, j, s.shape))
+                    return q(s)
+                return q_used
+            return [(recorded(j, q), length, u)
+                    for j, (q, length, u) in enumerate(legs(model, E, theta, path))]
+
+        monkeypatch.setattr(shooting, "_potential", counted_potential)
+        monkeypatch.setattr(shooting, "_legs", recorded_legs)
+        res = solve_level(model, 11)
+        assert res.converged
+        assert evaluated[0] == len(used)
+        assert 2 * evaluated[0] < calls[0]
 
     @pytest.mark.parametrize("M,eps,k", [(1, 8.0, 0)] + [(1, 2.0, k) for k in range(8, 17)])
     def test_one_defect_check_shift(self, monkeypatch, M, eps, k):
@@ -801,6 +873,15 @@ class TestHermitianLevels:
             res = solve_level(model, k)
             assert res.converged, k
             assert abs(res.E.real - E_ref) <= 1e-9 * E_ref, k
+
+    def test_quartic_levels_to_rounding(self):
+        # on the monotone path no leg stops at a rounding floor: the levels
+        # of p^2 - x^4 come out within 1e-12 of the reference up to k = 30
+        model = ModelSpec(1, 2.0)
+        for k, E_ref in enumerate(oscillator_levels([0.0, -2.0, 0.0, 0.0, 4.0], 31)):
+            res = solve_level(model, k)
+            assert res.converged, k
+            assert abs(res.E.real - E_ref) <= 1e-12 * E_ref, k
 
     @pytest.mark.parametrize("eps,k,lo,hi", [(42.5, 2, 2253.0, 2254.0),
                                              (51.5, 1, 1265.0, 1266.0)])

@@ -24,6 +24,7 @@ The tabulated F column uses the refined map F = E^((eps+2M+2)/(eps+2M)) /
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -233,7 +234,10 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args fills a new
+    namespace on every call."""
     p = argparse.ArgumentParser(
         prog="ptwell",
         description="Spectra of H = p^2 + x^(2M)(ix)^eps: shooting, WKB, "

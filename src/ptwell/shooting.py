@@ -28,9 +28,12 @@ carries, so one call of the kernel _transfers forms the first two counts of
 both legs of a shot in one numpy pass and one pairwise tree.  A solve
 builds its path (outer radius, vertex, match height and the count each leg
 starts from) once, from the seed energy, and rebuilds it only when |E|
-leaves a band of PATH_BAND around it; the counts it keeps let every later
-integration on the path take two passes per leg, and V, which does not
-depend on E, is evaluated once per path and node set (_build_path, _legs).
+leaves a band of PATH_BAND around it.  The build's own shot starts each leg
+from a count that agrees in its first two passes, and its result is the
+solve's defect at that energy (_solve_defect); the counts it keeps let
+every later shot on the path finish both legs in those two passes, one
+kernel call, and V, which does not depend on E, is evaluated once per path
+and node set (_build_path, _legs).
 
 For real E the left solution is the PT mirror of the right one,
 u_L(-i y*) = -conj(u_R(-i y*)), so the defect needs only the right side and
@@ -42,7 +45,8 @@ each other to rounding, so that check sees no integration error; a
 converged root is therefore also re-checked on a second path to the same
 match point, whose vertex is CHECK_CORNER x_t: an eigenvalue does not
 depend on the path, so a root that moves there by more than CHECK_REL |E|
-is reported unconverged (_check_shift gives the move).
+is reported unconverged (_check_shift gives the move).  Its first leg runs
+on past x_t, so it starts from twice the count kept for the solve's.
 All operations are pure.  scan_levels shoots only the levels that the
 spectral engine (ptwell.spectral) does not certify.
 """
@@ -169,6 +173,7 @@ def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
 _GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 _IDENTITY = np.eye(2, dtype=complex)[..., None]
 _MAX_RAY_STEPS = 2 ** 16     # a segment that needs more raises: caps its memory
+_RESCALE_LEVELS = 3          # tree levels per rescale in _transfers
 
 
 def _step_matrices(qs: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -202,6 +207,16 @@ def _step_matrices(qs: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.stack([ch + sh * w, sh * w12, sh * w21, ch - sh * w])
 
 
+def _normalised(m: np.ndarray) -> np.ndarray:
+    """The 2 x 2 matrices m[:, :, i] each divided by its largest entry.
+
+    Raises ShootingError where that entry is 0 or not finite."""
+    scale = np.abs(m).max(axis=(0, 1))
+    if not 0.0 < scale.min() <= scale.max() < math.inf:
+        raise ShootingError("non-finite propagator")
+    return m * (1.0 / scale)
+
+
 def _transfers(legs: Sequence[tuple]) -> list[list[complex]]:
     """[a, b, c, e] of the transfer matrix [[a, b], [c, e]], up to a scale,
     of n uniform Magnus steps on [0, length] for psi_ss = q(s) psi, q taking
@@ -212,9 +227,16 @@ def _transfers(legs: Sequence[tuple]) -> list[list[complex]]:
     and the blocks of steps, one per count, are multiplied pairwise in one
     tree.  Each block is padded with identities to a power of two and the
     blocks are laid out largest first, so no pair straddles two blocks and a
-    block leaves the tree, from the end, once it is one matrix.  At each
-    level every matrix is divided by its own largest entry: a common scale
-    would let matrices far below it underflow to zero.
+    block leaves the tree, from the end, once it is one matrix.
+
+    Every _RESCALE_LEVELS-th level, the step matrices first, each matrix is
+    divided by its own largest entry (a common scale would let matrices far
+    below it underflow to zero), and each transfer matrix once as it leaves;
+    both raise on an entry that is not finite.  In between, entries stay
+    below 2^(2^_RESCALE_LEVELS - 1), since a product of matrices with
+    entries of at most a has entries of at most 2 a^2; and the step matrices
+    exp(Omega) have det 1, so a product of them has an entry of at least
+    1/sqrt 2 and cannot underflow.
     """
     counts = [n for _, _, ns in legs for n in ns]
     if max(counts) > _MAX_RAY_STEPS:
@@ -228,21 +250,19 @@ def _transfers(legs: Sequence[tuple]) -> list[list[complex]]:
     order = sorted(range(len(counts)), key=sizes.__getitem__, reverse=True)
     m = np.concatenate([part for i in order for part in (
         blocks[i], np.broadcast_to(_IDENTITY, (2, 2, sizes[i] - counts[i])))], axis=2)
-    out, width = [None] * len(counts), 1
+    out, level = [None] * len(counts), 0
     while True:
-        scale = np.abs(m).max(axis=(0, 1))
-        if not 0.0 < scale.min() <= scale.max() < math.inf:
-            raise ShootingError("non-finite propagator")
-        m /= scale
-        while order and sizes[order[-1]] == width:
-            out[order.pop()] = m[..., -1].ravel().tolist()
+        if level % _RESCALE_LEVELS == 0:
+            m = _normalised(m)
+        while order and sizes[order[-1]] == 1 << level:
+            out[order.pop()] = m[..., -1]
             m = m[..., :-1]
         if not order:
-            return out
+            return _normalised(np.stack(out, axis=2)).reshape(4, -1).T.tolist()
         # later step on the left: l r for l = m[..., 2i + 1], r = m[..., 2i]
         l, r = m[..., 1::2], m[..., 0::2]
         m = l[:, :1] * r[:1] + l[:, 1:] * r[1:]
-        width *= 2
+        level += 1
 
 
 def _magnus(q, s1: float, y0: complex, y1: complex, n: int,
@@ -262,10 +282,9 @@ def _leg_tol(rtol: float) -> float:
 
 
 def _phase_count(q, length: float, rtol: float) -> int:
-    """Magnus steps to try first on a leg, with no count known:
-    0.16 tol^(-1/6) per radian of the WKB phase int sqrt|V - E| ds
-    (33-point trapezoid), above the 0.05..0.14 that the agreement needs on
-    the rays of M = 1..3, eps = 0..58, k = 0..28."""
+    """0.16 tol^(-1/6) Magnus steps per radian of the WKB phase
+    int sqrt|V - E| ds on a leg (33-point trapezoid), at least 8: the scale
+    from which _build_path sets the count each leg starts from."""
     qs = q(np.linspace(0.0, length, 33))
     phase = float(np.trapezoid(np.sqrt(np.abs(qs)), dx=length / 32.0))
     return max(8, math.ceil(0.16 * phase * _leg_tol(rtol) ** (-1.0 / 6.0)))
@@ -288,9 +307,13 @@ def _segment(leg: tuple, psi: complex, dpsi: complex, steps: int, rtol: float,
 
     The count returned: the gap falls as n^-6, so a pair (n, 2n) at gap g
     puts the pair that meets tol with a margin of 4 at n (4 g/tol)^(1/6)
-    steps.  After agreement, max(8, ceil(.)) of the smallest such count over
-    the pairs compared: a last gap near the rounding floor overstates the
-    truncation error, which the larger gaps before it measure.  After the
+    steps.  After agreement, the smallest such count over the pairs
+    compared: a last gap near the rounding floor overstates the truncation
+    error, which the larger gaps before it measure.  It is kept to at least
+    8 and at least half the lower count of the agreeing pair: a pair that
+    agrees at once, with a gap at rounding level, extrapolates to any count
+    (the oscillator's ray at radius factor 3 agreed at 2817 steps, was kept
+    at 8, and overflowed on the next shot).  After the
     rounding floor, the count two doublings below the last, which reaches
     the floor again in three passes.
     """
@@ -307,7 +330,7 @@ def _segment(leg: tuple, psi: complex, dpsi: complex, steps: int, rtol: float,
                 math.hypot(abs(prev[0]), abs(prev[1])) * math.hypot(abs(a0), abs(a1)))
             best = min(best, steps / 2 * (4.0 * gap / tol) ** (1.0 / 6.0))
             if gap <= tol:
-                return y0, y1 / u, max(8, math.ceil(best))
+                return y0, y1 / u, max(8, steps // 4, math.ceil(best))
             if 8.0 * gap > last and gap <= math.sqrt(tol):
                 return y0, y1 / u, steps // 4
         prev, steps = (a0, a1), 2 * steps
@@ -395,7 +418,8 @@ class _Path:
     from R e^{i theta} to the vertex, the turning point x_t of E_ref scaled
     to radius `corner` (CHECK_CORNER r_t on the check path), then a chord to
     the match point -i ym; the left side is its mirror image -conj(x).  The
-    legs start from `steps` Magnus steps; `v` keeps V (see _legs)."""
+    legs start from `steps` Magnus steps; `v` keeps V (see _legs); `u_ref`
+    is psi'/psi at -i ym on the right at E_ref, from the build's shot."""
 
     E_ref: float
     ym: float
@@ -404,6 +428,7 @@ class _Path:
     R: float
     steps: tuple[int, int]
     v: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    u_ref: complex | None = field(default=None, repr=False, compare=False)
 
 
 def _legs(model: ModelSpec, E: complex, theta: float, path: _Path) -> list[tuple]:
@@ -450,16 +475,28 @@ def _shoot(model: ModelSpec, E: complex, theta: float, path: _Path,
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
                 rtol: float) -> _Path:
-    """The path for E_ref.  Its step counts come from one integration of the
-    right side at E_ref, started from _phase_count on each leg; the left
-    side mirrors the right one, and so do its decay depth and its counts."""
+    """The path for E_ref, with its step counts and u_ref from one shot of
+    the right side at E_ref; the left side mirrors the right one, and so do
+    its decay depth and its counts.
+
+    The shot starts each leg from a count whose first pair already agrees
+    (_segment), as measured on M = 1..3, eps = 0..58, k = 0..28: on the
+    first leg half of _phase_count, where agreement needs 0.16..0.50 of it
+    at rtol 1e-11 and 1e-13 (up to 0.57 at 1e-8); on the chord _phase_count
+    plus 0.5 tol^(-1/6) for the Airy layer at the turning point, which takes
+    a fixed number of steps in its own variable while the WKB phase there
+    grows by almost nothing.  93% of those chords agree at once; the golden
+    tables' chords need _phase_count + 0.19..0.33 tol^(-1/6).
+    """
     theta = wedge_angles(model).theta_right
     R = _ray_radius(model, E_ref, theta, radius_factor, rtol)
     path = _Path(E_ref, match_height(model, E_ref), turning_radius(model, E_ref),
                  theta, R, (0, 0))
-    first = [_phase_count(q, length, rtol)
-             for q, length, _ in _legs(model, E_ref, theta, path)]
-    built = replace(path, steps=_shoot(model, E_ref, theta, path, first, rtol)[1])
+    ray, chord = (_phase_count(q, length, rtol)
+                  for q, length, _ in _legs(model, E_ref, theta, path))
+    u, steps = _shoot(model, E_ref, theta, path, (
+        max(8, ray // 2), chord + math.ceil(0.5 * _leg_tol(rtol) ** (-1.0 / 6.0))), rtol)
+    built = replace(path, steps=steps, u_ref=u)
     built.v.update(path.v)
     return built
 
@@ -490,6 +527,15 @@ def _matching_defect(model: ModelSpec, E: complex, path: _Path,
     uR = _u_interior(model, E, "R", path, rtol)
     uL = -uR.conjugate() if E.imag == 0.0 else _u_interior(model, E, "L", path, rtol)
     return _defect(uL, uR), uR
+
+
+def _solve_defect(model: ModelSpec, E: complex, path: _Path,
+                  rtol: float) -> tuple[complex, complex]:
+    """_matching_defect on a path from _build_path; at the path's E_ref it
+    takes u_R from the build's shot rather than shoot the same leg again."""
+    if E == path.E_ref:
+        return _defect(-path.u_ref.conjugate(), path.u_ref), path.u_ref
+    return _matching_defect(model, E, path, rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +631,7 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
     E1 = E0 * 1.001
     try:
         path = _build_path(model, abs(E0), radius_factor, rtol)
-        w0 = _matching_defect(model, E0, path, rtol)[0]
+        w0 = _solve_defect(model, E0, path, rtol)[0]
         w1, uR = _matching_defect(model, E1, path, rtol)
     except ShootingError as exc:
         logger.warning("integration failed at seed for k=%d: %s", k, exc)
@@ -615,7 +661,7 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
                 # the defect depends on the path: keep both secant points on one
                 path = _build_path(model, abs(E1), radius_factor, rtol)
                 w0 = _matching_defect(model, E0, path, rtol)[0]
-            w1, uR = _matching_defect(model, E1, path, rtol)
+            w1, uR = _solve_defect(model, E1, path, rtol)
         except ShootingError as exc:
             logger.warning("integration failed at E=%s for k=%d: %s", E1, k, exc)
             return EigenResult(k, E1, math.inf, iterations, False)
@@ -639,7 +685,8 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
         logger.warning("PT-reality violated for k=%d: E=%s", k, E1)
     path_ok = True
     if converged and pt_real:
-        check = replace(path, corner=CHECK_CORNER * path.corner)
+        check = replace(path, corner=CHECK_CORNER * path.corner,
+                        steps=(2 * path.steps[0], path.steps[1]), u_ref=None)
         path_ok = _check_shift(model, E1, check, slope, rtol) <= CHECK_REL * abs(E1)
         if not path_ok:
             logger.warning("path-dependent root for k=%d at E=%s", k, E1)

@@ -1,10 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from ptwell.cli import (dumps_json, format_csv, main, parse_csv, run_figure1,
-                        table_csv_rows)
+import ptwell.cli as cli
+from ptwell.cli import (TableResult, dumps_json, format_csv, main, parse_csv,
+                        run_figure1, table_csv_rows)
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestRunConfig:
@@ -70,6 +74,14 @@ class TestTableCommand:
         assert table1.all_converged
         assert table2.all_converged
 
+    @pytest.mark.parametrize("table_id", ["1", "2", "3"])
+    def test_golden_csv_snapshot(self, table_id, tmp_path):
+        # tests/data holds the tables as the CLI printed them before the
+        # shooting kernel's speed-ups; they must come out byte for byte
+        out = tmp_path / "table.csv"
+        assert main(["table", "--id", table_id, "--output", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"table{table_id}.csv").read_bytes()
+
 
 class TestFigure1:
     def test_desk_scale_guard(self):
@@ -110,6 +122,31 @@ class TestFigure1:
 
 
 class TestMainEntry:
+    def test_parser_built_once_parses_afresh(self, monkeypatch, capsys):
+        # the parser is shared by every main() call in a process; a table
+        # run with its own tolerance leaves nothing behind for the next
+        seen = []
+
+        def table(table_id, tol, rtol):
+            seen.append(("table", table_id, tol, rtol))
+            return TableResult(table_id, [8.0], [1.0], {"F": [1.0]})
+
+        def eigen(args):
+            seen.append(("eigen", vars(args)))
+            return {"results": [{"k": args.k, "E": 1.0}]}, True
+
+        monkeypatch.setattr(cli, "run_table", table)
+        monkeypatch.setattr(cli, "run_eigen", eigen)
+        assert main(["table", "--id", "2", "--tol", "1e-7", "--rtol", "1e-9"]) == 0
+        assert main(["eigen", "--epsilon", "3", "--k", "2"]) == 0
+        capsys.readouterr()
+        assert cli._build_parser() is cli._build_parser()
+        assert seen[0] == ("table", 2, 1e-7, 1e-9)
+        assert seen[1] == ("eigen", {
+            "command": "eigen", "M": 1, "epsilon": 3.0, "k": 2,
+            "tol": cli.DEFAULT_TOL, "rtol": cli.DEFAULT_RTOL,
+            "radius_factor": 1.0, "format": "json", "output": None})
+
     def test_eigen_json(self, capsys):
         rc = main(["eigen", "--M", "1", "--epsilon", "0", "--k", "1"])
         out = capsys.readouterr().out

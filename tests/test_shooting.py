@@ -616,6 +616,21 @@ class TestSolveLevel:
         with pytest.raises(ValueError):
             solve_level(ModelSpec(1, 8.0), 0, radius_factor=factor)
 
+    @pytest.mark.parametrize("M,eps,k,coeffs", [
+        (1, 0.0, 0, [0.0, 0.0, 1.0]),
+        (1, 2.0, 0, [0.0, -2.0, 0.0, 0.0, 4.0]),
+        (2, 0.0, 3, [0.0, 0.0, 0.0, 0.0, 1.0])])
+    @pytest.mark.parametrize("factor", [1.0, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("rtol", [1e-8, 1e-11, 1e-13])
+    def test_enlarged_radius_converges(self, M, eps, k, coeffs, factor, rtol):
+        # the ray of the oscillator at radius factor 3 or 4 agreed in its
+        # first pair with a gap at rounding level, which extrapolated to a
+        # stored count of 8, and the next shot overflowed
+        E = oscillator_levels(coeffs, k + 1)[k]
+        res = solve_level(ModelSpec(M, eps), k, rtol=rtol, radius_factor=factor)
+        assert res.converged
+        assert abs(res.E.real - E) <= 1e-9 * E
+
 
 class TestSolvePath:
     @pytest.fixture
@@ -745,20 +760,28 @@ class TestSolvePath:
         return passes
 
     def test_count_from_first_pair(self, monkeypatch):
-        # at M = 1, eps = 2, k = 9 the chord's agreeing pair lies at the
-        # rounding floor, and a count taken from it alone is 4.7 times the
-        # phase count; the first pair the build compares bounds it
+        # at M = 1, eps = 2, k = 9 the chord started from _phase_count takes
+        # more than two passes, and its last pair lies near the rounding
+        # floor; the first pair it compares bounds the count it returns.  The
+        # build starts the chord finer (its first pair agrees), so the chord
+        # is run here from _phase_count directly
         model = ModelSpec(1, 2.0)
         E = shooting.default_seed(model, 9)
         path = _path(model, E)
+        rtol = shooting.DEFAULT_RTOL
+        ray, chord = shooting._legs(model, E, path.theta, path)
+        ex = cmath.exp(1j * path.theta)
+        psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
+        psi, dpsi, _ = shooting._segment(ray, psi, -dpsi_ds / ex, path.steps[0], rtol, ())
         passes = self._chord_passes(monkeypatch, model, path)
-        assert _path(model, E) == path
+        *_, count = shooting._segment(
+            chord, psi, dpsi, shooting._phase_count(*chord[:2], rtol), rtol, ())
         assert len(passes) > 2
         (n, a), (_, b) = passes[:2]
         k = math.sqrt(abs(potential_value(model, -1j * path.ym) - E)) + 1.0
         gap = _projective((a[0], a[1] / k), (b[0], b[1] / k))
-        tol = shooting._leg_tol(shooting.DEFAULT_RTOL)
-        assert path.steps[1] <= n * (4.0 * gap / tol) ** (1.0 / 6.0) + 1.0
+        tol = shooting._leg_tol(rtol)
+        assert count <= n * (4.0 * gap / tol) ** (1.0 / 6.0) + 1.0
 
     def test_floor_count_repeats_last_passes(self, monkeypatch):
         # _segment's floor exit, on a hand-built radial path: at M = 1,
@@ -857,6 +880,86 @@ class TestSolvePath:
         c1 = shooting._matching_defect(model, 1.001 * E, check, shooting.DEFAULT_RTOL)[0]
         two = abs(c0 * 0.001 * E / (c1 - c0))
         assert 0.5 * two <= shift <= 2.0 * two
+
+
+def _tree_reference(q, length, n):
+    """[a, b, c, e] of the transfer matrix of n Magnus steps, padded with
+    identities to a power of two and multiplied pairwise, with every matrix
+    of every level divided by its largest entry."""
+    h = length / n
+    nodes = h * (np.arange(n) + shooting._GAUSS3[:, None])
+    m = shooting._step_matrices(q(nodes), np.full(n, h)).reshape(2, 2, -1)
+    pad = (1 << (n - 1).bit_length()) - n
+    m = np.concatenate([m, np.repeat(np.eye(2)[..., None], pad, axis=2)], axis=2)
+    while True:
+        m = m / np.abs(m).max(axis=(0, 1))
+        if m.shape[2] == 1:
+            return m.ravel()
+        later, earlier = m[..., 1::2], m[..., 0::2]
+        m = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+
+
+SCHEDULE_CASES = [(1, 8.0, 0), (2, 56.0, 0), (1, 58.0, 0), (1, 2.0, 24), (2, 0.0, 26)]
+
+
+class TestShotSchedule:
+    # the build's start counts agree at once and later shots start from the
+    # counts it keeps, so each shot finishes both legs in the two passes of
+    # one kernel call; no shot is repeated
+
+    @pytest.mark.parametrize("M,eps,k", SCHEDULE_CASES)
+    def test_one_kernel_call_per_shot(self, monkeypatch, M, eps, k):
+        model = ModelSpec(M, eps)
+        transfers, shoot = shooting._transfers, shooting._shoot
+        calls, shots = [0], []
+
+        def counted(legs):
+            calls[0] += 1
+            return transfers(legs)
+
+        def recorded(model, E, theta, path, steps, rtol):
+            before = calls[0]
+            out = shoot(model, E, theta, path, steps, rtol)
+            shots.append(((path.E_ref, path.corner, E, theta), calls[0] - before))
+            return out
+
+        monkeypatch.setattr(shooting, "_transfers", counted)
+        monkeypatch.setattr(shooting, "_shoot", recorded)
+        assert solve_level(model, k).converged
+        assert [n for _, n in shots] == [1] * len(shots)
+        # the build's shot at E_ref is the solve's first secant point
+        keys = [key for key, _ in shots]
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("M,eps,k", SCHEDULE_CASES)
+    def test_sparse_rescale_matches_per_level(self, M, eps, k):
+        model = ModelSpec(M, eps)
+        E = shooting.default_seed(model, k)
+        path = _path(model, E)
+        for (q, length, _), n in zip(shooting._legs(model, E, path.theta, path),
+                                     path.steps):
+            for got, count in zip(shooting._transfers([(q, length, (n, 2 * n))]),
+                                  (n, 2 * n)):
+                want = _tree_reference(q, length, count)
+                got = np.array(got)
+                wedge = np.outer(got, want) - np.outer(want, got)
+                assert np.linalg.norm(wedge) / (math.sqrt(2.0) * np.linalg.norm(got)
+                                                * np.linalg.norm(want)) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [0, 1, 40])
+    def test_non_finite_q_between_rescales(self, bad):
+        # a block of 2 steps leaves the tree at a level with no rescale: its
+        # own normalisation must still see the nan, wherever it sits
+        def q(s):
+            v = np.ones(s.shape, complex)
+            v[:, bad % s.shape[1]] = math.nan
+            return v
+
+        with pytest.raises(shooting.ShootingError), np.errstate(invalid="ignore"):
+            shooting._transfers([(lambda s: np.ones(s.shape, complex), 1.0, (64,)),
+                                 (q, 1.0, (2,))])
+        with pytest.raises(shooting.ShootingError), np.errstate(invalid="ignore"):
+            shooting._transfers([(q, 1.0, (64, 2))])
 
 
 class TestHermitianLevels:

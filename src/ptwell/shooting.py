@@ -30,25 +30,23 @@ builds its path (outer radius, vertex, match height and the count each leg
 starts from) once, from the seed energy, and rebuilds it only when |E|
 leaves a band of PATH_BAND around it.  The build's own shot starts each leg
 from a count that agrees in its first two passes, and its result is the
-solve's defect at that energy (_solve_defect); the counts it keeps let
+solve's defect at that energy (_matching_defect); the counts it keeps let
 every later shot on the path finish both legs in those two passes, one
 kernel call, and V, which does not depend on E, is evaluated once per path
 and node set (_build_path, _legs).
 
 For real E the left solution is the PT mirror of the right one,
 u_L(-i y*) = -conj(u_R(-i y*)), so the defect needs only the right side and
-is real: a real seed keeps the secant on the real axis.  Complex E
-integrates both sides.  After a real root converges the left side is
-integrated once there, and the PT-reality check is applied to the secant
-step that this two-sided defect would take.  The two integrations mirror
-each other to rounding, so that check sees no integration error; a
-converged root is therefore also re-checked on a second path to the same
-match point, whose vertex is CHECK_CORNER x_t: an eigenvalue does not
-depend on the path, so a root that moves there by more than CHECK_REL |E|
-is reported unconverged (_check_shift gives the move).  Its first leg runs
-on past x_t, so it starts from twice the count kept for the solve's.
-All operations are pure.  scan_levels shoots only the levels that the
-spectral engine (ptwell.spectral) does not certify.
+is real: a real seed keeps the secant on the real axis, and its root passes
+the PT-reality check |Im E| <= 1e-8 |Re E| as it stands.  Complex E
+integrates both sides, and a complex root is held to that check.  Since a
+real root cannot fail it, a converged root is also re-checked on a second
+path to the same match point, whose vertex is CHECK_CORNER x_t: an
+eigenvalue does not depend on the path, so a root that moves there by more
+than CHECK_REL |E| is reported unconverged (_check_shift gives the move).
+Its first leg runs on past x_t, so it starts from twice the count kept for
+the solve's.  All operations are pure.  scan_levels shoots only the levels
+that the spectral engine (ptwell.spectral) does not certify.
 """
 
 from __future__ import annotations
@@ -510,32 +508,24 @@ def _u_interior(model: ModelSpec, E: complex, side: str, path: _Path,
     return _shoot(model, E, theta, path, path.steps, rtol)[0]
 
 
-def _defect(uL: complex, uR: complex) -> complex:
-    """Interior-matched defect (u_L - u_R) / ((1 + |u_L|)(1 + |u_R|)).
+def _matching_defect(model: ModelSpec, E: complex, path: _Path,
+                     rtol: float) -> complex:
+    """Interior-matched defect (u_L - u_R) / ((1 + |u_L|)(1 + |u_R|)) at E,
+    with u = psi'/psi at -i ym on `path`.
 
     The product normalization keeps the defect bounded and vanishing at
     every eigenvalue, including states whose wavefunction has a node at the
-    matching point (the log-derivatives then diverge on both sides).
+    matching point (the log-derivatives then diverge on both sides).  For
+    real E, u_L = -conj(u_R) by PT symmetry, so only the right ray is
+    integrated and the defect is real; at the path's E_ref, u_R is the
+    build's shot (u_ref), not a second shot of the same leg.
     """
-    return (uL - uR) / ((1.0 + abs(uL)) * (1.0 + abs(uR)))
-
-
-def _matching_defect(model: ModelSpec, E: complex, path: _Path,
-                     rtol: float) -> tuple[complex, complex]:
-    """(defect, u_R) at E.  For real E, u_L = -conj(u_R) by PT symmetry, so
-    only the right ray is integrated and the defect is real."""
-    uR = _u_interior(model, E, "R", path, rtol)
+    if E == path.E_ref and path.u_ref is not None:
+        uR = path.u_ref
+    else:
+        uR = _u_interior(model, E, "R", path, rtol)
     uL = -uR.conjugate() if E.imag == 0.0 else _u_interior(model, E, "L", path, rtol)
-    return _defect(uL, uR), uR
-
-
-def _solve_defect(model: ModelSpec, E: complex, path: _Path,
-                  rtol: float) -> tuple[complex, complex]:
-    """_matching_defect on a path from _build_path; at the path's E_ref it
-    takes u_R from the build's shot rather than shoot the same leg again."""
-    if E == path.E_ref:
-        return _defect(-path.u_ref.conjugate(), path.u_ref), path.u_ref
-    return _matching_defect(model, E, path, rtol)
+    return (uL - uR) / ((1.0 + abs(uL)) * (1.0 + abs(uR)))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +570,7 @@ def _check_shift(model: ModelSpec, E: complex, check: _Path, slope: complex,
     the solve's slope dE/dw: at a fixed match point the defect does not
     depend on the path, so neither does its slope."""
     try:
-        return abs(_matching_defect(model, E, check, rtol)[0] * slope)
+        return abs(_matching_defect(model, E, check, rtol) * slope)
     except ShootingError:
         return math.inf
 
@@ -602,11 +592,11 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     result is flagged converged only if the PT-reality check
     |Im E| <= 1e-8 |Re E| also holds, and if the root moves by at most
     CHECK_REL |E| on the check path (see the module docstring).  A real seed
-    integrates one ray per defect and stays real; at its root the check
-    reads Im E from the secant step w2 (E1 - E0) / (w1 - w0) of the two-ray
-    defect w2, with the slope of the last step taken.  Where default_seed is
-    WKB, an iterate whose real part leaves the WKB window of level k (see
-    _wkb_window), widened to include the seed, ends the solve unconverged.
+    integrates one ray per defect and stays real, so its root passes the
+    PT-reality check as it stands; a complex seed integrates both rays.
+    Where default_seed is WKB, an iterate whose real part leaves the WKB
+    window of level k (see _wkb_window), widened to include the seed, ends
+    the solve unconverged.
     Failures return an unconverged EigenResult instead of raising.
 
     Raises:
@@ -631,8 +621,8 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
     E1 = E0 * 1.001
     try:
         path = _build_path(model, abs(E0), radius_factor, rtol)
-        w0 = _solve_defect(model, E0, path, rtol)[0]
-        w1, uR = _matching_defect(model, E1, path, rtol)
+        w0 = _matching_defect(model, E0, path, rtol)
+        w1 = _matching_defect(model, E1, path, rtol)
     except ShootingError as exc:
         logger.warning("integration failed at seed for k=%d: %s", k, exc)
         return EigenResult(k, E0, math.inf, 0, False)
@@ -660,27 +650,15 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
             if abs(abs(E1) - path.E_ref) > PATH_BAND * path.E_ref:
                 # the defect depends on the path: keep both secant points on one
                 path = _build_path(model, abs(E1), radius_factor, rtol)
-                w0 = _matching_defect(model, E0, path, rtol)[0]
-            w1, uR = _solve_defect(model, E1, path, rtol)
+                w0 = _matching_defect(model, E0, path, rtol)
+            w1 = _matching_defect(model, E1, path, rtol)
         except ShootingError as exc:
             logger.warning("integration failed at E=%s for k=%d: %s", E1, k, exc)
             return EigenResult(k, E1, math.inf, iterations, False)
         if abs(dE) <= tol * abs(E1):
             converged = True
             break
-    im = E1.imag
-    if converged and im == 0.0:
-        # the one-ray defect is real by construction: test the two-ray one
-        try:
-            w2 = _defect(_u_interior(model, E1, "L", path, rtol), uR)
-        except ShootingError as exc:
-            logger.warning("left-ray integration failed for k=%d: %s", k, exc)
-            return EigenResult(k, E1, math.inf, iterations, False)
-        # the slope of the step that led here: its pair lies more than
-        # tol |E| apart, whereas the last pair can be an ulp apart, where
-        # w1 - w0 is rounding noise
-        im = (w2 * slope).imag
-    pt_real = abs(im) <= 1e-8 * abs(E1.real)
+    pt_real = abs(E1.imag) <= 1e-8 * abs(E1.real)
     if not pt_real:
         logger.warning("PT-reality violated for k=%d: E=%s", k, E1)
     path_ok = True

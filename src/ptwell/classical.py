@@ -45,6 +45,6 @@ def period_exact(epsilon: float, E: float) -> PeriodResult:
 
 def period_asymptotic(epsilon: float, E: float) -> float:
     """Large-deformation period, 4 pi / (eps sqrt(E))."""
-    if E <= 0.0 or epsilon <= 0.0:
-        raise ValueError("need E > 0 and epsilon > 0")
+    if not (0.0 < E < math.inf and 0.0 < epsilon < math.inf):
+        raise ValueError("need finite E > 0 and epsilon > 0")
     return 4.0 * math.pi / (epsilon * math.sqrt(E))

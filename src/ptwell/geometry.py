@@ -107,16 +107,45 @@ def continued_sqrt(model: ModelSpec, E: complex, x: np.ndarray,
 gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
-def potential_phase(model: ModelSpec, phi: float) -> complex:
-    """V(r e^{i phi}) / r^(2M+eps) for -pi <= phi <= 0.
+def _decay(n: float, T: float) -> float:
+    """int_1^T sqrt(t^n - 1) dt.  With t = 1 + (T - 1) w^2 the integrand is
+    smooth in w on [0, 1], so 32 Gauss-Legendre nodes give it."""
+    nodes, wts = gauss_legendre(32)
+    w = 0.5 * (nodes + 1.0)
+    t = 1.0 + (T - 1.0) * w * w
+    return (T - 1.0) * float(np.dot(wts, w * np.sqrt(t ** n - 1.0)))
 
-    In the closed lower half-plane arg(ix) = phi + pi/2 lies in
-    [-pi/2, pi/2], so the principal branch gives the phase
-    exp(i (2M phi + eps (phi + pi/2))) with no logarithm to evaluate.
+
+def decay_radius(n: float, r0: float, depth: float) -> float:
+    """R = r0 T where int_r0^R sqrt(r^n - r0^n) dr reaches depth.
+
+    On a wedge centre theta, V e^{2i theta} = r^n with n = 2M + eps, so for
+    |E| = r0^n the WKB decay rate Re(sqrt(V - E) e^{i theta}) is at least
+    sqrt(r^n - r0^n): the depth is a lower bound on the decay exponent.
+
+    With p = n/2 + 1 that is _decay(n, T) = depth/r0^p, solved by Newton in
+    log T with the exact slope sqrt(T^n - 1), started where
+    T^p = 1 + p depth/r0^p.  There _decay <= depth/r0^p, as
+    sqrt(t^n - 1) <= t^(n/2), and the iterates rise to the root from below.
+    From the matching bound above, (T - 1)^p = p depth/r0^p, the first step
+    overshoots below the root, and for a depth of 0.4 (spectral.WALL_DEPTH)
+    at M = 1, eps >= 9 below T = 1.  Where p depth/r0^p < 1e-8 the start is
+    so close to 1 that Newton stops short or at T = 1; there T solves
+    int_1^T sqrt(n (t - 1)) dt = depth/r0^p, at or above the root as
+    t^n - 1 >= n (t - 1), with a depth high by at most 1.5e-6 relative.
     """
-    if not -math.pi <= phi <= 0.0:
-        raise ValueError("phi must lie in [-pi, 0]")
-    return cmath.exp(1j * (2 * model.M * phi + model.epsilon * (phi + 0.5 * math.pi)))
+    p = 0.5 * n + 1.0
+    target = depth / r0 ** p
+    if p * target < 1e-8:
+        return r0 * (1.0 + (1.5 * target / math.sqrt(n)) ** (2.0 / 3.0))
+    T = (1.0 + p * target) ** (1.0 / p)
+    for _ in range(50):
+        got = _decay(n, T)
+        step = math.log(got / target) * got / (T * math.sqrt(T ** n - 1.0))
+        T *= math.exp(-step)
+        if abs(step) <= 1e-14:
+            break
+    return r0 * T
 
 
 def wedge_angles(model: ModelSpec) -> WedgePair:

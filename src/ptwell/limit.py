@@ -198,20 +198,18 @@ def scaled_ode_residual(M: int, F: float, z: complex,
 # ---------------------------------------------------------------------------
 
 def F_of_eps(E: float, epsilon: float) -> float:
-    """F = E^((eps+4)/(eps+2)) / (eps+2)^2, the refined scaling of E."""
-    if E <= 0.0:
-        raise ValueError("E must be positive")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    """F = E^((eps+4)/(eps+2)) / (eps+2)^2, the refined scaling of E.
+    Raises ValueError unless 0 < E < inf and 0 <= eps < inf (nan included)."""
+    if not (0.0 < E < math.inf and 0.0 <= epsilon < math.inf):
+        raise ValueError("need finite E > 0 and epsilon >= 0")
     return E ** ((epsilon + 4.0) / (epsilon + 2.0)) / (epsilon + 2.0) ** 2
 
 
 def E_of_F(F: float, epsilon: float) -> float:
-    """Exact inverse of F_of_eps."""
-    if F <= 0.0:
-        raise ValueError("F must be positive")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    """Exact inverse of F_of_eps.  Raises ValueError unless 0 < F < inf
+    and 0 <= eps < inf (nan included)."""
+    if not (0.0 < F < math.inf and 0.0 <= epsilon < math.inf):
+        raise ValueError("need finite F > 0 and epsilon >= 0")
     return (F * (epsilon + 2.0) ** 2) ** ((epsilon + 2.0) / (epsilon + 4.0))
 
 

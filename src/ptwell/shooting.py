@@ -3,13 +3,13 @@
 The Schroedinger equation -psi'' + V psi = E psi is integrated inward along
 the two anti-Stokes rays that carry the decay boundary conditions, from the
 WKB decaying solution with its first correction at the outer radius where
-the decay exponent reaches 1/2 ln(1/rtol) + 1.5: the inward integration
-damps the start error by about e^(-2 depth), below the integrator
-tolerance.  Eigenvalues are the zeros of a normalized log-derivative
-matching defect, located by a damped complex secant iteration.  Where the
-seed is Bohr-Sommerfeld (M = 1, or eps < 4) level k lies between the WKB
-energies at k - 1/2 and k + 1/2, and an iterate that leaves that window
-ends the solve unconverged.
+a lower bound on the decay exponent (geometry.decay_radius) reaches
+1/2 ln(1/rtol) + 1.5: the inward integration damps the start error by about
+e^(-2 depth), below the integrator tolerance.  Eigenvalues are the zeros of
+a normalized log-derivative matching defect, located by a damped complex
+secant iteration.  Where the seed is Bohr-Sommerfeld (M = 1, or eps < 4)
+level k lies between the WKB energies at k - 1/2 and k + 1/2, and an
+iterate that leaves that window ends the solve unconverged.
 
 The solver matches on the negative imaginary axis at the height where the
 classically allowed arch joining the turning points crosses it: the signal
@@ -32,8 +32,8 @@ leaves a band of PATH_BAND around it.  The build's own shot starts each leg
 from a count that agrees in its first two passes, and its result is the
 solve's defect at that energy (_matching_defect); the counts it keeps let
 every later shot on the path finish both legs in those two passes, one
-kernel call, and V, which does not depend on E, is evaluated once per path
-and node set (_build_path, _legs).
+kernel call, and V (geometry.potential_value), which does not depend on E,
+is evaluated once per path and node set (_build_path, _legs).
 
 For real E the left solution is the PT mirror of the right one,
 u_L(-i y*) = -conj(u_R(-i y*)), so the defect needs only the right side and
@@ -61,8 +61,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (ModelSpec, continued_sqrt, gauss_legendre,
-                       potential_phase, turning_points,
+from .geometry import (ModelSpec, continued_sqrt, decay_radius,
+                       gauss_legendre, potential_value, turning_points,
                        turning_radius, wedge_angles)
 from .spectral import certified_levels
 from .wkb import wkb_energy_closed, wkb_energy_quadrature
@@ -101,38 +101,11 @@ class EigenResult:
 # outer radius from the decay depth
 # ---------------------------------------------------------------------------
 
-def _decay_depth(model: ModelSpec, E: float, theta: float, R: float) -> float:
-    """int |sqrt(V - E)| d|x| along the ray between turning radius and R."""
-    r0 = turning_radius(model, E)
-    if R <= r0:
-        return 0.0
-    nodes, wts = gauss_legendre(32)
-    s = 0.5 * (R - r0) * nodes + 0.5 * (R + r0)
-    v = potential_phase(model, theta) * s ** (2.0 * model.M + model.epsilon)
-    return 0.5 * (R - r0) * float(np.dot(wts, np.sqrt(np.abs(v - E))))
-
-
-def _outer_radius(model: ModelSpec, E: float, theta: float, depth: float) -> float:
-    r0 = turning_radius(model, E)
-    R = r0 * 1.05
-    while _decay_depth(model, E, theta, R) < depth:
-        R *= 1.25
-        if R > 1e9:
-            raise ShootingError("outer radius runaway")
-    lo, hi = R / 1.25, R
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        if _decay_depth(model, E, theta, mid) < depth:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _ray_radius(model: ModelSpec, E: float, theta: float,
-                radius_factor: float, rtol: float) -> float:
-    """Outer radius where the decay depth reaches 1/2 ln(1/rtol) + 1.5,
-    enlarged by `radius_factor`.
+def _ray_radius(model: ModelSpec, E: float, radius_factor: float,
+                rtol: float) -> float:
+    """`radius_factor` times the outer radius where the decay depth from the
+    turning radius reaches 1/2 ln(1/rtol) + 1.5 (geometry.decay_radius, a
+    lower bound on the depth along the ray).
 
     Integrated inward, the solution growing outward that the corrected WKB
     start admixes is damped by about e^(-2 depth) against the wanted one,
@@ -142,10 +115,12 @@ def _ray_radius(model: ModelSpec, E: float, theta: float,
     """
     if not 1.0 <= radius_factor < math.inf:
         raise ValueError("radius_factor must be finite and >= 1")
-    depth = 0.5 * math.log(1.0 / rtol) + 1.5
-    R = _outer_radius(model, E, theta, depth) * radius_factor
-    if radius_factor != 1.0 and _decay_depth(model, E, theta, R) > MAX_DEPTH:
-        R = _outer_radius(model, E, theta, MAX_DEPTH)
+    n, r_t = 2.0 * model.M + model.epsilon, turning_radius(model, E)
+    R = radius_factor * decay_radius(n, r_t, 0.5 * math.log(1.0 / rtol) + 1.5)
+    if radius_factor > 1.0:
+        R = min(R, decay_radius(n, r_t, MAX_DEPTH))
+    if not R > r_t:
+        raise ShootingError("outer radius within rounding of the turning radius")
     return R
 
 
@@ -157,7 +132,7 @@ def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
     """
     ex = cmath.exp(1j * theta)
     n = 2.0 * model.M + model.epsilon
-    v = R ** n * potential_phase(model, theta)
+    v = potential_value(model, R * ex)
     q = cmath.sqrt(v - E)
     if (q * ex).real < 0.0:
         q = -q
@@ -403,13 +378,6 @@ def match_height(model: ModelSpec, E: float) -> float:
     return c
 
 
-def _potential(model: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """V(x) = |x|^N e^{i(N phi + eps pi/2)} in the closed lower half-plane,
-    with N = 2M + eps and phi = arg x: potential_value with no logarithm."""
-    n = 2.0 * model.M + model.epsilon
-    return np.abs(x) ** n * np.exp(1j * (n * np.angle(x) + 0.5 * math.pi * model.epsilon))
-
-
 @dataclass(frozen=True)
 class _Path:
     """Path of one solve, built for |E| = E_ref: on the right a straight leg
@@ -449,7 +417,7 @@ def _legs(model: ModelSpec, E: complex, theta: float, path: _Path) -> list[tuple
         def q(s):
             v = path.v.get((j, s.shape))
             if v is None:
-                v = path.v[j, s.shape] = _potential(model, x0 + s * u)
+                v = path.v[j, s.shape] = potential_value(model, x0 + s * u)
             return (u * u).conjugate() * (v.conjugate() - E) if mirror else u * u * (v - E)
         return q, length, -u.conjugate() if mirror else u
 
@@ -487,7 +455,7 @@ def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
     tables' chords need _phase_count + 0.19..0.33 tol^(-1/6).
     """
     theta = wedge_angles(model).theta_right
-    R = _ray_radius(model, E_ref, theta, radius_factor, rtol)
+    R = _ray_radius(model, E_ref, radius_factor, rtol)
     path = _Path(E_ref, match_height(model, E_ref), turning_radius(model, E_ref),
                  theta, R, (0, 0))
     ray, chord = (_phase_count(q, length, rtol)

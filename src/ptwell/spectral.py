@@ -11,8 +11,9 @@ the vertex -i rho |sin theta| lies on the negative imaginary axis, where V
 is analytic.  rho is the turning radius of the leading WKB energy of the
 highest wanted level.  The half-width L puts the ends where the WKB decay
 exponent of the ground level, int sqrt(r^N - r0^N) dr from its turning
-radius r0, reaches a fixed depth; a fixed L cuts the wedges short for some
-(M, eps) while two sizes on it still agree.  The levels are the real
+radius r0 (geometry.decay_radius, which also sets the shooting solver's
+outer radius), reaches a fixed depth; a fixed L cuts the wedges short for
+some (M, eps) while two sizes on it still agree.  The levels are the real
 eigenvalues of the interior collocation matrix A, in ascending order.  PT
 symmetry makes A centrohermitian, J conj(A) J = A with J the flip, so Lee's
 unitary Q makes Q^H A Q real (A. Lee, Linear Algebra Appl. 29 (1980) 205),
@@ -41,7 +42,7 @@ import math
 
 import numpy as np
 
-from .geometry import (ModelSpec, gauss_legendre, potential_value,
+from .geometry import (ModelSpec, decay_radius, potential_value,
                        turning_radius, wedge_angles)
 from .wkb import wkb_estimate
 
@@ -87,38 +88,6 @@ def _lee(m: int) -> np.ndarray:
     return q
 
 
-def _decay(n: float, T: float) -> float:
-    """int_1^T sqrt(t^n - 1) dt.  With t = 1 + (T - 1) w^2 the integrand is
-    smooth in w on [0, 1], so 32 Gauss-Legendre nodes give it."""
-    nodes, wts = gauss_legendre(32)
-    w = 0.5 * (nodes + 1.0)
-    t = 1.0 + (T - 1.0) * w * w
-    return (T - 1.0) * float(np.dot(wts, w * np.sqrt(t ** n - 1.0)))
-
-
-def _end_radius(n: float, r0: float, depth: float) -> float:
-    """R = r0 T where int_r0^R sqrt(r^n - r0^n) dr reaches depth.
-
-    With p = n/2 + 1 that is _decay(n, T) = depth/r0^p, solved by Newton in
-    log T with the exact slope sqrt(T^n - 1), started where
-    T^p = 1 + p depth/r0^p.  There _decay <= depth/r0^p, as
-    sqrt(t^n - 1) <= t^(n/2), and the iterates rise to the root from below.
-    From the matching bound above, (T - 1)^p = p depth/r0^p, the first step
-    overshoots below the root, and for depth = WALL_DEPTH at M = 1, eps >= 9
-    below T = 1.
-    """
-    p = 0.5 * n + 1.0
-    target = depth / r0 ** p
-    T = (1.0 + p * target) ** (1.0 / p)
-    for _ in range(50):
-        got = _decay(n, T)
-        step = math.log(got / target) * got / (T * math.sqrt(T ** n - 1.0))
-        T *= math.exp(-step)
-        if abs(step) <= 1e-14:
-            break
-    return r0 * T
-
-
 def _scales(model: ModelSpec, k_max: int) -> tuple[float, float, float]:
     """(theta, rho, r0): the right wedge centre, the turning radius of the
     leading WKB level k_max and that of the ground level."""
@@ -150,7 +119,7 @@ def _walled(model: ModelSpec, theta: float, rho: float, r0: float) -> bool:
     phi = theta - 2.0 * math.pi / (n + 2.0)
     r = rho * abs(math.sin(2.0 * theta)) / (
         2.0 * math.sqrt(math.sin(phi + theta) * math.sin(phi - theta)))
-    return r > _end_radius(n, r0, WALL_DEPTH)
+    return r > decay_radius(n, r0, WALL_DEPTH)
 
 
 def _interior(model: ModelSpec, scales: tuple[float, float, float],
@@ -159,7 +128,7 @@ def _interior(model: ModelSpec, scales: tuple[float, float, float],
     -d^2/dx^2 + V on the hyperbola for `scales` (_scales), whose ends reach
     the ground level's WKB decay depth `depth` or the radius rho."""
     theta, rho, r0 = scales
-    R = max(_end_radius(2.0 * model.M + model.epsilon, r0, depth), rho)
+    R = max(decay_radius(2.0 * model.M + model.epsilon, r0, depth), rho)
     # |x(s)|^2 = rho^2 (sinh^2 s + sin^2 theta)
     L = math.asinh(math.sqrt((R / rho) ** 2 - math.sin(theta) ** 2))
     t, d1, d2 = _cheb(n)

@@ -126,8 +126,8 @@ def wkb_energy_closed(k: int, epsilon: float) -> float:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     num = gamma_fn((3.0 * epsilon + 8.0) / (2.0 * epsilon + 4.0)) \
         * math.sqrt(math.pi) * (k + 0.5)
     den = math.sin(math.pi / (epsilon + 2.0)) \
@@ -168,10 +168,10 @@ def asymptotic_energy(M: int, k: int, P: int, epsilon: float) -> float:
     """Large-deformation spectrum: E = (1/4) (k + P/(M+1))^2 eps^2.
 
     Raises:
-        ValueError: unless 1 <= P <= M.
+        ValueError: unless 1 <= P <= M and 0 <= epsilon < inf (nan included).
     """
-    if not 1 <= P <= M:
-        raise ValueError("P must satisfy 1 <= P <= M")
+    if not (1 <= P <= M and 0.0 <= epsilon < math.inf):
+        raise ValueError("need 1 <= P <= M and finite epsilon >= 0")
     return 0.25 * (k + P / (M + 1.0)) ** 2 * epsilon * epsilon
 
 
@@ -183,15 +183,15 @@ def ground_expansion_exact(epsilon: float) -> float:
     the linear coefficient being 0.74088 to five decimals.  Valid up to an
     O(ln eps) remainder.
     """
-    if epsilon <= 1.0:
-        raise ValueError("expansion stated for epsilon > 1")
+    if not 1.0 < epsilon < math.inf:
+        raise ValueError("expansion stated for finite epsilon > 1")
     c = 0.25 * (1.0 + EULER_GAMMA + 2.0 * math.log(2.0))
     return epsilon * epsilon / 16.0 - 0.25 * epsilon * math.log(epsilon) + c * epsilon
 
 
 def ground_expansion_wkb(epsilon: float) -> float:
     """Same expansion with the WKB linear coefficient (7/3 + ln 2)/4 = 0.75662."""
-    if epsilon <= 1.0:
-        raise ValueError("expansion stated for epsilon > 1")
+    if not 1.0 < epsilon < math.inf:
+        raise ValueError("expansion stated for finite epsilon > 1")
     c = 0.25 * (7.0 / 3.0 + math.log(2.0))
     return epsilon * epsilon / 16.0 - 0.25 * epsilon * math.log(epsilon) + c * epsilon

@@ -15,6 +15,9 @@ TABLE1_E0 = [5.55331, 20.67629, 46.94324, 84.78728, 134.43752, 196.03417]
 # (test_ray_oracle.py).  The datum is that value rounded to five decimals.
 TABLE2_E0 = [2.65128, 9.21477, 20.70525, 37.32010, 59.16865, 86.31764]
 LABELS = [8.0, 18.0, 28.0, 38.0, 48.0, 58.0]
+# (M, eps, E0) of the distinct golden rows: table 3 shares table 1's models
+GOLDEN_ROWS = [(1, lab, E) for lab, E in zip(LABELS, TABLE1_E0)] + [
+    (2, lab - 2.0, E) for lab, E in zip(LABELS, TABLE2_E0)]
 # levels k of p^2 - x^4 (M = 1, eps = 2) from its Hermitian equivalent
 # p^2 + 4x^4 - 2x (Buslaev-Grecchi), oscillator-basis eigvalsh at 200 and
 # 260 states

@@ -33,6 +33,13 @@ class TestAsymptotics:
     def test_substitution(self):
         assert period_asymptotic(100.0, 4.0) == pytest.approx(4.0 * math.pi / 200.0)
 
+    @pytest.mark.parametrize("epsilon,E", [(1.0, math.nan), (1.0, math.inf),
+                                           (math.nan, 1.0), (math.inf, 1.0),
+                                           (0.0, 1.0), (1.0, 0.0)])
+    def test_domain(self, epsilon, E):
+        with pytest.raises(ValueError):
+            period_asymptotic(epsilon, E)
+
     def test_convergence_to_asymptote(self):
         ratios = [period_exact(e, 1.0).T / period_asymptotic(e, 1.0)
                   for e in (50.0, 100.0, 200.0, 400.0)]

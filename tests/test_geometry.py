@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ptwell.geometry import (BranchCutError, ModelSpec, continued_sqrt,
-                             potential_phase, potential_value, turning_points,
-                             turning_radius, wedge_angles)
+                             potential_value, turning_points, turning_radius,
+                             wedge_angles)
 
 
 class TestPotential:
@@ -64,28 +64,6 @@ class TestContinuedSqrt:
         assert np.abs(got - sign * want).max() <= 1e-14
         principal = np.sqrt(1.0 - x ** 2)
         assert np.any(np.abs(principal + sign * want) < 1e-14)
-
-
-class TestPotentialPhase:
-    @pytest.mark.parametrize("M", [1, 2, 3])
-    @pytest.mark.parametrize("eps", [0.0, 0.5, 2.0, 8.0, 56.0])
-    def test_matches_principal_branch(self, M, eps):
-        # both wedge angles, and points of the arcs from them to -pi/2
-        model = ModelSpec(M, eps)
-        w = wedge_angles(model)
-        phis = [w.theta_left, w.theta_right, -0.5 * math.pi]
-        for t in (0.1, 0.45, 0.9):
-            phis += [w.theta_left + t * (-0.5 * math.pi - w.theta_left),
-                     w.theta_right + t * (-0.5 * math.pi - w.theta_right)]
-        n = 2 * M + eps
-        for r in (0.3, 1.0, 1.7):
-            for phi in phis:
-                want = potential_value(model, r * cmath.exp(1j * phi)) / r ** n
-                assert abs(potential_phase(model, phi) - want) <= 1e-13 * abs(want)
-
-    def test_upper_half_plane_rejected(self):
-        with pytest.raises(ValueError):
-            potential_phase(ModelSpec(1, 1.0), 0.5)
 
 
 class TestWedges:

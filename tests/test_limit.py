@@ -177,6 +177,18 @@ class TestDeformationMap:
         E = E_of_F(0.0625, 38.0)
         assert F_of_eps(E, 38.0) == pytest.approx(0.0625, abs=1e-13)
 
+    @pytest.mark.parametrize("E,epsilon", [(math.nan, 1.0), (math.inf, 1.0),
+                                           (1.0, math.nan), (1.0, math.inf)])
+    def test_F_non_finite_domain(self, E, epsilon):
+        with pytest.raises(ValueError):
+            F_of_eps(E, epsilon)
+
+    @pytest.mark.parametrize("F,epsilon", [(math.nan, 1.0), (math.inf, 1.0),
+                                           (1.0, math.nan), (1.0, math.inf)])
+    def test_E_non_finite_domain(self, F, epsilon):
+        with pytest.raises(ValueError):
+            E_of_F(F, epsilon)
+
     def test_shooting_consistency(self, table1):
         # the map applied to the shooting energies reproduces the golden
         # F column to 1e-5

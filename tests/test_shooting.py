@@ -5,13 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma, j0, j1, y0, y1
 
 import ptwell.shooting as shooting
 from _ray_oracle import _segment as oracle_segment
 from _ray_oracle import _wkb_start
 from _ray_oracle import level as oracle_level
-from conftest import QUARTIC_LEVELS, oscillator_levels
+from conftest import GOLDEN_ROWS, QUARTIC_LEVELS, oscillator_levels
 from ptwell.cli import TABLE_GRID
 from ptwell.geometry import (ModelSpec, potential_value, turning_points,
                              turning_radius, wedge_angles)
@@ -30,6 +31,16 @@ def _rays(path):
 
 def _u(model, E, side, path):
     return shooting._u_interior(model, E, side, path, shooting.DEFAULT_RTOL)
+
+
+def _depth_points():
+    """(model, E) of the golden rows, the high levels and low-M seeds."""
+    golden = [(ModelSpec(M, eps), E) for M, eps, E in GOLDEN_ROWS]
+    levels = [(1, 2.0, k) for k in range(8, 31)] + [(2, 0.0, k) for k in range(8, 27)]
+    levels += [(M, eps, k) for M in (1, 2, 3) for eps in (0.0, 0.5, 1.3, 2.0, 6.0)
+               for k in range(6)]
+    return golden + [(ModelSpec(M, eps), shooting.default_seed(ModelSpec(M, eps), k))
+                     for M, eps, k in levels]
 
 
 class TestContour:
@@ -61,6 +72,26 @@ class TestContour:
                 if (q * cmath.exp(1j * theta)).real < 0.0:
                     q = -q
                 assert (q * x0).real >= 25.0
+
+    @pytest.mark.parametrize("rtol", [1e-13, shooting.DEFAULT_RTOL, 1e-8, 1e-6])
+    def test_outer_radius_reaches_depth(self, rtol):
+        # the decay exponent of the WKB start, int Re sqrt(r^N - E e^{2i theta})
+        # dr along the ray from the turning radius (V e^{2i theta} = r^N on
+        # the wedge centre), by scipy's adaptive quadrature, which shares no
+        # code with the solver; at eps = 0 the bound R is taken from is
+        # exact, so the depth meets its target there to rounding
+        worst = math.inf
+        for model, E in _depth_points():
+            n, theta = 2.0 * model.M + model.epsilon, wedge_angles(model).theta_right
+            R = shooting._ray_radius(model, E, 1.0, rtol)
+            w = E * cmath.exp(2j * theta)
+            depth, err = quad(lambda r: cmath.sqrt(r ** n - w).real,
+                              turning_radius(model, E), R, epsabs=1e-12, epsrel=1e-13,
+                              limit=200)
+            assert err <= 1e-9
+            target = 0.5 * math.log(1.0 / rtol) + 1.5
+            worst = min(worst, depth - target * (1.0 - 1e-12))
+        assert worst >= 0.0
 
 
 class TestRayStart:
@@ -314,14 +345,19 @@ class TestOneRayDefect:
                                          (1, 58.0, 196.0), (2, 6.0, 2.65),
                                          (2, 56.0, 86.3), (3, 1.3, 10.5)])
     def test_mirrored_radius(self, M, eps, E):
-        # the path searches the right ray only; the left ray's own search
-        # lands on the same radius
+        # one outer radius serves both rays: radius by radius, the decay
+        # rate on the left ray is the right ray's, so R does not depend on
+        # the side
         model = ModelSpec(M, eps)
         path = _path(model, E)
         theta_left = -math.pi - path.theta
         assert theta_left == wedge_angles(model).theta_left
-        R = shooting._ray_radius(model, E, theta_left, 1.0, shooting.DEFAULT_RTOL)
-        assert R == path.R
+        for r in np.linspace(turning_radius(model, E), path.R, 7):
+            left, right = (cmath.sqrt((potential_value(model, r * cmath.exp(1j * t)) - E)
+                                      * cmath.exp(2j * t)).real
+                           for t in (theta_left, path.theta))
+            assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
+        assert shooting._ray_radius(model, E, 1.0, shooting.DEFAULT_RTOL) == path.R
 
     def test_real_seed_integrates_no_left_ray(self, left_calls):
         # nor does its check path: a real root passes the PT-reality check
@@ -598,6 +634,14 @@ class TestSolveLevel:
         with pytest.raises(ValueError):
             solve_level(ModelSpec(1, 2.0), 0, seed=seed)
 
+    @pytest.mark.parametrize("M,eps", [(1, 0.0), (1, 2.0), (4, 58.0)])
+    @pytest.mark.parametrize("seed", [1e30, 1e300])
+    def test_huge_seed_fails_softly(self, M, eps, seed):
+        # the outer radius lies within rounding of the turning radius there;
+        # its Newton search once took the log of 0
+        res = solve_level(ModelSpec(M, eps), 0, seed=seed)
+        assert not res.converged
+
     @pytest.mark.parametrize("factor", [0.0, -1.0, 0.5, math.inf, math.nan])
     def test_radius_factor_domain(self, factor):
         # 0, -1 and 0.5 "converged" to 7.694, 8.133 and 5.5063, not 5.55331
@@ -825,10 +869,10 @@ class TestSolvePath:
         # node set that its shots use, on either side, not once per shot
         model = ModelSpec(1, 2.0)
         evaluated, used, calls = [0], set(), [0]
-        potential, legs = shooting._potential, shooting._legs
+        potential, legs = shooting.potential_value, shooting._legs
 
         def counted_potential(model, x):
-            evaluated[0] += 1
+            evaluated[0] += isinstance(x, np.ndarray)
             return potential(model, x)
 
         def recorded_legs(model, E, theta, path):
@@ -841,7 +885,7 @@ class TestSolvePath:
             return [(recorded(j, q), length, u)
                     for j, (q, length, u) in enumerate(legs(model, E, theta, path))]
 
-        monkeypatch.setattr(shooting, "_potential", counted_potential)
+        monkeypatch.setattr(shooting, "potential_value", counted_potential)
         monkeypatch.setattr(shooting, "_legs", recorded_legs)
         res = solve_level(model, 11)
         assert res.converged

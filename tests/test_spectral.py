@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import ptwell.geometry as geometry
 import ptwell.spectral as spectral
-from conftest import QUARTIC_LEVELS
-from ptwell.geometry import ModelSpec
-from ptwell.shooting import solve_level
+from conftest import GOLDEN_ROWS, QUARTIC_LEVELS
+from ptwell.geometry import ModelSpec, turning_radius
+from ptwell.shooting import MAX_DEPTH, default_seed, solve_level
 from ptwell.spectral import certified_levels, contour_levels
 
 
@@ -131,8 +135,8 @@ class TestRealEigensolve:
         assert sum(real) > 50
 
 
-def _bisection(n, r0, depth, decay=spectral._decay):
-    # R of _end_radius by doubling and 40 bisection steps
+def _bisection(n, r0, depth, decay=geometry._decay):
+    # R of decay_radius by doubling and 40 bisection steps
     target = depth / r0 ** (0.5 * n + 1.0)
     lo, hi = 1.0, 2.0
     while decay(n, hi) < target:
@@ -144,36 +148,63 @@ def _bisection(n, r0, depth, decay=spectral._decay):
 
 
 class TestEndRadius:
+    # geometry.decay_radius, the one rule both solvers end their contours by
+
     @pytest.mark.parametrize("eps", [9.0, 40.0, 160.0])
     def test_small_target(self, eps):
         # at M = 1 the wall depth is small against r0^(n/2 + 1), and a
         # Newton start above the root steps below T = 1
         n, r0 = 2.0 + eps, spectral._scales(ModelSpec(1, eps), 0)[2]
-        got = spectral._end_radius(n, r0, spectral.WALL_DEPTH)
+        got = geometry.decay_radius(n, r0, spectral.WALL_DEPTH)
         assert got == pytest.approx(_bisection(n, r0, spectral.WALL_DEPTH), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2.0, 8.0, 60.0, 800.0])
+    @pytest.mark.parametrize("pt", [1e-7, 1e-9, 1e-12, 1e-15, 1e-20])
+    def test_root_near_turning_radius(self, n, pt):
+        # p depth/r0^p = pt: below 1e-8 the start rounds to 1 or close and
+        # Newton stopped far short; the depth at R, by adaptive quadrature
+        # of sqrt(expm1(n log1p(s))) with s = t - 1, reaches depth, by at
+        # most 1.5e-6 more, up to the rounding of R
+        p, depth = 0.5 * n + 1.0, 15.3
+        r0 = (p * depth / pt) ** (1.0 / p)
+        d = geometry.decay_radius(n, r0, depth) / r0 - 1.0
+        got, _ = quad(lambda s: math.sqrt(math.expm1(n * math.log1p(s))), 0.0, d,
+                      epsabs=0.0, epsrel=1e-12)
+        rounding = 1.5 * 2.3e-16 / d
+        assert 1.0 - rounding <= got * r0 ** p / depth <= 1.0 + 1.5e-6 + rounding
+
     def test_newton_matches_bisection(self, monkeypatch):
-        end_radius, decay = spectral._end_radius, spectral._decay
+        decay_radius, decay = geometry.decay_radius, geometry._decay
         calls, evals = [], []
 
         def recorded(n, r0, depth):
             calls.append((n, r0, depth))
-            return end_radius(n, r0, depth)
+            return decay_radius(n, r0, depth)
 
         def counted(n, T):
             evals[-1] += 1
             return decay(n, T)
 
-        monkeypatch.setattr(spectral, "_end_radius", recorded)
+        monkeypatch.setattr(spectral, "decay_radius", recorded)
         for M in (1, 2, 3, 4):
             for eps in np.arange(0.0, 61.0, 10.0):
                 for k_max in (0, 10):
                     certified_levels(ModelSpec(M, eps), k_max, 1e-9)
         assert {depth for _, _, depth in calls} == {spectral.WALL_DEPTH} | {
             depth for depth, _ in spectral.CONTOURS}
-        monkeypatch.setattr(spectral, "_decay", counted)
+        # shooting's outer radii: its depths from rtol and MAX_DEPTH at the
+        # turning radii of the golden rows and the high levels
+        points = [(ModelSpec(M, eps), E) for M, eps, E in GOLDEN_ROWS]
+        points += [(ModelSpec(M, eps), default_seed(ModelSpec(M, eps), k))
+                   for M, eps, ks in ((1, 2.0, range(8, 31)), (2, 0.0, range(8, 27)))
+                   for k in ks]
+        depths = [0.5 * math.log(1.0 / rtol) + 1.5 for rtol in
+                  (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)] + [MAX_DEPTH]
+        calls += [(2.0 * model.M + model.epsilon, turning_radius(model, E), depth)
+                  for model, E in points for depth in depths]
+        monkeypatch.setattr(geometry, "_decay", counted)
         for args in calls:
             evals.append(0)
-            R = end_radius(*args)
+            R = decay_radius(*args)
             assert evals[-1] <= 8
             assert R == pytest.approx(_bisection(*args), rel=1e-12)

@@ -78,6 +78,12 @@ class TestClosedForm:
     def test_hermitian_collapse(self, k):
         assert wkb_energy_closed(k, 0.0) == pytest.approx(2 * k + 1, rel=1e-14)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("energy", [wkb_energy_closed, wkb_energy_next])
+    def test_non_finite_domain(self, energy, epsilon):
+        with pytest.raises(ValueError):
+            energy(0, epsilon)
+
     def test_against_quadrature_root(self):
         # the closed form must be the root of action = pi/2 at k = 0
         E = wkb_energy_quadrature(ModelSpec(1, 8.0), 0)
@@ -167,6 +173,11 @@ class TestAsymptoticEnergy:
         with pytest.raises(ValueError):
             asymptotic_energy(2, 0, 3, 1.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -3.0])
+    def test_domain(self, epsilon):
+        with pytest.raises(ValueError):
+            asymptotic_energy(1, 0, 1, epsilon)
+
 
 class TestGroundExpansions:
     def test_exact_coefficient(self):
@@ -196,6 +207,12 @@ class TestGroundExpansions:
         for eps in (50.0, 200.0):
             gap = abs(wkb_energy_next(0, eps) - ground_expansion_wkb(eps))
             assert gap <= 3.0 * math.log(eps)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    @pytest.mark.parametrize("expansion", [ground_expansion_exact, ground_expansion_wkb])
+    def test_non_finite_domain(self, expansion, epsilon):
+        with pytest.raises(ValueError):
+            expansion(epsilon)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,14 @@
 """Finite-deformation eigensolver by complex-ray shooting.
 
 The Schroedinger equation -psi'' + V psi = E psi is integrated inward along
-the two anti-Stokes rays that carry the decay boundary conditions, from the
-WKB decaying solution with its first correction at the outer radius where
-a lower bound on the decay exponent (geometry.decay_radius) reaches
-1/2 ln(1/rtol) + 1.5: the inward integration damps the start error by about
-e^(-2 depth), below the integrator tolerance.  Eigenvalues are the zeros of
-a normalized log-derivative matching defect, located by a damped complex
-secant iteration.  Where the seed is Bohr-Sommerfeld (M = 1, or eps < 4)
+the anti-Stokes ray of the right decay wedge (the left one follows by PT
+symmetry, see below), from the WKB decaying solution with its first
+correction at the outer radius where a lower bound on the decay exponent
+(geometry.decay_radius) reaches 1/2 ln(1/rtol) + 1.5: the inward
+integration damps the start error by about e^(-2 depth), below the
+integrator tolerance.  Eigenvalues are the zeros of a normalized
+log-derivative matching defect, located by a damped complex secant
+iteration.  Where the seed is Bohr-Sommerfeld (M = 1, or eps < 4)
 level k lies between the WKB energies at k - 1/2 and k + 1/2, and an
 iterate that leaves that window ends the solve unconverged.
 
@@ -15,17 +16,20 @@ The solver matches on the negative imaginary axis at the height where the
 classically allowed arch joining the turning points crosses it: the signal
 there stays O(1) for every deformation, which makes the large-deformation
 golden values reachable in double precision, while at the origin it falls
-off exponentially once the deformation is large (match_height).
+off exponentially once the deformation is large.  On the axis V is real, so
+the imaginary part of the action to -i y has the closed-form slope
+-Re sqrt(E - V(-i y)), and Newton finds the height below the turning
+radius in a few action evaluations (match_height).
 
-The path of each side is monotone.  A straight leg runs from the outer
-point to the turning point x_t, and on it the wanted solution only grows; a
-chord joins x_t to the match point, and on it the solution gains and loses
-the same few e-folds (0.5 to 1.8 at M = 1, eps = 2, k = 8..30), so rounding
-is not amplified.  Both legs are integrated by the sixth-order Magnus
-method, the step count doubled until two counts agree (_segment).  The
-equation is linear and a transfer matrix does not depend on the state it
-carries, so one call of the kernel _transfers forms the first two counts of
-both legs of a shot in one numpy pass and one pairwise tree.  A solve
+The path is monotone.  A straight leg runs from the outer point to the
+turning point x_t, and on it the wanted solution only grows; a chord joins
+x_t to the match point, and on it the solution gains and loses the same few
+e-folds (0.5 to 1.8 at M = 1, eps = 2, k = 8..30), so rounding is not
+amplified.  Both legs are integrated by the sixth-order Magnus method,
+the step count doubled until two counts agree (_segment).  The equation is
+linear and a transfer matrix does not depend on the state it carries, so
+one call of the kernel _transfers forms the first two counts of both legs
+of a shot in one numpy pass and one pairwise tree.  A solve
 builds its path (outer radius, vertex, match height and the count each leg
 starts from) once, from the seed energy, and rebuilds it only when |E|
 leaves a band of PATH_BAND around it.  The build's own shot starts each leg
@@ -35,18 +39,19 @@ every later shot on the path finish both legs in those two passes, one
 kernel call, and V (geometry.potential_value), which does not depend on E,
 is evaluated once per path and node set (_build_path, _legs).
 
-For real E the left solution is the PT mirror of the right one,
-u_L(-i y*) = -conj(u_R(-i y*)), so the defect needs only the right side and
-is real: a real seed keeps the secant on the real axis, and its root passes
-the PT-reality check |Im E| <= 1e-8 |Re E| as it stands.  Complex E
-integrates both sides, and a complex root is held to that check.  Since a
-real root cannot fail it, a converged root is also re-checked on a second
-path to the same match point, whose vertex is CHECK_CORNER x_t: an
-eigenvalue does not depend on the path, so a root that moves there by more
-than CHECK_REL |E| is reported unconverged (_check_shift gives the move).
-Its first leg runs on past x_t, so it starts from twice the count kept for
-the solve's.  All operations are pure.  scan_levels shoots only the levels
-that the spectral engine (ptwell.spectral) does not certify.
+Only the right side is integrated.  PT symmetry maps the left solution at
+E to the mirror image of the right one at conj E, so
+u_L(E) = -conj(u_R(conj E)) at -i y*: for real E the defect takes one shot
+and is real, so a real seed keeps the secant on the real axis, and its root
+passes the PT-reality check |Im E| <= 1e-8 |Re E| as it stands; complex E
+takes two shots, and a complex root is held to that check.  Since a real
+root cannot fail it, a converged root is also re-checked on a second path
+to the same match point, whose vertex is CHECK_CORNER x_t: an eigenvalue
+does not depend on the path, so a root that moves there by more than
+CHECK_REL |E| is reported unconverged (_check_shift gives the move).  Its
+first leg runs on past x_t, so it starts from twice the count kept for the
+solve's.  All operations are pure.  scan_levels shoots only the levels that
+the spectral engine (ptwell.spectral) does not certify.
 """
 
 from __future__ import annotations
@@ -313,79 +318,55 @@ def _segment(leg: tuple, psi: complex, dpsi: complex, steps: int, rtol: float,
 # interior matching: arch height, ray and chord
 # ---------------------------------------------------------------------------
 
-def _im_action_to_axis(model: ModelSpec, E: float, y):
-    """Im of int sqrt(E - V) dx from the right turning point to -i y, on
-    the branch continued from the axis end, where Im sqrt >= 0: a float for
-    a float y, an array for an array of heights.
+def _im_action_to_axis(model: ModelSpec, E: float, y: float) -> tuple[float, float]:
+    """G(y) = Im int sqrt(E - V) dx from the right turning point to -i y,
+    by 64-point Gauss-Legendre on the straight segment, and its slope
+    dG/dy = -Re sqrt(E - V(-i y)).
 
-    The segments of all heights form one path for continued_sqrt; its flips
-    between the end of one segment and the start of the next are undone when
-    each segment is turned to its own axis end.  Each sum runs over the
-    nodes in order, as a scalar loop would add them.
+    The roots at the nodes are one branch, continued from the principal
+    root at -i y, where V = (-1)^M y^N is real (N = 2M + eps): below the
+    turning radius E - V(-i y) > 0, so the slope is -sqrt(E -+ y^N) < 0.
+    The sum runs over the nodes in order, as a scalar loop would add them.
     """
-    ys = np.atleast_1d(y)
-    a, b = turning_points(model, E).x_right, -1j * ys[:, None]
+    a, b = turning_points(model, E).x_right, -1j * y
     nodes, wts = gauss_legendre(64)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + half * nodes
-    roots = continued_sqrt(model, E, x.ravel(), -1).reshape(x.shape)
-    roots = np.where(roots[:, -1:].imag < 0.0, -roots, roots)
-    im = (np.cumsum(wts * roots, axis=1)[:, -1:] * half).imag[:, 0]
-    return im if np.ndim(y) else float(im[0])
+    half = 0.5 * (b - a)
+    roots = continued_sqrt(model, E, np.append(0.5 * (a + b) + half * nodes, b), -1)
+    return float((np.cumsum(wts * roots[:-1])[-1] * half).imag), float(-roots[-1].real)
 
 
 def match_height(model: ModelSpec, E: float) -> float:
     """Height y* where the classically allowed arch crosses -i y.
 
-    Found as the zero of the imaginary part of the action accumulated from
-    the right turning point (path independent).  This is the origin at
-    eps = 0 and approaches the turning radius as the deformation grows.
-    The highest sign change among 26 heights up to 1.25 turning radii is
-    refined by the Illinois method (Dowell & Jarratt, BIT 11 (1971) 168)
-    until the bracket is narrower than 1e-12 max(1, r) or the iterate stops
-    moving.
+    The zero of G (_im_action_to_axis), by Newton from h = -Im x_t, where
+    the straight segment joining the turning points crosses the axis.  Below
+    the turning radius r_t the slope -sqrt(E -+ y^N) keeps its sign and
+    shrinks in magnitude as y^N grows (concave G at odd M, convex at even
+    M), so G is monotone there and Newton converges monotonically after at
+    most one step; the iterates are kept in [y/2, r_t], and the loop stops
+    once a step is at most 1e-13 max(1, r_t).  This is the origin at
+    eps = 0, and approaches the turning radius as the deformation grows.
     """
-    if model.epsilon == 0.0 and model.M % 2 == 1:
+    if model.epsilon == 0.0:
         return 0.0
-    r = turning_radius(model, E)
-    ys = np.linspace(0.0, 1.25 * r, 26)
-    gs = _im_action_to_axis(model, E, ys)
-    cross = np.flatnonzero(gs[:-1] * gs[1:] <= 0.0)
-    if not cross.size:
-        return float(ys[int(np.argmin(np.abs(gs)))])
-    i = int(cross[-1])
-    a, b, fa, fb = float(ys[i]), float(ys[i + 1]), float(gs[i]), float(gs[i + 1])
-    c, side = a, 0
+    r, y = turning_radius(model, E), -turning_points(model, E).x_right.imag
     for _ in range(50):
-        if b - a < 1e-12 * max(1.0, r):
-            break
-        c_prev, c = c, (a * fb - b * fa) / (fb - fa)
-        if c == c_prev:
-            break
-        fc = _im_action_to_axis(model, E, c)
-        if fc * fb > 0.0:
-            b, fb = c, fc
-            if side == -1:
-                fa *= 0.5       # a kept twice: halve its weight
-            side = -1
-        elif fc * fa > 0.0:
-            a, fa = c, fc
-            if side == 1:
-                fb *= 0.5
-            side = 1
-        else:
-            break
-    return c
+        g, slope = _im_action_to_axis(model, E, y)
+        y_next = min(max(y - g / slope, 0.5 * y), r)
+        if abs(y_next - y) <= 1e-13 * max(1.0, r):
+            return y_next
+        y = y_next
+    raise ShootingError("match height: Newton did not settle")
 
 
 @dataclass(frozen=True)
 class _Path:
-    """Path of one solve, built for |E| = E_ref: on the right a straight leg
-    from R e^{i theta} to the vertex, the turning point x_t of E_ref scaled
-    to radius `corner` (CHECK_CORNER r_t on the check path), then a chord to
-    the match point -i ym; the left side is its mirror image -conj(x).  The
-    legs start from `steps` Magnus steps; `v` keeps V (see _legs); `u_ref`
-    is psi'/psi at -i ym on the right at E_ref, from the build's shot."""
+    """Path of one solve, built for |E| = E_ref: a straight leg from
+    R e^{i theta} to the vertex, the turning point x_t of E_ref scaled to
+    radius `corner` (CHECK_CORNER r_t on the check path), then a chord to
+    the match point -i ym.  The legs start from `steps` Magnus steps; `v`
+    keeps V (see _legs); `u_ref` is psi'/psi at -i ym at E_ref, from the
+    build's shot."""
 
     E_ref: float
     ym: float
@@ -397,18 +378,15 @@ class _Path:
     u_ref: complex | None = field(default=None, repr=False, compare=False)
 
 
-def _legs(model: ModelSpec, E: complex, theta: float, path: _Path) -> list[tuple]:
-    """(q, length, u) of the first leg and the chord of `path` on the side of
-    the ray at angle theta (path.theta, or -pi - path.theta on the left), at
-    energy E: psi_ss = q(s) psi = u^2 (V - E) psi on [0, length] along the
-    unit direction u.  q is called on fixed node sets, one per shape (Gauss
-    nodes of n Magnus steps, the leg's end, _phase_count's probes), so V on
-    the right side is evaluated once per leg and shape and kept in path.v;
-    on the left, V at -conj(x) is conj V(x)."""
+def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
+    """(q, length, u) of the first leg and the chord of `path` at energy E:
+    psi_ss = q(s) psi = u^2 (V - E) psi on [0, length] along the unit
+    direction u.  q is called on fixed node sets, one per shape (Gauss nodes
+    of n Magnus steps, the leg's end, _phase_count's probes), so V is
+    evaluated once per leg and shape and kept in path.v."""
     x_t = turning_points(model, path.E_ref).x_right
     ends = (path.R * cmath.exp(1j * path.theta), path.corner / abs(x_t) * x_t,
             -1j * path.ym)
-    mirror = theta != path.theta
 
     def leg(j):
         x0, length = ends[j], abs(ends[j + 1] - ends[j])
@@ -418,20 +396,20 @@ def _legs(model: ModelSpec, E: complex, theta: float, path: _Path) -> list[tuple
             v = path.v.get((j, s.shape))
             if v is None:
                 v = path.v[j, s.shape] = potential_value(model, x0 + s * u)
-            return (u * u).conjugate() * (v.conjugate() - E) if mirror else u * u * (v - E)
-        return q, length, -u.conjugate() if mirror else u
+            return u * u * (v - E)
+        return q, length, u
 
     return [leg(0), leg(1)]
 
 
-def _shoot(model: ModelSpec, E: complex, theta: float, path: _Path,
-           steps: tuple[int, int], rtol: float) -> tuple[complex, tuple[int, int]]:
-    """psi'/psi at -i ym, carried along the legs of `path` on the side of
-    the ray at angle theta from `steps` Magnus steps first, whose first two
-    passes take one call of _transfers; and the counts _segment returns."""
-    psi, dpsi_ds = _outgoing_ic(model, E, theta, path.R)    # s = R - |x|
-    dpsi = -dpsi_ds / cmath.exp(1j * theta)
-    legs = _legs(model, E, theta, path)
+def _shoot(model: ModelSpec, E: complex, path: _Path, steps: tuple[int, int],
+           rtol: float) -> tuple[complex, tuple[int, int]]:
+    """psi'/psi at -i ym, carried along the legs of `path` from `steps`
+    Magnus steps first, whose first two passes take one call of _transfers;
+    and the counts _segment returns."""
+    psi, dpsi_ds = _outgoing_ic(model, E, path.theta, path.R)    # s = R - |x|
+    dpsi = -dpsi_ds / cmath.exp(1j * path.theta)
+    legs = _legs(model, E, path)
     firsts = _transfers([(q, length, (n, 2 * n))
                          for (q, length, _), n in zip(legs, steps)])
     psi, dpsi, ray = _segment(legs[0], psi, dpsi, steps[0], rtol, firsts[:2])
@@ -441,9 +419,8 @@ def _shoot(model: ModelSpec, E: complex, theta: float, path: _Path,
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
                 rtol: float) -> _Path:
-    """The path for E_ref, with its step counts and u_ref from one shot of
-    the right side at E_ref; the left side mirrors the right one, and so do
-    its decay depth and its counts.
+    """The path for E_ref, with its step counts and u_ref from one shot at
+    E_ref.
 
     The shot starts each leg from a count whose first pair already agrees
     (_segment), as measured on M = 1..3, eps = 0..58, k = 0..28: on the
@@ -454,26 +431,23 @@ def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
     grows by almost nothing.  93% of those chords agree at once; the golden
     tables' chords need _phase_count + 0.19..0.33 tol^(-1/6).
     """
-    theta = wedge_angles(model).theta_right
     R = _ray_radius(model, E_ref, radius_factor, rtol)
     path = _Path(E_ref, match_height(model, E_ref), turning_radius(model, E_ref),
-                 theta, R, (0, 0))
+                 wedge_angles(model).theta_right, R, (0, 0))
     ray, chord = (_phase_count(q, length, rtol)
-                  for q, length, _ in _legs(model, E_ref, theta, path))
-    u, steps = _shoot(model, E_ref, theta, path, (
+                  for q, length, _ in _legs(model, E_ref, path))
+    u, steps = _shoot(model, E_ref, path, (
         max(8, ray // 2), chord + math.ceil(0.5 * _leg_tol(rtol) ** (-1.0 / 6.0))), rtol)
     built = replace(path, steps=steps, u_ref=u)
     built.v.update(path.v)
     return built
 
 
-def _u_interior(model: ModelSpec, E: complex, side: str, path: _Path,
-                rtol: float) -> complex:
+def _u_interior(model: ModelSpec, E: complex, path: _Path, rtol: float) -> complex:
     """psi'/psi at -i ym, integrated along `path` from the outer point."""
     if not cmath.isfinite(E):
         raise ShootingError("non-finite energy")
-    theta = -math.pi - path.theta if side == "L" else path.theta
-    return _shoot(model, E, theta, path, path.steps, rtol)[0]
+    return _shoot(model, E, path, path.steps, rtol)[0]
 
 
 def _matching_defect(model: ModelSpec, E: complex, path: _Path,
@@ -483,16 +457,19 @@ def _matching_defect(model: ModelSpec, E: complex, path: _Path,
 
     The product normalization keeps the defect bounded and vanishing at
     every eigenvalue, including states whose wavefunction has a node at the
-    matching point (the log-derivatives then diverge on both sides).  For
-    real E, u_L = -conj(u_R) by PT symmetry, so only the right ray is
-    integrated and the defect is real; at the path's E_ref, u_R is the
-    build's shot (u_ref), not a second shot of the same leg.
+    matching point (the log-derivatives then diverge on both sides).  Only
+    the right side is integrated: PT symmetry maps the left solution at E
+    to the mirror image of the right one at conj E, so
+    u_L(E) = -conj(u_R(conj E)).  For real E that is one shot and a real
+    defect; at the path's E_ref, u_R is the build's shot (u_ref), not a
+    second shot of the same leg.
     """
     if E == path.E_ref and path.u_ref is not None:
         uR = path.u_ref
     else:
-        uR = _u_interior(model, E, "R", path, rtol)
-    uL = -uR.conjugate() if E.imag == 0.0 else _u_interior(model, E, "L", path, rtol)
+        uR = _u_interior(model, E, path, rtol)
+    mirror = uR if E.imag == 0.0 else _u_interior(model, E.conjugate(), path, rtol)
+    uL = -mirror.conjugate()
     return (uL - uR) / ((1.0 + abs(uL)) * (1.0 + abs(uR)))
 
 
@@ -552,16 +529,16 @@ def _check_tolerances(tol: float, rtol: float) -> None:
 
 def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
                 tol: float = DEFAULT_TOL, rtol: float = DEFAULT_RTOL,
-                radius_factor: float = 1.0,
-                max_iter: int = MAX_ITER) -> EigenResult:
+                radius_factor: float = 1.0) -> EigenResult:
     """Converge level k by damped complex secant on the matching defect.
 
     Stops when |dE| <= tol |E|, or when the step no longer changes E; the
     result is flagged converged only if the PT-reality check
     |Im E| <= 1e-8 |Re E| also holds, and if the root moves by at most
     CHECK_REL |E| on the check path (see the module docstring).  A real seed
-    integrates one ray per defect and stays real, so its root passes the
-    PT-reality check as it stands; a complex seed integrates both rays.
+    takes one shot per defect and stays real, so its root passes the
+    PT-reality check as it stands; a complex seed takes two, at E and
+    conj E (see _matching_defect).
     Where default_seed is WKB, an iterate whose real part leaves the WKB
     window of level k (see _wkb_window), widened to include the seed, ends
     the solve unconverged.
@@ -574,13 +551,11 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _solve(model, k, seed, default_seed(model, k), tol, rtol,
-                  radius_factor, max_iter)
+    return _solve(model, k, seed, default_seed(model, k), tol, rtol, radius_factor)
 
 
 def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
-           tol: float, rtol: float, radius_factor: float,
-           max_iter: int) -> EigenResult:
+           tol: float, rtol: float, radius_factor: float) -> EigenResult:
     """solve_level, given the level-k estimate est = default_seed(model, k)."""
     _check_tolerances(tol, rtol)
     E0 = complex(seed) if seed is not None else complex(est)
@@ -596,7 +571,7 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
         return EigenResult(k, E0, math.inf, 0, False)
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         if w1 == w0:
             break
         slope = (E1 - E0) / (w1 - w0)
@@ -676,8 +651,7 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
         for k in range(len(results), k_max + 1):
             seed = prev[k].real * (est(model, k) / est(prev_model, k)) \
                 if k in prev else est(model, k)
-            results.append(_solve(model, k, seed, est(model, k), tol, rtol,
-                                  1.0, MAX_ITER))
+            results.append(_solve(model, k, seed, est(model, k), tol, rtol, 1.0))
         for k, res in enumerate(results):
             if res.converged:
                 if k in prev and res.E.real < prev[k].real - tol * abs(res.E):

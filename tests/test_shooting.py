@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import gamma, j0, j1, y0, y1
 
 import ptwell.shooting as shooting
+from _arch_oracle import crossing as arch_crossing
 from _ray_oracle import _segment as oracle_segment
 from _ray_oracle import _wkb_start
 from _ray_oracle import level as oracle_level
@@ -29,8 +30,23 @@ def _rays(path):
     return [(-math.pi - path.theta, path.R), (path.theta, path.R)]
 
 
-def _u(model, E, side, path):
-    return shooting._u_interior(model, E, side, path, shooting.DEFAULT_RTOL)
+def _u(model, E, path, rtol=shooting.DEFAULT_RTOL):
+    return shooting._u_interior(model, E, path, rtol)
+
+
+def _u_left(model, E, path, rtol=shooting.DEFAULT_RTOL):
+    """psi'/psi at -i ym integrated down the left side of `path`, the mirror
+    image -conj(x) of the right one, from the path's step counts, with V
+    from potential_value: the solver itself integrates only the right side."""
+    theta = -math.pi - path.theta
+    ex = cmath.exp(1j * theta)
+    x_t = turning_points(model, path.E_ref).x_left
+    corner = path.corner / abs(x_t) * x_t
+    psi, dpsi_ds = shooting._outgoing_ic(model, E, theta, path.R)
+    y = psi, -dpsi_ds / ex
+    for (x0, x1), n in zip(((path.R * ex, corner), (corner, -1j * path.ym)), path.steps):
+        y = shooting._segment(_straight_leg(model, E, x0, x1), *y, n, rtol, ())[:2]
+    return y[1] / y[0]
 
 
 def _depth_points():
@@ -148,12 +164,12 @@ class TestMagnusRay:
     def test_oscillator_closed_form(self, E):
         # psi = U(-E/2, sqrt(2) x) decays on the right: at the origin
         # psi'/psi = -2 Gamma((3 - E)/4) / Gamma((1 - E)/4); the left solution
-        # is its mirror image
+        # is its mirror image, integrated down the left side by the test
         model = ModelSpec(1, 0.0)
         path = shooting._build_path(model, abs(E), 1.0, 1e-13)
         want = -2.0 * gamma((3.0 - E) / 4.0) / gamma((1.0 - E) / 4.0)
-        for side, sign in (("R", 1.0), ("L", -1.0)):
-            u = shooting._u_interior(model, complex(E), side, path, 1e-13)
+        for u, sign in ((_u(model, complex(E), path, 1e-13), 1.0),
+                        (_u_left(model, complex(E), path, 1e-13), -1.0)):
             assert abs(u - sign * want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("M,eps,k", [(1, 6.0, 0), (1, 58.0, 0), (2, 56.0, 0),
@@ -168,7 +184,7 @@ class TestMagnusRay:
         want = oracle_segment(x0, x1, _wkb_start(path.theta, path.R, M, eps, E),
                               M, eps, E)
         psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
-        leg = shooting._legs(model, E, path.theta, path)[0]
+        leg = shooting._legs(model, E, path)[0]
         got = shooting._segment(leg, psi, -dpsi_ds / ex, path.steps[0],
                                 shooting.DEFAULT_RTOL, ())
         assert _projective(_scaled(model, E, x1, want),
@@ -184,7 +200,7 @@ class TestMagnusRay:
         y = oracle_segment(path.R * ex, corner,
                            _wkb_start(path.theta, path.R, 1, 2.0, E), 1, 2.0, E)
         want = oracle_segment(corner, x_match, y, 1, 2.0, E)
-        u = _u(model, E, "R", path)
+        u = _u(model, E, path)
         assert _projective(_scaled(model, E, x_match, want),
                            _scaled(model, E, x_match, (1.0, u))) <= 1e-11
 
@@ -252,7 +268,7 @@ class TestMagnusRay:
         monkeypatch.setattr(shooting, "_MAX_RAY_STEPS", 256)
         model = ModelSpec(2, 0.0)
         with pytest.raises(shooting.ShootingError):
-            _u(model, 172.6 + 0j, "R", _path(model, 172.6))
+            _u(model, 172.6 + 0j, _path(model, 172.6))
 
     def test_non_finite_q_raises(self):
         with pytest.raises(shooting.ShootingError), np.errstate(invalid="ignore"):
@@ -265,7 +281,7 @@ class TestMagnusRay:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(shooting.ShootingError):
-                    _u(model, complex(E), "R", path)
+                    _u(model, complex(E), path)
 
 
 class TestLogDerivative:
@@ -274,19 +290,19 @@ class TestLogDerivative:
     def test_even_ground_state(self):
         # psi'(0) = 0 for the harmonic ground state reached from either side
         model = ModelSpec(1, 0.0)
-        uR = _u(model, 1.0, "R", _path(model, 1.0))
+        uR = _u(model, 1.0, _path(model, 1.0))
         assert abs(uR) <= 1e-6
 
     def test_parity(self):
         model = ModelSpec(1, 0.0)
         path = _path(model, 1.0)
-        assert abs(_u(model, 1.0, "L", path) + _u(model, 1.0, "R", path)) <= 1e-6
+        assert abs(_u_left(model, 1.0, path) + _u(model, 1.0, path)) <= 1e-6
 
     def test_matching_at_golden_energy(self):
         model = ModelSpec(1, 8.0)
         path = _path(model, 5.55331)
-        uL = _u(model, 5.55331, "L", path)
-        uR = _u(model, 5.55331, "R", path)
+        uL = _u_left(model, 5.55331, path)
+        uR = _u(model, 5.55331, path)
         assert abs(uL - uR) <= 1e-5
 
 
@@ -311,35 +327,53 @@ class TestMismatch:
 
 
 class TestOneRayDefect:
-    # for real E the defect integrates the right ray only, u_L = -conj(u_R)
+    # only the right side is integrated: u_L(E) = -conj(u_R(conj E))
 
     @pytest.fixture
-    def left_calls(self, monkeypatch):
-        calls = []
-        u_interior = shooting._u_interior
+    def shots(self, monkeypatch):
+        """(energies of the defects, energies of the right-side shots)."""
+        defects, shots = [], []
+        u_interior, defect = shooting._u_interior, shooting._matching_defect
 
-        def counted(model, E, side, path, rtol):
-            if side == "L":
-                calls.append(E)
-            return u_interior(model, E, side, path, rtol)
+        def counted_shot(model, E, path, rtol):
+            shots.append(E)
+            return u_interior(model, E, path, rtol)
 
-        monkeypatch.setattr(shooting, "_u_interior", counted)
-        return calls
+        def counted_defect(model, E, path, rtol):
+            defects.append(E)
+            return defect(model, E, path, rtol)
+
+        monkeypatch.setattr(shooting, "_u_interior", counted_shot)
+        monkeypatch.setattr(shooting, "_matching_defect", counted_defect)
+        return defects, shots
 
     @pytest.mark.parametrize("k,M,eps", [
         (k, M, eps) for k in (0, 3)
         for M, eps in ((1, 0.0), (1, 8.0), (2, 6.0), (2, 56.0), (3, 1.3))
     ] + [(24, 1, 2.0), (30, 1, 2.0), (20, 2, 0.0), (26, 2, 0.0)])
     def test_equals_two_ray_defect(self, M, eps, k):
-        # the mirror identity on the solve's counts: with no build shot to
-        # stand in for u_R, both defects integrate the same right ray
+        # the one-shot defect against the two-ray one, its left side
+        # integrated down its own legs on the solve's counts
         model = ModelSpec(M, eps)
         E = complex(shooting.default_seed(model, k))
         path = replace(_path(model, E.real), u_ref=None)
         w = shooting._matching_defect(model, E, path, shooting.DEFAULT_RTOL)
-        uL, uR = _u(model, E, "L", path), _u(model, E, "R", path)
+        uL, uR = _u_left(model, E, path), _u(model, E, path)
         assert w.imag == 0.0
         assert abs(w - (uL - uR) / ((1 + abs(uL)) * (1 + abs(uR)))) <= 1e-12
+
+    @pytest.mark.parametrize("M,eps,k,im", [(1, 0.0, 0, 0.3), (1, 8.0, 1, 0.2),
+                                            (2, 6.0, 2, 0.5), (2, 56.0, 0, 0.4),
+                                            (3, 1.3, 3, 0.1), (1, 2.0, 12, 0.4)])
+    def test_left_mirror_at_complex_energy(self, M, eps, k, im):
+        # PT symmetry: the left side at E is the mirror of the right side at
+        # conj E, the left side integrated down its own legs
+        model = ModelSpec(M, eps)
+        E0 = shooting.default_seed(model, k)
+        E = complex(E0, im * math.sqrt(E0))
+        path = _path(model, abs(E))
+        uL = _u_left(model, E, path)
+        assert abs(uL + _u(model, E.conjugate(), path).conjugate()) <= 1e-13 * abs(uL)
 
     @pytest.mark.parametrize("M,eps,E", [(1, 2.0, 6.0), (1, 8.0, 5.55),
                                          (1, 58.0, 196.0), (2, 6.0, 2.65),
@@ -359,21 +393,27 @@ class TestOneRayDefect:
             assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
         assert shooting._ray_radius(model, E, 1.0, shooting.DEFAULT_RTOL) == path.R
 
-    def test_real_seed_integrates_no_left_ray(self, left_calls):
-        # nor does its check path: a real root passes the PT-reality check
-        # as it stands
+    def test_real_seed_integrates_no_left_ray(self, shots):
+        # one real shot per defect, but none for the defect at the build's
+        # energy, where the build's shot stands in: a real root passes the
+        # PT-reality check as it stands
+        defects, energies = shots
         res = solve_level(ModelSpec(1, 8.0), 0)
         assert res.converged
         assert res.E.imag == 0.0
         assert res.E.real == pytest.approx(5.553310025131625, rel=1e-12)
-        assert left_calls == []
+        assert all(E.imag == 0.0 for E in energies)
+        assert len(energies) < len(defects)
 
-    def test_complex_seed_integrates_both_rays(self, left_calls):
+    def test_complex_seed_integrates_both_rays(self, shots):
+        # every defect at a complex energy shoots at E and at conj E
+        defects, energies = shots
         res = solve_level(ModelSpec(1, 8.0), 0, seed=5.55 + 0.01j)
         assert res.converged
         assert res.E.real == pytest.approx(5.553310025131625, rel=1e-12)
         assert abs(res.E.imag) <= 1e-8 * res.E.real
-        assert len(left_calls) >= res.iterations + 2
+        left = [E for E in defects if E.imag != 0.0 and E.conjugate() in energies]
+        assert len(left) >= res.iterations + 2
 
 
 class TestRootSeed:
@@ -403,89 +443,95 @@ class TestRootSeed:
 
 
 def _im_action_loop(model, E, y):
-    """Scalar reference for _im_action_to_axis: (Im action, sum |terms|)."""
+    """Scalar reference for _im_action_to_axis: (Im action, slope, sum |terms|)."""
     d = model.epsilon * math.pi / (4.0 * model.M + 2.0 * model.epsilon)
     a, b = turning_radius(model, E) * cmath.exp(-1j * d), -1j * y
     nodes, wts = np.polynomial.legendre.leggauss(64)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    roots = [cmath.sqrt(E - potential_value(model, mid + half * t)) for t in nodes]
-    if roots[-1].imag < 0.0:
-        roots[-1] = -roots[-1]
+    roots = [cmath.sqrt(E - potential_value(model, x))
+             for x in [mid + half * t for t in nodes] + [b]]
     for i in range(len(roots) - 2, -1, -1):
         if abs(roots[i] - roots[i + 1]) > abs(roots[i] + roots[i + 1]):
             roots[i] = -roots[i]
     tot = 0j
     for w, q in zip(wts, roots):
         tot += w * q
-    return (tot * half).imag, sum(abs(w * q) for w, q in zip(wts, roots)) * abs(half)
+    return ((tot * half).imag, -roots[-1].real,
+            sum(abs(w * q) for w, q in zip(wts, roots)) * abs(half))
+
+
+MATCH_CASES = [(1, 2.0), (1, 58.0), (2, 6.0), (2, 56.0), (3, 1.3), (3, 54.0)]
 
 
 class TestImActionToAxis:
-    # the principal roots change sign along the segment at M = 3, eps = 54
-    @pytest.mark.parametrize("M,eps", [(1, 2.0), (1, 58.0), (2, 6.0), (2, 56.0),
-                                       (3, 1.3), (3, 54.0)])
+    # the principal roots change sign along the segment at M = 3, eps = 54;
+    # the heights lie inside (0, r_t), where the root at -i y is real and
+    # positive (at even M, -i r_t is a zero of E - V)
+    @pytest.mark.parametrize("M,eps", MATCH_CASES)
     @pytest.mark.parametrize("k", [0, 3])
     def test_equals_scalar_loop(self, M, eps, k):
         model = ModelSpec(M, eps)
         E = shooting.default_seed(model, k)
         r = turning_radius(model, E)
-        for y in list(np.linspace(0.0, 1.25 * r, 26)) + [match_height(model, E)]:
-            want, scale = _im_action_loop(model, E, float(y))
+        for y in list(np.linspace(0.0, r, 26)[1:-1]) + [match_height(model, E)]:
+            want, slope, scale = _im_action_loop(model, E, float(y))
             got = shooting._im_action_to_axis(model, E, float(y))
-            assert abs(got - want) <= 1e-15 * scale
+            assert abs(got[0] - want) <= 1e-15 * scale
+            assert got[1] == pytest.approx(slope, rel=1e-15)
 
-
-    @pytest.mark.parametrize("M,eps", [(1, 2.0), (1, 58.0), (2, 6.0), (2, 56.0),
-                                       (3, 1.3), (3, 54.0)])
-    @pytest.mark.parametrize("k", [0, 3])
-    def test_heights_at_once(self, M, eps, k):
-        # an array of heights gives what the heights give one by one
+    @pytest.mark.parametrize("M,eps", MATCH_CASES + [(4, 20.0), (4, 58.0), (6, 20.0)])
+    def test_slope_is_derivative(self, M, eps):
+        # dG/dy = -Re sqrt(E - V(-i y)) = -sqrt(E -+ y^N) below the turning
+        # radius, against a central difference of G; the 64-point rule's
+        # error at the square-root end x_t moves with y by about 1e-6 of G
         model = ModelSpec(M, eps)
-        E = shooting.default_seed(model, k)
-        ys = np.linspace(0.0, 1.25 * turning_radius(model, E), 26)
-        got = shooting._im_action_to_axis(model, E, ys)
-        assert got.tolist() == [shooting._im_action_to_axis(model, E, float(y))
-                                for y in ys]
+        E = shooting.default_seed(model, 0)
+        r, n = turning_radius(model, E), 2 * M + eps
+        for y in np.linspace(0.05, 0.95, 7) * r:
+            g, slope = shooting._im_action_to_axis(model, E, y)
+            assert slope == pytest.approx(-math.sqrt(E - (-1) ** M * y ** n), rel=1e-12)
+            h = 1e-5 * r
+            diff = (shooting._im_action_to_axis(model, E, y + h)[0]
+                    - shooting._im_action_to_axis(model, E, y - h)[0]) / (2.0 * h)
+            assert diff == pytest.approx(slope, rel=1e-4)
 
 
-def _bisected_height(model, E):
-    """match_height by bisection of the scalar action to 1e-13 max(1, r)."""
-    r = turning_radius(model, E)
-    ys = np.linspace(0.0, 1.25 * r, 26)
-    gs = [shooting._im_action_to_axis(model, E, float(y)) for y in ys]
-    i = max(i for i in range(25) if gs[i] * gs[i + 1] <= 0.0)
-    lo, hi, glo = float(ys[i]), float(ys[i + 1]), gs[i]
-    while hi - lo > 1e-13 * max(1.0, r):
-        mid = 0.5 * (lo + hi)
-        gm = shooting._im_action_to_axis(model, E, mid)
-        if glo * gm <= 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)
+def _counted_height(monkeypatch, model, E):
+    """(match_height(model, E), the number of actions it evaluates)."""
+    calls = []
+    action = shooting._im_action_to_axis
+
+    def counted(model, E, y):
+        calls.append(y)
+        return action(model, E, y)
+
+    monkeypatch.setattr(shooting, "_im_action_to_axis", counted)
+    y = match_height(model, E)
+    monkeypatch.setattr(shooting, "_im_action_to_axis", action)
+    return y, len(calls)
 
 
 class TestMatchHeightRoot:
-    @pytest.mark.parametrize("M,eps", [(1, 2.0), (1, 58.0), (2, 6.0), (2, 56.0),
-                                       (3, 1.3), (3, 54.0)])
+    # against the arch oracle (_arch_oracle.py), which tracks the branch on
+    # a dense path and bisects inside (0, r_t) with no code shared.  At
+    # (2, 0.1), k = 0 the highest sign change of a 26-height scan found none
+    # and fell back to the argmin, 0.050 r_t (the crossing is at
+    # 0.034 r_t); at even M >= 4 and large eps it took a branch jump beyond
+    # r_t
+
+    @pytest.mark.parametrize("M,eps", MATCH_CASES + [
+        (M, eps) for M in range(1, 7) for eps in (1e-3, 0.1, 2.0, 20.0, 58.0, 800.0)
+        if (M, eps) not in MATCH_CASES])
     @pytest.mark.parametrize("k", [0, 3])
     def test_equals_bisection(self, monkeypatch, M, eps, k):
-        # one array scan of the heights, then at most 12 actions to the root
+        # Newton takes at most 6 actions to the root, inside the turning radius
         model = ModelSpec(M, eps)
         E = shooting.default_seed(model, k)
-        want = _bisected_height(model, E)
-        calls = []
-        action = shooting._im_action_to_axis
-
-        def counted(model, E, y):
-            calls.append(y)
-            return action(model, E, y)
-
-        monkeypatch.setattr(shooting, "_im_action_to_axis", counted)
-        got = match_height(model, E)
-        assert np.ndim(calls[0]) == 1 and len(calls[0]) == 26
-        assert len(calls) - 1 <= 12
-        assert abs(got - want) <= 1e-13 * max(1.0, turning_radius(model, E))
+        r = turning_radius(model, E)
+        got, calls = _counted_height(monkeypatch, model, E)
+        assert calls <= 6
+        assert 0.0 < got < r
+        assert abs(got - arch_crossing(M, eps, E)) <= 1e-13 * max(1.0, r)
 
 
 def _bohr_sommerfeld(model, k):
@@ -704,9 +750,9 @@ class TestSolvePath:
         E = 5.553310025131625
         path = shooting._build_path(model, E, 1.0, shooting.DEFAULT_RTOL)
         check = replace(path, corner=shooting.CHECK_CORNER * path.corner)
-        for side in "LR":
-            u = shooting._u_interior(model, E, side, path, 1e-11)
-            u_check = shooting._u_interior(model, E, side, check, 1e-11)
+        for u_side in (_u, _u_left):
+            u = u_side(model, E, path, 1e-11)
+            u_check = u_side(model, E, check, 1e-11)
             assert abs(u_check - u) <= 1e-9 * abs(u)
 
     @pytest.mark.parametrize("k,E_ref", sorted(QUARTIC_LEVELS.items()))
@@ -730,9 +776,9 @@ class TestSolvePath:
             passes[0] += 1
             return magnus(*args)
 
-        def recorded(model, E, side, path, rtol):
+        def recorded(model, E, path, rtol):
             before = passes[0]
-            u = u_interior(model, E, side, path, rtol)
+            u = u_interior(model, E, path, rtol)
             calls.append((path, passes[0] - before))
             return u
 
@@ -751,8 +797,8 @@ class TestSolvePath:
         model = ModelSpec(1, 58.0)
         E = 196.0341706067545
         path = _path(model, E)
-        u = _u(model, E, "R", path)
-        assert abs(_u(model, E, "R", replace(path, steps=(8, 8))) - u) <= 1e-12 * abs(u)
+        u = _u(model, E, path)
+        assert abs(_u(model, E, replace(path, steps=(8, 8))) - u) <= 1e-12 * abs(u)
 
     @pytest.mark.parametrize("M,eps,k,coeffs,tol", [
         (2, 0.0, 20, [0, 0, 0, 0, 1], 1e-9),
@@ -767,9 +813,9 @@ class TestSolvePath:
         model = ModelSpec(M, eps)
         E = oscillator_levels(coeffs, k + 1)[k]
         path = _path(model, E)
-        u = _u(model, E, "R", path)
+        u = _u(model, E, path)
         try:
-            coarse = _u(model, E, "R", replace(path, steps=(8, 8)))
+            coarse = _u(model, E, replace(path, steps=(8, 8)))
         except shooting.ShootingError:
             return
         assert abs(coarse - u) / ((1 + abs(coarse)) * (1 + abs(u))) <= tol
@@ -778,7 +824,7 @@ class TestSolvePath:
     def _chord_passes(monkeypatch, model, path):
         """Step counts of the _magnus passes on the chord of `path`, as they
         run, with their results."""
-        _, length, _ = shooting._legs(model, path.E_ref, path.theta, path)[1]
+        _, length, _ = shooting._legs(model, path.E_ref, path)[1]
         passes = []
         magnus = shooting._magnus
 
@@ -801,7 +847,7 @@ class TestSolvePath:
         E = shooting.default_seed(model, 9)
         path = _path(model, E)
         rtol = shooting.DEFAULT_RTOL
-        ray, chord = shooting._legs(model, E, path.theta, path)
+        ray, chord = shooting._legs(model, E, path)
         ex = cmath.exp(1j * path.theta)
         psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
         psi, dpsi, _ = shooting._segment(ray, psi, -dpsi_ds / ex, path.steps[0], rtol, ())
@@ -857,7 +903,7 @@ class TestSolvePath:
         E = oscillator_levels([0.0, -2.0, 0.0, 0.0, 4.0], 25)[24]
         path = _path(model, E)
         passes = self._chord_passes(monkeypatch, model, path)
-        _u(model, E, "R", path)
+        _u(model, E, path)
         (n, a), (n2, b) = passes
         assert (n, n2) == (path.steps[1], 2 * path.steps[1])
         k = math.sqrt(abs(potential_value(model, -1j * path.ym) - E)) + 1.0
@@ -866,7 +912,7 @@ class TestSolvePath:
 
     def test_potential_once_per_node_set(self, monkeypatch):
         # V does not depend on E: a solve evaluates it once per path, leg and
-        # node set that its shots use, on either side, not once per shot
+        # node set that its shots use, not once per shot
         model = ModelSpec(1, 2.0)
         evaluated, used, calls = [0], set(), [0]
         potential, legs = shooting.potential_value, shooting._legs
@@ -875,7 +921,7 @@ class TestSolvePath:
             evaluated[0] += isinstance(x, np.ndarray)
             return potential(model, x)
 
-        def recorded_legs(model, E, theta, path):
+        def recorded_legs(model, E, path):
             def recorded(j, q):
                 def q_used(s):
                     calls[0] += 1
@@ -883,7 +929,7 @@ class TestSolvePath:
                     return q(s)
                 return q_used
             return [(recorded(j, q), length, u)
-                    for j, (q, length, u) in enumerate(legs(model, E, theta, path))]
+                    for j, (q, length, u) in enumerate(legs(model, E, path))]
 
         monkeypatch.setattr(shooting, "potential_value", counted_potential)
         monkeypatch.setattr(shooting, "_legs", recorded_legs)
@@ -949,10 +995,10 @@ class TestShotSchedule:
             calls[0] += 1
             return transfers(legs)
 
-        def recorded(model, E, theta, path, steps, rtol):
+        def recorded(model, E, path, steps, rtol):
             before = calls[0]
-            out = shoot(model, E, theta, path, steps, rtol)
-            shots.append(((path.E_ref, path.corner, E, theta), calls[0] - before))
+            out = shoot(model, E, path, steps, rtol)
+            shots.append(((path.E_ref, path.corner, E), calls[0] - before))
             return out
 
         monkeypatch.setattr(shooting, "_transfers", counted)
@@ -968,7 +1014,7 @@ class TestShotSchedule:
         model = ModelSpec(M, eps)
         E = shooting.default_seed(model, k)
         path = _path(model, E)
-        for (q, length, _), n in zip(shooting._legs(model, E, path.theta, path),
+        for (q, length, _), n in zip(shooting._legs(model, E, path),
                                      path.steps):
             for got, count in zip(shooting._transfers([(q, length, (n, 2 * n))]),
                                   (n, 2 * n)):
@@ -1026,6 +1072,20 @@ class TestHermitianLevels:
         assert res.converged
         E_ref = oracle_level(1, eps, lo, hi)
         assert abs(res.E.real - E_ref) <= 1e-10 * E_ref
+
+
+class TestEvenMLabels:
+    # at even M >= 4 and large eps the match height once lay beyond the
+    # turning radius, and these levels converged to levels 2 and 3
+    # (63.526812 and 653.103539)
+
+    @pytest.mark.parametrize("M,eps,k,lo,hi", [(4, 20.0, 3, 117.0, 117.6),
+                                               (4, 58.0, 2, 352.0, 352.8)])
+    def test_ray_oracle(self, M, eps, k, lo, hi):
+        res = solve_level(ModelSpec(M, eps), k)
+        assert res.converged
+        E_ref = oracle_level(M, eps, lo, hi)
+        assert abs(res.E.real - E_ref) <= 1e-9 * E_ref
 
 
 class TestScan:
@@ -1104,8 +1164,11 @@ class TestScan:
 
 
 class TestMatchHeight:
-    def test_origin_at_zero_deformation(self):
-        assert match_height(ModelSpec(1, 0.0), 1.0) == 0.0
+    def test_origin_at_zero_deformation(self, monkeypatch):
+        # at every M, with no action evaluated
+        for M in range(1, 7):
+            for E in (0.5, 1.0, 172.6):
+                assert _counted_height(monkeypatch, ModelSpec(M, 0.0), E) == (0.0, 0)
 
     def test_approaches_turning_radius(self):
         model = ModelSpec(1, 58.0)

@@ -8,7 +8,10 @@ correction at the outer radius where a lower bound on the decay exponent
 integration damps the start error by about e^(-2 depth), below the
 integrator tolerance.  Eigenvalues are the zeros of a normalized
 log-derivative matching defect, located by a damped complex secant
-iteration.  Where the seed is Bohr-Sommerfeld (M = 1, or eps < 4)
+iteration from the seed E0 and E0 (1 + 1e-6); at M = 1 with no seed given,
+E0 is the next-order WKB energy (wkb.wkb_energy_next).  A step with
+|dE| <= tol |E + dE| is taken and ends the solve without a shot at its end
+point.  Where the seed is Bohr-Sommerfeld (M = 1, or eps < 4)
 level k lies between the WKB energies at k - 1/2 and k + 1/2, and an
 iterate that leaves that window ends the solve unconverged.
 
@@ -48,10 +51,11 @@ takes two shots, and a complex root is held to that check.  Since a real
 root cannot fail it, a converged root is also re-checked on a second path
 to the same match point, whose vertex is CHECK_CORNER x_t: an eigenvalue
 does not depend on the path, so a root that moves there by more than
-CHECK_REL |E| is reported unconverged (_check_shift gives the move).  Its
-first leg runs on past x_t, so it starts from twice the count kept for the
-solve's.  All operations are pure.  scan_levels shoots only the levels that
-the spectral engine (ptwell.spectral) does not certify.
+CHECK_REL |E| is reported unconverged (_check_shift gives the move, and
+the defect there, which is the result's residual).  Its first leg runs on
+past x_t, so it starts from twice the count kept for the solve's.  All
+operations are pure.  scan_levels shoots only the levels that the spectral
+engine (ptwell.spectral) does not certify.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from .geometry import (ModelSpec, continued_sqrt, decay_radius,
                        gauss_legendre, potential_value, turning_points,
                        turning_radius, wedge_angles)
 from .spectral import certified_levels
-from .wkb import wkb_energy_closed, wkb_energy_quadrature
+from .wkb import wkb_energy_closed, wkb_energy_next, wkb_energy_quadrature
 
 logger = logging.getLogger(__name__)
 
@@ -95,7 +99,8 @@ class EigenResult:
 
     k: int
     E: complex
-    residual: float     # |matching defect| at the final iterate; for a
+    residual: float     # |matching defect| at E: on the check path for a
+                        # converged root, else at the last shot; for a
                         # level from scan_levels' spectral engine, the
                         # relative disagreement of its two contours
     iterations: int
@@ -510,14 +515,16 @@ def _wkb_window(model: ModelSpec, k: int, E_k: float) -> tuple[float, float]:
 
 
 def _check_shift(model: ModelSpec, E: complex, check: _Path, slope: complex,
-                 rtol: float) -> float:
-    """|root of the defect on `check` - E|, from one secant step at E with
-    the solve's slope dE/dw: at a fixed match point the defect does not
-    depend on the path, so neither does its slope."""
+                 rtol: float) -> tuple[float, float]:
+    """(|root of the defect on `check` - E|, |defect on `check` at E|), the
+    root from one secant step at E with the solve's slope dE/dw: at a fixed
+    match point the defect does not depend on the path, so neither does its
+    slope.  Both are inf where the check path fails to integrate."""
     try:
-        return abs(_matching_defect(model, E, check, rtol) * slope)
+        w = _matching_defect(model, E, check, rtol)
     except ShootingError:
-        return math.inf
+        return math.inf, math.inf
+    return abs(w * slope), abs(w)
 
 
 def _check_tolerances(tol: float, rtol: float) -> None:
@@ -532,10 +539,13 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
                 radius_factor: float = 1.0) -> EigenResult:
     """Converge level k by damped complex secant on the matching defect.
 
-    Stops when |dE| <= tol |E|, or when the step no longer changes E; the
-    result is flagged converged only if the PT-reality check
-    |Im E| <= 1e-8 |Re E| also holds, and if the root moves by at most
-    CHECK_REL |E| on the check path (see the module docstring).  A real seed
+    The secant starts from the seed E0 and E0 (1 + 1e-6); with no seed, E0
+    is wkb_energy_next at M = 1 and default_seed otherwise.  It stops at a
+    step with |dE| <= tol |E + dE|, and takes that step without shooting
+    its end point; the result is flagged converged only if the PT-reality
+    check |Im E| <= 1e-8 |Re E| also holds, and if the root moves by at
+    most CHECK_REL |E| on the check path (see the module docstring), whose
+    defect at E is then the residual.  A real seed
     takes one shot per defect and stays real, so its root passes the
     PT-reality check as it stands; a complex seed takes two, at E and
     conj E (see _matching_defect).
@@ -551,6 +561,8 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if seed is None and model.M == 1:
+        seed = wkb_energy_next(k, model.epsilon)
     return _solve(model, k, seed, default_seed(model, k), tol, rtol, radius_factor)
 
 
@@ -561,7 +573,7 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
     E0 = complex(seed) if seed is not None else complex(est)
     lo, hi = _wkb_window(model, k, est)
     lo, hi = min(lo, E0.real), max(hi, E0.real)
-    E1 = E0 * 1.001
+    E1 = E0 * (1.0 + 1e-6)
     try:
         path = _build_path(model, abs(E0), radius_factor, rtol)
         w0 = _matching_defect(model, E0, path, rtol)
@@ -579,16 +591,15 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
         cap = 0.25 * abs(E1)
         if abs(dE) > cap:
             dE *= cap / abs(dE)
-        if E1 + dE == E1:
-            # below half an ulp of E1: E1 is the root
-            converged = True
-            break
         if not lo <= (E1 + dE).real <= hi:
             logger.warning("secant left the WKB window [%g, %g] for k=%d at E=%s",
                            lo, hi, k, E1 + dE)
             return EigenResult(k, E1, abs(w1), iterations, False)
-        E0, w0 = E1, w1
-        E1 = E1 + dE
+        E0, w0, E1 = E1, w1, E1 + dE
+        if abs(dE) <= tol * abs(E1):
+            # the step is taken but not shot: the check path re-checks E1
+            converged = True
+            break
         try:
             if abs(abs(E1) - path.E_ref) > PATH_BAND * path.E_ref:
                 # the defect depends on the path: keep both secant points on one
@@ -598,20 +609,18 @@ def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
         except ShootingError as exc:
             logger.warning("integration failed at E=%s for k=%d: %s", E1, k, exc)
             return EigenResult(k, E1, math.inf, iterations, False)
-        if abs(dE) <= tol * abs(E1):
-            converged = True
-            break
     pt_real = abs(E1.imag) <= 1e-8 * abs(E1.real)
     if not pt_real:
         logger.warning("PT-reality violated for k=%d: E=%s", k, E1)
-    path_ok = True
-    if converged and pt_real:
-        check = replace(path, corner=CHECK_CORNER * path.corner,
-                        steps=(2 * path.steps[0], path.steps[1]), u_ref=None)
-        path_ok = _check_shift(model, E1, check, slope, rtol) <= CHECK_REL * abs(E1)
-        if not path_ok:
-            logger.warning("path-dependent root for k=%d at E=%s", k, E1)
-    return EigenResult(k, E1, abs(w1), iterations, converged and pt_real and path_ok)
+    if not converged:
+        return EigenResult(k, E1, abs(w1), iterations, False)
+    check = replace(path, corner=CHECK_CORNER * path.corner,
+                    steps=(2 * path.steps[0], path.steps[1]), u_ref=None)
+    shift, residual = _check_shift(model, E1, check, slope, rtol)
+    path_ok = shift <= CHECK_REL * abs(E1)
+    if pt_real and not path_ok:
+        logger.warning("path-dependent root for k=%d at E=%s", k, E1)
+    return EigenResult(k, E1, residual, iterations, pt_real and path_ok)
 
 
 def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,

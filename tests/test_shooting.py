@@ -18,7 +18,7 @@ from ptwell.cli import TABLE_GRID
 from ptwell.geometry import (ModelSpec, potential_value, turning_points,
                              turning_radius, wedge_angles)
 from ptwell.shooting import match_height, scan_levels, solve_level
-from ptwell.wkb import wkb_energy_closed, wkb_energy_quadrature
+from ptwell.wkb import wkb_energy_closed, wkb_energy_next, wkb_energy_quadrature
 
 
 def _path(model, E):
@@ -425,21 +425,30 @@ class TestRootSeed:
     def test_reseed_near_root(self, monkeypatch, M, eps, tol):
         model = ModelSpec(M, eps)
         root = solve_level(model, 0, tol=tol).E.real
-        calls = []
-        defect = shooting._matching_defect
+        calls, shots = [], []
+        defect, shoot = shooting._matching_defect, shooting._shoot
 
         def recorded(model, E, path, rtol):
             calls.append((E, path))
             return defect(model, E, path, rtol)
 
+        def recorded_shot(model, E, path, steps, rtol):
+            shots.append((E, path.E_ref, path.corner))
+            return shoot(model, E, path, steps, rtol)
+
         monkeypatch.setattr(shooting, "_matching_defect", recorded)
+        monkeypatch.setattr(shooting, "_shoot", recorded_shot)
         for ulps in range(-6, 7):
             calls.clear()
+            shots.clear()
             res = solve_level(model, 0, seed=root + ulps * math.ulp(root), tol=tol)
             assert res.converged, ulps
             assert res.E.real == pytest.approx(root, rel=1e-12)
-            # a step that leaves E unchanged stops without evaluating again
+            # a step that leaves E unchanged, or is below tol, stops without
+            # evaluating again; a step back to the seed takes the build's
+            # shot: no energy is shot twice on one path
             assert all(a != b for a, b in zip(calls, calls[1:]))
+            assert len(set(shots)) == len(shots)
 
 
 def _im_action_loop(model, E, y):
@@ -767,7 +776,9 @@ class TestSolvePath:
     def test_two_passes_per_leg(self, monkeypatch, M, eps, k):
         # the step counts fixed when the path is built let every later
         # integration on it finish each leg in two Magnus passes; the check
-        # path, whose ray runs on past the turning radius, may double once
+        # path, whose ray runs on past the turning radius, may double once.
+        # The build's shot stands in for the first secant point and the
+        # last step is not shot, so the solve shoots once per iteration
         model = ModelSpec(M, eps)
         magnus, u_interior = shooting._magnus, shooting._u_interior
         passes, calls = [0], []
@@ -788,7 +799,7 @@ class TestSolvePath:
         assert res.converged
         solve = [n for path, n in calls
                  if path.corner == turning_radius(model, path.E_ref)]
-        assert len(solve) >= res.iterations + 1
+        assert len(solve) == res.iterations
         assert solve == [4] * len(solve)
         assert len(calls) == len(solve) + 1     # one check-path integration
 
@@ -914,8 +925,12 @@ class TestSolvePath:
         # V does not depend on E: a solve evaluates it once per path, leg and
         # node set that its shots use, not once per shot
         model = ModelSpec(1, 2.0)
-        evaluated, used, calls = [0], set(), [0]
-        potential, legs = shooting.potential_value, shooting._legs
+        evaluated, used, calls, shots = [0], set(), [0], [0]
+        potential, legs, shoot = shooting.potential_value, shooting._legs, shooting._shoot
+
+        def counted_shoot(*args):
+            shots[0] += 1
+            return shoot(*args)
 
         def counted_potential(model, x):
             evaluated[0] += isinstance(x, np.ndarray)
@@ -933,31 +948,40 @@ class TestSolvePath:
 
         monkeypatch.setattr(shooting, "potential_value", counted_potential)
         monkeypatch.setattr(shooting, "_legs", recorded_legs)
+        monkeypatch.setattr(shooting, "_shoot", counted_shoot)
         res = solve_level(model, 11)
         assert res.converged
         assert evaluated[0] == len(used)
-        assert 2 * evaluated[0] < calls[0]
+        # with no rebuild: per leg the build's probes, end and first pair,
+        # then the stored pair; on the check path its end and pair.  That is
+        # 18 node sets however many shots are taken, while a shot calls q on
+        # 6 (two passes and the end, per leg)
+        assert shots[0] > 3
+        assert evaluated[0] <= 18 < 6 * shots[0] <= calls[0]
 
     @pytest.mark.parametrize("M,eps,k", [(1, 8.0, 0)] + [(1, 2.0, k) for k in range(8, 17)])
     def test_one_defect_check_shift(self, monkeypatch, M, eps, k):
         # the check-path shift from the solve's slope is within a factor 2
-        # of a secant step between E and 1.001 E on the check path
+        # of a secant step between E and 1.001 E on the check path; the
+        # check-path defect at E is the result's residual
         model = ModelSpec(M, eps)
         seen = []
         check_shift = shooting._check_shift
 
         def recorded(model, E, check, slope, rtol):
-            shift = check_shift(model, E, check, slope, rtol)
-            seen.append((E, check, shift))
-            return shift
+            out = check_shift(model, E, check, slope, rtol)
+            seen.append((E, check, out))
+            return out
 
         monkeypatch.setattr(shooting, "_check_shift", recorded)
-        assert solve_level(model, k).converged
-        (E, check, shift), = seen
+        res = solve_level(model, k)
+        assert res.converged
+        (E, check, (shift, residual)), = seen
         c0 = shooting._matching_defect(model, E, check, shooting.DEFAULT_RTOL)
         c1 = shooting._matching_defect(model, 1.001 * E, check, shooting.DEFAULT_RTOL)
         two = abs(c0 * 0.001 * E / (c1 - c0))
         assert 0.5 * two <= shift <= 2.0 * two
+        assert res.residual == residual == abs(c0)
 
 
 def _tree_reference(q, length, n):
@@ -1010,6 +1034,24 @@ class TestShotSchedule:
         assert len(set(keys)) == len(keys)
 
     @pytest.mark.parametrize("M,eps,k", SCHEDULE_CASES)
+    def test_last_step_not_shot(self, monkeypatch, M, eps, k):
+        # the step below tol is taken without a shot on the solve's path;
+        # the check path shoots once at the returned E
+        model = ModelSpec(M, eps)
+        shoot, shots = shooting._shoot, []
+
+        def recorded(model, E, path, steps, rtol):
+            on_check = path.corner != turning_radius(model, path.E_ref)
+            shots.append((E, on_check))
+            return shoot(model, E, path, steps, rtol)
+
+        monkeypatch.setattr(shooting, "_shoot", recorded)
+        res = solve_level(model, k)
+        assert res.converged
+        assert (res.E, False) not in shots
+        assert [E for E, on_check in shots if on_check] == [res.E]
+
+    @pytest.mark.parametrize("M,eps,k", SCHEDULE_CASES)
     def test_sparse_rescale_matches_per_level(self, M, eps, k):
         model = ModelSpec(M, eps)
         E = shooting.default_seed(model, k)
@@ -1038,6 +1080,53 @@ class TestShotSchedule:
                                  (q, 1.0, (2,))])
         with pytest.raises(shooting.ShootingError), np.errstate(invalid="ignore"):
             shooting._transfers([(q, 1.0, (64, 2))])
+
+
+class TestFirstIterate:
+    # at M = 1 the solve starts from the next-order WKB energy, and its
+    # second secant point lies 1e-6 relative above the first
+
+    @staticmethod
+    def _defects(monkeypatch):
+        energies, defect = [], shooting._matching_defect
+
+        def recorded(model, E, path, rtol):
+            energies.append(E)
+            return defect(model, E, path, rtol)
+
+        monkeypatch.setattr(shooting, "_matching_defect", recorded)
+        return energies
+
+    @pytest.mark.parametrize("eps,k", [(0.5, 0), (2.0, 3), (2.0, 24), (8.0, 12),
+                                       (58.0, 0)])
+    def test_next_order_wkb_at_m1(self, monkeypatch, eps, k):
+        energies = self._defects(monkeypatch)
+        assert solve_level(ModelSpec(1, eps), k).converged
+        E0 = wkb_energy_next(k, eps)
+        assert energies[:2] == [E0, E0 * (1.0 + 1e-6)]
+
+    def test_given_seed_and_m2_unchanged(self, monkeypatch):
+        energies = self._defects(monkeypatch)
+        solve_level(ModelSpec(1, 2.0), 3, seed=11.0)
+        assert energies[0] == 11.0
+        energies.clear()
+        model = ModelSpec(2, 0.0)
+        solve_level(model, 3)
+        assert energies[0] == shooting.default_seed(model, 3)
+
+    def test_high_level_at_eps_8(self):
+        # the leading WKB seed ended this solve unconverged at 4296.87 after
+        # 9 iterations.  No contour certifies it and the ray oracle's
+        # defect is rounding noise here, so the check is the next-order WKB
+        # error, which falls as (k + 1/2)^-4: its gap at k = 14, scaled to
+        # k = 28, is the gap at k = 28 to within 2%
+        model = ModelSpec(1, 8.0)
+        res = solve_level(model, 28)
+        assert res.converged
+        assert abs(res.E.real - 4402.253485) <= 1e-8 * 4402.253485
+        gap14, gap28 = (1.0 - E / wkb_energy_next(k, 8.0) for k, E in
+                        ((14, solve_level(model, 14).E.real), (28, res.E.real)))
+        assert gap28 == pytest.approx(gap14 * (14.5 / 28.5) ** 4, rel=0.02)
 
 
 class TestHermitianLevels:

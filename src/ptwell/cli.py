@@ -3,7 +3,7 @@
 Subcommands
 -----------
 eigen    one shooting solve (M, epsilon, k)
-wkb      WKB estimate (closed form / quadrature, optionally next order)
+wkb      WKB estimate (closed Gamma-function form, optionally next order)
 limit    the solvable-limit spectrum nu = k + P/(M+1)
 table    golden tables 1-3 (ground-level deformation scans + extrapolants)
 figure1  level curves E_k(epsilon) for M = 1

@@ -8,12 +8,12 @@ correction at the outer radius where a lower bound on the decay exponent
 integration damps the start error by about e^(-2 depth), below the
 integrator tolerance.  Eigenvalues are the zeros of a normalized
 log-derivative matching defect, located by a damped complex secant
-iteration from the seed E0 and E0 (1 + 1e-6); at M = 1 with no seed given,
-E0 is the next-order WKB energy (wkb.wkb_energy_next).  A step with
+iteration from the seed E0 and E0 (1 + 1e-6).  A step with
 |dE| <= tol |E + dE| is taken and ends the solve without a shot at its end
-point.  Where the seed is Bohr-Sommerfeld (M = 1, or eps < 4)
-level k lies between the WKB energies at k - 1/2 and k + 1/2, and an
-iterate that leaves that window ends the solve unconverged.
+point.  Where the seed is Bohr-Sommerfeld (M = 1, or eps < 4), E0 is the
+closed-form next-order WKB energy (wkb.wkb_energy_next) unless a seed is
+given, level k lies between the leading WKB energies at k - 1/2 and
+k + 1/2, and an iterate that leaves that window ends the solve unconverged.
 
 The solver matches on the negative imaginary axis at the height where the
 classically allowed arch joining the turning points crosses it: the signal
@@ -61,7 +61,6 @@ engine (ptwell.spectral) does not certify.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import logging
 import math
@@ -74,7 +73,7 @@ from .geometry import (ModelSpec, continued_sqrt, decay_radius,
                        gauss_legendre, potential_value, turning_points,
                        turning_radius, wedge_angles)
 from .spectral import certified_levels
-from .wkb import wkb_energy_closed, wkb_energy_next, wkb_energy_quadrature
+from .wkb import wkb_energy_closed, wkb_energy_next
 
 logger = logging.getLogger(__name__)
 
@@ -487,13 +486,16 @@ def level_nu(M: int, k: int) -> float:
     return k // M + ((k % M) + 1) / (M + 1.0)
 
 
+def _wkb_seeded(model: ModelSpec) -> bool:
+    """Whether default_seed is Bohr-Sommerfeld: M = 1, or eps < 4."""
+    return model.M == 1 or model.epsilon < 4.0
+
+
 def default_seed(model: ModelSpec, k: int) -> float:
-    """Solver seed: closed-form WKB for M = 1, else the better of the WKB
-    quadrature (small deformation) and the solvable-limit scale (large)."""
-    if model.M == 1:
-        return wkb_energy_closed(k, model.epsilon)
-    if model.epsilon < 4.0:
-        return wkb_energy_quadrature(model, k)
+    """Level-k estimate: the closed-form leading WKB energy where
+    _wkb_seeded (M = 1, or eps < 4), else the solvable-limit scale."""
+    if _wkb_seeded(model):
+        return wkb_energy_closed(k, model.epsilon, model.M)
     nu = level_nu(model.M, k)
     n = 2.0 * model.M + model.epsilon
     return (0.25 * nu * nu * n * n) ** (n / (n + 2.0))
@@ -503,11 +505,12 @@ def _wkb_window(model: ModelSpec, k: int, E_k: float) -> tuple[float, float]:
     """Bracket of level k: the leading WKB energies at k - 1/2 and k + 1/2
     (0 for k = 0), from the level-k estimate E_k.
 
-    Both Bohr-Sommerfeld seeds, the M = 1 closed form and the quadrature,
-    scale as (k + 1/2)^(2N/(N + 2)) with N = 2M + eps.  Where default_seed
-    is the solvable-limit scale (M >= 2, eps >= 4) there is no bracket.
+    The leading closed form scales as (k + 1/2)^(2N/(N + 2)) with
+    N = 2M + eps, so the bracket stays leading order where the solve starts
+    from the next-order energy.  Where default_seed is the solvable-limit
+    scale (M >= 2, eps >= 4) there is no bracket.
     """
-    if model.M > 1 and model.epsilon >= 4.0:
+    if not _wkb_seeded(model):
         return 0.0, math.inf
     n = 2.0 * model.M + model.epsilon
     p = 2.0 * n / (n + 2.0)
@@ -540,7 +543,8 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     """Converge level k by damped complex secant on the matching defect.
 
     The secant starts from the seed E0 and E0 (1 + 1e-6); with no seed, E0
-    is wkb_energy_next at M = 1 and default_seed otherwise.  It stops at a
+    is wkb_energy_next where default_seed is WKB (M = 1, or eps < 4) and
+    default_seed, the solvable-limit scale, otherwise.  It stops at a
     step with |dE| <= tol |E + dE|, and takes that step without shooting
     its end point; the result is flagged converged only if the PT-reality
     check |Im E| <= 1e-8 |Re E| also holds, and if the root moves by at
@@ -561,8 +565,8 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if seed is None and model.M == 1:
-        seed = wkb_energy_next(k, model.epsilon)
+    if seed is None and _wkb_seeded(model):
+        seed = wkb_energy_next(k, model.epsilon, model.M)
     return _solve(model, k, seed, default_seed(model, k), tol, rtol, radius_factor)
 
 
@@ -653,14 +657,14 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
     out: list[EigenResult] = []
     prev: dict[int, complex] = {}       # last converged E of each level
     prev_model = None
-    est = functools.cache(default_seed)     # evaluated once per (model, k)
     for model in models:
         results = [EigenResult(k, complex(E), rel, 0, True) for k, (E, rel)
                    in enumerate(certified_levels(model, k_max, tol))]
         for k in range(len(results), k_max + 1):
-            seed = prev[k].real * (est(model, k) / est(prev_model, k)) \
-                if k in prev else est(model, k)
-            results.append(_solve(model, k, seed, est(model, k), tol, rtol, 1.0))
+            est = default_seed(model, k)
+            seed = prev[k].real * (est / default_seed(prev_model, k)) \
+                if k in prev else est
+            results.append(_solve(model, k, seed, est, tol, rtol, 1.0))
         for k, res in enumerate(results):
             if res.converged:
                 if k in prev and res.E.real < prev[k].real - tol * abs(res.E):

@@ -209,8 +209,12 @@ class TestMainEntry:
         assert not target.exists()
 
     def test_usage_error_exit_code(self, capsys):
-        rc = main(["wkb", "--M", "2", "--epsilon", "1", "--order", "2"])
-        assert rc == 2
+        # next-order WKB exists for every M; order 3 is the usage error
+        assert main(["wkb", "--M", "2", "--epsilon", "1", "--order", "2"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["wkb", "--M", "2", "--epsilon", "1", "--order", "3"])
+        assert exc.value.code == 2
         assert "error" in capsys.readouterr().err
         for bad in (["--rtol", "0"], ["--radius-factor", "0.5"]):
             rc = main(["eigen", "--epsilon", "8"] + bad)

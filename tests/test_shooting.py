@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import gamma, j0, j1, y0, y1
 
 import ptwell.shooting as shooting
+import ptwell.wkb as wkb
 from _arch_oracle import crossing as arch_crossing
 from _ray_oracle import _segment as oracle_segment
 from _ray_oracle import _wkb_start
@@ -1083,8 +1084,9 @@ class TestShotSchedule:
 
 
 class TestFirstIterate:
-    # at M = 1 the solve starts from the next-order WKB energy, and its
-    # second secant point lies 1e-6 relative above the first
+    # where default_seed is WKB (M = 1, or eps < 4) the solve starts from the
+    # next-order WKB energy, and its second secant point lies 1e-6 relative
+    # above the first
 
     @staticmethod
     def _defects(monkeypatch):
@@ -1105,12 +1107,25 @@ class TestFirstIterate:
         E0 = wkb_energy_next(k, eps)
         assert energies[:2] == [E0, E0 * (1.0 + 1e-6)]
 
-    def test_given_seed_and_m2_unchanged(self, monkeypatch):
+    @pytest.mark.parametrize("M,eps,k", [(2, 0.0, 3), (2, 0.0, 26), (2, 1.0, 7),
+                                         (3, 0.5, 2), (3, 3.0, 10), (4, 3.9, 5)])
+    def test_next_order_wkb_at_small_eps(self, monkeypatch, M, eps, k):
+        energies = self._defects(monkeypatch)
+        assert solve_level(ModelSpec(M, eps), k).converged
+        E0 = wkb_energy_next(k, eps, M)
+        assert energies[:2] == [E0, E0 * (1.0 + 1e-6)]
+
+    def test_given_seed_and_limit_scale_unchanged(self, monkeypatch):
+        # a given seed is the first iterate; at M >= 2, eps >= 4 so is the
+        # solvable-limit scale of default_seed
         energies = self._defects(monkeypatch)
         solve_level(ModelSpec(1, 2.0), 3, seed=11.0)
         assert energies[0] == 11.0
         energies.clear()
-        model = ModelSpec(2, 0.0)
+        solve_level(ModelSpec(2, 1.0), 3, seed=20.0)
+        assert energies[0] == 20.0
+        energies.clear()
+        model = ModelSpec(2, 6.0)
         solve_level(model, 3)
         assert energies[0] == shooting.default_seed(model, 3)
 
@@ -1199,24 +1214,22 @@ class TestScan:
         assert [r.k for r in results] == [0, 1, 0, 1]
         assert results[0].E.real < results[2].E.real  # eps = 0 rows first
 
-    def test_one_quadrature_per_level(self, monkeypatch):
-        # shaped like a level-scan item at M = 2, with every level shot as if
-        # the spectral engine had certified none: the seed, the continuation
-        # ratio and the WKB window share one quadrature per (model, k)
+    def test_no_action_quadrature(self, monkeypatch):
+        # seeds, WKB windows and contour radii at M >= 2 come from the closed
+        # forms: no action quadrature runs in a solve, in the spectral engine
+        # or in a level-scan item at M = 2 with every level shot as if the
+        # engine had certified none
+        def refused(*args):
+            raise AssertionError("action quadrature")
+
+        monkeypatch.setattr(wkb, "_action_once", refused)
+        assert solve_level(ModelSpec(3, 0.5), 4).converged
+        assert len(shooting.certified_levels(ModelSpec(2, 1.1), 5, 1e-10)) == 6
         monkeypatch.setattr(shooting, "certified_levels", lambda *args: [])
-        calls = []
-        quadrature = shooting.wkb_energy_quadrature
-
-        def counted(model, k):
-            calls.append((model, k))
-            return quadrature(model, k)
-
-        monkeypatch.setattr(shooting, "wkb_energy_quadrature", counted)
         grid = [ModelSpec(2, eps) for eps in (0.0, 1.1, 2.9)]
         results = scan_levels(grid, 5)
-        assert all(r.converged for r in results)
-        assert sorted(calls, key=lambda c: (c[0].epsilon, c[1])) == \
-            [(model, k) for model in grid for k in range(6)]
+        assert len(results) == 18
+        assert all(r.converged and r.iterations > 0 for r in results)
 
     @pytest.mark.parametrize("M,want", [
         (2, [1.905812, 7.753113, 17.684143, 29.998397, 44.784535, 61.656818]),

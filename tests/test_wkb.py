@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import oscillator_levels
 from ptwell.geometry import ModelSpec, potential_value, turning_points
+from ptwell.specfun import gamma_fn
 from ptwell.wkb import (WkbEstimate, action_integral, asymptotic_energy,
                         ground_expansion_exact, ground_expansion_wkb,
                         wkb_energy_closed, wkb_energy_next,
@@ -159,6 +161,71 @@ class TestNextOrder:
             assert abs(c - 0.7566201284733197) <= tol
 
 
+def _closed_m1(k, eps):
+    # the M = 1 leading closed form in its own grouping: a bit reference
+    num = gamma_fn((3.0 * eps + 8.0) / (2.0 * eps + 4.0)) \
+        * math.sqrt(math.pi) * (k + 0.5)
+    den = math.sin(math.pi / (eps + 2.0)) * gamma_fn((eps + 3.0) / (eps + 2.0))
+    return (num / den) ** ((2.0 * eps + 4.0) / (eps + 4.0))
+
+
+def _next_m1(k, eps):
+    # and the M = 1 next-order form, likewise
+    return _closed_m1(k, eps) * (1.0 + (2.0 + eps) * (1.0 + eps)
+                                 * math.sin(2.0 * math.pi / (2.0 + eps))
+                                 / (6.0 * math.pi * (k + 0.5) ** 2 * (4.0 + eps) ** 2))
+
+
+def _eta(k, eps, M):
+    return wkb_energy_next(k, eps, M) / wkb_energy_closed(k, eps, M) - 1.0
+
+
+class TestClosedFormEveryM:
+    def test_m1_bits_unchanged(self):
+        # solver paths at high k move when the seed moves by one ulp
+        for eps in np.arange(0.0, 60.0, 0.37).tolist() + [2.0, 8.0, 58.0]:
+            for k in range(0, 31, 3):
+                assert wkb_energy_closed(k, eps) == _closed_m1(k, eps), (k, eps)
+                assert wkb_energy_next(k, eps) == _next_m1(k, eps), (k, eps)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_leading_is_quadrature_root(self, M):
+        # the action scales as E^(1/2 + 1/N), so the 400-node quadrature at
+        # E = 1 gives the root of the leading rule
+        for eps in (0.0, 0.3, 1.0, 2.5, 3.9, 8.0, 21.5, 40.0, 59.5):
+            a = action_integral(ModelSpec(M, eps), 1.0, nodes=400)
+            expo = 0.5 + 1.0 / (2.0 * M + eps)
+            for k in (0, 5):
+                want = ((k + 0.5) * math.pi / a) ** (1.0 / expo)
+                got = wkb_energy_closed(k, eps, M)
+                assert abs(got - want) <= 1e-12 * want, (eps, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 26])
+    def test_correction_at_hermitian_points(self, k):
+        assert _eta(k, 0.0, 1) == 0.0
+        assert abs(_eta(k, 0.0, 2) - 1.0 / (9.0 * math.pi * (k + 0.5) ** 2)) <= 1e-14
+
+    def test_next_order_quartic_levels(self):
+        # p^2 + x^4 from the oscillator basis: the next-order error falls as
+        # (k + 1/2)^-4, 6.8e-7 relative at k = 8 and 7.2e-9 at k = 26
+        ref = oscillator_levels([0.0, 0.0, 0.0, 0.0, 1.0], 27)
+        errs = {k: abs(wkb_energy_next(k, 0.0, 2) / ref[k] - 1.0)
+                for k in range(8, 27)}
+        assert max(errs.values()) <= 1e-6
+        for k, err in errs.items():
+            assert err * (k + 0.5) ** 4 == pytest.approx(
+                errs[8] * 8.5 ** 4, rel=0.01), k
+        # the leading form is 600-7000 times farther off
+        assert all(abs(wkb_energy_closed(k, 0.0, 2) / ref[k] - 1.0) > 600.0 * err
+                   for k, err in errs.items())
+
+    @pytest.mark.parametrize("M", [0, -1, 1.5])
+    @pytest.mark.parametrize("energy", [wkb_energy_closed, wkb_energy_next])
+    def test_rejects_bad_M(self, energy, M):
+        with pytest.raises(ValueError):
+            energy(0, 1.0, M)
+
+
 class TestAsymptoticEnergy:
     def test_substitution(self):
         assert asymptotic_energy(1, 0, 1, 8.0) == pytest.approx(4.0)
@@ -233,9 +300,14 @@ class TestEstimateBundle:
         est = wkb_estimate(ModelSpec(2, 0.0), 0)
         assert est.E == pytest.approx(wkb_energy_quadrature(ModelSpec(2, 0.0), 0))
 
+    def test_next_order_for_higher_M(self):
+        est = wkb_estimate(ModelSpec(2, 1.0), 3, order=2)
+        assert est.E == wkb_energy_next(3, 1.0, 2)
+        assert (est.M, est.order) == (2, 2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            wkb_estimate(ModelSpec(2, 1.0), 0, order=2)
+            wkb_estimate(ModelSpec(2, 1.0), 0, order=3)
         with pytest.raises(ValueError):
             WkbEstimate(k=0, M=1, epsilon=0.0, order=3, E=1.0)
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from .classical import period_asymptotic, period_exact
 from .extrapolation import ExtrapolationTable, richardson, subtract_leading
 from .geometry import ModelSpec
-from .limit import nu_spectrum
+from .limit import F_of_eps, nu_spectrum
 from .shooting import DEFAULT_RTOL, DEFAULT_TOL, EigenResult, scan_levels, solve_level
 from .wkb import wkb_estimate
 
@@ -104,9 +104,7 @@ def run_table(table_id: int, tol: float = DEFAULT_TOL,
         results.append(solve_level(ModelSpec(M, eps), 0, tol=tol, rtol=rtol))
     ok = all(r.converged for r in results)
     E0 = [r.E.real for r in results]
-    n = 2.0 * M
-    fvals = [e ** ((ep + n + 2.0) / (ep + n)) / (ep + 2.0) ** 2
-             for e, ep in zip(E0, eps_true)]
+    fvals = [F_of_eps(e, ep, M) for e, ep in zip(E0, eps_true)]
     if table_id in (1, 2):
         raw = fvals
         cols = {"F": [v for v in fvals]}

@@ -15,8 +15,8 @@ lines Re z = +-(M+1) quantizes nu:
 
 and in general nu = k + P/(M+1), P = 1..M, so F = nu^2/4.
 
-The refined deformation map F(eps) = E^((eps+4)/(eps+2)) / (eps+2)^2 (stated
-for M = 1) expands as F = f0 + f1/eps + ..., and the ground-state correction
+The refined deformation map F(eps) = E^((eps+2M+2)/(eps+2M)) / (eps+2)^2
+expands as F = f0 + f1/eps + ..., and at M = 1 the ground-state correction
 evaluates in closed form to f1 = gamma/4.
 """
 
@@ -197,20 +197,21 @@ def scaled_ode_residual(M: int, F: float, z: complex,
 # deformation map and the first correction
 # ---------------------------------------------------------------------------
 
-def F_of_eps(E: float, epsilon: float) -> float:
-    """F = E^((eps+4)/(eps+2)) / (eps+2)^2, the refined scaling of E.
-    Raises ValueError unless 0 < E < inf and 0 <= eps < inf (nan included)."""
-    if not (0.0 < E < math.inf and 0.0 <= epsilon < math.inf):
-        raise ValueError("need finite E > 0 and epsilon >= 0")
-    return E ** ((epsilon + 4.0) / (epsilon + 2.0)) / (epsilon + 2.0) ** 2
+def F_of_eps(E: float, epsilon: float, M: int = 1) -> float:
+    """F = E^((eps+2M+2)/(eps+2M)) / (eps+2)^2, the refined scaling of E.
+    Raises ValueError unless 0 < E < inf, 0 <= eps < inf (nan included)
+    and M >= 1."""
+    if not (0.0 < E < math.inf and 0.0 <= epsilon < math.inf and M >= 1):
+        raise ValueError("need finite E > 0, epsilon >= 0 and M >= 1")
+    return E ** ((epsilon + (2 * M + 2)) / (epsilon + 2 * M)) / (epsilon + 2.0) ** 2
 
 
-def E_of_F(F: float, epsilon: float) -> float:
-    """Exact inverse of F_of_eps.  Raises ValueError unless 0 < F < inf
-    and 0 <= eps < inf (nan included)."""
-    if not (0.0 < F < math.inf and 0.0 <= epsilon < math.inf):
-        raise ValueError("need finite F > 0 and epsilon >= 0")
-    return (F * (epsilon + 2.0) ** 2) ** ((epsilon + 2.0) / (epsilon + 4.0))
+def E_of_F(F: float, epsilon: float, M: int = 1) -> float:
+    """Exact inverse of F_of_eps.  Raises ValueError unless 0 < F < inf,
+    0 <= eps < inf (nan included) and M >= 1."""
+    if not (0.0 < F < math.inf and 0.0 <= epsilon < math.inf and M >= 1):
+        raise ValueError("need finite F > 0, epsilon >= 0 and M >= 1")
+    return (F * (epsilon + 2.0) ** 2) ** ((epsilon + 2 * M) / (epsilon + (2 * M + 2)))
 
 
 def f1_ground() -> float:

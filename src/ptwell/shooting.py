@@ -565,16 +565,11 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if seed is None and _wkb_seeded(model):
-        seed = wkb_energy_next(k, model.epsilon, model.M)
-    return _solve(model, k, seed, default_seed(model, k), tol, rtol, radius_factor)
-
-
-def _solve(model: ModelSpec, k: int, seed: complex | None, est: float,
-           tol: float, rtol: float, radius_factor: float) -> EigenResult:
-    """solve_level, given the level-k estimate est = default_seed(model, k)."""
     _check_tolerances(tol, rtol)
-    E0 = complex(seed) if seed is not None else complex(est)
+    est = default_seed(model, k)
+    if seed is None:
+        seed = wkb_energy_next(k, model.epsilon, model.M) if _wkb_seeded(model) else est
+    E0 = complex(seed)
     lo, hi = _wkb_window(model, k, est)
     lo, hi = min(lo, E0.real), max(hi, E0.real)
     E1 = E0 * (1.0 + 1e-6)
@@ -634,10 +629,10 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
     At each grid point the spectral engine (ptwell.spectral) gives level k
     when it and every lower level agree within tol on two collocation
     contours; it is returned converged, with 0 iterations and that relative
-    disagreement as its residual.  Every other level is shot, by the solver
-    of solve_level (rtol is its integrator tolerance), from a continuation
-    seed: the last converged E of the level times the ratio of default_seed
-    here to default_seed at the previous grid point.  With k_max = 5 the
+    disagreement as its residual.  Every other level is shot by solve_level
+    (rtol is its integrator tolerance) from a continuation seed: the last
+    converged E of the level times the ratio of default_seed here to
+    default_seed at the previous grid point.  With k_max = 5 the
     engine certifies every level at M = 1 for eps = 0 and
     0.25 <= eps <= 14, at M = 2 for eps <= 10 and at M = 3 for eps <= 8;
     M = 1 near eps = 0+ (below about 0.23) and larger deformations are
@@ -664,7 +659,7 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
             est = default_seed(model, k)
             seed = prev[k].real * (est / default_seed(prev_model, k)) \
                 if k in prev else est
-            results.append(_solve(model, k, seed, est, tol, rtol, 1.0))
+            results.append(solve_level(model, k, seed, tol, rtol))
         for k, res in enumerate(results):
             if res.converged:
                 if k in prev and res.E.real < prev[k].real - tol * abs(res.E):

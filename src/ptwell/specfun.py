@@ -9,7 +9,6 @@ algorithm, ACM TOMS 12 (1986) 265).  A log-argument t = log w names a point
 on the Riemann surface of log; it is written as w0 e^(m pi i) with w0 in the
 right half-plane, and the rotation identities (DLMF 10.11.1-2, 10.34.1-2)
 
-    I_nu(w0 e^(m pi i)) = e^(m nu pi i) I_nu(w0),
     K_nu(w0 e^(m pi i)) = e^(-m nu pi i) K_nu(w0)
                           - pi i sin(m nu pi)/sin(nu pi) I_nu(w0),
     J_nu(w0 e^(m pi i)) = e^(m nu pi i) J_nu(w0),
@@ -29,47 +28,20 @@ from scipy import special
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# Lanczos coefficients, g = 7, n = 9.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 class SpecialFunctionError(ValueError):
     """Domain violation in a special-function evaluation."""
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x, via the Lanczos approximation.
-
-    Relative error is a few 1e-15 on (0, 30].  Negative non-integer arguments
-    go through the reflection formula.  It seeds the M = 1 shooting solves
-    through the closed-form WKB energy, and the secant path of a level that
-    does not converge depends on the last bits of its seed; math.gamma
-    differs from it there by an ulp or so.
+    """Gamma(x) for real x: math.gamma, with the poles as domain errors.
 
     Raises:
         SpecialFunctionError: at the poles x = 0, -1, -2, ...
     """
     if x <= 0.0 and x == math.floor(x):
         raise SpecialFunctionError(f"gamma pole at x = {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    x -= 1.0
-    a = _LANCZOS[0]
-    for i in range(1, 9):
-        a += _LANCZOS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * a
+    return math.gamma(x)
 
 
 def _check_arg(w: complex, singular: str | None = None) -> complex:
@@ -155,12 +127,6 @@ def _connection_ratio(nu: float, m: int) -> float:
     if abs(s) < 1e-12:
         raise SpecialFunctionError("connection formula requires non-integer order")
     return math.sin(m * nu * math.pi) / s
-
-
-def bessel_I_logw(nu: float, t: complex) -> complex:
-    """I_nu(e^t) on the sheet of log named by the log-argument t."""
-    w0, m = _sheet(t)
-    return cmath.exp(1j * m * nu * math.pi) * complex(special.iv(nu, w0))
 
 
 def bessel_J_logw(nu: float, t: complex) -> complex:

@@ -120,9 +120,7 @@ def wkb_energy_closed(k: int, epsilon: float, M: int = 1) -> float:
     E_k = [Gamma(3/2 + 1/N) sqrt(pi) (k + 1/2)
            / (sin(pi M/N) Gamma(1 + 1/N))]^(2N/(N + 2)).
 
-    The integer terms are grouped so that M = 1 keeps the bits of the form
-    below, since the solver's high-level secant paths move when their seed
-    moves by one ulp:
+    The integer terms are grouped so that M = 1 gives, bit for bit, the form
     [Gamma((3 eps + 8)/(2 eps + 4)) sqrt(pi) (k + 1/2)
      / (sin(pi/(eps + 2)) Gamma((eps + 3)/(eps + 2)))]^((2 eps + 4)/(eps + 4)).
     Exact at eps = 0, M = 1, where it collapses to 2k + 1.

@@ -168,10 +168,30 @@ class TestDeformationMap:
 
     def test_round_trip(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            F = float(10.0 ** rng.uniform(-3, 1))
-            eps = float(rng.uniform(0.0, 100.0))
-            assert F_of_eps(E_of_F(F, eps), eps) == pytest.approx(F, rel=1e-13)
+        for M in (1, 2, 3, 4):
+            for _ in range(200):
+                F = float(10.0 ** rng.uniform(-3, 1))
+                eps = float(rng.uniform(0.0, 100.0))
+                assert F_of_eps(E_of_F(F, eps, M), eps, M) == pytest.approx(F, rel=1e-13)
+
+    def test_m1_keeps_its_bits(self):
+        # the M = 1 forms written out: M = 1 keeps these bits
+        for eps in (0.0, 0.37, 8.0, 58.0):
+            F = 5.5 ** ((eps + 4.0) / (eps + 2.0)) / (eps + 2.0) ** 2
+            E = (0.07 * (eps + 2.0) ** 2) ** ((eps + 2.0) / (eps + 4.0))
+            assert F_of_eps(5.5, eps) == F and E_of_F(0.07, eps) == E
+
+    def test_quartic_table_column(self, table2):
+        # table 2 solves M = 2 at eps = label - 2 and maps E0 with M = 2
+        eps = [lab - 2.0 for lab in table2.labels]
+        assert table2.columns["F"] == [F_of_eps(E, e, 2)
+                                       for E, e in zip(table2.E0, eps)]
+
+    def test_M_domain(self):
+        with pytest.raises(ValueError):
+            F_of_eps(1.0, 1.0, 0)
+        with pytest.raises(ValueError):
+            E_of_F(1.0, 1.0, 0)
 
     def test_round_trip_spot(self):
         E = E_of_F(0.0625, 38.0)

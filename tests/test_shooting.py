@@ -586,10 +586,10 @@ class TestWkbWindow:
         # every level from its continuation seed
         monkeypatch.setattr(shooting, "certified_levels", lambda *args: [])
         solves = []
-        # solve_level and scan_levels both solve through _solve
-        solve, defect = shooting._solve, shooting._matching_defect
+        # scan_levels shoots through solve_level
+        solve, defect = shooting.solve_level, shooting._matching_defect
 
-        def recorded_solve(model, k, seed, *args):
+        def recorded_solve(model, k, seed=None, *args):
             energies = []
             solves.append((model, k, seed, energies))
             res = solve(model, k, seed, *args)
@@ -600,7 +600,7 @@ class TestWkbWindow:
             solves[-1][3].append(E.real)
             return defect(model, E, path, rtol)
 
-        monkeypatch.setattr(shooting, "_solve", recorded_solve)
+        monkeypatch.setattr(shooting, "solve_level", recorded_solve)
         monkeypatch.setattr(shooting, "_matching_defect", recorded_defect)
         # the 12 distinct solves of the golden tables (table 3 repeats M = 1)
         for M in (1, 2):
@@ -1230,6 +1230,23 @@ class TestScan:
         results = scan_levels(grid, 5)
         assert len(results) == 18
         assert all(r.converged and r.iterations > 0 for r in results)
+
+    def test_shots_through_solve_level(self, monkeypatch):
+        # the levels the spectral engine leaves (M = 1 at eps = 0.1 and 0.2)
+        # are shot by the public solve_level, from continuation seeds
+        calls, solve = [], shooting.solve_level
+
+        def recorded(model, k, *args):
+            calls.append((model.epsilon, k))
+            return solve(model, k, *args)
+
+        monkeypatch.setattr(shooting, "solve_level", recorded)
+        results = scan_levels([ModelSpec(1, eps) for eps in (0.0, 0.1, 0.2, 0.3)], 2)
+        assert calls == [(eps, k) for eps in (0.1, 0.2) for k in range(3)]
+        shot = [(r.E, r.iterations) for r in results if r.iterations]
+        assert shot == [(1.0030970656620775 + 0j, 4), (3.061135151921811 + 0j, 2),
+                        (5.167085842366629 + 0j, 3), (1.0100685202881667 + 0j, 4),
+                        (3.137066846254479 + 0j, 3), (5.35760087956364 + 0j, 3)]
 
     @pytest.mark.parametrize("M,want", [
         (2, [1.905812, 7.753113, 17.684143, 29.998397, 44.784535, 61.656818]),

@@ -6,8 +6,8 @@ import pytest
 
 from ptwell.limit import f1_ground, ground_state_coeffs
 from ptwell.specfun import (EULER_GAMMA, SpecialFunctionError, bessel_I,
-                            bessel_I_logw, bessel_I_prime, bessel_I_scaled,
-                            bessel_J, bessel_J_logw, bessel_K, bessel_K_logw,
+                            bessel_I_prime, bessel_I_scaled, bessel_J,
+                            bessel_J_logw, bessel_K, bessel_K_logw,
                             bessel_K_prime, bessel_K_scaled, bessel_Y,
                             bessel_Y_logw, gamma_fn)
 
@@ -30,9 +30,8 @@ class TestGamma:
         assert relerr(gamma_fn(x), expected) <= 1e-13
 
     def test_accuracy_on_working_range(self):
-        xs = np.linspace(0.02, 30.0, 1499)
-        worst = max(relerr(gamma_fn(float(x)), math.gamma(float(x))) for x in xs)
-        assert worst <= 1e-13
+        for x in np.linspace(0.02, 60.0, 2999).tolist() + [1e-300, 171.5]:
+            assert gamma_fn(x) == math.gamma(x), x
 
     def test_recurrence(self):
         rng = np.random.default_rng(3)
@@ -207,7 +206,7 @@ class TestLogArgument:
     # sheet boundaries of the rotation identities: multiples of pi/2 up to
     # 5 pi/2, which covers Im t = +-pi and +-2pi
     EDGES = [j * math.pi / 2.0 for j in range(-5, 6)]
-    FUNCS = [bessel_I_logw, bessel_K_logw, bessel_J_logw, bessel_Y_logw]
+    FUNCS = [bessel_K_logw, bessel_J_logw, bessel_Y_logw]
 
     @pytest.mark.parametrize("f", FUNCS)
     @pytest.mark.parametrize("nu", [1.0 / 3.0, 0.5, 2.0 / 3.0])
@@ -230,8 +229,7 @@ class TestLogArgument:
                 j_p, j_m = _log_series(nu, t, -1.0), _log_series(-nu, t, -1.0)
                 k = math.pi * (i_m - i_p) / (2.0 * s)
                 y = (j_p * math.cos(nu * math.pi) - j_m) / s
-                for got, want in ((bessel_I_logw(nu, t), i_p),
-                                  (bessel_K_logw(nu, t), k),
+                for got, want in ((bessel_K_logw(nu, t), k),
                                   (bessel_J_logw(nu, t), j_p),
                                   (bessel_Y_logw(nu, t), y)):
                     assert relerr(got, want) <= 1e-11, (r, phi)
@@ -243,8 +241,7 @@ class TestLogArgument:
             for phi in (-2.8, -1.2, 0.0, 0.7, 2.9):
                 t = complex(math.log(r), phi)
                 w = cmath.exp(t)
-                for got, want in ((bessel_I_logw(nu, t), bessel_I(nu, w)),
-                                  (bessel_K_logw(nu, t), bessel_K(nu, w)),
+                for got, want in ((bessel_K_logw(nu, t), bessel_K(nu, w)),
                                   (bessel_J_logw(nu, t), bessel_J(nu, w)),
                                   (bessel_Y_logw(nu, t), bessel_Y(nu, w))):
                     assert relerr(got, want) <= 1e-12, (r, phi)
@@ -255,4 +252,4 @@ class TestLogArgument:
         with pytest.raises(SpecialFunctionError):
             bessel_Y_logw(2.0, 0.5j)
         with pytest.raises(SpecialFunctionError):
-            bessel_I_logw(0.5, complex(math.nan, 0.0))
+            bessel_J_logw(0.5, complex(math.nan, 0.0))

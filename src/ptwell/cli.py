@@ -31,11 +31,11 @@ import sys
 from dataclasses import dataclass, field
 
 from .classical import period_asymptotic, period_exact
-from .extrapolation import ExtrapolationTable, richardson, subtract_leading
+from .extrapolation import richardson, subtract_leading
 from .geometry import ModelSpec
 from .limit import F_of_eps, nu_spectrum
 from .shooting import DEFAULT_RTOL, DEFAULT_TOL, EigenResult, scan_levels, solve_level
-from .wkb import wkb_estimate
+from .wkb import wkb_energy_closed, wkb_energy_next
 
 TABLE_GRID = (8.0, 18.0, 28.0, 38.0, 48.0, 58.0)
 
@@ -46,7 +46,6 @@ class TableResult:
     labels: list[float]
     E0: list[float]
     columns: dict[str, list[float | None]] = field(default_factory=dict)
-    extrapolation: ExtrapolationTable | None = None
     all_converged: bool = True
 
 
@@ -60,10 +59,6 @@ def dumps_json(obj) -> str:
 
 def format_csv(rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
-
-
-def parse_csv(text: str) -> list[list[str]]:
-    return [line.split(",") for line in text.splitlines()]
 
 
 def _cell(v: float | None) -> str:
@@ -111,14 +106,10 @@ def run_table(table_id: int, tol: float = DEFAULT_TOL,
     else:
         raw = subtract_leading(eps_true, fvals, 1.0 / 16.0)
         cols = {"R0": list(raw)}
-    r1 = richardson(eps_true, raw, 1)
-    r2 = richardson(eps_true, raw, 2)
-    cols["R1"] = _pad(r1, len(labels))
-    cols["R2"] = _pad(r2, len(labels))
-    table = ExtrapolationTable(epsilons=list(eps_true), raw=list(raw),
-                               extrapolants={1: r1, 2: r2})
+    cols["R1"] = _pad(richardson(eps_true, raw, 1), len(labels))
+    cols["R2"] = _pad(richardson(eps_true, raw, 2), len(labels))
     return TableResult(table_id=table_id, labels=labels, E0=E0,
-                       columns=cols, extrapolation=table, all_converged=ok)
+                       columns=cols, all_converged=ok)
 
 
 def run_figure1(eps_max: float, k_max: int, step: float,
@@ -141,18 +132,13 @@ def run_figure1(eps_max: float, k_max: int, step: float,
     results = scan_levels(models, k_max, tol=tol, rtol=rtol)
     curves: dict[int, list[tuple[float, float]]] = {k: [] for k in range(k_max + 1)}
     failures = []
-    for model, chunk in zip(models, _chunks(results, k_max + 1)):
-        for res in chunk:
+    for i, model in enumerate(models):
+        for res in results[i * (k_max + 1):(i + 1) * (k_max + 1)]:
             if res.converged:
                 curves[res.k].append((model.epsilon, res.E.real))
             else:
                 failures.append({"epsilon": model.epsilon, "k": res.k})
     return curves, failures, not failures
-
-
-def _chunks(seq, size):
-    for i in range(0, len(seq), size):
-        yield seq[i:i + size]
 
 
 def run_eigen(args: argparse.Namespace):
@@ -173,10 +159,11 @@ def run_eigen(args: argparse.Namespace):
 
 
 def run_wkb(args: argparse.Namespace):
-    est = wkb_estimate(ModelSpec(args.M, args.epsilon), args.k, args.order)
+    energy = wkb_energy_next if args.order == 2 else wkb_energy_closed
     payload = {
-        "model": {"M": est.M, "epsilon": est.epsilon},
-        "results": [{"k": est.k, "order": est.order, "E": est.E}],
+        "model": {"M": args.M, "epsilon": args.epsilon},
+        "results": [{"k": args.k, "order": args.order,
+                     "E": energy(args.k, args.epsilon, args.M)}],
     }
     return payload, True
 

@@ -10,26 +10,8 @@ eps_{n-1}); order m is exact on sequences that are degree-m polynomials in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from typing import Sequence
-
-
-@dataclass(frozen=True)
-class ExtrapolationTable:
-    """A raw sequence on a deformation grid plus its extrapolant columns."""
-
-    epsilons: list[float]
-    raw: list[float]
-    extrapolants: dict[int, list[float]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if len(self.raw) != len(self.epsilons):
-            raise ValueError("raw and epsilons lengths differ")
-        if any(b <= a for a, b in zip(self.epsilons, self.epsilons[1:])):
-            raise ValueError("epsilons must be strictly increasing")
-        for order, col in self.extrapolants.items():
-            if len(col) != len(self.raw) - order:
-                raise ValueError(f"order-{order} column has wrong length")
 
 
 def _neville_at_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -51,7 +33,9 @@ def richardson(epsilons: Sequence[float], values: Sequence[float],
     entries.
 
     Raises:
-        ValueError: if fewer than order + 1 samples are supplied.
+        ValueError: if fewer than order + 1 samples are supplied, or unless
+            the grid is finite, positive and strictly increasing (a nan is
+            rejected).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -59,6 +43,8 @@ def richardson(epsilons: Sequence[float], values: Sequence[float],
         raise ValueError("values and epsilons lengths differ")
     if len(values) < order + 1:
         raise ValueError(f"need at least {order + 1} points for order {order}")
+    if not all(0.0 < a < b < math.inf for a, b in zip(epsilons, epsilons[1:])):
+        raise ValueError("epsilons must be finite, positive and strictly increasing")
     out = []
     for n in range(order, len(values)):
         xs = [1.0 / epsilons[j] for j in range(n - order, n + 1)]

@@ -43,24 +43,22 @@ class LimitLevel:
     F: float
 
 
-@dataclass(frozen=True)
-class CorrectionCoeffs:
-    """Leading coefficients of F(eps) = f0 + f1/eps + ... (f2 not evaluated)."""
-
-    f0: float
-    f1: float
+def level_nu(M: int, j: int) -> float:
+    """Limit index of level j = 0, 1, ... in ascending order:
+    nu = j//M + ((j mod M) + 1)/(M + 1)."""
+    return j // M + ((j % M) + 1) / (M + 1.0)
 
 
 def nu_spectrum(M: int, k_max: int) -> list[LimitLevel]:
-    """All limit levels with k <= k_max, sorted by nu."""
+    """All limit levels with k <= k_max, sorted by nu: entry j is level j,
+    with k = j // M, P = (j mod M) + 1 and nu = level_nu(M, j)."""
     if M < 1:
         raise ValueError("M must be >= 1")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    levels = [LimitLevel(k, P, k + P / (M + 1.0), (k + P / (M + 1.0)) ** 2 / 4.0)
-              for k in range(k_max + 1) for P in range(1, M + 1)]
-    levels.sort(key=lambda lv: lv.nu)
-    return levels
+    nus = [level_nu(M, j) for j in range((k_max + 1) * M)]
+    return [LimitLevel(j // M, j % M + 1, nu, nu ** 2 / 4.0)
+            for j, nu in enumerate(nus)]
 
 
 def quantization_residual(M: int, nu: float) -> float:
@@ -70,11 +68,12 @@ def quantization_residual(M: int, nu: float) -> float:
     residual vanishes to ~1e-16 at spectrum values of any index.
 
     Raises:
-        ValueError: for M >= 3 (no closed condition is implemented; the
-            spectrum itself is available through nu_spectrum).
+        ValueError: unless 0 < nu < inf (nan included), and for M >= 3 (no
+            closed condition is implemented; the spectrum itself is
+            available through nu_spectrum).
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0.0 < nu < math.inf:
+        raise ValueError("nu must be finite and positive")
     if M == 1:
         t = nu - 2.0 * round(nu / 2.0)
         return math.cos(math.pi * t)
@@ -82,11 +81,6 @@ def quantization_residual(M: int, nu: float) -> float:
         t = nu - round(nu)
         return math.cos(2.0 * math.pi * t) + 0.5
     raise ValueError("closed quantization condition implemented for M in {1, 2}")
-
-
-def ground_state_coeffs() -> CorrectionCoeffs:
-    """f0 = 1/16 and f1 = gamma/4 for the M = 1 ground level."""
-    return CorrectionCoeffs(f0=1.0 / 16.0, f1=EULER_GAMMA / 4.0)
 
 
 # ---------------------------------------------------------------------------

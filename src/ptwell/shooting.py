@@ -72,6 +72,7 @@ import numpy as np
 from .geometry import (ModelSpec, continued_sqrt, decay_radius,
                        gauss_legendre, potential_value, turning_points,
                        turning_radius, wedge_angles)
+from .limit import level_nu
 from .spectral import certified_levels
 from .wkb import wkb_energy_closed, wkb_energy_next
 
@@ -480,11 +481,6 @@ def _matching_defect(model: ModelSpec, E: complex, path: _Path,
 # ---------------------------------------------------------------------------
 # eigenvalue iteration
 # ---------------------------------------------------------------------------
-
-def level_nu(M: int, k: int) -> float:
-    """Limit index of the k-th level: nu = k//M + ((k mod M) + 1)/(M + 1)."""
-    return k // M + ((k % M) + 1) / (M + 1.0)
-
 
 def _wkb_seeded(model: ModelSpec) -> bool:
     """Whether default_seed is Bohr-Sommerfeld: M = 1, or eps < 4."""

@@ -44,7 +44,7 @@ import numpy as np
 
 from .geometry import (ModelSpec, decay_radius, potential_value,
                        turning_radius, wedge_angles)
-from .wkb import wkb_estimate
+from .wkb import wkb_energy_closed
 
 # (WKB decay depth of the ground level at the contour ends, collocation
 # size) of the two contours that must agree
@@ -92,7 +92,7 @@ def _scales(model: ModelSpec, k_max: int) -> tuple[float, float, float]:
     """(theta, rho, r0): the right wedge centre, the turning radius of the
     leading WKB level k_max and that of the ground level."""
     n = 2.0 * model.M + model.epsilon
-    rho = turning_radius(model, wkb_estimate(model, k_max).E)
+    rho = turning_radius(model, wkb_energy_closed(k_max, model.epsilon, model.M))
     # leading WKB energies scale as (k + 1/2)^(2N/(N + 2)), radii as its 1/N
     r0 = rho * (2.0 * k_max + 1.0) ** (-2.0 / (n + 2.0))
     return wedge_angles(model).theta_right, rho, r0
@@ -145,6 +145,10 @@ def _interior(model: ModelSpec, scales: tuple[float, float, float],
 
 def _levels(model: ModelSpec, scales: tuple[float, float, float],
             k_max: int, depth: float, n: int) -> np.ndarray:
+    """The real eigenvalues of the n-point collocation, ascending, at most
+    k_max + 1 of them, on the hyperbola for levels 0..k_max (`scales` from
+    _scales) whose ends reach the ground level's WKB decay depth `depth` (or,
+    if farther, the turning radius of level k_max)."""
     # x(-s) = -conj x(s), x_s(-s) = conj x_s(s), V(-conj x) = conj V(x), d1
     # skew- and d2 centrosymmetric: the interior is centrohermitian, and
     # .real drops only rounding, as the nodes are symmetric only to rounding
@@ -152,15 +156,6 @@ def _levels(model: ModelSpec, scales: tuple[float, float, float],
     ev = np.linalg.eigvals((q.conj().T @ _interior(model, scales, depth, n) @ q).real)
     real = ev[(np.abs(ev.imag) <= REAL_REL * np.abs(ev)) & (ev.real > 0.0)].real
     return np.sort(real)[:k_max + 1]
-
-
-def contour_levels(model: ModelSpec, k_max: int, depth: float,
-                   n: int) -> np.ndarray:
-    """The real eigenvalues of the n-point collocation, ascending, at most
-    k_max + 1 of them, on the hyperbola for levels 0..k_max whose ends reach
-    the ground level's WKB decay depth `depth` (or, if farther, the turning
-    radius of level k_max)."""
-    return _levels(model, _scales(model, k_max), k_max, depth, n)
 
 
 def certified_levels(model: ModelSpec, k_max: int,

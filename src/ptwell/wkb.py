@@ -14,36 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .geometry import ModelSpec, gauss_legendre, potential_value, turning_points
 from .specfun import EULER_GAMMA, gamma_fn
-
-
-@dataclass(frozen=True)
-class WkbEstimate:
-    """A WKB energy estimate for level k of a given model."""
-
-    k: int
-    M: int
-    epsilon: float
-    order: int  # 1 = leading, 2 = next-order corrected
-    E: float
-
-    def __post_init__(self) -> None:
-        if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        if self.E <= 0.0:
-            raise ValueError("E must be positive")
-
-
-def wkb_estimate(model: ModelSpec, k: int, order: int = 1) -> WkbEstimate:
-    """Bundle the WKB energy for (model, k) at the given order: the closed
-    leading form (order 1) or the next-order one (order 2), for every M.
-    """
-    energy = wkb_energy_next if order == 2 else wkb_energy_closed
-    E = energy(k, model.epsilon, model.M)
-    return WkbEstimate(k=k, M=model.M, epsilon=model.epsilon, order=order, E=E)
 
 
 class BranchContinuityError(RuntimeError):

@@ -51,11 +51,11 @@ def test_criterion_1_table1(table1):
     for lab, got, want in zip(LABELS, table1.columns["F"], TABLE1_F):
         if abs(got - want) > 2e-5:
             failures.append(f"F({lab:g}) = {got:.6f} vs {want}")
-    for lab, got, want in zip(LABELS[1:], table1.extrapolation.extrapolants[1],
+    for lab, got, want in zip(LABELS[1:], table1.columns["R1"][1:],
                               TABLE1_R1):
         if abs(got - want) > 2e-5:
             failures.append(f"R1({lab:g}) = {got:.6f} vs {want}")
-    for lab, got, want in zip(LABELS[2:], table1.extrapolation.extrapolants[2],
+    for lab, got, want in zip(LABELS[2:], table1.columns["R2"][2:],
                               TABLE1_R2):
         if abs(got - want) > 2e-5:
             failures.append(f"R2({lab:g}) = {got:.6f} vs {want}")
@@ -67,7 +67,7 @@ def test_criterion_2_table2(table2):
     for lab, got, want in zip(LABELS, table2.E0, TABLE2_E0):
         if abs(got - want) > 2e-5:
             failures.append(f"E0({lab:g}) = {got:.7f} vs {want} (>2e-5)")
-    r2_last = table2.extrapolation.extrapolants[2][-1]
+    r2_last = table2.columns["R2"][-1]
     if abs(r2_last - TABLE2_R2_LIMIT) > 2e-4:
         failures.append(f"R2(58) = {r2_last:.6f} vs 1/36 = {TABLE2_R2_LIMIT:.7f}")
     _report(2, "table 2 reproduction", failures)
@@ -78,15 +78,15 @@ def test_criterion_3_table3(table3):
     for lab, got, want in zip(LABELS, table3.columns["R0"], TABLE3_R0):
         if abs(got - want) > 2e-5:
             failures.append(f"R0({lab:g}) = {got:.6f} vs {want}")
-    for lab, got, want in zip(LABELS[1:], table3.extrapolation.extrapolants[1],
+    for lab, got, want in zip(LABELS[1:], table3.columns["R1"][1:],
                               TABLE3_R1):
         if abs(got - want) > 2e-5:
             failures.append(f"R1({lab:g}) = {got:.6f} vs {want}")
-    for lab, got, want in zip(LABELS[2:], table3.extrapolation.extrapolants[2],
+    for lab, got, want in zip(LABELS[2:], table3.columns["R2"][2:],
                               TABLE3_R2):
         if abs(got - want) > 2e-5:
             failures.append(f"R2({lab:g}) = {got:.6f} vs {want}")
-    r2_last = table3.extrapolation.extrapolants[2][-1]
+    r2_last = table3.columns["R2"][-1]
     if abs(r2_last - EULER_GAMMA / 4.0) > 2e-4:
         failures.append(f"R2(58) = {r2_last:.6f} vs gamma/4")
     _report(3, "table 3 reproduction", failures)

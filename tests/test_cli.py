@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -5,10 +7,15 @@ from pathlib import Path
 import pytest
 
 import ptwell.cli as cli
-from ptwell.cli import (TableResult, dumps_json, format_csv, main, parse_csv,
-                        run_figure1, table_csv_rows)
+from ptwell.cli import (TableResult, dumps_json, format_csv, main, run_figure1,
+                        table_csv_rows)
+from ptwell.wkb import wkb_energy_closed, wkb_energy_next
 
 DATA = Path(__file__).parent / "data"
+
+
+def parse_csv(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text)))
 
 
 class TestRunConfig:
@@ -186,6 +193,30 @@ class TestMainEntry:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["results"][0]["E"] == pytest.approx(5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("order, energy",
+                             [(1, wkb_energy_closed), (2, wkb_energy_next)])
+    def test_wkb_prints_the_energy_function(self, M, order, energy, capsys):
+        for eps, k in ((0.0, 0), (1.0, 3), (8.0, 0), (58.0, 7)):
+            rc = main(["wkb", "--M", str(M), "--epsilon", str(eps),
+                       "--k", str(k), "--order", str(order)])
+            assert rc == 0
+            assert json.loads(capsys.readouterr().out) == {
+                "model": {"M": M, "epsilon": eps},
+                "results": [{"k": k, "order": order,
+                             "E": energy(k, eps, M)}]}
+
+    @pytest.mark.parametrize("flag, value", [("--M", "0"), ("--epsilon", "nan"),
+                                             ("--k", "-1")])
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_wkb_domain(self, flag, value, order, capsys):
+        args = {"--M": "1", "--epsilon": "1", "--k": "0", "--order": order,
+                flag: value}
+        assert main(["wkb"] + [a for pair in args.items() for a in pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
 
     def test_output_file_and_csv(self, tmp_path, capsys):
         out = tmp_path / "period.csv"

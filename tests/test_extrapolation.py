@@ -1,8 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from ptwell.extrapolation import (ExtrapolationTable, richardson,
-                                  subtract_leading)
+from ptwell.extrapolation import richardson, subtract_leading
 
 
 class TestRichardson:
@@ -38,6 +39,20 @@ class TestRichardson:
         with pytest.raises(ValueError):
             richardson([8.0, 18.0], [1.0, 2.0], 2)
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            richardson([1.0, 2.0], [1.0], 1)
+
+    @pytest.mark.parametrize("eps", [
+        [1.0, 1.0],         # ZeroDivisionError without the grid check
+        [0.0, 1.0],         # ZeroDivisionError without the grid check
+        [math.nan, 1.0],    # [nan] without the grid check
+        [2.0, 1.0], [-1.0, 1.0], [1.0, math.inf], [1.0, 3.0, 2.0],
+    ])
+    def test_grid_check(self, eps):
+        with pytest.raises(ValueError):
+            richardson(eps, [1.0] * len(eps), 1)
+
 
 class TestSubtractLeading:
     def test_printed_row(self):
@@ -50,24 +65,8 @@ class TestSubtractLeading:
         assert subtract_leading([8.0, 18.0], [0.0625, 0.0625], 0.0625) == [0.0, 0.0]
 
     def test_then_richardson(self, table3):
-        r1 = table3.extrapolation.extrapolants[1]
-        assert r1[0] == pytest.approx(0.14150, abs=2e-5)
+        assert table3.columns["R1"][1] == pytest.approx(0.14150, abs=2e-5)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             subtract_leading([1.0], [1.0, 2.0], 0.0)
-
-
-class TestTableType:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExtrapolationTable([1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            ExtrapolationTable([2.0, 1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            ExtrapolationTable([1.0, 2.0], [1.0, 2.0], {1: [1.0, 2.0]})
-
-    def test_well_formed(self):
-        t = ExtrapolationTable([1.0, 2.0, 3.0], [5.0, 6.0, 7.0],
-                               {1: [1.0, 2.0], 2: [3.0]})
-        assert t.extrapolants[2] == [3.0]

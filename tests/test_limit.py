@@ -6,9 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 from ptwell.limit import (E_of_F, F_of_eps, boundary_log_decay, f1_ground,
-                          f1_oracle, ground_state_coeffs, limit_wavefunction,
-                          nu_spectrum, quantization_residual,
-                          scaled_ode_residual)
+                          f1_oracle, level_nu, limit_wavefunction, nu_spectrum,
+                          quantization_residual, scaled_ode_residual)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -31,6 +30,17 @@ class TestSpectrum:
         nus = [lv.nu for lv in levels]
         assert nus == sorted(nus)
         assert len(levels) == 9
+
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_level_nu_indexes_the_spectrum(self, M):
+        # the one definition of nu for level j, which the shooting seeds use
+        levels = nu_spectrum(M, 40)
+        assert len(levels) == 41 * M
+        for j, lv in enumerate(levels):
+            nu = level_nu(M, j)
+            assert (lv.k, lv.P, lv.nu, lv.F) == (j // M, j % M + 1, nu,
+                                                 nu ** 2 / 4.0)
+            assert lv.nu == lv.k + lv.P / (M + 1.0)
 
     @pytest.mark.parametrize("k_max", [-1, -5])
     def test_negative_k_max(self, k_max):
@@ -58,6 +68,13 @@ class TestQuantization:
     def test_unsupported_M(self):
         with pytest.raises(ValueError):
             quantization_residual(3, 0.25)
+
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("nu", [0.0, -0.5, math.inf, math.nan])
+    def test_domain(self, M, nu):
+        # inf used to raise OverflowError from round
+        with pytest.raises(ValueError, match="nu"):
+            quantization_residual(M, nu)
 
 
 class TestWavefunction:
@@ -223,9 +240,9 @@ class TestFirstCorrection:
         assert 4.0 * f1_ground() == pytest.approx(EULER_GAMMA, rel=1e-15)
 
     def test_coeffs_bundle(self):
-        c = ground_state_coeffs()
-        assert c.f0 == pytest.approx(1.0 / 16.0)
-        assert c.f1 == pytest.approx(EULER_GAMMA / 4.0)
+        # F(eps) = f0 + f1/eps + ... for the M = 1 ground level
+        assert nu_spectrum(1, 0)[0].F == 1.0 / 16.0
+        assert f1_ground() == pytest.approx(EULER_GAMMA / 4.0, rel=1e-15)
 
     def test_oracle_matches_closed_form(self):
         assert f1_oracle() == pytest.approx(EULER_GAMMA / 4.0, abs=1e-8)

@@ -9,7 +9,12 @@ import ptwell.spectral as spectral
 from conftest import GOLDEN_ROWS, QUARTIC_LEVELS
 from ptwell.geometry import ModelSpec, turning_radius
 from ptwell.shooting import MAX_DEPTH, default_seed, solve_level
-from ptwell.spectral import certified_levels, contour_levels
+from ptwell.spectral import certified_levels
+
+
+def contour_levels(model, k_max, depth, n):
+    return spectral._levels(model, spectral._scales(model, k_max), k_max,
+                            depth, n)
 
 
 class TestOracles:

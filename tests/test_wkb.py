@@ -8,10 +8,10 @@ from scipy.integrate import quad
 from conftest import oscillator_levels
 from ptwell.geometry import ModelSpec, potential_value, turning_points
 from ptwell.specfun import gamma_fn
-from ptwell.wkb import (WkbEstimate, action_integral, asymptotic_energy,
+from ptwell.wkb import (action_integral, asymptotic_energy,
                         ground_expansion_exact, ground_expansion_wkb,
                         wkb_energy_closed, wkb_energy_next,
-                        wkb_energy_quadrature, wkb_estimate)
+                        wkb_energy_quadrature)
 
 
 class TestActionIntegral:
@@ -284,31 +284,3 @@ class TestGroundExpansions:
     def test_domain(self):
         with pytest.raises(ValueError):
             ground_expansion_exact(0.5)
-
-
-class TestEstimateBundle:
-    def test_leading_closed_form(self):
-        est = wkb_estimate(ModelSpec(1, 8.0), 0)
-        assert est.E == pytest.approx(wkb_energy_closed(0, 8.0))
-        assert (est.k, est.M, est.order) == (0, 1, 1)
-
-    def test_next_order(self):
-        est = wkb_estimate(ModelSpec(1, 58.0), 0, order=2)
-        assert est.E == pytest.approx(wkb_energy_next(0, 58.0))
-
-    def test_quadrature_for_higher_M(self):
-        est = wkb_estimate(ModelSpec(2, 0.0), 0)
-        assert est.E == pytest.approx(wkb_energy_quadrature(ModelSpec(2, 0.0), 0))
-
-    def test_next_order_for_higher_M(self):
-        est = wkb_estimate(ModelSpec(2, 1.0), 3, order=2)
-        assert est.E == wkb_energy_next(3, 1.0, 2)
-        assert (est.M, est.order) == (2, 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            wkb_estimate(ModelSpec(2, 1.0), 0, order=3)
-        with pytest.raises(ValueError):
-            WkbEstimate(k=0, M=1, epsilon=0.0, order=3, E=1.0)
-        with pytest.raises(ValueError):
-            WkbEstimate(k=0, M=1, epsilon=0.0, order=1, E=-1.0)

@@ -322,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
             text = dumps_json(payload)
         _emit(text, args.output)
         return 0 if ok else 1
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

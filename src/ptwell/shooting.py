@@ -28,19 +28,21 @@ The path is monotone.  A straight leg runs from the outer point to the
 turning point x_t, and on it the wanted solution only grows; a chord joins
 x_t to the match point, and on it the solution gains and loses the same few
 e-folds (0.5 to 1.8 at M = 1, eps = 2, k = 8..30), so rounding is not
-amplified.  Both legs are integrated by the sixth-order Magnus method,
-the step count doubled until two counts agree (_segment).  The equation is
-linear and a transfer matrix does not depend on the state it carries, so
-one call of the kernel _transfers forms the first two counts of both legs
-of a shot in one numpy pass and one pairwise tree.  A solve
+amplified.  Both legs are integrated on equal Chebyshev panels of degree
+_DEGREE, on each of which psi'' = q psi is solved as an integral equation
+(_transfers), and the panel count is doubled until two counts agree
+(_segment).  The error falls spectrally, so a panel spans about 10 radians
+of WKB phase.  The equation is linear and a transfer matrix does not depend
+on the state it carries, so one call of the kernel _transfers forms the
+first two counts of both legs of a shot in one batched solve.  A solve
 builds its path (outer radius, vertex, match height and the count each leg
 starts from) once, from the seed energy, and rebuilds it only when |E|
 leaves a band of PATH_BAND around it.  The build's own shot starts each leg
-from a count that agrees in its first two passes, and its result is the
+from a count sized by its WKB phase (_phase_count), and its result is the
 solve's defect at that energy (_matching_defect); the counts it keeps let
-every later shot on the path finish both legs in those two passes, one
-kernel call, and V (geometry.potential_value), which does not depend on E,
-is evaluated once per path and node set (_build_path, _legs).
+every later shot on the path finish both legs in two passes, one kernel
+call, and V (geometry.potential_value), which does not depend on E, is
+evaluated once per path and node set (_build_path, _legs).
 
 Only the right side is integrated.  PT symmetry maps the left solution at
 E to the mirror image of the right one at conj E, so
@@ -61,6 +63,7 @@ engine (ptwell.spectral) does not certify.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import logging
 import math
@@ -73,13 +76,13 @@ from .geometry import (ModelSpec, continued_sqrt, decay_radius,
                        gauss_legendre, potential_value, turning_points,
                        turning_radius, wedge_angles)
 from .limit import level_nu
-from .spectral import certified_levels
+from .spectral import _cheb, certified_levels
 from .wkb import wkb_energy_closed, wkb_energy_next
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_RTOL = 1e-11        # integrator tolerance: Magnus steps are
-                            # refined to rtol/100 on each leg
+DEFAULT_RTOL = 1e-11        # integrator tolerance: panel counts are
+                            # doubled to rtol/100 on each leg
 DEFAULT_TOL = 1e-9          # secant convergence: |dE| <= tol |E|
 MAX_DEPTH = 120.0           # cap so radius_factor cannot explode the run
 MAX_ITER = 60
@@ -150,173 +153,160 @@ def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
 
 
 # ---------------------------------------------------------------------------
-# straight segments: sixth-order Magnus steps for psi_ss = q(s) psi
+# straight segments: Chebyshev panels for psi_ss = q(s) psi
 # ---------------------------------------------------------------------------
 
-_GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
-_IDENTITY = np.eye(2, dtype=complex)[..., None]
-_MAX_RAY_STEPS = 2 ** 16     # a segment that needs more raises: caps its memory
-_RESCALE_LEVELS = 3          # tree levels per rescale in _transfers
+_DEGREE = 24                # Chebyshev degree of every panel
+_MAX_PANELS = 2 ** 10       # a leg that needs more raises: caps its memory
 
 
-def _step_matrices(qs: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Entries (a, b, c, e), shape (4, N), of the matrices [[a, b], [c, e]]
-    of Magnus steps of sizes h, from q at their Gauss nodes, shape (3, N).
-
-    The three-Gauss-point scheme of Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470 (2009) 151, section 4: with A_j = [[0, 1], [q_j, 0]] at the nodes,
-    a1 = h A_2, a2 = sqrt(15) h/3 (A_3 - A_1), a3 = 10 h/3 (A_3 - 2 A_2 + A_1),
-    C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60 and
-    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.  In the basis
-    E12, E21, H = diag(1, -1) the commutators are closed forms, and the
-    traceless exp(Omega) = cosh d I + sinh d/d Omega with d^2 = -det Omega.
-    """
-    q1, q2, q3 = qs
-    b2 = (math.sqrt(15.0) / 3.0 * h) * (q3 - q1)
-    b3 = (10.0 / 3.0 * h) * (q3 - 2.0 * q2 + q1)
-    hq2, hb2 = h * q2, h * b2
-    # Omega = [[w, w12], [w21, -w]]
-    w12 = h + h * (hb2 * hb2 - 20.0 * h * b3) / 3600.0
-    w21 = hq2 + b3 / 12.0 + (20.0 * h * hq2 * b3 + h * b3 * b3
-                             - 30.0 * hb2 * b2 + hq2 * hb2 * hb2) / 3600.0
-    w = hb2 * (h * (40.0 * hq2 + b3) / 30.0 - 20.0) / 240.0
-    d2 = w * w + w12 * w21
-    d = np.sqrt(d2)
-    ed = np.exp(d)
-    ch = 0.5 * (ed + 1.0 / ed)
-    small = np.abs(d2) < 1e-6
-    sh = 0.5 * (ed - 1.0 / ed) / np.where(small, 1.0, d)
-    sh[small] = (1.0 + d2 / 6.0 + d2 * d2 / 120.0)[small]
-    return np.stack([ch + sh * w, sh * w12, sh * w21, ch - sh * w])
-
-
-def _normalised(m: np.ndarray) -> np.ndarray:
-    """The 2 x 2 matrices m[:, :, i] each divided by its largest entry.
-
-    Raises ShootingError where that entry is 0 or not finite."""
-    scale = np.abs(m).max(axis=(0, 1))
-    if not 0.0 < scale.min() <= scale.max() < math.inf:
-        raise ShootingError("non-finite propagator")
-    return m * (1.0 / scale)
+@functools.cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, j2t, ends) for panels of degree _DEGREE.  x: the Chebyshev points
+    of spectral._cheb in ascending order, mapped to [0, 1].  With j the
+    integration matrix on them, (j f)_i = int_0^{x_i} f, exact for
+    polynomials of degree _DEGREE: j2t = (j^2)^T, and ends = the last rows
+    of j^2 and j, which integrate up to x = 1.  Built on first use; shared
+    and only read by callers."""
+    t = -_cheb(_DEGREE)[0]
+    cheb = np.polynomial.chebyshev
+    coef = np.linalg.inv(cheb.chebvander(t, _DEGREE))   # values -> coefficients
+    j = 0.5 * cheb.chebvander(t, _DEGREE + 1) @ cheb.chebint(coef, lbnd=-1.0)
+    j2 = j @ j
+    return 0.5 * (1.0 + t), np.ascontiguousarray(j2.T), np.stack([j2[-1], j[-1]])
 
 
 def _transfers(legs: Sequence[tuple]) -> list[list[complex]]:
     """[a, b, c, e] of the transfer matrix [[a, b], [c, e]], up to a scale,
-    of n uniform Magnus steps on [0, length] for psi_ss = q(s) psi, q taking
-    an array of s, for each count n of each (q, length, counts) in `legs`.
+    of n equal Chebyshev panels on [0, length] for psi_ss = q(s) psi, q
+    taking an array of s, for each count n of each (q, length, counts) in
+    `legs`.
 
-    The one Magnus kernel: q is called once per count, on the (3, n) Gauss
-    nodes of its n steps, every step matrix is formed in one vector pass,
-    and the blocks of steps, one per count, are multiplied pairwise in one
-    tree.  Each block is padded with identities to a power of two and the
-    blocks are laid out largest first, so no pair straddles two blocks and a
-    block leaves the tree, from the end, once it is one matrix.
-
-    Every _RESCALE_LEVELS-th level, the step matrices first, each matrix is
-    divided by its own largest entry (a common scale would let matrices far
-    below it underflow to zero), and each transfer matrix once as it leaves;
-    both raise on an entry that is not finite.  In between, entries stay
-    below 2^(2^_RESCALE_LEVELS - 1), since a product of matrices with
-    entries of at most a has entries of at most 2 a^2; and the step matrices
-    exp(Omega) have det 1, so a product of them has an entry of at least
-    1/sqrt 2 and cannot underflow.
+    On a panel [s0, s0 + h], with s = s0 + h x and sigma = h^2 psi_ss,
+    psi = alpha + beta h x + j^2 sigma, so psi_ss = q psi is the integral
+    equation (I - h^2 q j^2) sigma = h^2 q (alpha + beta h x) at the panel's
+    nodes (L. Greengard, SIAM J. Numer. Anal. 28 (1991) 1071; Trefethen,
+    Spectral Methods in MATLAB, ch. 6, for the points), well conditioned
+    where the differential form is not.  Its solutions for (alpha, beta) =
+    (1, 0) and (0, 1) give the panel's transfer matrix from the last rows of
+    j^2 and j.  q is called once per count, on the (n, _DEGREE + 1) nodes of
+    its panels, and every panel of every count is solved in one batched
+    numpy.linalg.solve.  The panels of a count are then multiplied in order,
+    each product divided by its largest entry; a panel's transfer matrix has
+    det 1, so no product underflows.  Raises ShootingError past _MAX_PANELS,
+    on a singular panel and on an entry that is not finite.
     """
     counts = [n for _, _, ns in legs for n in ns]
-    if max(counts) > _MAX_RAY_STEPS:
-        raise ShootingError(f"segment needs more than {_MAX_RAY_STEPS} Magnus steps")
-    qs = np.concatenate([q(length / n * (np.arange(n) + _GAUSS3[:, None]))
-                         for q, length, ns in legs for n in ns], axis=1)
-    hs = np.repeat([length / n for _, length, ns in legs for n in ns], counts)
-    steps = _step_matrices(qs, hs).reshape(2, 2, -1)
-    blocks = [steps[..., e - n:e] for n, e in zip(counts, itertools.accumulate(counts))]
-    sizes = [1 << (n - 1).bit_length() for n in counts]
-    order = sorted(range(len(counts)), key=sizes.__getitem__, reverse=True)
-    m = np.concatenate([part for i in order for part in (
-        blocks[i], np.broadcast_to(_IDENTITY, (2, 2, sizes[i] - counts[i])))], axis=2)
-    out, level = [None] * len(counts), 0
-    while True:
-        if level % _RESCALE_LEVELS == 0:
-            m = _normalised(m)
-        while order and sizes[order[-1]] == 1 << level:
-            out[order.pop()] = m[..., -1]
-            m = m[..., :-1]
-        if not order:
-            return _normalised(np.stack(out, axis=2)).reshape(4, -1).T.tolist()
-        # later step on the left: l r for l = m[..., 2i + 1], r = m[..., 2i]
-        l, r = m[..., 1::2], m[..., 0::2]
-        m = l[:, :1] * r[:1] + l[:, 1:] * r[1:]
-        level += 1
+    if max(counts) > _MAX_PANELS:
+        raise ShootingError(f"segment needs more than {_MAX_PANELS} panels")
+    x, j2t, ends = _panel_rule()
+    qs = np.concatenate([q(length / n * (np.arange(n)[:, None] + x))
+                         for q, length, ns in legs for n in ns])
+    h = np.repeat([length / n for _, length, ns in legs for n in ns], counts)[:, None]
+    hq = h * h * qs
+    # the transposed matrices, so that each is in the column order LAPACK takes
+    lhs = j2t * hq[:, None, :]
+    np.subtract(np.eye(_DEGREE + 1), lhs, out=lhs)
+    try:
+        sigma = np.linalg.solve(lhs.transpose(0, 2, 1), np.stack([hq, hq * (h * x)], axis=2))
+    except np.linalg.LinAlgError as exc:
+        raise ShootingError("singular panel") from exc
+    m = ends @ sigma
+    m[:, 1] /= h
+    m[:, 0, 1] += h[:, 0]
+    m[:, 0, 0] += 1.0
+    m[:, 1, 1] += 1.0
+    if not np.isfinite(m).all():
+        raise ShootingError("non-finite propagator")
+    panels, out = m.reshape(-1, 4).tolist(), []
+    for n, end in zip(counts, itertools.accumulate(counts)):
+        a, b, c, e = panels[end - n]
+        for pa, pb, pc, pe in panels[end - n + 1:end]:
+            a, b, c, e = pa * a + pb * c, pa * b + pb * e, pc * a + pe * c, pc * b + pe * e
+            scale = max(abs(a), abs(b), abs(c), abs(e))
+            if not 0.0 < scale < math.inf:
+                raise ShootingError("non-finite propagator")
+            a, b, c, e = a / scale, b / scale, c / scale, e / scale
+        out.append([a, b, c, e])
+    return out
 
 
-def _magnus(q, s1: float, y0: complex, y1: complex, n: int,
-            t: list[complex] | None = None) -> tuple[complex, complex]:
-    """(psi, dpsi/ds) at s1 from (y0, y1) at 0, for psi_ss = q(s) psi, in n
-    uniform sixth-order Magnus steps, up to a common scale: by their
-    transfer matrix t, else by _transfers.  Every Magnus pass comes here."""
-    a, b, c, e = t if t is not None else _transfers([(q, s1, (n,))])[0]
+def _propagate(q, length: float, y0: complex, y1: complex, n: int,
+               t: list[complex] | None = None) -> tuple[complex, complex]:
+    """(psi, dpsi/ds) at `length` from (y0, y1) at 0, for psi_ss = q(s) psi,
+    across n Chebyshev panels, up to a common scale: by their transfer
+    matrix t, else by _transfers.  Every pass comes here."""
+    a, b, c, e = t if t is not None else _transfers([(q, length, (n,))])[0]
     y0, y1 = a * y0 + b * y1, c * y0 + e * y1
     scale = max(abs(y0), abs(y1))
     return y0 / scale, y1 / scale
 
 
 def _leg_tol(rtol: float) -> float:
-    """Projective agreement that ends the step doubling on a leg."""
+    """Projective agreement that ends the panel doubling on a leg."""
     return max(rtol / 100.0, 2e-14)
 
 
 def _phase_count(q, length: float, rtol: float) -> int:
-    """0.16 tol^(-1/6) Magnus steps per radian of the WKB phase
-    int sqrt|V - E| ds on a leg (33-point trapezoid), at least 8: the scale
-    from which _build_path sets the count each leg starts from."""
+    """One panel per (4 d/e) (tol/4)^(1/d) radians of the WKB phase
+    int sqrt|V - E| ds on a leg (33-point trapezoid), at least 1, with
+    d = _DEGREE and tol = _leg_tol(rtol): the count each leg starts from
+    when _build_path builds a path.
+
+    On a panel of theta radians psi is locally exp(+-i theta x), whose
+    Chebyshev coefficients of degree d fall as (e theta/(4 d))^d, so this is
+    the panel on which the truncation error of degree d is tol/4: 9.6
+    radians at the default rtol, 8.8 at rtol 1e-13, 15.5 at 1e-6.
+    """
     qs = q(np.linspace(0.0, length, 33))
     phase = float(np.trapezoid(np.sqrt(np.abs(qs)), dx=length / 32.0))
-    return max(8, math.ceil(0.16 * phase * _leg_tol(rtol) ** (-1.0 / 6.0)))
+    radians = 4.0 * _DEGREE / math.e * (0.25 * _leg_tol(rtol)) ** (1.0 / _DEGREE)
+    return max(1, math.ceil(phase / radians))
 
 
-def _segment(leg: tuple, psi: complex, dpsi: complex, steps: int, rtol: float,
+def _segment(leg: tuple, psi: complex, dpsi: complex, panels: int, rtol: float,
              first: Sequence[list[complex]]) -> tuple[complex, complex, int]:
     """(psi, dpsi/dx) at the end x1 of `leg` (see _legs) from (psi, dpsi/dx)
-    at its start, up to a common scale, and the step count to start from on
-    a leg like it.  `first` holds the transfer matrices of the first passes.
+    at its start, up to a common scale, and the panel count to start from
+    on a leg like it.  `first` holds the transfer matrices of the first
+    passes.
 
-    The count, `steps` first, is doubled until the results for n and 2n
+    The count, `panels` first, is doubled until the results for n and 2n
     agree in (psi, psi_s/k), k = sqrt|q| + 1 at x1, to
     tol = max(rtol/100, 2e-14): |a0 b1 - a1 b0| <= tol |a| |b|, a test that
     holds also where psi or psi_s vanishes at x1; or until a doubling shrinks
-    a gap of at most sqrt(tol) by less than 8, where the sixth-order error
-    shrinks by 64, so the rest is rounding.  The bound keeps out coarse
-    counts, whose gaps stall near 0.16, far above rounding floors (below
-    0.44 sqrt(tol)): a count too small is doubled, never trusted.
+    a gap of at most sqrt(tol) by less than 8, where the truncation error
+    shrinks by far more, so the rest is rounding.  The bound keeps out
+    coarse counts, whose gaps stall at O(1): a count too small is doubled,
+    never trusted.
 
-    The count returned: the gap falls as n^-6, so a pair (n, 2n) at gap g
-    puts the pair that meets tol with a margin of 4 at n (4 g/tol)^(1/6)
-    steps.  After agreement, the smallest such count over the pairs
-    compared: a last gap near the rounding floor overstates the truncation
-    error, which the larger gaps before it measure.  It is kept to at least
-    8 and at least half the lower count of the agreeing pair: a pair that
-    agrees at once, with a gap at rounding level, extrapolates to any count
-    (the oscillator's ray at radius factor 3 agreed at 2817 steps, was kept
-    at 8, and overflowed on the next shot).  After the
-    rounding floor, the count two doublings below the last, which reaches
-    the floor again in three passes.
+    The count returned: the gap falls as n^-_DEGREE, so a pair (n, 2n) at
+    gap g puts the pair that meets tol with a margin of 4 at
+    n (4 g/tol)^(1/_DEGREE) panels.  After agreement, the smallest such
+    count over the pairs compared: a last gap near the rounding floor
+    overstates the truncation error, which the larger gaps before it
+    measure.  It is kept to at least half the lower count of the agreeing
+    pair: a pair that agrees at once, with a gap at rounding level,
+    extrapolates to too few panels.  After the rounding floor, the count two
+    doublings below the last, which reaches the floor again in three passes.
     """
     q, length, u = leg
     tol = _leg_tol(rtol)
     k = math.sqrt(abs(q(np.array([length]))[0])) + 1.0
     first = iter(first)
     prev, gap, best = None, math.inf, math.inf
-    while True:     # _transfers raises past _MAX_RAY_STEPS
-        y0, y1 = _magnus(q, length, psi, u * dpsi, steps, next(first, None))
+    while True:     # _transfers raises past _MAX_PANELS
+        y0, y1 = _propagate(q, length, psi, u * dpsi, panels, next(first, None))
         a0, a1 = y0, y1 / k
         if prev is not None:
             last, gap = gap, abs(prev[0] * a1 - prev[1] * a0) / (
                 math.hypot(abs(prev[0]), abs(prev[1])) * math.hypot(abs(a0), abs(a1)))
-            best = min(best, steps / 2 * (4.0 * gap / tol) ** (1.0 / 6.0))
+            best = min(best, panels / 2 * (4.0 * gap / tol) ** (1.0 / _DEGREE))
             if gap <= tol:
-                return y0, y1 / u, max(8, steps // 4, math.ceil(best))
+                return y0, y1 / u, max(1, panels // 4, math.ceil(best))
             if 8.0 * gap > last and gap <= math.sqrt(tol):
-                return y0, y1 / u, steps // 4
-        prev, steps = (a0, a1), 2 * steps
+                return y0, y1 / u, panels // 4
+        prev, panels = (a0, a1), 2 * panels
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +359,8 @@ class _Path:
     """Path of one solve, built for |E| = E_ref: a straight leg from
     R e^{i theta} to the vertex, the turning point x_t of E_ref scaled to
     radius `corner` (CHECK_CORNER r_t on the check path), then a chord to
-    the match point -i ym.  The legs start from `steps` Magnus steps; `v`
-    keeps V (see _legs); `u_ref` is psi'/psi at -i ym at E_ref, from the
+    the match point -i ym.  The legs start from `panels` Chebyshev panels;
+    `v` keeps V (see _legs); `u_ref` is psi'/psi at -i ym at E_ref, from the
     build's shot."""
 
     E_ref: float
@@ -378,7 +368,7 @@ class _Path:
     corner: float
     theta: float
     R: float
-    steps: tuple[int, int]
+    panels: tuple[int, int]
     v: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     u_ref: complex | None = field(default=None, repr=False, compare=False)
 
@@ -386,9 +376,9 @@ class _Path:
 def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
     """(q, length, u) of the first leg and the chord of `path` at energy E:
     psi_ss = q(s) psi = u^2 (V - E) psi on [0, length] along the unit
-    direction u.  q is called on fixed node sets, one per shape (Gauss nodes
-    of n Magnus steps, the leg's end, _phase_count's probes), so V is
-    evaluated once per leg and shape and kept in path.v."""
+    direction u.  q is called on fixed node sets, one per shape (the nodes of
+    n panels, the leg's end, _phase_count's probes), so V is evaluated once
+    per leg and shape and kept in path.v."""
     x_t = turning_points(model, path.E_ref).x_right
     ends = (path.R * cmath.exp(1j * path.theta), path.corner / abs(x_t) * x_t,
             -1j * path.ym)
@@ -407,43 +397,43 @@ def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
     return [leg(0), leg(1)]
 
 
-def _shoot(model: ModelSpec, E: complex, path: _Path, steps: tuple[int, int],
+def _shoot(model: ModelSpec, E: complex, path: _Path, panels: tuple[int, int],
            rtol: float) -> tuple[complex, tuple[int, int]]:
-    """psi'/psi at -i ym, carried along the legs of `path` from `steps`
-    Magnus steps first, whose first two passes take one call of _transfers;
-    and the counts _segment returns."""
+    """psi'/psi at -i ym, carried along the legs of `path` from `panels`
+    first, whose first two passes take one call of _transfers; and the
+    counts _segment returns."""
     psi, dpsi_ds = _outgoing_ic(model, E, path.theta, path.R)    # s = R - |x|
     dpsi = -dpsi_ds / cmath.exp(1j * path.theta)
     legs = _legs(model, E, path)
     firsts = _transfers([(q, length, (n, 2 * n))
-                         for (q, length, _), n in zip(legs, steps)])
-    psi, dpsi, ray = _segment(legs[0], psi, dpsi, steps[0], rtol, firsts[:2])
-    psi, dpsi, chord = _segment(legs[1], psi, dpsi, steps[1], rtol, firsts[2:])
+                         for (q, length, _), n in zip(legs, panels)])
+    psi, dpsi, ray = _segment(legs[0], psi, dpsi, panels[0], rtol, firsts[:2])
+    psi, dpsi, chord = _segment(legs[1], psi, dpsi, panels[1], rtol, firsts[2:])
     return dpsi / psi, (ray, chord)
 
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
                 rtol: float) -> _Path:
-    """The path for E_ref, with its step counts and u_ref from one shot at
+    """The path for E_ref, with its panel counts and u_ref from one shot at
     E_ref.
 
-    The shot starts each leg from a count whose first pair already agrees
-    (_segment), as measured on M = 1..3, eps = 0..58, k = 0..28: on the
-    first leg half of _phase_count, where agreement needs 0.16..0.50 of it
-    at rtol 1e-11 and 1e-13 (up to 0.57 at 1e-8); on the chord _phase_count
-    plus 0.5 tol^(-1/6) for the Airy layer at the turning point, which takes
-    a fixed number of steps in its own variable while the WKB phase there
-    grows by almost nothing.  93% of those chords agree at once; the golden
-    tables' chords need _phase_count + 0.19..0.33 tol^(-1/6).
+    The shot starts each leg from _phase_count.  On M = 1..3, eps = 0..58,
+    k = 0..28 (270 builds) every first leg agrees in its first pair at rtol
+    1e-13, 1e-11 and 1e-8, and the chord in 152, 184 and 231 of them.  The
+    other chords take a third pass.  At 1e-11, 33 are Airy layers at the
+    turning point (k >= 1), where the WKB phase grows by almost nothing and
+    the layer needs 2 panels where the phase gives 1; the rest start a panel
+    short at larger phase, or are high levels at large eps whose pairs stop
+    at the rounding floor.  The count _segment keeps finishes later shots in
+    two passes after agreement, and in three after the floor.
     """
     R = _ray_radius(model, E_ref, radius_factor, rtol)
     path = _Path(E_ref, match_height(model, E_ref), turning_radius(model, E_ref),
                  wedge_angles(model).theta_right, R, (0, 0))
-    ray, chord = (_phase_count(q, length, rtol)
+    start = tuple(_phase_count(q, length, rtol)
                   for q, length, _ in _legs(model, E_ref, path))
-    u, steps = _shoot(model, E_ref, path, (
-        max(8, ray // 2), chord + math.ceil(0.5 * _leg_tol(rtol) ** (-1.0 / 6.0))), rtol)
-    built = replace(path, steps=steps, u_ref=u)
+    u, panels = _shoot(model, E_ref, path, start, rtol)
+    built = replace(path, panels=panels, u_ref=u)
     built.v.update(path.v)
     return built
 
@@ -452,7 +442,7 @@ def _u_interior(model: ModelSpec, E: complex, path: _Path, rtol: float) -> compl
     """psi'/psi at -i ym, integrated along `path` from the outer point."""
     if not cmath.isfinite(E):
         raise ShootingError("non-finite energy")
-    return _shoot(model, E, path, path.steps, rtol)[0]
+    return _shoot(model, E, path, path.panels, rtol)[0]
 
 
 def _matching_defect(model: ModelSpec, E: complex, path: _Path,
@@ -610,7 +600,7 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     if not converged:
         return EigenResult(k, E1, abs(w1), iterations, False)
     check = replace(path, corner=CHECK_CORNER * path.corner,
-                    steps=(2 * path.steps[0], path.steps[1]), u_ref=None)
+                    panels=(2 * path.panels[0], path.panels[1]), u_ref=None)
     shift, residual = _check_shift(model, E1, check, slope, rtol)
     path_ok = shift <= CHECK_REL * abs(E1)
     if pt_real and not path_ok:

@@ -218,6 +218,16 @@ class TestMainEntry:
         assert captured.out == ""
         assert "error" in captured.err
 
+    @pytest.mark.parametrize("argv", [["wkb", "--M", "1", "--epsilon", "1e160"],
+                                      ["eigen", "--M", "1", "--epsilon", "1e200"]])
+    def test_overflow_is_a_usage_error(self, argv, capsys):
+        # the leading WKB energy overflows once sin(pi M/N) underflows: an
+        # error line and exit 2, not a traceback and exit 1 ("not converged")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_output_file_and_csv(self, tmp_path, capsys):
         out = tmp_path / "period.csv"
         rc = main(["period", "--epsilon", "100", "--E", "4",

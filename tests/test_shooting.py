@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma, j0, j1, y0, y1
+from scipy.special import airy, gamma, j0, j1, y0, y1
 
 import ptwell.shooting as shooting
 import ptwell.wkb as wkb
@@ -45,7 +45,7 @@ def _u_left(model, E, path, rtol=shooting.DEFAULT_RTOL):
     corner = path.corner / abs(x_t) * x_t
     psi, dpsi_ds = shooting._outgoing_ic(model, E, theta, path.R)
     y = psi, -dpsi_ds / ex
-    for (x0, x1), n in zip(((path.R * ex, corner), (corner, -1j * path.ym)), path.steps):
+    for (x0, x1), n in zip(((path.R * ex, corner), (corner, -1j * path.ym)), path.panels):
         y = shooting._segment(_straight_leg(model, E, x0, x1), *y, n, rtol, ())[:2]
     return y[1] / y[0]
 
@@ -158,7 +158,8 @@ def _straight_leg(model, E, x0, x1):
 
 
 class TestMagnusRay:
-    # the ray and the chord run by sixth-order Magnus steps; the oracle is
+    # the ray and the chord run on Chebyshev panels (_transfers); the
+    # oracles are closed forms, scipy's Airy and Bessel functions, and
     # scipy's Dormand-Prince DOP853 in _ray_oracle, which shares no code
 
     @pytest.mark.parametrize("E", [0.5, 2.2, 6.3, 3.7 + 0.4j])
@@ -186,7 +187,7 @@ class TestMagnusRay:
                               M, eps, E)
         psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
         leg = shooting._legs(model, E, path)[0]
-        got = shooting._segment(leg, psi, -dpsi_ds / ex, path.steps[0],
+        got = shooting._segment(leg, psi, -dpsi_ds / ex, path.panels[0],
                                 shooting.DEFAULT_RTOL, ())
         assert _projective(_scaled(model, E, x1, want),
                            _scaled(model, E, x1, got)) <= 1e-11
@@ -205,39 +206,72 @@ class TestMagnusRay:
         assert _projective(_scaled(model, E, x_match, want),
                            _scaled(model, E, x_match, (1.0, u))) <= 1e-11
 
-    def test_sixth_order_on_bessel(self):
-        # psi'' = -e^s psi over [-2, 3] is solved by J0(t) and Y0(t), with
+    def test_spectral_order_on_bessel(self):
+        # psi'' = -e^s psi over [-2, 5] is solved by J0(t) and Y0(t), with
         # t = 2 e^(s/2) and dt/ds = t/2; q has nonzero derivatives of every
-        # order, so each term of Omega up to order h^6 is exercised
+        # order.  Halving the panels cuts the error by more than 2^12, where
+        # a sixth-order method gains 2^6, down to rounding at 8 panels
         def fundamental(s):
             t = 2.0 * math.exp(s / 2.0)
             return np.array([[j0(t), y0(t)], [-j1(t) * t / 2.0, -y1(t) * t / 2.0]])
 
-        exact = fundamental(3.0) @ np.linalg.inv(fundamental(-2.0))
+        exact = fundamental(5.0) @ np.linalg.inv(fundamental(-2.0))
         errors = []
-        for n in (64, 128):
+        for n in (2, 4, 8):
             errors.append(max(
-                _projective(shooting._magnus(lambda s: -np.exp(s - 2.0) + 0j, 5.0,
-                                             1.0 - column, 0.0 + column, n),
+                _projective(shooting._propagate(lambda s: -np.exp(s - 2.0) + 0j, 7.0,
+                                                1.0 - column, 0.0 + column, n),
                             exact[:, column])
                 for column in range(2)))
-        assert errors[1] <= 1e-9
-        assert errors[0] / errors[1] >= 50.0     # 2^6 = 64
+        assert errors[2] <= 1e-14
+        assert errors[0] / errors[1] >= 2.0 ** 12
+
+    def test_constant_q_closed_form(self):
+        # for constant q = k^2 the transfer matrix over L is
+        # [[cosh kL, sinh kL / k], [k sinh kL, cosh kL]]: growing, oscillating
+        # and in between, on one panel and on several
+        for qv in (4.0, -9.0, 2.0 - 3.0j, 1e-3, 30.0j):
+            k, length = cmath.sqrt(qv), 1.7
+            want = np.array([cmath.cosh(k * length), cmath.sinh(k * length) / k,
+                             k * cmath.sinh(k * length), cmath.cosh(k * length)])
+            for n, t in zip((1, 2, 5), shooting._transfers(
+                    [(lambda s: np.full(s.shape, complex(qv)), length, (1, 2, 5))])):
+                t = np.array(t)
+                wedge = np.outer(t, want) - np.outer(want, t)
+                assert np.linalg.norm(wedge) / (math.sqrt(2.0) * np.linalg.norm(t)
+                                                * np.linalg.norm(want)) <= 1e-14, (qv, n)
+
+    def test_turning_point_matches_airy(self):
+        # psi'' = s psi from s = -10, in the allowed region, across the
+        # turning point at 0 to s = 2, in the forbidden one (23 radians of
+        # WKB phase): Ai and Bi each arrive at their own values
+        ai0, aip0, bi0, bip0 = airy(-10.0)
+        ai1, aip1, bi1, bip1 = airy(2.0)
+        for n in (8, 16):
+            for start, end in (((ai0, aip0), (ai1, aip1)), ((bi0, bip0), (bi1, bip1))):
+                y = shooting._propagate(lambda s: s - 10.0 + 0j, 12.0, *start, n)
+                assert _projective(y, end) <= 1e-13, n
 
     def test_step_matrices_of_unequal_size(self):
-        # psi'' = k^2 psi on [0, 1/2), each step growing by e^460, then
-        # psi'' = 0 on [1/2, 1]: (psi, psi') ends along (1 + k/2, k).  Scaled
-        # by the largest entry of all, the free steps' matrices would
-        # underflow to zero when two of them are multiplied
-        k = math.sqrt(8.7e8)
-        y = shooting._magnus(lambda s: np.where(s < 0.5, k * k, 0.0) + 0j,
-                             1.0, 1.0, 0.0, 64)
+        # psi'' = k^2 psi on the first 184 of 368 panels of [0, 1], rows of
+        # the node array, growing by e^5 each and e^920 in all, then
+        # psi'' = 0 on [1/2, 1]: (psi, psi') ends along (1 + k/2, k).
+        # Unscaled, the product overflows; divided by its largest entry
+        # after each product, it stays finite and keeps the free panels
+        k = 1840.0
+
+        def q(s):
+            grow = np.arange(s.shape[0])[:, None] < s.shape[0] // 2
+            return np.where(grow, k * k, 0.0) + 0.0 * s + 0j
+
+        y = shooting._propagate(q, 1.0, 1.0, 0.0, 368)
         assert _projective(y, (1.0 + 0.5 * k, k)) <= 1e-14
 
     def test_batched_product_of_unequal_blocks(self):
-        # blocks of unequal sizes, reduced in one tree, give the sequential
-        # product of their step matrices, later step on the left; each block
-        # also gives exactly what it gives alone
+        # counts of unequal sizes, solved in one batch, give the ordered
+        # product of their panels' transfer matrices, later panel on the
+        # left, each panel a one-panel leg of its own; each count also gives
+        # exactly what it gives alone
         def q(s):
             return (3.0 - 2.0j) * np.cos(2.0 * s) + (1.0 + 4.0j) * s
 
@@ -245,36 +279,40 @@ class TestMagnusRay:
         got = shooting._transfers([(q, 2.0, counts)])
         for n, t in zip(counts, got):
             h = 2.0 / n
-            nodes = h * (np.arange(n) + shooting._GAUSS3[:, None])
-            steps = shooting._step_matrices(q(nodes), np.full(n, h))
             want = np.eye(2, dtype=complex)
-            for a, b, c, e in steps.T:
-                want = np.array([[a, b], [c, e]]) @ want
+            for i in range(n):
+                panel, = shooting._transfers([(lambda s: q(s + i * h), h, (1,))])
+                want = np.array(panel).reshape(2, 2) @ want
+                want /= np.abs(want).max()
             assert shooting._transfers([(q, 2.0, (n,))]) == [t]
             t = np.array(t).reshape(2, 2) / np.linalg.norm(t)
             assert np.linalg.norm(t - want / np.linalg.norm(want)) <= 1e-13
 
     def test_batched_blocks_of_unequal_growth(self):
-        # the two halves of test_step_matrices_of_unequal_size as two blocks
-        # of one tree: every step of the first grows by e^460, and the free
-        # steps of the second would underflow under a scale common to both
-        k = math.sqrt(8.7e8)
+        # the two halves of test_step_matrices_of_unequal_size as two legs of
+        # one batch: every panel of the first grows by e^5, and the free
+        # panels of the second would underflow under a scale common to both
+        k = 1840.0
         grow, free = shooting._transfers([
-            (lambda s: np.full(s.shape, k * k + 0j), 0.5, (32,)),
+            (lambda s: np.full(s.shape, k * k + 0j), 0.5, (184,)),
             (lambda s: np.zeros(s.shape, complex), 0.5, (17,))])
         y = np.array(free).reshape(2, 2) @ np.array(grow).reshape(2, 2) @ [1.0, 0.0]
         assert _projective(y, (1.0 + 0.5 * k, k)) <= 1e-14
 
     def test_step_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(shooting, "_MAX_RAY_STEPS", 256)
+        # a count past the panel cap raises before any node is built, and so
+        # does a leg whose doubling runs past it
+        with pytest.raises(shooting.ShootingError, match="panels"):
+            shooting._transfers([(lambda s: 1 / 0, 1.0, (shooting._MAX_PANELS + 1,))])
+        monkeypatch.setattr(shooting, "_MAX_PANELS", 4)
         model = ModelSpec(2, 0.0)
-        with pytest.raises(shooting.ShootingError):
+        with pytest.raises(shooting.ShootingError, match="panels"):
             _u(model, 172.6 + 0j, _path(model, 172.6))
 
     def test_non_finite_q_raises(self):
         with pytest.raises(shooting.ShootingError), np.errstate(invalid="ignore"):
-            shooting._magnus(lambda s: np.full(s.shape, complex(math.nan)),
-                             1.0, 1.0, 0.0, 64)
+            shooting._propagate(lambda s: np.full(s.shape, complex(math.nan)),
+                                1.0, 1.0, 0.0, 64)
         # a non-finite energy raises before numpy sees it: no RuntimeWarning
         model = ModelSpec(1, 8.0)
         path = _path(model, 5.55)
@@ -283,6 +321,17 @@ class TestMagnusRay:
                 warnings.simplefilter("error")
                 with pytest.raises(shooting.ShootingError):
                     _u(model, complex(E), path)
+
+    def test_singular_panel_raises(self, monkeypatch):
+        # a LinAlgError from the batched solve is a ShootingError, which a
+        # solve reports as an unconverged level
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(shooting.np.linalg, "solve", singular)
+        with pytest.raises(shooting.ShootingError, match="singular"):
+            shooting._transfers([(lambda s: np.ones(s.shape, complex), 1.0, (2,))])
+        assert not solve_level(ModelSpec(1, 8.0), 0).converged
 
 
 class TestLogDerivative:
@@ -433,9 +482,9 @@ class TestRootSeed:
             calls.append((E, path))
             return defect(model, E, path, rtol)
 
-        def recorded_shot(model, E, path, steps, rtol):
+        def recorded_shot(model, E, path, panels, rtol):
             shots.append((E, path.E_ref, path.corner))
-            return shoot(model, E, path, steps, rtol)
+            return shoot(model, E, path, panels, rtol)
 
         monkeypatch.setattr(shooting, "_matching_defect", recorded)
         monkeypatch.setattr(shooting, "_shoot", recorded_shot)
@@ -663,7 +712,7 @@ class TestSolveLevel:
 
     def test_tight_tolerances_at_m3(self):
         # at tol = 1e-12 and rtol = 1e-13 the solve returns a level, not an
-        # exception from a zero scale in _magnus
+        # exception from a zero scale in _propagate
         res = solve_level(ModelSpec(3, 8.0), 9, seed=279.1894151783502,
                           tol=1e-12, rtol=1e-13)
         assert res.converged
@@ -775,18 +824,18 @@ class TestSolvePath:
 
     @pytest.mark.parametrize("M,eps,k", [(1, 58.0, 0), (2, 0.0, 20)])
     def test_two_passes_per_leg(self, monkeypatch, M, eps, k):
-        # the step counts fixed when the path is built let every later
-        # integration on it finish each leg in two Magnus passes; the check
+        # the panel counts fixed when the path is built let every later
+        # integration on it finish each leg in two passes; the check
         # path, whose ray runs on past the turning radius, may double once.
         # The build's shot stands in for the first secant point and the
         # last step is not shot, so the solve shoots once per iteration
         model = ModelSpec(M, eps)
-        magnus, u_interior = shooting._magnus, shooting._u_interior
+        propagate, u_interior = shooting._propagate, shooting._u_interior
         passes, calls = [0], []
 
         def counted(*args):
             passes[0] += 1
-            return magnus(*args)
+            return propagate(*args)
 
         def recorded(model, E, path, rtol):
             before = passes[0]
@@ -794,7 +843,7 @@ class TestSolvePath:
             calls.append((path, passes[0] - before))
             return u
 
-        monkeypatch.setattr(shooting, "_magnus", counted)
+        monkeypatch.setattr(shooting, "_propagate", counted)
         monkeypatch.setattr(shooting, "_u_interior", recorded)
         res = solve_level(model, k)
         assert res.converged
@@ -805,12 +854,12 @@ class TestSolvePath:
         assert len(calls) == len(solve) + 1     # one check-path integration
 
     def test_stored_counts_still_doubled(self):
-        # started from 8 steps on each leg, the doubling reaches the same u
+        # started from 1 panel on each leg, the doubling reaches the same u
         model = ModelSpec(1, 58.0)
         E = 196.0341706067545
         path = _path(model, E)
         u = _u(model, E, path)
-        assert abs(_u(model, E, replace(path, steps=(8, 8))) - u) <= 1e-12 * abs(u)
+        assert abs(_u(model, E, replace(path, panels=(1, 1))) - u) <= 1e-12 * abs(u)
 
     @pytest.mark.parametrize("M,eps,k,coeffs,tol", [
         (2, 0.0, 20, [0, 0, 0, 0, 1], 1e-9),
@@ -820,41 +869,39 @@ class TestSolvePath:
         # moves it by 3e-13, and the bound is kept as it was
         (1, 2.0, 30, [0, -2, 0, 0, 4], 1e-6)])
     def test_coarse_start_not_taken_for_floor(self, M, eps, k, coeffs, tol):
-        # from 8 steps, the first doublings shrink O(1) gaps by less than 8;
+        # from 1 panel, the first doublings shrink O(1) gaps by less than 8;
         # they must be doubled on, not returned as the rounding floor
         model = ModelSpec(M, eps)
         E = oscillator_levels(coeffs, k + 1)[k]
         path = _path(model, E)
         u = _u(model, E, path)
         try:
-            coarse = _u(model, E, replace(path, steps=(8, 8)))
+            coarse = _u(model, E, replace(path, panels=(1, 1)))
         except shooting.ShootingError:
             return
         assert abs(coarse - u) / ((1 + abs(coarse)) * (1 + abs(u))) <= tol
 
     @staticmethod
     def _chord_passes(monkeypatch, model, path):
-        """Step counts of the _magnus passes on the chord of `path`, as they
-        run, with their results."""
+        """Panel counts of the passes on the chord of `path`, as they run,
+        with their results."""
         _, length, _ = shooting._legs(model, path.E_ref, path)[1]
         passes = []
-        magnus = shooting._magnus
+        propagate = shooting._propagate
 
         def recorded(q, s1, y0, y1, n, t=None):
-            y = magnus(q, s1, y0, y1, n, t)
+            y = propagate(q, s1, y0, y1, n, t)
             if s1 == length:
                 passes.append((n, y))
             return y
 
-        monkeypatch.setattr(shooting, "_magnus", recorded)
+        monkeypatch.setattr(shooting, "_propagate", recorded)
         return passes
 
     def test_count_from_first_pair(self, monkeypatch):
-        # at M = 1, eps = 2, k = 9 the chord started from _phase_count takes
-        # more than two passes, and its last pair lies near the rounding
-        # floor; the first pair it compares bounds the count it returns.  The
-        # build starts the chord finer (its first pair agrees), so the chord
-        # is run here from _phase_count directly
+        # at M = 1, eps = 2, k = 9 the chord started from one panel takes
+        # more than two passes, and its first pair is far apart; that pair
+        # bounds the count it returns, by the gap's fall as n^-_DEGREE
         model = ModelSpec(1, 2.0)
         E = shooting.default_seed(model, 9)
         path = _path(model, E)
@@ -862,23 +909,23 @@ class TestSolvePath:
         ray, chord = shooting._legs(model, E, path)
         ex = cmath.exp(1j * path.theta)
         psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
-        psi, dpsi, _ = shooting._segment(ray, psi, -dpsi_ds / ex, path.steps[0], rtol, ())
+        psi, dpsi, _ = shooting._segment(ray, psi, -dpsi_ds / ex, path.panels[0], rtol, ())
         passes = self._chord_passes(monkeypatch, model, path)
-        *_, count = shooting._segment(
-            chord, psi, dpsi, shooting._phase_count(*chord[:2], rtol), rtol, ())
+        *_, count = shooting._segment(chord, psi, dpsi, 1, rtol, ())
         assert len(passes) > 2
         (n, a), (_, b) = passes[:2]
         k = math.sqrt(abs(potential_value(model, -1j * path.ym) - E)) + 1.0
         gap = _projective((a[0], a[1] / k), (b[0], b[1] / k))
         tol = shooting._leg_tol(rtol)
-        assert count <= n * (4.0 * gap / tol) ** (1.0 / 6.0) + 1.0
+        assert gap > tol
+        assert count <= n * (4.0 * gap / tol) ** (1.0 / shooting._DEGREE) + 1.0
 
     def test_floor_count_repeats_last_passes(self, monkeypatch):
         # _segment's floor exit, on a hand-built radial path: at M = 1,
         # eps = 2, k = 14 the chord from the turning radius r_t e^(i theta)
-        # to -i y* loses several e-folds to the other solution and stops at
-        # the rounding floor; started two doublings below that count, it
-        # stops there again
+        # to -i y* loses several e-folds to the other solution and, started
+        # from one panel, stops at the rounding floor; started two doublings
+        # below that count, it stops there again
         model = ModelSpec(1, 2.0)
         E = shooting.default_seed(model, 14)
         path = _path(model, E)
@@ -892,15 +939,14 @@ class TestSolvePath:
         psi, dpsi, _ = shooting._segment(
             ray, psi, -dpsi_ds / ex, shooting._phase_count(*ray[:2], rtol), rtol, ())
         passes = []
-        magnus = shooting._magnus
+        propagate = shooting._propagate
 
         def recorded(q, s1, y0, y1, n, t=None):
             passes.append(n)
-            return magnus(q, s1, y0, y1, n, t)
+            return propagate(q, s1, y0, y1, n, t)
 
-        monkeypatch.setattr(shooting, "_magnus", recorded)
-        *_, count = shooting._segment(
-            chord, psi, dpsi, shooting._phase_count(*chord[:2], rtol), rtol, ())
+        monkeypatch.setattr(shooting, "_propagate", recorded)
+        *_, count = shooting._segment(chord, psi, dpsi, 1, rtol, ())
         built = list(passes)
         passes.clear()
         shooting._segment(chord, psi, dpsi, count, rtol, ())
@@ -917,7 +963,7 @@ class TestSolvePath:
         passes = self._chord_passes(monkeypatch, model, path)
         _u(model, E, path)
         (n, a), (n2, b) = passes
-        assert (n, n2) == (path.steps[1], 2 * path.steps[1])
+        assert (n, n2) == (path.panels[1], 2 * path.panels[1])
         k = math.sqrt(abs(potential_value(model, -1j * path.ym) - E)) + 1.0
         gap = _projective((a[0], a[1] / k), (b[0], b[1] / k))
         assert gap <= shooting._leg_tol(shooting.DEFAULT_RTOL)
@@ -985,23 +1031,6 @@ class TestSolvePath:
         assert res.residual == residual == abs(c0)
 
 
-def _tree_reference(q, length, n):
-    """[a, b, c, e] of the transfer matrix of n Magnus steps, padded with
-    identities to a power of two and multiplied pairwise, with every matrix
-    of every level divided by its largest entry."""
-    h = length / n
-    nodes = h * (np.arange(n) + shooting._GAUSS3[:, None])
-    m = shooting._step_matrices(q(nodes), np.full(n, h)).reshape(2, 2, -1)
-    pad = (1 << (n - 1).bit_length()) - n
-    m = np.concatenate([m, np.repeat(np.eye(2)[..., None], pad, axis=2)], axis=2)
-    while True:
-        m = m / np.abs(m).max(axis=(0, 1))
-        if m.shape[2] == 1:
-            return m.ravel()
-        later, earlier = m[..., 1::2], m[..., 0::2]
-        m = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
-
-
 SCHEDULE_CASES = [(1, 8.0, 0), (2, 56.0, 0), (1, 58.0, 0), (1, 2.0, 24), (2, 0.0, 26)]
 
 
@@ -1020,9 +1049,9 @@ class TestShotSchedule:
             calls[0] += 1
             return transfers(legs)
 
-        def recorded(model, E, path, steps, rtol):
+        def recorded(model, E, path, panels, rtol):
             before = calls[0]
-            out = shoot(model, E, path, steps, rtol)
+            out = shoot(model, E, path, panels, rtol)
             shots.append(((path.E_ref, path.corner, E), calls[0] - before))
             return out
 
@@ -1041,10 +1070,10 @@ class TestShotSchedule:
         model = ModelSpec(M, eps)
         shoot, shots = shooting._shoot, []
 
-        def recorded(model, E, path, steps, rtol):
+        def recorded(model, E, path, panels, rtol):
             on_check = path.corner != turning_radius(model, path.E_ref)
             shots.append((E, on_check))
-            return shoot(model, E, path, steps, rtol)
+            return shoot(model, E, path, panels, rtol)
 
         monkeypatch.setattr(shooting, "_shoot", recorded)
         res = solve_level(model, k)
@@ -1052,28 +1081,13 @@ class TestShotSchedule:
         assert (res.E, False) not in shots
         assert [E for E, on_check in shots if on_check] == [res.E]
 
-    @pytest.mark.parametrize("M,eps,k", SCHEDULE_CASES)
-    def test_sparse_rescale_matches_per_level(self, M, eps, k):
-        model = ModelSpec(M, eps)
-        E = shooting.default_seed(model, k)
-        path = _path(model, E)
-        for (q, length, _), n in zip(shooting._legs(model, E, path),
-                                     path.steps):
-            for got, count in zip(shooting._transfers([(q, length, (n, 2 * n))]),
-                                  (n, 2 * n)):
-                want = _tree_reference(q, length, count)
-                got = np.array(got)
-                wedge = np.outer(got, want) - np.outer(want, got)
-                assert np.linalg.norm(wedge) / (math.sqrt(2.0) * np.linalg.norm(got)
-                                                * np.linalg.norm(want)) <= 1e-14
-
     @pytest.mark.parametrize("bad", [0, 1, 40])
     def test_non_finite_q_between_rescales(self, bad):
-        # a block of 2 steps leaves the tree at a level with no rescale: its
-        # own normalisation must still see the nan, wherever it sits
+        # a nan at one node of one panel raises, wherever it sits, whether
+        # its count is batched with finite ones or alone
         def q(s):
             v = np.ones(s.shape, complex)
-            v[:, bad % s.shape[1]] = math.nan
+            v.flat[bad % v.size] = math.nan
             return v
 
         with pytest.raises(shooting.ShootingError), np.errstate(invalid="ignore"):
@@ -1142,6 +1156,20 @@ class TestFirstIterate:
         gap14, gap28 = (1.0 - E / wkb_energy_next(k, 8.0) for k, E in
                         ((14, solve_level(model, 14).E.real), (28, res.E.real)))
         assert gap28 == pytest.approx(gap14 * (14.5 / 28.5) ** 4, rel=0.02)
+
+    def test_high_levels_at_eps_28(self):
+        # (1, 28, 20) and (1, 28, 21) stopped path-dependent under the
+        # sixth-order Magnus kernel; on panels their check paths agree.  No
+        # contour certifies them and the ray oracle's root moves with its
+        # match point by 2e-4 there, so the check is again the next-order
+        # WKB gap: scaled by (k + 1/2)^4 from k = 12, it lands within 0.5%
+        model = ModelSpec(1, 28.0)
+        gap12 = 1.0 - solve_level(model, 12).E.real / wkb_energy_next(12, 28.0)
+        for k in (20, 21):
+            res = solve_level(model, k)
+            assert res.converged, k
+            gap = 1.0 - res.E.real / wkb_energy_next(k, 28.0)
+            assert gap == pytest.approx(gap12 * (12.5 / (k + 0.5)) ** 4, rel=0.005)
 
 
 class TestHermitianLevels:
@@ -1244,9 +1272,9 @@ class TestScan:
         results = scan_levels([ModelSpec(1, eps) for eps in (0.0, 0.1, 0.2, 0.3)], 2)
         assert calls == [(eps, k) for eps in (0.1, 0.2) for k in range(3)]
         shot = [(r.E, r.iterations) for r in results if r.iterations]
-        assert shot == [(1.0030970656620775 + 0j, 4), (3.061135151921811 + 0j, 2),
-                        (5.167085842366629 + 0j, 3), (1.0100685202881667 + 0j, 4),
-                        (3.137066846254479 + 0j, 3), (5.35760087956364 + 0j, 3)]
+        assert shot == [(1.0030970656620786 + 0j, 4), (3.06113515192181 + 0j, 2),
+                        (5.1670858423666255 + 0j, 3), (1.0100685202881654 + 0j, 4),
+                        (3.1370668462544784 + 0j, 3), (5.357600879563637 + 0j, 3)]
 
     @pytest.mark.parametrize("M,want", [
         (2, [1.905812, 7.753113, 17.684143, 29.998397, 44.784535, 61.656818]),

@@ -14,12 +14,10 @@ from .limit import (E_of_F, F_of_eps, LimitLevel, boundary_log_decay,
                     quantization_residual, scaled_ode_residual)
 from .shooting import (EigenResult, ShootingError, match_height, scan_levels,
                        solve_level)
-from .specfun import (EULER_GAMMA, SpecialFunctionError, bessel_I,
-                      bessel_I_prime, bessel_I_scaled, bessel_J, bessel_K,
-                      bessel_K_prime, bessel_K_scaled, bessel_Y, gamma_fn)
-from .wkb import (action_integral, asymptotic_energy, ground_expansion_exact,
-                  ground_expansion_wkb, wkb_energy_closed, wkb_energy_next,
-                  wkb_energy_quadrature)
+from .specfun import (EULER_GAMMA, SpecialFunctionError, bessel_K_scaled,
+                      gamma_fn)
+from .wkb import (action_integral, ground_expansion_exact, ground_expansion_wkb,
+                  wkb_energy_closed, wkb_energy_next, wkb_energy_quadrature)
 
 __version__ = "0.1.0"
 
@@ -27,13 +25,11 @@ __all__ = [
     "BranchCutError", "E_of_F", "EULER_GAMMA", "EigenResult", "F_of_eps",
     "LimitLevel", "ModelSpec", "PeriodResult", "ShootingError",
     "SpecialFunctionError", "TurningPair", "WedgePair", "action_integral",
-    "asymptotic_energy", "bessel_I", "bessel_I_prime", "bessel_I_scaled",
-    "bessel_J", "bessel_K", "bessel_K_prime", "bessel_K_scaled", "bessel_Y",
-    "boundary_log_decay", "f1_ground", "f1_oracle", "gamma_fn",
-    "ground_expansion_exact", "ground_expansion_wkb", "limit_wavefunction",
-    "match_height", "nu_spectrum", "period_asymptotic", "period_exact",
-    "potential_value", "quantization_residual", "richardson", "scan_levels",
-    "scaled_ode_residual", "solve_level", "subtract_leading", "turning_points",
-    "wedge_angles", "wkb_energy_closed", "wkb_energy_next",
+    "bessel_K_scaled", "boundary_log_decay", "f1_ground", "f1_oracle",
+    "gamma_fn", "ground_expansion_exact", "ground_expansion_wkb",
+    "limit_wavefunction", "match_height", "nu_spectrum", "period_asymptotic",
+    "period_exact", "potential_value", "quantization_residual", "richardson",
+    "scan_levels", "scaled_ode_residual", "solve_level", "subtract_leading",
+    "turning_points", "wedge_angles", "wkb_energy_closed", "wkb_energy_next",
     "wkb_energy_quadrature",
 ]

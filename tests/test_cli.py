@@ -115,6 +115,36 @@ class TestFigure1:
         assert captured.out == ""
         assert "step" in captured.err
 
+    @pytest.mark.parametrize("step", ["1e-5", "1e-9", "5e-324"])
+    def test_grid_point_cap(self, step, capsys):
+        # 1e-5 ran a 1e6-point scan for hours, and 1e-9 tried to build a
+        # list of 1e10 points by repeated addition
+        with pytest.raises(ValueError, match="grid points"):
+            run_figure1(eps_max=10.0, k_max=0, step=float(step))
+        assert main(["figure1", "--eps-max", "10", "--step", step]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "grid points" in captured.err
+
+    def test_grid_by_multiples(self, monkeypatch):
+        # the cap admits eps = 0..10 in steps of 1e-3, each point i * step
+        # to 12 decimals, not a sum of steps
+        grids = []
+
+        def scan(models, k_max, tol, rtol):
+            grids.append([m.epsilon for m in models])
+            return []
+
+        monkeypatch.setattr(cli, "scan_levels", scan)
+        run_figure1(eps_max=10.0, k_max=0, step=1e-3)
+        run_figure1(eps_max=0.3, k_max=0, step=0.1)
+        assert len(grids[0]) == cli.MAX_FIGURE1_POINTS
+        assert grids[0] == [round(i * 1e-3, 12) for i in range(10_001)]
+        assert grids[0][-1] == 10.0
+        assert grids[1] == [0.0, 0.1, 0.2, 0.3]
+        with pytest.raises(ValueError, match="grid points"):
+            run_figure1(eps_max=10.0, k_max=0, step=0.999e-3)
+
     def test_small_scan(self):
         curves, failures, ok = run_figure1(eps_max=2.0, k_max=1, step=1.0)
         assert ok and not failures
@@ -162,6 +192,29 @@ class TestMainEntry:
         assert payload["model"] == {"M": 1, "epsilon": 0.0}
         assert payload["results"][0]["E"] == pytest.approx(3.0, abs=1e-8)
         assert payload["results"][0]["converged"] is True
+        assert payload["results"][0]["iterations"] == \
+            cli.solve_level(cli.ModelSpec(1, 0.0), 1).iterations
+
+    def test_eigen_reports_iterations(self, capsys):
+        # JSON and CSV carry the solve's Newton iteration count
+        res = cli.solve_level(cli.ModelSpec(1, 2.0), 12)
+        assert main(["eigen", "--epsilon", "2", "--k", "12"]) == 0
+        result, = json.loads(capsys.readouterr().out)["results"]
+        assert result["iterations"] == res.iterations == 2
+        assert main(["eigen", "--epsilon", "2", "--k", "12", "--format", "csv"]) == 0
+        header, row = parse_csv(capsys.readouterr().out)
+        assert header == ["k", "E", "E_imag", "residual", "iterations", "converged"]
+        assert row[header.index("iterations")] == "2"
+        assert float(row[header.index("E")]) == res.E.real
+
+    @pytest.mark.parametrize("command", ["eigen", "table", "figure1"])
+    def test_tol_help_names_newton(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "Newton convergence tolerance" in out
+        assert "secant" not in out
 
     def test_limit_levels(self, capsys):
         rc = main(["limit", "--M", "2", "--k-max", "1"])

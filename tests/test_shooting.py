@@ -32,7 +32,7 @@ def _rays(path):
 
 
 def _u(model, E, path, rtol=shooting.DEFAULT_RTOL):
-    return shooting._u_interior(model, E, path, rtol)
+    return shooting._u_interior(model, E, path, rtol)[0]
 
 
 def _u_left(model, E, path, rtol=shooting.DEFAULT_RTOL):
@@ -43,7 +43,7 @@ def _u_left(model, E, path, rtol=shooting.DEFAULT_RTOL):
     ex = cmath.exp(1j * theta)
     x_t = turning_points(model, path.E_ref).x_left
     corner = path.corner / abs(x_t) * x_t
-    psi, dpsi_ds = shooting._outgoing_ic(model, E, theta, path.R)
+    psi, dpsi_ds, _ = shooting._outgoing_ic(model, E, theta, path.R)
     y = psi, -dpsi_ds / ex
     for (x0, x1), n in zip(((path.R * ex, corner), (corner, -1j * path.ym)), path.panels):
         y = shooting._segment(_straight_leg(model, E, x0, x1), *y, n, rtol, ())[:2]
@@ -123,10 +123,30 @@ class TestRayStart:
         model = ModelSpec(M, eps)
         path = _path(model, E)
         for theta, R in _rays(path):
-            y0, y1 = shooting._outgoing_ic(model, E, theta, R)
+            y0, y1, _ = shooting._outgoing_ic(model, E, theta, R)
             psi, dpsi_dx = _wkb_start(theta, R, M, eps, E)
             want = dpsi_dx / psi
             assert abs(-y1 / (cmath.exp(1j * theta) * y0) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("M,eps,E", [(1, 0.0, 1.0), (1, 8.0, 5.55),
+                                         (1, 58.0, 196.0), (2, 6.0, 2.65 + 0.3j),
+                                         (3, 1.3, 1.26)])
+    def test_start_slope(self, M, eps, E):
+        # the third part is the E-derivative of the start's psi'/psi, the
+        # Wronskian of psi and psi_E there (psi = 1 at every E); inward it
+        # is damped by the growth of psi, so no shot shows it at rtol
+        model = ModelSpec(M, eps)
+        path = _path(model, abs(E))
+        ex = cmath.exp(1j * path.theta)
+
+        def log_derivative(E):
+            y0, y1, _ = shooting._outgoing_ic(model, E, path.theta, path.R)
+            return -y1 / (ex * y0)
+
+        h = 1e-4 * abs(E)
+        want = (log_derivative(E + h) - log_derivative(E - h)) / (2 * h)
+        w = shooting._outgoing_ic(model, E, path.theta, path.R)[2]
+        assert abs(w - want) <= 1e-8 * abs(want)
 
     @pytest.mark.parametrize("M,eps", [(1, 8.0), (2, 6.0), (1, 58.0)])
     def test_depth_from_rtol_suffices(self, M, eps):
@@ -185,7 +205,7 @@ class TestMagnusRay:
         x0, x1 = path.R * ex, turning_points(model, E).x_right
         want = oracle_segment(x0, x1, _wkb_start(path.theta, path.R, M, eps, E),
                               M, eps, E)
-        psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
+        psi, dpsi_ds, _ = shooting._outgoing_ic(model, E, path.theta, path.R)
         leg = shooting._legs(model, E, path)[0]
         got = shooting._segment(leg, psi, -dpsi_ds / ex, path.panels[0],
                                 shooting.DEFAULT_RTOL, ())
@@ -236,7 +256,7 @@ class TestMagnusRay:
                              k * cmath.sinh(k * length), cmath.cosh(k * length)])
             for n, t in zip((1, 2, 5), shooting._transfers(
                     [(lambda s: np.full(s.shape, complex(qv)), length, (1, 2, 5))])):
-                t = np.array(t)
+                t = np.array(t[:4])
                 wedge = np.outer(t, want) - np.outer(want, t)
                 assert np.linalg.norm(wedge) / (math.sqrt(2.0) * np.linalg.norm(t)
                                                 * np.linalg.norm(want)) <= 1e-14, (qv, n)
@@ -282,10 +302,10 @@ class TestMagnusRay:
             want = np.eye(2, dtype=complex)
             for i in range(n):
                 panel, = shooting._transfers([(lambda s: q(s + i * h), h, (1,))])
-                want = np.array(panel).reshape(2, 2) @ want
+                want = np.array(panel[:4]).reshape(2, 2) @ want
                 want /= np.abs(want).max()
             assert shooting._transfers([(q, 2.0, (n,))]) == [t]
-            t = np.array(t).reshape(2, 2) / np.linalg.norm(t)
+            t = np.array(t[:4]).reshape(2, 2) / np.linalg.norm(t[:4])
             assert np.linalg.norm(t - want / np.linalg.norm(want)) <= 1e-13
 
     def test_batched_blocks_of_unequal_growth(self):
@@ -296,7 +316,7 @@ class TestMagnusRay:
         grow, free = shooting._transfers([
             (lambda s: np.full(s.shape, k * k + 0j), 0.5, (184,)),
             (lambda s: np.zeros(s.shape, complex), 0.5, (17,))])
-        y = np.array(free).reshape(2, 2) @ np.array(grow).reshape(2, 2) @ [1.0, 0.0]
+        y = np.array(free[:4]).reshape(2, 2) @ np.array(grow[:4]).reshape(2, 2) @ [1.0, 0.0]
         assert _projective(y, (1.0 + 0.5 * k, k)) <= 1e-14
 
     def test_step_cap_raises(self, monkeypatch):
@@ -362,18 +382,18 @@ class TestMismatch:
     def test_zero_at_eigenvalue(self):
         model = ModelSpec(1, 0.0)
         assert abs(shooting._matching_defect(model, 1.0, _path(model, 1.0),
-                                             shooting.DEFAULT_RTOL)) <= 1e-6
+                                             shooting.DEFAULT_RTOL)[0]) <= 1e-6
 
     def test_bounded_away_between_levels(self):
         model = ModelSpec(1, 0.0)
         assert abs(shooting._matching_defect(model, 2.0, _path(model, 2.0),
-                                             shooting.DEFAULT_RTOL)) >= 0.1
+                                             shooting.DEFAULT_RTOL)[0]) >= 0.1
 
     def test_quartic_golden_row(self):
         # golden table row label 8 (deformation 6): E listed as 2.65128
         model = ModelSpec(2, 6.0)
         assert abs(shooting._matching_defect(model, 2.65128, _path(model, 2.65128),
-                                             shooting.DEFAULT_RTOL)) <= 1e-5
+                                             shooting.DEFAULT_RTOL)[0]) <= 1e-5
 
 
 class TestOneRayDefect:
@@ -407,7 +427,7 @@ class TestOneRayDefect:
         model = ModelSpec(M, eps)
         E = complex(shooting.default_seed(model, k))
         path = replace(_path(model, E.real), u_ref=None)
-        w = shooting._matching_defect(model, E, path, shooting.DEFAULT_RTOL)
+        w, _ = shooting._matching_defect(model, E, path, shooting.DEFAULT_RTOL)
         uL, uR = _u_left(model, E, path), _u(model, E, path)
         assert w.imag == 0.0
         assert abs(w - (uL - uR) / ((1 + abs(uL)) * (1 + abs(uR)))) <= 1e-12
@@ -456,18 +476,19 @@ class TestOneRayDefect:
         assert len(energies) < len(defects)
 
     def test_complex_seed_integrates_both_rays(self, shots):
-        # every defect at a complex energy shoots at E and at conj E
+        # every defect at a complex energy shoots at E and at conj E: the
+        # seed's, one per Newton step but the last, and the check path's
         defects, energies = shots
         res = solve_level(ModelSpec(1, 8.0), 0, seed=5.55 + 0.01j)
         assert res.converged
         assert res.E.real == pytest.approx(5.553310025131625, rel=1e-12)
         assert abs(res.E.imag) <= 1e-8 * res.E.real
         left = [E for E in defects if E.imag != 0.0 and E.conjugate() in energies]
-        assert len(left) >= res.iterations + 2
+        assert len(left) >= res.iterations + 1
 
 
 class TestRootSeed:
-    # re-seeded with its own root, a level's last secant step rounds to
+    # re-seeded with its own root, a level's last Newton step rounds to
     # nothing or spans an ulp; the level must still be reported converged
 
     @pytest.mark.parametrize("M,eps,tol", [(1, 2.0, 1e-9), (1, 8.0, 1e-12),
@@ -624,7 +645,7 @@ class TestWkbWindow:
         model = ModelSpec(1, 2.0)
         root = 1.3 * shooting.default_seed(model, 24)
         monkeypatch.setattr(shooting, "_matching_defect",
-                            lambda model, E, path, rtol: (E - root) / root)
+                            lambda model, E, path, rtol: ((E - root) / root, root - E))
         res = solve_level(model, 24)
         assert not res.converged
         assert res.iterations <= 5
@@ -827,8 +848,8 @@ class TestSolvePath:
         # the panel counts fixed when the path is built let every later
         # integration on it finish each leg in two passes; the check
         # path, whose ray runs on past the turning radius, may double once.
-        # The build's shot stands in for the first secant point and the
-        # last step is not shot, so the solve shoots once per iteration
+        # The build's shot gives the first Newton step and the last step is
+        # not shot, so the solve shoots once per iteration but the last
         model = ModelSpec(M, eps)
         propagate, u_interior = shooting._propagate, shooting._u_interior
         passes, calls = [0], []
@@ -849,7 +870,7 @@ class TestSolvePath:
         assert res.converged
         solve = [n for path, n in calls
                  if path.corner == turning_radius(model, path.E_ref)]
-        assert len(solve) == res.iterations
+        assert len(solve) == res.iterations - 1
         assert solve == [4] * len(solve)
         assert len(calls) == len(solve) + 1     # one check-path integration
 
@@ -885,7 +906,7 @@ class TestSolvePath:
     def _chord_passes(monkeypatch, model, path):
         """Panel counts of the passes on the chord of `path`, as they run,
         with their results."""
-        _, length, _ = shooting._legs(model, path.E_ref, path)[1]
+        _, length, *_ = shooting._legs(model, path.E_ref, path)[1]
         passes = []
         propagate = shooting._propagate
 
@@ -908,8 +929,8 @@ class TestSolvePath:
         rtol = shooting.DEFAULT_RTOL
         ray, chord = shooting._legs(model, E, path)
         ex = cmath.exp(1j * path.theta)
-        psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
-        psi, dpsi, _ = shooting._segment(ray, psi, -dpsi_ds / ex, path.panels[0], rtol, ())
+        psi, dpsi_ds, _ = shooting._outgoing_ic(model, E, path.theta, path.R)
+        psi, dpsi, *_ = shooting._segment(ray, psi, -dpsi_ds / ex, path.panels[0], rtol, ())
         passes = self._chord_passes(monkeypatch, model, path)
         *_, count = shooting._segment(chord, psi, dpsi, 1, rtol, ())
         assert len(passes) > 2
@@ -935,8 +956,8 @@ class TestSolvePath:
         corner = turning_radius(model, E) * ex
         ray, chord = (_straight_leg(model, E, x0, x1) for x0, x1 in
                       ((path.R * ex, corner), (corner, -1j * path.ym)))
-        psi, dpsi_ds = shooting._outgoing_ic(model, E, path.theta, path.R)
-        psi, dpsi, _ = shooting._segment(
+        psi, dpsi_ds, _ = shooting._outgoing_ic(model, E, path.theta, path.R)
+        psi, dpsi, *_ = shooting._segment(
             ray, psi, -dpsi_ds / ex, shooting._phase_count(*ray[:2], rtol), rtol, ())
         passes = []
         propagate = shooting._propagate
@@ -984,39 +1005,48 @@ class TestSolvePath:
             return potential(model, x)
 
         def recorded_legs(model, E, path):
-            def recorded(j, q):
+            # q on the leg's end and probes, kept on the nodes of n panels
+            def recorded(j, q, kept):
                 def q_used(s):
                     calls[0] += 1
                     used.add((path.R, path.corner, path.ym, j, s.shape))
                     return q(s)
-                return q_used
-            return [(recorded(j, q), length, u)
-                    for j, (q, length, u) in enumerate(legs(model, E, path))]
+
+                def kept_used(n):
+                    calls[0] += 1
+                    used.add((path.R, path.corner, path.ym, j, (n, shooting._DEGREE + 1)))
+                    return kept(n)
+                return q_used, kept_used
+            return [(q_used, length, u, kept_used) for j, (q, length, u, kept)
+                    in enumerate(legs(model, E, path))
+                    for q_used, kept_used in [recorded(j, q, kept)]]
 
         monkeypatch.setattr(shooting, "potential_value", counted_potential)
         monkeypatch.setattr(shooting, "_legs", recorded_legs)
         monkeypatch.setattr(shooting, "_shoot", counted_shoot)
-        res = solve_level(model, 11)
+        # from the leading WKB seed, 1e-4 off, Newton takes three steps
+        res = solve_level(model, 11, seed=shooting.default_seed(model, 11))
         assert res.converged
         assert evaluated[0] == len(used)
         # with no rebuild: per leg the build's probes, end and first pair,
         # then the stored pair; on the check path its end and pair.  That is
-        # 18 node sets however many shots are taken, while a shot calls q on
-        # 6 (two passes and the end, per leg)
+        # 18 node sets however many shots are taken, while a shot calls q or
+        # kept on 6 (two passes and the end, per leg)
         assert shots[0] > 3
         assert evaluated[0] <= 18 < 6 * shots[0] <= calls[0]
 
     @pytest.mark.parametrize("M,eps,k", [(1, 8.0, 0)] + [(1, 2.0, k) for k in range(8, 17)])
     def test_one_defect_check_shift(self, monkeypatch, M, eps, k):
-        # the check-path shift from the solve's slope is within a factor 2
-        # of a secant step between E and 1.001 E on the check path; the
-        # check-path defect at E is the result's residual
+        # the check-path shift, a Newton step on the exact slope of the
+        # check path's one shot, is within a factor 2 of a secant step
+        # between E and 1.001 E on the check path; the check-path defect at
+        # E is the result's residual
         model = ModelSpec(M, eps)
         seen = []
         check_shift = shooting._check_shift
 
-        def recorded(model, E, check, slope, rtol):
-            out = check_shift(model, E, check, slope, rtol)
+        def recorded(model, E, check, rtol):
+            out = check_shift(model, E, check, rtol)
             seen.append((E, check, out))
             return out
 
@@ -1024,8 +1054,8 @@ class TestSolvePath:
         res = solve_level(model, k)
         assert res.converged
         (E, check, (shift, residual)), = seen
-        c0 = shooting._matching_defect(model, E, check, shooting.DEFAULT_RTOL)
-        c1 = shooting._matching_defect(model, 1.001 * E, check, shooting.DEFAULT_RTOL)
+        c0, _ = shooting._matching_defect(model, E, check, shooting.DEFAULT_RTOL)
+        c1, _ = shooting._matching_defect(model, 1.001 * E, check, shooting.DEFAULT_RTOL)
         two = abs(c0 * 0.001 * E / (c1 - c0))
         assert 0.5 * two <= shift <= 2.0 * two
         assert res.residual == residual == abs(c0)
@@ -1059,14 +1089,16 @@ class TestShotSchedule:
         monkeypatch.setattr(shooting, "_shoot", recorded)
         assert solve_level(model, k).converged
         assert [n for _, n in shots] == [1] * len(shots)
-        # the build's shot at E_ref is the solve's first secant point
+        # the build's shot at E_ref gives the solve's first Newton step
         keys = [key for key, _ in shots]
         assert len(set(keys)) == len(keys)
 
     @pytest.mark.parametrize("M,eps,k", SCHEDULE_CASES)
     def test_last_step_not_shot(self, monkeypatch, M, eps, k):
-        # the step below tol is taken without a shot on the solve's path;
-        # the check path shoots once at the returned E
+        # the step below tol is taken without a shot on the solve's path:
+        # the build's shot and one per Newton step but the last, even where
+        # that step rounds to nothing, as at (2, 0, 26); the check path
+        # shoots once at the returned E
         model = ModelSpec(M, eps)
         shoot, shots = shooting._shoot, []
 
@@ -1078,7 +1110,7 @@ class TestShotSchedule:
         monkeypatch.setattr(shooting, "_shoot", recorded)
         res = solve_level(model, k)
         assert res.converged
-        assert (res.E, False) not in shots
+        assert len([E for E, on_check in shots if not on_check]) == res.iterations
         assert [E for E, on_check in shots if on_check] == [res.E]
 
     @pytest.mark.parametrize("bad", [0, 1, 40])
@@ -1096,43 +1128,183 @@ class TestShotSchedule:
         with pytest.raises(shooting.ShootingError), np.errstate(invalid="ignore"):
             shooting._transfers([(q, 1.0, (64, 2))])
 
+    def test_three_kernel_calls_at_a_high_level(self, monkeypatch):
+        # (1, 2, 12): the build's shot at the next-order WKB seed gives the
+        # first Newton step, one more shot the second, below tol and not
+        # shot, and the check path one; no shot is spent on a slope
+        transfers, calls = shooting._transfers, [0]
+
+        def counted(legs):
+            calls[0] += 1
+            return transfers(legs)
+
+        monkeypatch.setattr(shooting, "_transfers", counted)
+        res = solve_level(ModelSpec(1, 2.0), 12)
+        assert res.converged
+        assert res.iterations == 2
+        assert calls[0] == 3
+        E = oscillator_levels([0.0, -2.0, 0.0, 0.0, 4.0], 13)[12]
+        assert abs(res.E.real - E) <= 1e-9 * E
+
+
+class TestSlope:
+    # each shot returns du/dE at the match point from the Wronskian of psi
+    # and psi_E: its value at the outer point minus int psi^2 dx, which the
+    # panels give from the nodes they solve
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 2.0, 8.5, 58.0])
+    @pytest.mark.parametrize("k", [0, 5, 12])
+    def test_central_difference(self, M, eps, k):
+        # against a central difference with h = 1e-5 |E|, of u or, where
+        # u is near a pole (|u| up to 1e15 at M = 1, eps = 0, k = 5), of
+        # 1/u; where 1/u is near its own pole, u is smooth
+        model = ModelSpec(M, eps)
+        E = shooting.default_seed(model, k)
+        path = _path(model, E)
+        energies = [complex(E)]
+        if (M, eps, k) == (1, 2.0, 5):
+            energies.append(complex(E, 0.1 * math.sqrt(E)))
+        for E in energies:
+            u, du = shooting._u_interior(model, E, path, shooting.DEFAULT_RTOL)
+            h = 1e-5 * abs(E)
+            up, um = (_u(model, E + d, path) for d in (h, -h))
+            errors = [abs(du - (up - um) / (2 * h)) / abs(du)]
+            if u != 0.0:
+                errors.append(abs(-du / u ** 2 - (1 / up - 1 / um) / (2 * h))
+                              / abs(du / u ** 2))
+            assert min(errors) <= 1e-7, (E, errors)
+
+    @pytest.mark.parametrize("qv", [4.0, -9.0, 2.0 - 3.0j, 30.0j])
+    def test_constant_q_gram(self, qv):
+        # for q = k^2 the solutions from (1, 0) and (0, 1) are cosh ks and
+        # sinh ks / k, whose c-product Gram matrix over [0, L] is closed
+        # form; the kernel returns it times d, on one panel and on several
+        k, length = cmath.sqrt(qv), 1.7
+        sh2 = cmath.sinh(2 * k * length) / (4 * k)
+        want = [length / 2 + sh2, cmath.sinh(k * length) ** 2 / (2 * k * k),
+                (sh2 - length / 2) / (k * k)]
+        for n, t in zip((1, 2, 5), shooting._transfers(
+                [(lambda s: np.full(s.shape, complex(qv)), length, (1, 2, 5))])):
+            d = t[7]
+            for got, g in zip(t[4:7], want):
+                assert abs(got / d - g) <= 1e-13 * max(1.0, abs(want[0])), (qv, n)
+
+    def test_node_at_the_match_point(self, monkeypatch):
+        # at M = 1, eps = 0, k = 9 psi has a node at the origin, and the
+        # seed 19 is exact: psi there once came out 0.0 and the shot divided
+        # by it.  psi at a node to the last bit is one rounding unit, so u
+        # and du/dE are finite, and Newton, on the reciprocals, takes no step
+        model, E = ModelSpec(1, 0.0), 19.0
+        path = replace(_path(model, E), u_ref=None)
+        chord = shooting._legs(model, E, path)[1][1]
+        segment = shooting._segment
+
+        def zeroed(leg, *args):
+            psi, dpsi, w, n = segment(leg, *args)
+            return (0.0 if leg[1] == chord else psi), dpsi, w, n
+
+        monkeypatch.setattr(shooting, "_segment", zeroed)
+        u, du = shooting._u_interior(model, complex(E), path, shooting.DEFAULT_RTOL)
+        assert cmath.isfinite(u) and cmath.isfinite(du) and abs(u) > 1e15
+        w, dE = shooting._matching_defect(model, complex(E), path, shooting.DEFAULT_RTOL)
+        assert abs(w) <= 1e-12 and abs(dE) <= 1e-12 * E
+
+
+class TestNewtonSafeguards:
+    def test_reciprocals_only_near_a_node(self):
+        # the limit-scale seed of (2, 36, 2), 520.15, is 2% above level 2,
+        # where |u_R| = 1.19 with its imaginary part dominant: on
+        # 1/u_L - 1/u_R Newton steps up by 36 and runs to level 3 (874.35),
+        # on u_L - u_R it steps down by 9.3.  The straight-ray oracle's
+        # defect changes sign four times on [1, 900], at 37.3, 157.0,
+        # 510.6 and 874.4, so this is level 2
+        res = solve_level(ModelSpec(2, 36.0), 2)
+        assert res.converged
+        E_ref = oracle_level(2, 36.0, 509.0, 512.0)
+        assert abs(res.E.real - E_ref) <= 1e-9 * E_ref
+
+    @pytest.mark.parametrize("M,eps,k,E_ref", [(1, 8.0, 3, 133.7796461407702),
+                                               (1, 20.0, 5, 1954.6837217307355),
+                                               (1, 28.0, 3, 1751.7074650874474)])
+    def test_reciprocals_near_a_pole_of_u(self, M, eps, k, E_ref):
+        # the next-order seed's u_R is large (-1262 - 24580i at (1, 8, 3))
+        # with its imaginary part dominant: a pole of u lies just off the
+        # real axis, so 1/u is nearly linear and one step on the
+        # reciprocals lands within tol, where the numerator takes two or
+        # three more; the same root, in two iterations and three shots
+        res = solve_level(ModelSpec(M, eps), k)
+        assert res.converged
+        assert res.iterations == 2
+        assert res.E.real == pytest.approx(E_ref, rel=1e-12)
+
+    def test_bracket_keeps_a_crossed_root(self, monkeypatch):
+        # at (2, 52, 6) the first Newton step, from the limit-scale seed
+        # 6371.0, crosses a root, to 6143.2, and the next (-290) would leave
+        # that bracket for 4412.15, the root k = 5 converges to.  It is
+        # replaced by the bracket's midpoint, and every later iterate stays
+        # inside; the root kept, 6317.05, is the one the secant found
+        model = ModelSpec(2, 52.0)
+        seen, defect = [], shooting._matching_defect
+
+        def recorded(model, E, path, rtol):
+            out = defect(model, E, path, rtol)
+            seen.append((E.real, out[0].real, path.E_ref))
+            return out
+
+        monkeypatch.setattr(shooting, "_matching_defect", recorded)
+        res = solve_level(model, 6)
+        assert res.converged
+        assert res.E.real == pytest.approx(6317.054697636675, rel=1e-12)
+        *solve, _ = seen        # the last defect is the check path's
+        assert len({E_ref for *_, E_ref in solve}) == 1
+        crossed = next(i for i in range(1, len(solve))
+                       if (solve[i][1] > 0.0) != (solve[i - 1][1] > 0.0))
+        lo, hi = sorted((solve[crossed - 1][0], solve[crossed][0]))
+        assert hi - lo > 200.0
+        assert solve[crossed + 1][0] == pytest.approx(0.5 * (lo + hi), rel=1e-15)
+        assert all(lo <= E <= hi for E, *_ in solve[crossed:])
+
 
 class TestFirstIterate:
     # where default_seed is WKB (M = 1, or eps < 4) the solve starts from the
-    # next-order WKB energy, and its second secant point lies 1e-6 relative
-    # above the first
+    # next-order WKB energy, and its second defect lies one Newton step from
+    # the first, with no shot spent on a slope
 
     @staticmethod
     def _defects(monkeypatch):
-        energies, defect = [], shooting._matching_defect
+        """(energies of the defects, their Newton steps)."""
+        energies, steps, defect = [], [], shooting._matching_defect
 
         def recorded(model, E, path, rtol):
             energies.append(E)
-            return defect(model, E, path, rtol)
+            out = defect(model, E, path, rtol)
+            steps.append(out[1])
+            return out
 
         monkeypatch.setattr(shooting, "_matching_defect", recorded)
-        return energies
+        return energies, steps
 
     @pytest.mark.parametrize("eps,k", [(0.5, 0), (2.0, 3), (2.0, 24), (8.0, 12),
                                        (58.0, 0)])
     def test_next_order_wkb_at_m1(self, monkeypatch, eps, k):
-        energies = self._defects(monkeypatch)
+        energies, steps = self._defects(monkeypatch)
         assert solve_level(ModelSpec(1, eps), k).converged
         E0 = wkb_energy_next(k, eps)
-        assert energies[:2] == [E0, E0 * (1.0 + 1e-6)]
+        assert energies[:2] == [E0, E0 + steps[0]]
 
     @pytest.mark.parametrize("M,eps,k", [(2, 0.0, 3), (2, 0.0, 26), (2, 1.0, 7),
                                          (3, 0.5, 2), (3, 3.0, 10), (4, 3.9, 5)])
     def test_next_order_wkb_at_small_eps(self, monkeypatch, M, eps, k):
-        energies = self._defects(monkeypatch)
+        energies, steps = self._defects(monkeypatch)
         assert solve_level(ModelSpec(M, eps), k).converged
         E0 = wkb_energy_next(k, eps, M)
-        assert energies[:2] == [E0, E0 * (1.0 + 1e-6)]
+        assert energies[:2] == [E0, E0 + steps[0]]
 
     def test_given_seed_and_limit_scale_unchanged(self, monkeypatch):
         # a given seed is the first iterate; at M >= 2, eps >= 4 so is the
         # solvable-limit scale of default_seed
-        energies = self._defects(monkeypatch)
+        energies, _ = self._defects(monkeypatch)
         solve_level(ModelSpec(1, 2.0), 3, seed=11.0)
         assert energies[0] == 11.0
         energies.clear()
@@ -1272,8 +1444,8 @@ class TestScan:
         results = scan_levels([ModelSpec(1, eps) for eps in (0.0, 0.1, 0.2, 0.3)], 2)
         assert calls == [(eps, k) for eps in (0.1, 0.2) for k in range(3)]
         shot = [(r.E, r.iterations) for r in results if r.iterations]
-        assert shot == [(1.0030970656620786 + 0j, 4), (3.06113515192181 + 0j, 2),
-                        (5.1670858423666255 + 0j, 3), (1.0100685202881654 + 0j, 4),
+        assert shot == [(1.0030970656620783 + 0j, 3), (3.0611351519218113 + 0j, 2),
+                        (5.1670858423666255 + 0j, 3), (1.0100685202881652 + 0j, 3),
                         (3.1370668462544784 + 0j, 3), (5.357600879563637 + 0j, 3)]
 
     @pytest.mark.parametrize("M,want", [

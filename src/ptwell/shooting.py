@@ -61,12 +61,15 @@ root cannot fail it, a converged root is also re-checked on a second path
 to the same match point, whose vertex is CHECK_CORNER x_t: an eigenvalue
 does not depend on the path, so a root that moves there by more than
 CHECK_REL |E| is reported unconverged (_check_shift gives the move, and
-the defect there, which is the result's residual).  It is integrated at
-no tighter than CHECK_RTOL, which places a root far within CHECK_REL, and
-its legs start from the counts kept for the solve's, scaled to that
-tolerance as tol^(-1/_DEGREE); its first leg, which runs on past x_t,
-from twice that.  All operations are pure.  scan_levels shoots only the levels that the spectral
-engine (ptwell.spectral) does not certify.
+the defect there, which is the result's residual).  Its first leg runs on
+past x_t, so it starts from twice the count kept for the solve's.  Off the
+arch, its chord amplifies rounding: at high levels and large eps (1, 28, 21
+and up) its passes stop at a rounding floor of 1e-6 and more, above the
+sqrt(tol) a solve's leg may stop at.  There the chord keeps its last pass,
+and the move counted is the Newton step plus the step that the floor's
+uncertainty of the defect allows.  All operations are pure.  scan_levels
+shoots only the levels that the spectral engine (ptwell.spectral) does not
+certify.
 """
 
 from __future__ import annotations
@@ -99,10 +102,6 @@ PATH_BAND = 0.05            # |E| band per path; moves the decay depth at R by <
 CHECK_CORNER = 0.95         # corner radius of the check path, in turning radii
 CHECK_REL = 1e-6            # root shift allowed on the check path: the six
                             # significant digits the golden tables print
-CHECK_RTOL = 1e-8           # loosest integrator tolerance of the check path:
-                            # its legs agree to 1e-10, or stop at a rounding
-                            # floor of at most 1e-5 where its chord amplifies
-                            # rounding (high levels at large eps)
 
 
 class ShootingError(RuntimeError):
@@ -194,7 +193,7 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _transfers(legs: Sequence[tuple]) -> list[list[complex]]:
     """[a, b, c, e, g11, g12, g22, d] for n equal Chebyshev panels on
     [0, length] for psi_ss = q(s) psi, q taking an array of s, for each count
-    n of each (q, length, counts) or (q, length, counts, kept) in `legs`:
+    n of each (q, length, counts) in `legs`:
     the transfer matrix [[a, b], [c, e]] up to a scale S, the c-product Gram
     matrix [[g11, g12], [g12, g22]] of int_0^length psi^2 ds over the
     states at s = 0, up to S^2, and d = 1/S^2, which is det [[a, b], [c, e]]
@@ -209,29 +208,22 @@ def _transfers(legs: Sequence[tuple]) -> list[list[complex]]:
     (1, 0) and (0, 1) at the nodes give the panel's transfer matrix, by
     their values at x = 1 and their slopes there, beta + (w . sigma)/h,
     and its Gram matrix, with w the Clenshaw-Curtis weights.  q is called
-    once per count, on the (n, _DEGREE + 1) nodes of its panels; a leg's
-    kept(n), where given, returns (h^2 q + shift, shift) there instead, its
-    first part kept from one energy to the next.  Every panel of every
-    count is solved in one batched numpy.linalg.solve.  The panels of a count are
-    then multiplied in order, each product divided by its largest entry and
-    the Gram sum and d by its square; a panel's transfer matrix has det 1,
-    so no product underflows.  Raises ShootingError past _MAX_PANELS, on a
-    singular panel and on an entry that is not finite.
+    once per count, on the (n, _DEGREE + 1) nodes of its panels, and every
+    panel of every count is solved in one batched numpy.linalg.solve.  The
+    panels of a count are then multiplied in order, each product divided by
+    its largest entry and the Gram sum and d by its square; a panel's
+    transfer matrix has det 1, so no product underflows.  Raises
+    ShootingError past _MAX_PANELS, on a singular panel and on an entry that
+    is not finite.
     """
-    counts = [n for _, _, ns, *_ in legs for n in ns]
+    counts = [n for _, _, ns in legs for n in ns]
     if max(counts) > _MAX_PANELS:
         raise ShootingError(f"segment needs more than {_MAX_PANELS} panels")
     x, j2t, w = _panel_rule()
-    hqs = []
-    for q, length, ns, *kept in legs:
-        for n in ns:
-            if kept:
-                hv, shift = kept[0](n)
-                hqs.append(hv - shift)
-            else:
-                hqs.append((length / n) ** 2 * q(length / n * (np.arange(n)[:, None] + x)))
-    hq = np.concatenate(hqs)
-    h = np.repeat([length / n for _, length, ns, *_ in legs for n in ns], counts)[:, None]
+    qs = np.concatenate([q(length / n * (np.arange(n)[:, None] + x))
+                         for q, length, ns in legs for n in ns])
+    h = np.repeat([length / n for _, length, ns in legs for n in ns], counts)[:, None]
+    hq = h * h * qs
     # the transposed matrices, so that each is in the column order LAPACK takes
     lhs = j2t * hq[:, None, :]
     np.subtract(np.eye(_DEGREE + 1), lhs, out=lhs)
@@ -312,13 +304,15 @@ def _phase_count(q, length: float, rtol: float) -> int:
 
 
 def _segment(leg: tuple, psi: complex, dpsi: complex, panels: int, rtol: float,
-             first: Sequence[list[complex]],
-             w: complex = 0j) -> tuple[complex, complex, complex, int]:
+             first: Sequence[list[complex]], w: complex = 0j,
+             floors: bool = False) -> tuple[complex, complex, complex, float, int]:
     """(psi, dpsi/dx, W) at the end x1 of `leg` (see _legs) from their
-    values at its start, up to a common scale (W to its square), and the
-    panel count to start from on a leg like it.  `first` holds the
-    _transfers entries of the first passes.  W = psi psi_E' - psi' psi_E
-    has W' = -psi^2, so the leg takes int psi^2 dx off it.
+    values at its start, up to a common scale (W to its square), the
+    uncertainty of psi'/psi at x1 that a rounding floor leaves (0 after
+    agreement), and the panel count to start from on a leg like it.
+    `first` holds the _transfers entries of the first passes.
+    W = psi psi_E' - psi' psi_E has W' = -psi^2, so the leg takes
+    int psi^2 dx off it.
 
     The count, `panels` first, is doubled until the results for n and 2n
     agree in (psi, psi_s/k), k = sqrt|q| + 1 at x1, to
@@ -327,7 +321,9 @@ def _segment(leg: tuple, psi: complex, dpsi: complex, panels: int, rtol: float,
     a gap of at most sqrt(tol) by less than 8, where the truncation error
     shrinks by far more, so the rest is rounding.  The bound keeps out
     coarse counts, whose gaps stall at O(1): a count too small is doubled,
-    never trusted.
+    never trusted.  With `floors` the bound is dropped, for a leg whose
+    caller weighs the uncertainty: a gap g between the directions of
+    (psi, psi_s/k) moves psi'/psi by about g (k + |psi'/psi|^2 / k).
 
     The count returned: the gap falls as n^-_DEGREE, so a pair (n, 2n) at
     gap g puts the pair that meets tol with a margin of 4 at
@@ -339,7 +335,7 @@ def _segment(leg: tuple, psi: complex, dpsi: complex, panels: int, rtol: float,
     extrapolates to too few panels.  After the rounding floor, the count two
     doublings below the last, which reaches the floor again in three passes.
     """
-    q, length, u = leg[:3]
+    q, length, u = leg
     tol = _leg_tol(rtol)
     k = math.sqrt(abs(q(np.array([length]))[0])) + 1.0
     first = iter(first)
@@ -352,9 +348,11 @@ def _segment(leg: tuple, psi: complex, dpsi: complex, panels: int, rtol: float,
                 math.hypot(abs(prev[0]), abs(prev[1])) * math.hypot(abs(a0), abs(a1)))
             best = min(best, panels / 2 * (4.0 * gap / tol) ** (1.0 / _DEGREE))
             if gap <= tol:
-                return y0, y1 / u, d * w - u * norm, max(1, panels // 4, math.ceil(best))
-            if 8.0 * gap > last and gap <= math.sqrt(tol):
-                return y0, y1 / u, d * w - u * norm, panels // 4
+                return (y0, y1 / u, d * w - u * norm, 0.0,
+                        max(1, panels // 4, math.ceil(best)))
+            if 8.0 * gap > last and (floors or gap <= math.sqrt(tol)):
+                err = gap * (k + abs(y1 / y0) ** 2 / k) if y0 else math.inf
+                return y0, y1 / u, d * w - u * norm, err, panels // 4
         prev, panels = (a0, a1), 2 * panels
 
 
@@ -409,9 +407,9 @@ class _Path:
     R e^{i theta} to the vertex, the turning point x_t of E_ref scaled to
     radius `corner` (CHECK_CORNER r_t on the check path), then a chord to
     the match point -i ym.  The legs start from `panels` Chebyshev panels;
-    `v` keeps V per node set and h^2 u^2 V per panel count (see _legs);
-    `u_ref` is psi'/psi at -i ym at E_ref and its E-derivative, from the
-    build's shot."""
+    `v` keeps V (see _legs); `u_ref` is what _u_interior returns at E_ref,
+    from the build's shot.  With `floors` (the check path) the chord may
+    stop at a rounding floor above sqrt(tol) (see _segment)."""
 
     E_ref: float
     ym: float
@@ -420,17 +418,17 @@ class _Path:
     R: float
     panels: tuple[int, int]
     v: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    u_ref: tuple[complex, complex] | None = field(default=None, repr=False, compare=False)
+    u_ref: tuple[complex, complex, float] | None = field(default=None, repr=False,
+                                                         compare=False)
+    floors: bool = False
 
 
 def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
-    """(q, length, u, kept) of the first leg and the chord of `path` at
-    energy E: psi_ss = q(s) psi = u^2 (V - E) psi on [0, length] along the
-    unit direction u.  V does not depend on E, so it is evaluated once per
-    leg and node set and kept in path.v: q is called on fixed node sets, one
-    per shape (the leg's end, _phase_count's probes, later passes), and
-    kept(n) gives _transfers, for the nodes of n panels of width h, the
-    E-independent half h^2 u^2 V of h^2 q and the shift h^2 u^2 E."""
+    """(q, length, u) of the first leg and the chord of `path` at energy E:
+    psi_ss = q(s) psi = u^2 (V - E) psi on [0, length] along the unit
+    direction u.  q is called on fixed node sets, one per shape (the nodes of
+    n panels, the leg's end, _phase_count's probes), so V is evaluated once
+    per leg and shape and kept in path.v."""
     x_t = turning_points(model, path.E_ref).x_right
     ends = (path.R * cmath.exp(1j * path.theta), path.corner / abs(x_t) * x_t,
             -1j * path.ym)
@@ -439,32 +437,22 @@ def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
         x0, length = ends[j], abs(ends[j + 1] - ends[j])
         u = (ends[j + 1] - x0) / length
 
-        def potential(s):
+        def q(s):
             v = path.v.get((j, s.shape))
             if v is None:
                 v = path.v[j, s.shape] = potential_value(model, x0 + s * u)
-            return v
-
-        def q(s):
-            return u * u * (potential(s) - E)
-
-        def kept(n):
-            h2 = (length / n) ** 2 * u * u
-            hv = path.v.get((j, n))
-            if hv is None:
-                s = length / n * (np.arange(n)[:, None] + _panel_rule()[0])
-                hv = path.v[j, n] = h2 * potential(s)
-            return hv, h2 * E
-        return q, length, u, kept
+            return u * u * (v - E)
+        return q, length, u
 
     return [leg(0), leg(1)]
 
 
 def _shoot(model: ModelSpec, E: complex, path: _Path, panels: tuple[int, int],
-           rtol: float) -> tuple[complex, complex, tuple[int, int]]:
-    """psi'/psi at -i ym and its E-derivative, carried along the legs of
-    `path` from `panels` first, whose first two passes take one call of
-    _transfers; and the counts _segment returns.
+           rtol: float) -> tuple[complex, complex, float, tuple[int, int]]:
+    """psi'/psi at -i ym, its E-derivative and its uncertainty from the
+    chord's last gap, carried along the legs of `path` from `panels` first,
+    whose first two passes take one call of _transfers; and the counts
+    _segment returns.
 
     The derivative is W/psi^2 at -i ym: W = psi psi_E' - psi' psi_E starts
     at the outer point as the E-derivative of the WKB start and loses
@@ -472,13 +460,14 @@ def _shoot(model: ModelSpec, E: complex, path: _Path, panels: tuple[int, int],
     psi, dpsi_ds, w = _outgoing_ic(model, E, path.theta, path.R)    # s = R - |x|
     dpsi = -dpsi_ds / cmath.exp(1j * path.theta)
     legs = _legs(model, E, path)
-    firsts = _transfers([(q, length, (n, 2 * n), kept)
-                         for (q, length, _, kept), n in zip(legs, panels)])
-    psi, dpsi, w, ray = _segment(legs[0], psi, dpsi, panels[0], rtol, firsts[:2], w)
-    psi, dpsi, w, chord = _segment(legs[1], psi, dpsi, panels[1], rtol, firsts[2:], w)
+    firsts = _transfers([(q, length, (n, 2 * n))
+                         for (q, length, _), n in zip(legs, panels)])
+    psi, dpsi, w, _, ray = _segment(legs[0], psi, dpsi, panels[0], rtol, firsts[:2], w)
+    psi, dpsi, w, err, chord = _segment(legs[1], psi, dpsi, panels[1], rtol, firsts[2:], w,
+                                        path.floors)
     if psi == 0.0:      # a node at -i ym to the last bit: psi is one rounding unit
         psi = 2.0 ** -53 * abs(dpsi)
-    return dpsi / psi, w / (psi * psi), (ray, chord)
+    return dpsi / psi, w / (psi * psi), err, (ray, chord)
 
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
@@ -500,30 +489,33 @@ def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
     path = _Path(E_ref, match_height(model, E_ref), turning_radius(model, E_ref),
                  wedge_angles(model).theta_right, R, (0, 0))
     start = tuple(_phase_count(q, length, rtol)
-                  for q, length, *_ in _legs(model, E_ref, path))
-    u, du, panels = _shoot(model, E_ref, path, start, rtol)
-    built = replace(path, panels=panels, u_ref=(u, du))
+                  for q, length, _ in _legs(model, E_ref, path))
+    *u_ref, panels = _shoot(model, E_ref, path, start, rtol)
+    built = replace(path, panels=panels, u_ref=tuple(u_ref))
     built.v.update(path.v)
     return built
 
 
 def _u_interior(model: ModelSpec, E: complex, path: _Path,
-                rtol: float) -> tuple[complex, complex]:
-    """psi'/psi at -i ym, integrated along `path` from the outer point, and
-    its E-derivative."""
+                rtol: float) -> tuple[complex, complex, float]:
+    """psi'/psi at -i ym, integrated along `path` from the outer point, its
+    E-derivative and its uncertainty (see _shoot)."""
     if not cmath.isfinite(E):
         raise ShootingError("non-finite energy")
-    return _shoot(model, E, path, path.panels, rtol)[:2]
+    return _shoot(model, E, path, path.panels, rtol)[:3]
 
 
 def _matching_defect(model: ModelSpec, E: complex, path: _Path,
-                     rtol: float) -> tuple[complex, complex]:
-    """(w, dE) at E: the interior-matched defect
+                     rtol: float) -> tuple[complex, complex, float]:
+    """(w, dw, dw_err) at E: the interior-matched defect
     w = (u_L - u_R) / ((1 + |u_L|)(1 + |u_R|)), with u = psi'/psi at -i ym
-    on `path`, and the Newton step dE = -f/f' on the holomorphic numerator
-    f = u_L - u_R, or on f = 1/u_L - 1/u_R where u_R is large: beyond
-    k_m = sqrt|E - V(-i ym)| + 1, the WKB wavenumber there, or beyond 1
-    with |u_L - u_R| > |u_L + u_R|.
+    on `path`, and its slope dw = f' w/f, whose Newton step -w/dw is the
+    step -f/f' on the holomorphic numerator f = u_L - u_R, or on
+    f = 1/u_L - 1/u_R where u_R is large: beyond k_m = sqrt|E - V(-i ym)| + 1,
+    the WKB wavenumber there, or beyond 1 with |u_L - u_R| > |u_L + u_R|.
+    w/f, the normalization, is formed from u_L and u_R, so dw is finite
+    where f vanishes.  dw_err is the uncertainty of w that the
+    uncertainties of u_L and u_R leave.
 
     The product normalization keeps the defect bounded and vanishing at
     every eigenvalue, including states whose wavefunction has a node at the
@@ -544,19 +536,19 @@ def _matching_defect(model: ModelSpec, E: complex, path: _Path,
     is the build's shot (u_ref), not a second shot of the same leg.
     """
     if E == path.E_ref and path.u_ref is not None:
-        uR, duR = path.u_ref
+        uR, duR, eR = path.u_ref
     else:
-        uR, duR = _u_interior(model, E, path, rtol)
-    mirror = (uR, duR) if E.imag == 0.0 else _u_interior(model, E.conjugate(), path, rtol)
+        uR, duR, eR = _u_interior(model, E, path, rtol)
+    mirror = (uR, duR, eR) if E.imag == 0.0 else _u_interior(model, E.conjugate(), path, rtol)
     uL, duL = -mirror[0].conjugate(), -mirror[1].conjugate()
-    w = (uL - uR) / ((1.0 + abs(uL)) * (1.0 + abs(uR)))
-    v_m = (-1) ** model.M * path.ym ** (2.0 * model.M + model.epsilon)    # V(-i ym)
-    if abs(uR) > math.sqrt(abs(E - v_m)) + 1.0 or (
+    scale = (1.0 + abs(uL)) * (1.0 + abs(uR))
+    if abs(uR) > math.sqrt(abs(E - potential_value(model, -1j * path.ym))) + 1.0 or (
             abs(uR) > 1.0 and abs(uL - uR) > abs(uL + uR)):
-        f, df = 1.0 / uL - 1.0 / uR, duR / (uR * uR) - duL / (uL * uL)
+        # u_L - u_R = -u_L u_R (1/u_L - 1/u_R), and -u_L u_R = |u_R|^2 for real E
+        dw = (duR / (uR * uR) - duL / (uL * uL)) * (-uL * uR) / scale
     else:
-        f, df = uL - uR, duL - duR
-    return w, -f / df if df else complex(math.inf)
+        dw = (duL - duR) / scale
+    return (uL - uR) / scale, dw, (mirror[2] + eR) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -594,16 +586,21 @@ def _wkb_window(model: ModelSpec, k: int, E_k: float) -> tuple[float, float]:
     return E_k * (k / (k + 0.5)) ** p, E_k * ((k + 1.0) / (k + 0.5)) ** p
 
 
-def _check_shift(model: ModelSpec, E: complex, check: _Path,
+def _check_shift(model: ModelSpec, E: complex, check: _Path, slope: complex,
                  rtol: float) -> tuple[float, float]:
-    """(|root of the defect on `check` - E|, |defect on `check` at E|), the
-    root from one Newton step at E, whose slope the check path's own shot
-    gives.  Both are inf where the check path fails to integrate."""
+    """(bound on |root of the defect on `check` - E|, |defect on `check` at
+    E|).  The root is one Newton step from E with the solve's slope dw/dE:
+    at a fixed match point the defect does not depend on the path, so
+    neither does its slope, and the solve's is free of the rounding the
+    check path's chord may amplify.  The chord of `check` may stop at a
+    rounding floor of any height, so the bound adds the step that the
+    defect's uncertainty there allows.  Both are inf where the check path
+    fails to integrate."""
     try:
-        w, dE = _matching_defect(model, E, check, rtol)
+        w, _, err = _matching_defect(model, E, check, rtol)
     except ShootingError:
         return math.inf, math.inf
-    return abs(dE), abs(w)
+    return (abs(w) + err) / abs(slope), abs(w)
 
 
 def _check_tolerances(tol: float, rtol: float) -> None:
@@ -630,7 +627,8 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     shooting its end point; the result is flagged converged only if the
     PT-reality check |Im E| <= 1e-8 |Re E| also holds, and if the root
     moves by at most CHECK_REL |E| on the check path (see the module
-    docstring), whose defect at E is then the residual.  A real seed takes
+    docstring and _check_shift, which takes the slope of the last shot),
+    whose defect at E is then the residual.  A real seed takes
     one shot per defect and stays real, so its root passes the PT-reality
     check as it stands; a complex seed takes two, at E and conj E (see
     _matching_defect).
@@ -655,7 +653,7 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     lo, hi = min(lo, E.real), max(hi, E.real)
     try:
         path = _build_path(model, abs(E), radius_factor, rtol)
-        w, dE = _matching_defect(model, E, path, rtol)
+        w, dw, _ = _matching_defect(model, E, path, rtol)
     except ShootingError as exc:
         logger.warning("integration failed at seed for k=%d: %s", k, exc)
         return EigenResult(k, E, math.inf, 0, False)
@@ -663,6 +661,7 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     converged = False
     sides: dict[bool, float] = {}   # the last real iterate on either sign of w
     for iterations in range(1, MAX_ITER + 1):
+        dE = -w / dw if dw else complex(math.inf)
         if not cmath.isfinite(dE):
             break
         cap = 0.25 * abs(E)
@@ -689,7 +688,7 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
             if abs(abs(E) - path.E_ref) > PATH_BAND * path.E_ref:
                 path = _build_path(model, abs(E), radius_factor, rtol)
                 sides.clear()
-            w, dE = _matching_defect(model, E, path, rtol)
+            w, dw, _ = _matching_defect(model, E, path, rtol)
         except ShootingError as exc:
             logger.warning("integration failed at E=%s for k=%d: %s", E, k, exc)
             return EigenResult(k, E, math.inf, iterations, False)
@@ -698,14 +697,9 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
         logger.warning("PT-reality violated for k=%d: E=%s", k, E)
     if not converged:
         return EigenResult(k, E, abs(w), iterations, False)
-    # the kept counts meet the solve's leg tolerance; a count scales as
-    # tol^(-1/_DEGREE), and the check's first leg runs on past x_t
-    check_rtol = max(rtol, CHECK_RTOL)
-    scale = (_leg_tol(rtol) / _leg_tol(check_rtol)) ** (1.0 / _DEGREE)
     check = replace(path, corner=CHECK_CORNER * path.corner, u_ref=None,
-                    panels=(math.ceil(2.0 * scale * path.panels[0]),
-                            math.ceil(scale * path.panels[1])))
-    shift, residual = _check_shift(model, E, check, check_rtol)
+                    panels=(2 * path.panels[0], path.panels[1]), floors=True)
+    shift, residual = _check_shift(model, E, check, dw, rtol)
     path_ok = shift <= CHECK_REL * abs(E)
     if pt_real and not path_ok:
         logger.warning("path-dependent root for k=%d at E=%s", k, E)

@@ -13,6 +13,7 @@ import ptwell.wkb as wkb
 from _arch_oracle import crossing as arch_crossing
 from _ray_oracle import _segment as oracle_segment
 from _ray_oracle import _wkb_start
+from _mp_oracle import level as mp_level
 from _ray_oracle import level as oracle_level
 from conftest import GOLDEN_ROWS, QUARTIC_LEVELS, oscillator_levels
 from ptwell.cli import TABLE_GRID
@@ -427,7 +428,7 @@ class TestOneRayDefect:
         model = ModelSpec(M, eps)
         E = complex(shooting.default_seed(model, k))
         path = replace(_path(model, E.real), u_ref=None)
-        w, _ = shooting._matching_defect(model, E, path, shooting.DEFAULT_RTOL)
+        w = shooting._matching_defect(model, E, path, shooting.DEFAULT_RTOL)[0]
         uL, uR = _u_left(model, E, path), _u(model, E, path)
         assert w.imag == 0.0
         assert abs(w - (uL - uR) / ((1 + abs(uL)) * (1 + abs(uR)))) <= 1e-12
@@ -645,7 +646,7 @@ class TestWkbWindow:
         model = ModelSpec(1, 2.0)
         root = 1.3 * shooting.default_seed(model, 24)
         monkeypatch.setattr(shooting, "_matching_defect",
-                            lambda model, E, path, rtol: ((E - root) / root, root - E))
+                            lambda model, E, path, rtol: ((E - root) / root, 1.0 / root, 0.0))
         res = solve_level(model, 24)
         assert not res.converged
         assert res.iterations <= 5
@@ -1005,21 +1006,14 @@ class TestSolvePath:
             return potential(model, x)
 
         def recorded_legs(model, E, path):
-            # q on the leg's end and probes, kept on the nodes of n panels
-            def recorded(j, q, kept):
+            def recorded(j, q):
                 def q_used(s):
                     calls[0] += 1
                     used.add((path.R, path.corner, path.ym, j, s.shape))
                     return q(s)
-
-                def kept_used(n):
-                    calls[0] += 1
-                    used.add((path.R, path.corner, path.ym, j, (n, shooting._DEGREE + 1)))
-                    return kept(n)
-                return q_used, kept_used
-            return [(q_used, length, u, kept_used) for j, (q, length, u, kept)
-                    in enumerate(legs(model, E, path))
-                    for q_used, kept_used in [recorded(j, q, kept)]]
+                return q_used
+            return [(recorded(j, q), length, u)
+                    for j, (q, length, u) in enumerate(legs(model, E, path))]
 
         monkeypatch.setattr(shooting, "potential_value", counted_potential)
         monkeypatch.setattr(shooting, "_legs", recorded_legs)
@@ -1030,23 +1024,23 @@ class TestSolvePath:
         assert evaluated[0] == len(used)
         # with no rebuild: per leg the build's probes, end and first pair,
         # then the stored pair; on the check path its end and pair.  That is
-        # 18 node sets however many shots are taken, while a shot calls q or
-        # kept on 6 (two passes and the end, per leg)
+        # 18 node sets however many shots are taken, while a shot calls q on
+        # 6 (two passes and the end, per leg)
         assert shots[0] > 3
         assert evaluated[0] <= 18 < 6 * shots[0] <= calls[0]
 
     @pytest.mark.parametrize("M,eps,k", [(1, 8.0, 0)] + [(1, 2.0, k) for k in range(8, 17)])
     def test_one_defect_check_shift(self, monkeypatch, M, eps, k):
         # the check-path shift, a Newton step on the exact slope of the
-        # check path's one shot, is within a factor 2 of a secant step
-        # between E and 1.001 E on the check path; the check-path defect at
-        # E is the result's residual
+        # solve's last shot, is within a factor 2 of a secant step between E
+        # and 1.001 E on the check path; the check-path defect at E is the
+        # result's residual
         model = ModelSpec(M, eps)
         seen = []
         check_shift = shooting._check_shift
 
-        def recorded(model, E, check, rtol):
-            out = check_shift(model, E, check, rtol)
+        def recorded(model, E, check, slope, rtol):
+            out = check_shift(model, E, check, slope, rtol)
             seen.append((E, check, out))
             return out
 
@@ -1054,8 +1048,8 @@ class TestSolvePath:
         res = solve_level(model, k)
         assert res.converged
         (E, check, (shift, residual)), = seen
-        c0, _ = shooting._matching_defect(model, E, check, shooting.DEFAULT_RTOL)
-        c1, _ = shooting._matching_defect(model, 1.001 * E, check, shooting.DEFAULT_RTOL)
+        c0 = shooting._matching_defect(model, E, check, shooting.DEFAULT_RTOL)[0]
+        c1 = shooting._matching_defect(model, 1.001 * E, check, shooting.DEFAULT_RTOL)[0]
         two = abs(c0 * 0.001 * E / (c1 - c0))
         assert 0.5 * two <= shift <= 2.0 * two
         assert res.residual == residual == abs(c0)
@@ -1166,7 +1160,7 @@ class TestSlope:
         if (M, eps, k) == (1, 2.0, 5):
             energies.append(complex(E, 0.1 * math.sqrt(E)))
         for E in energies:
-            u, du = shooting._u_interior(model, E, path, shooting.DEFAULT_RTOL)
+            u, du, _ = shooting._u_interior(model, E, path, shooting.DEFAULT_RTOL)
             h = 1e-5 * abs(E)
             up, um = (_u(model, E + d, path) for d in (h, -h))
             errors = [abs(du - (up - um) / (2 * h)) / abs(du)]
@@ -1201,14 +1195,14 @@ class TestSlope:
         segment = shooting._segment
 
         def zeroed(leg, *args):
-            psi, dpsi, w, n = segment(leg, *args)
-            return (0.0 if leg[1] == chord else psi), dpsi, w, n
+            psi, *rest = segment(leg, *args)
+            return (0.0 if leg[1] == chord else psi), *rest
 
         monkeypatch.setattr(shooting, "_segment", zeroed)
-        u, du = shooting._u_interior(model, complex(E), path, shooting.DEFAULT_RTOL)
+        u, du, _ = shooting._u_interior(model, complex(E), path, shooting.DEFAULT_RTOL)
         assert cmath.isfinite(u) and cmath.isfinite(du) and abs(u) > 1e15
-        w, dE = shooting._matching_defect(model, complex(E), path, shooting.DEFAULT_RTOL)
-        assert abs(w) <= 1e-12 and abs(dE) <= 1e-12 * E
+        w, dw, _ = shooting._matching_defect(model, complex(E), path, shooting.DEFAULT_RTOL)
+        assert abs(w) <= 1e-12 and abs(w / dw) <= 1e-12 * E
 
 
 class TestNewtonSafeguards:
@@ -1279,7 +1273,7 @@ class TestFirstIterate:
         def recorded(model, E, path, rtol):
             energies.append(E)
             out = defect(model, E, path, rtol)
-            steps.append(out[1])
+            steps.append(-out[0] / out[1])
             return out
 
         monkeypatch.setattr(shooting, "_matching_defect", recorded)
@@ -1342,6 +1336,64 @@ class TestFirstIterate:
             assert res.converged, k
             gap = 1.0 - res.E.real / wkb_energy_next(k, 28.0)
             assert gap == pytest.approx(gap12 * (12.5 / (k + 0.5)) ** 4, rel=0.005)
+
+
+class TestCheckFloor:
+    # off the arch the check path's chord amplifies rounding: at high levels
+    # and large eps its passes stop at a rounding floor near 1e-6, above the
+    # sqrt(tol) a solve's leg may stop at.  The chord keeps its last pass,
+    # and the move counted adds the step the floor's uncertainty allows
+
+    @staticmethod
+    def _checked(monkeypatch, model, k):
+        """The result of a solve, and (E, check path, slope) of its check."""
+        seen, check_shift = [], shooting._check_shift
+
+        def recorded(model, E, check, slope, rtol):
+            seen.append((E, check, slope))
+            return check_shift(model, E, check, slope, rtol)
+
+        monkeypatch.setattr(shooting, "_check_shift", recorded)
+        res = solve_level(model, k)
+        (checked,) = seen
+        return res, checked
+
+    def test_verdict_does_not_turn_on_last_bits(self, monkeypatch):
+        # at (1, 28, 21), with the sqrt(tol) bound on its floor, the check's
+        # chord raised past _MAX_PANELS at 27 of the 41 energies within 20
+        # ulps of the level, so the verdict turned on E's last bits; kept at
+        # its floor, the move counted stays far below CHECK_REL
+        model = ModelSpec(1, 28.0)
+        res, (E, check, slope) = self._checked(monkeypatch, model, 21)
+        assert res.converged
+        rtol = shooting.DEFAULT_RTOL
+        us, errs = [], []
+        for i in range(-6, 7):
+            Ei = E + i * math.ulp(E.real)
+            uR, _, err = shooting._u_interior(model, Ei, check, rtol)
+            us.append(uR)
+            errs.append(err)
+            w_err = shooting._matching_defect(model, Ei, check, rtol)[2]
+            shift, _ = shooting._check_shift(model, Ei, check, slope, rtol)
+            assert w_err / abs(slope) <= shift <= 0.2 * shooting.CHECK_REL * Ei.real, i
+        # the floors' uncertainties of u cover its scatter over the 13
+        # energies, where the level itself moves u by 1e-5
+        assert min(errs) > 0.0
+        assert all(abs(us[a] - us[b]) <= errs[a] + errs[b]
+                   for a in range(len(us)) for b in range(a))
+        with pytest.raises(shooting.ShootingError):
+            shooting._u_interior(model, E, replace(check, floors=False), rtol)
+
+    @pytest.mark.parametrize("eps,k", [(28.0, 21), (56.0, 10), (58.0, 9)])
+    def test_floor_levels_against_mp_oracle(self, monkeypatch, eps, k):
+        # levels whose check stops at a floor: the high-precision oracle,
+        # on its own straight-ray path, puts each within 1e-14 of the solve
+        model = ModelSpec(1, eps)
+        res, (E, check, _) = self._checked(monkeypatch, model, k)
+        assert res.converged
+        assert shooting._u_interior(model, E, check, shooting.DEFAULT_RTOL)[2] > 0.0
+        E_ref = float(mp_level(1, eps, res.E.real))
+        assert abs(res.E.real - E_ref) <= 1e-14 * E_ref
 
 
 class TestHermitianLevels:
@@ -1444,8 +1496,8 @@ class TestScan:
         results = scan_levels([ModelSpec(1, eps) for eps in (0.0, 0.1, 0.2, 0.3)], 2)
         assert calls == [(eps, k) for eps in (0.1, 0.2) for k in range(3)]
         shot = [(r.E, r.iterations) for r in results if r.iterations]
-        assert shot == [(1.0030970656620783 + 0j, 3), (3.0611351519218113 + 0j, 2),
-                        (5.1670858423666255 + 0j, 3), (1.0100685202881652 + 0j, 3),
+        assert shot == [(1.0030970656620786 + 0j, 3), (3.0611351519218117 + 0j, 2),
+                        (5.1670858423666255 + 0j, 3), (1.010068520288165 + 0j, 3),
                         (3.1370668462544784 + 0j, 3), (5.357600879563637 + 0j, 3)]
 
     @pytest.mark.parametrize("M,want", [

@@ -20,7 +20,7 @@ from ptwell.cli import TABLE_GRID
 from ptwell.geometry import (ModelSpec, potential_value, turning_points,
                              turning_radius, wedge_angles)
 from ptwell.shooting import match_height, scan_levels, solve_level
-from ptwell.wkb import wkb_energy_closed, wkb_energy_next, wkb_energy_quadrature
+from ptwell.wkb import wkb_energy_closed, wkb_energy_next
 
 
 def _path(model, E):
@@ -615,42 +615,50 @@ class TestMatchHeightRoot:
         assert abs(got - arch_crossing(M, eps, E)) <= 1e-13 * max(1.0, r)
 
 
-def _bohr_sommerfeld(model, k):
-    # leading WKB level; k may be a half-integer
-    if model.M == 1:
-        return wkb_energy_closed(k, model.epsilon)
-    return wkb_energy_quadrature(model, k)
+def _window(model, k):
+    # log-midpoints of the next-order WKB energies of level k's neighbours
+    w = [wkb_energy_next(j, model.epsilon, model.M) for j in (k - 1, k, k + 1) if j >= 0]
+    return (math.sqrt(w[0] * w[1]) if k else 0.0), math.sqrt(w[-2] * w[-1])
 
 
 class TestWkbWindow:
     @pytest.mark.parametrize("M,eps", [(1, 0.0), (1, 2.0), (1, 58.0), (2, 1.0),
-                                       (3, 3.9)])
+                                       (3, 3.9), (2, 6.0), (4, 58.0)])
     @pytest.mark.parametrize("k", [0, 1, 5, 24])
     def test_bohr_sommerfeld_neighbours(self, M, eps, k):
         model = ModelSpec(M, eps)
-        lo, hi = shooting._wkb_window(model, k, shooting.default_seed(model, k))
+        lo, hi = shooting._wkb_window(model, k)
+        assert (lo, hi) == pytest.approx(_window(model, k), rel=1e-14)
+        w = [wkb_energy_next(j, eps, M) for j in range(k + 2)]
         if k == 0:
             assert lo == 0.0
         else:
-            assert lo == pytest.approx(_bohr_sommerfeld(model, k - 0.5), rel=1e-12)
-        assert hi == pytest.approx(_bohr_sommerfeld(model, k + 0.5), rel=1e-12)
+            assert w[k - 1] < lo < w[k]
+        assert w[k] < hi < w[k + 1]
 
-    def test_none_at_limit_scale_seed(self):
+    def test_finite_at_limit_scale_seed(self):
+        # where default_seed is the solvable-limit scale the bracket is the
+        # same next-order one; at (2, 6) it holds the levels 2.6512775
+        # (k = 0) and 45.906028 (k = 3)
         model = ModelSpec(2, 6.0)
-        assert shooting._wkb_window(model, 0, shooting.default_seed(model, 0)) == \
-            (0.0, math.inf)
+        for k, E in ((0, 2.6512775), (3, 45.90602785378239)):
+            lo, hi = shooting._wkb_window(model, k)
+            assert 0.0 <= lo < E < hi < math.inf
 
     def test_ends_runaway_secant(self, monkeypatch, caplog):
-        # a defect whose only root lies 30% above the seed, outside the
-        # window: the first capped secant step leaves it
+        # a defect with the sign (-1)^k below its only root, which lies 30%
+        # above the seed, outside the bracket: every iterate is below the
+        # level, so the bracket narrows from below until it is tol wide
         model = ModelSpec(1, 2.0)
         root = 1.3 * shooting.default_seed(model, 24)
         monkeypatch.setattr(shooting, "_matching_defect",
-                            lambda model, E, path, rtol: ((E - root) / root, 1.0 / root, 0.0))
+                            lambda model, E, path, rtol: ((root - E) / root, -1.0 / root, 0.0))
         res = solve_level(model, 24)
+        lo, hi = shooting._wkb_window(model, 24)
         assert not res.converged
-        assert res.iterations <= 5
-        assert "WKB window" in caplog.text
+        assert hi * (1.0 - 1e-9) <= res.E.real < hi
+        assert res.iterations <= 40
+        assert "no sign change" in caplog.text
 
     def test_converging_iterates_stay_inside(self, monkeypatch):
         # with no level certified by the spectral engine, the scans shoot
@@ -680,17 +688,46 @@ class TestWkbWindow:
         for M in (1, 2):
             scan_levels([ModelSpec(M, eps) for eps in (0.0, 1.0, 2.0, 3.0)], 5)
         assert len(solves) == 12 + 2 * 4 * 6
-        windowed = 0
+        # every defect after the seed's, the check path's too, lies in the
+        # bracket, at every (M, eps)
         for model, k, seed, energies in solves:
-            if model.M > 1 and model.epsilon >= 4.0:
-                continue
-            lo = _bohr_sommerfeld(model, k - 0.5) if k else 0.0
-            hi = _bohr_sommerfeld(model, k + 0.5)
-            if seed is not None:
-                lo, hi = min(lo, seed.real), max(hi, seed.real)
-            assert energies and all(lo <= E <= hi for E in energies), (model, k)
-            windowed += 1
-        assert windowed == 6 + 2 * 4 * 6
+            lo, hi = _window(model, k)
+            assert len(energies) > 1 and all(lo <= E <= hi for E in energies[1:]), (model, k)
+
+
+class TestSignBracket:
+    # the spectrum is real, so on the real axis the defect changes sign only
+    # at a level, and below level j it has the sign (-1)^j on every path:
+    # the bracket narrows by it, and a level's label does not depend on
+    # its seed
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 2.0, 8.0, 58.0])
+    def test_sign_below_each_level(self, M, eps):
+        # at the lower window edge of levels 1..10, and at a quarter of the
+        # next-order ground energy, below level 0 (which lies within
+        # 0.55..1.14 of it)
+        model = ModelSpec(M, eps)
+        for j in range(11):
+            E = shooting._wkb_window(model, j)[0] if j else 0.25 * wkb_energy_next(0, eps, M)
+            w = shooting._matching_defect(model, complex(E), _path(model, E),
+                                          shooting.DEFAULT_RTOL)[0]
+            assert w.imag == 0.0 and w.real != 0.0
+            assert (w.real > 0.0) == (j % 2 == 0), (j, E, w)
+
+    @pytest.mark.parametrize("M,eps,k,E_ref", [
+        (3, 20.0, 2, 86.824345056556),      # converged to level 1, 36.571
+        (2, 28.0, 8, 2960.7136086),         # to level 7, 2324.49
+        (4, 4.0, 4, 40.146886831084),       # to level 3, 26.221
+        (4, 58.0, 4, 1203.93839208865)])    # to level 5, 1723.07
+    def test_labels_against_ray_oracle(self, M, eps, k, E_ref):
+        # from the solvable-limit seed at M >= 2, eps >= 4, where no bracket
+        # held the iterates, these converged, flagged converged, to the
+        # neighbouring level in the comment
+        res = solve_level(ModelSpec(M, eps), k)
+        assert res.converged
+        E = oracle_level(M, eps, E_ref * (1.0 - 1e-8), E_ref * (1.0 + 1e-8))
+        assert abs(res.E.real - E) <= 1e-9 * E
 
 
 class TestSolveLevel:
@@ -1019,7 +1056,7 @@ class TestSolvePath:
         monkeypatch.setattr(shooting, "_legs", recorded_legs)
         monkeypatch.setattr(shooting, "_shoot", counted_shoot)
         # from the leading WKB seed, 1e-4 off, Newton takes three steps
-        res = solve_level(model, 11, seed=shooting.default_seed(model, 11))
+        res = solve_level(model, 11, seed=wkb_energy_closed(11, 2.0))
         assert res.converged
         assert evaluated[0] == len(used)
         # with no rebuild: per leg the build's probes, end and first pair,
@@ -1496,18 +1533,18 @@ class TestScan:
         results = scan_levels([ModelSpec(1, eps) for eps in (0.0, 0.1, 0.2, 0.3)], 2)
         assert calls == [(eps, k) for eps in (0.1, 0.2) for k in range(3)]
         shot = [(r.E, r.iterations) for r in results if r.iterations]
-        assert shot == [(1.0030970656620786 + 0j, 3), (3.0611351519218117 + 0j, 2),
-                        (5.1670858423666255 + 0j, 3), (1.010068520288165 + 0j, 3),
-                        (3.1370668462544784 + 0j, 3), (5.357600879563637 + 0j, 3)]
+        assert shot == [(1.0030970656620783 + 0j, 3), (3.0611351519218113 + 0j, 3),
+                        (5.167085842366626 + 0j, 3), (1.0100685202881652 + 0j, 3),
+                        (3.137066846254479 + 0j, 3), (5.357600879563636 + 0j, 2)]
 
     @pytest.mark.parametrize("M,want", [
         (2, [1.905812, 7.753113, 17.684143, 29.998397, 44.784535, 61.656818]),
         (3, [1.743317, 6.963227, 15.562837, 27.161729, 41.103504, 57.296217])])
     def test_labels_at_limit_scale_seeds(self, M, want):
-        # at eps >= 4, M >= 2 default_seed is no WKB bracket, and shooting
-        # from it gave levels 3 and 4 (M = 2) or 3, 4 and 5 (M = 3) one
-        # energy; these certified spectral values are roots that shooting
-        # started from them converges to
+        # at eps >= 4, M >= 2 default_seed is the solvable-limit scale, and
+        # before the sign bracket shooting from it gave levels 3 and 4
+        # (M = 2) or 3, 4 and 5 (M = 3) one energy; these certified spectral
+        # values are roots that shooting started from them converges to
         results = scan_levels([ModelSpec(M, 4.0)], 5)
         assert [r.E.real for r in results] == pytest.approx(want, abs=1e-6)
         assert all(r.converged and r.iterations == 0 and r.residual <= 1e-9

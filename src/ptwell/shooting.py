@@ -59,18 +59,14 @@ and is real, so a real seed keeps Newton on the real axis, and its root
 passes the PT-reality check |Im E| <= 1e-8 |Re E| as it stands; complex E
 takes two shots, and a complex root is held to that check.  Since a real
 root cannot fail it, a converged root is also re-checked on a second path
-to the same match point, whose vertex is CHECK_CORNER x_t: an eigenvalue
-does not depend on the path, so a root that moves there by more than
-CHECK_REL |E| is reported unconverged (_check_shift gives the move, and
-the defect there, which is the result's residual).  Its first leg runs on
-past x_t, so it starts from twice the count kept for the solve's.  Off the
-arch, its chord amplifies rounding: at high levels and large eps (1, 28, 21
-and up) its passes stop at a rounding floor of 1e-6 and more, above the
-sqrt(tol) a solve's leg may stop at.  There the chord keeps its last pass,
-and the move counted is the Newton step plus the step that the floor's
-uncertainty of the defect allows.  All operations are pure.  scan_levels
-shoots only the levels that the spectral engine (ptwell.spectral) does not
-certify.
+to the same match point, whose vertex lies inside x_t: an eigenvalue does
+not depend on the path, so a root that moves there by more than CHECK_REL
+|E| is reported unconverged (_check_shift gives the move, and the defect
+there, which is the result's residual).  Off the arch the check chord
+amplifies rounding, so a budget of e-folds places its vertex (_check_path),
+and every leg keeps one rule: agree to tol, or stop at a rounding floor of
+at most sqrt(tol).  All operations are pure.  scan_levels shoots only the
+levels that the spectral engine (ptwell.spectral) does not certify.
 """
 
 from __future__ import annotations
@@ -100,7 +96,7 @@ DEFAULT_TOL = 1e-9          # Newton convergence: |dE| <= tol |E|
 MAX_DEPTH = 120.0           # cap so radius_factor cannot explode the run
 MAX_ITER = 60
 PATH_BAND = 0.05            # |E| band per path; moves the decay depth at R by < 1
-CHECK_CORNER = 0.95         # corner radius of the check path, in turning radii
+CHECK_CORNER = 0.95         # the check path's farthest corner, in turning radii
 CHECK_REL = 1e-6            # root shift allowed on the check path: the six
                             # significant digits the golden tables print
 
@@ -305,15 +301,13 @@ def _phase_count(q, length: float, rtol: float) -> int:
 
 
 def _segment(leg: tuple, psi: complex, dpsi: complex, panels: int, rtol: float,
-             first: Sequence[list[complex]], w: complex = 0j,
-             floors: bool = False) -> tuple[complex, complex, complex, float, int]:
+             first: Sequence[list[complex]],
+             w: complex = 0j) -> tuple[complex, complex, complex, int]:
     """(psi, dpsi/dx, W) at the end x1 of `leg` (see _legs) from their
-    values at its start, up to a common scale (W to its square), the
-    uncertainty of psi'/psi at x1 that a rounding floor leaves (0 after
-    agreement), and the panel count to start from on a leg like it.
-    `first` holds the _transfers entries of the first passes.
-    W = psi psi_E' - psi' psi_E has W' = -psi^2, so the leg takes
-    int psi^2 dx off it.
+    values at its start, up to a common scale (W to its square), and the
+    panel count to start from on a leg like it.  `first` holds the
+    _transfers entries of the first passes.  W = psi psi_E' - psi' psi_E
+    has W' = -psi^2, so the leg takes int psi^2 dx off it.
 
     The count, `panels` first, is doubled until the results for n and 2n
     agree in (psi, psi_s/k), k = sqrt|q| + 1 at x1, to
@@ -322,9 +316,7 @@ def _segment(leg: tuple, psi: complex, dpsi: complex, panels: int, rtol: float,
     a gap of at most sqrt(tol) by less than 8, where the truncation error
     shrinks by far more, so the rest is rounding.  The bound keeps out
     coarse counts, whose gaps stall at O(1): a count too small is doubled,
-    never trusted.  With `floors` the bound is dropped, for a leg whose
-    caller weighs the uncertainty: a gap g between the directions of
-    (psi, psi_s/k) moves psi'/psi by about g (k + |psi'/psi|^2 / k).
+    never trusted.  The check path's chord keeps this rule too (_check_path).
 
     The count returned: the gap falls as n^-_DEGREE, so a pair (n, 2n) at
     gap g puts the pair that meets tol with a margin of 4 at
@@ -349,11 +341,9 @@ def _segment(leg: tuple, psi: complex, dpsi: complex, panels: int, rtol: float,
                 math.hypot(abs(prev[0]), abs(prev[1])) * math.hypot(abs(a0), abs(a1)))
             best = min(best, panels / 2 * (4.0 * gap / tol) ** (1.0 / _DEGREE))
             if gap <= tol:
-                return (y0, y1 / u, d * w - u * norm, 0.0,
-                        max(1, panels // 4, math.ceil(best)))
-            if 8.0 * gap > last and (floors or gap <= math.sqrt(tol)):
-                err = gap * (k + abs(y1 / y0) ** 2 / k) if y0 else math.inf
-                return y0, y1 / u, d * w - u * norm, err, panels // 4
+                return y0, y1 / u, d * w - u * norm, max(1, panels // 4, math.ceil(best))
+            if 8.0 * gap > last and gap <= math.sqrt(tol):
+                return y0, y1 / u, d * w - u * norm, panels // 4
         prev, panels = (a0, a1), 2 * panels
 
 
@@ -406,11 +396,10 @@ def match_height(model: ModelSpec, E: float) -> float:
 class _Path:
     """Path of one solve, built for |E| = E_ref: a straight leg from
     R e^{i theta} to the vertex, the turning point x_t of E_ref scaled to
-    radius `corner` (CHECK_CORNER r_t on the check path), then a chord to
-    the match point -i ym.  The legs start from `panels` Chebyshev panels;
-    `v` keeps V (see _legs); `u_ref` is what _u_interior returns at E_ref,
-    from the build's shot.  With `floors` (the check path) the chord may
-    stop at a rounding floor above sqrt(tol) (see _segment)."""
+    radius `corner` (inside r_t on the check path, see _check_path), then a
+    chord to the match point -i ym.  The legs start from `panels` Chebyshev
+    panels; `v` keeps V (see _legs); `u_ref` is what _u_interior returns at
+    E_ref, from the build's shot."""
 
     E_ref: float
     ym: float
@@ -419,9 +408,7 @@ class _Path:
     R: float
     panels: tuple[int, int]
     v: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    u_ref: tuple[complex, complex, float] | None = field(default=None, repr=False,
-                                                         compare=False)
-    floors: bool = False
+    u_ref: tuple[complex, complex] | None = field(default=None, repr=False, compare=False)
 
 
 def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
@@ -449,11 +436,10 @@ def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
 
 
 def _shoot(model: ModelSpec, E: complex, path: _Path, panels: tuple[int, int],
-           rtol: float) -> tuple[complex, complex, float, tuple[int, int]]:
-    """psi'/psi at -i ym, its E-derivative and its uncertainty from the
-    chord's last gap, carried along the legs of `path` from `panels` first,
-    whose first two passes take one call of _transfers; and the counts
-    _segment returns.
+           rtol: float) -> tuple[complex, complex, tuple[int, int]]:
+    """psi'/psi at -i ym and its E-derivative, carried along the legs of
+    `path` from `panels` first, whose first two passes take one call of
+    _transfers; and the counts _segment returns.
 
     The derivative is W/psi^2 at -i ym: W = psi psi_E' - psi' psi_E starts
     at the outer point as the E-derivative of the WKB start and loses
@@ -463,12 +449,11 @@ def _shoot(model: ModelSpec, E: complex, path: _Path, panels: tuple[int, int],
     legs = _legs(model, E, path)
     firsts = _transfers([(q, length, (n, 2 * n))
                          for (q, length, _), n in zip(legs, panels)])
-    psi, dpsi, w, _, ray = _segment(legs[0], psi, dpsi, panels[0], rtol, firsts[:2], w)
-    psi, dpsi, w, err, chord = _segment(legs[1], psi, dpsi, panels[1], rtol, firsts[2:], w,
-                                        path.floors)
+    psi, dpsi, w, ray = _segment(legs[0], psi, dpsi, panels[0], rtol, firsts[:2], w)
+    psi, dpsi, w, chord = _segment(legs[1], psi, dpsi, panels[1], rtol, firsts[2:], w)
     if psi == 0.0:      # a node at -i ym to the last bit: psi is one rounding unit
         psi = 2.0 ** -53 * abs(dpsi)
-    return dpsi / psi, w / (psi * psi), err, (ray, chord)
+    return dpsi / psi, w / (psi * psi), (ray, chord)
 
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
@@ -498,25 +483,24 @@ def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
 
 
 def _u_interior(model: ModelSpec, E: complex, path: _Path,
-                rtol: float) -> tuple[complex, complex, float]:
-    """psi'/psi at -i ym, integrated along `path` from the outer point, its
-    E-derivative and its uncertainty (see _shoot)."""
+                rtol: float) -> tuple[complex, complex]:
+    """psi'/psi at -i ym, integrated along `path` from the outer point, and
+    its E-derivative (see _shoot)."""
     if not cmath.isfinite(E):
         raise ShootingError("non-finite energy")
-    return _shoot(model, E, path, path.panels, rtol)[:3]
+    return _shoot(model, E, path, path.panels, rtol)[:2]
 
 
 def _matching_defect(model: ModelSpec, E: complex, path: _Path,
-                     rtol: float) -> tuple[complex, complex, float]:
-    """(w, dw, dw_err) at E: the interior-matched defect
+                     rtol: float) -> tuple[complex, complex]:
+    """(w, dw) at E: the interior-matched defect
     w = (u_L - u_R) / ((1 + |u_L|)(1 + |u_R|)), with u = psi'/psi at -i ym
     on `path`, and its slope dw = f' w/f, whose Newton step -w/dw is the
     step -f/f' on the holomorphic numerator f = u_L - u_R, or on
     f = 1/u_L - 1/u_R where u_R is large: beyond k_m = sqrt|E - V(-i ym)| + 1,
     the WKB wavenumber there, or beyond 1 with |u_L - u_R| > |u_L + u_R|.
     w/f, the normalization, is formed from u_L and u_R, so dw is finite
-    where f vanishes.  dw_err is the uncertainty of w that the
-    uncertainties of u_L and u_R leave.
+    where f vanishes.
 
     The product normalization keeps the defect bounded and vanishing at
     every eigenvalue, including states whose wavefunction has a node at the
@@ -537,10 +521,10 @@ def _matching_defect(model: ModelSpec, E: complex, path: _Path,
     is the build's shot (u_ref), not a second shot of the same leg.
     """
     if E == path.E_ref and path.u_ref is not None:
-        uR, duR, eR = path.u_ref
+        uR, duR = path.u_ref
     else:
-        uR, duR, eR = _u_interior(model, E, path, rtol)
-    mirror = (uR, duR, eR) if E.imag == 0.0 else _u_interior(model, E.conjugate(), path, rtol)
+        uR, duR = _u_interior(model, E, path, rtol)
+    mirror = (uR, duR) if E.imag == 0.0 else _u_interior(model, E.conjugate(), path, rtol)
     uL, duL = -mirror[0].conjugate(), -mirror[1].conjugate()
     scale = (1.0 + abs(uL)) * (1.0 + abs(uR))
     if abs(uR) > math.sqrt(abs(E - potential_value(model, -1j * path.ym))) + 1.0 or (
@@ -549,7 +533,7 @@ def _matching_defect(model: ModelSpec, E: complex, path: _Path,
         dw = (duR / (uR * uR) - duL / (uL * uL)) * (-uL * uR) / scale
     else:
         dw = (duL - duR) / scale
-    return (uL - uR) / scale, dw, (mirror[2] + eR) / scale
+    return (uL - uR) / scale, dw
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +569,38 @@ def _wkb_window(model: ModelSpec, k: int) -> tuple[float, float]:
     return (math.sqrt(w[0] * w[1]) if k else 0.0), math.sqrt(w[-2] * w[-1])
 
 
+def _check_path(model: ModelSpec, path: _Path, rtol: float) -> _Path:
+    """`path` with its vertex at c x_t, c = max(CHECK_CORNER, c_B): the path
+    a converged root is re-checked on.  Its chord amplifies rounding by
+    e^(2 g), g the net WKB growth |Im int sqrt(E - V) dx| on it.  V = E t^N
+    at t x_t, so g = r_t sqrt(E) cos(pi M/N) int_c^1 sqrt(1 - t^N) dt (from
+    x_t to -i ym it is 0: match_height puts ym on the arch), at most
+    G (2/3)(1 - c)^(3/2) with G = r_t sqrt(E N) cos(pi M/N).  c_B =
+    1 - (1.5 B/G)^(2/3) keeps g to B = 1/2 ln(sqrt(tol) 2^53), 10.9 e-folds
+    at the default rtol (tol = _leg_tol(rtol)): rounding stays below the
+    sqrt(tol) floor a leg may stop at (_segment).  The first leg runs on
+    past x_t, so it starts from twice the count kept for the solve's."""
+    n = 2.0 * model.M + model.epsilon
+    budget = 0.5 * math.log(math.sqrt(_leg_tol(rtol)) * 2.0 ** 53)
+    rate = path.corner * math.sqrt(path.E_ref * n) * math.cos(math.pi * model.M / n)
+    # G; at eps = 0 cos(pi M/N) is 0 up to rounding, and c_B far below CHECK_CORNER
+    c_b = 1.0 - (1.5 * budget / rate) ** (2.0 / 3.0) if rate > 0.0 else 0.0
+    return replace(path, corner=max(CHECK_CORNER, c_b) * path.corner, u_ref=None,
+                   panels=(2 * path.panels[0], path.panels[1]))
+
+
 def _check_shift(model: ModelSpec, E: complex, check: _Path, slope: complex,
                  rtol: float) -> tuple[float, float]:
-    """(bound on |root of the defect on `check` - E|, |defect on `check` at
-    E|).  The root is one Newton step from E with the solve's slope dw/dE:
-    at a fixed match point the defect does not depend on the path, so
-    neither does its slope, and the solve's is free of the rounding the
-    check path's chord may amplify.  The chord of `check` may stop at a
-    rounding floor of any height, so the bound adds the step that the
-    defect's uncertainty there allows.  Both are inf where the check path
-    fails to integrate."""
+    """(|root of the defect on `check` - E|, |defect on `check` at E|).  The
+    root is one Newton step from E with the solve's slope dw/dE: at a fixed
+    match point the defect does not depend on the path, so neither does its
+    slope, and the solve's is free of the rounding the check path's chord
+    may amplify.  Both are inf where the check path fails to integrate."""
     try:
-        w, _, err = _matching_defect(model, E, check, rtol)
+        w, _ = _matching_defect(model, E, check, rtol)
     except ShootingError:
         return math.inf, math.inf
-    return (abs(w) + err) / abs(slope), abs(w)
+    return abs(w) / abs(slope), abs(w)
 
 
 def _check_tolerances(tol: float, rtol: float) -> None:
@@ -631,8 +632,8 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     |dE| <= tol |E + dE|, and takes that step without shooting its end
     point; the result is flagged converged only if the PT-reality check
     |Im E| <= 1e-8 |Re E| also holds, and if the root moves by at most
-    CHECK_REL |E| on the check path (see the module docstring and
-    _check_shift, which takes the slope of the last shot), whose defect at
+    CHECK_REL |E| on the check path (see _check_path, and _check_shift,
+    which takes the slope of the last shot), whose defect at
     E is then the residual.  A real seed takes one shot per defect and
     stays real, so its root passes the PT-reality check as it stands; a
     complex seed takes two, at E and conj E (see _matching_defect).
@@ -650,7 +651,7 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     lo, hi = _wkb_window(model, k)
     try:
         path = _build_path(model, abs(E), radius_factor, rtol)
-        w, dw, _ = _matching_defect(model, E, path, rtol)
+        w, dw = _matching_defect(model, E, path, rtol)
     except ShootingError as exc:
         logger.warning("integration failed at seed for k=%d: %s", k, exc)
         return EigenResult(k, E, math.inf, 0, False)
@@ -682,7 +683,7 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
         try:
             if abs(abs(E) - path.E_ref) > PATH_BAND * path.E_ref:
                 path = _build_path(model, abs(E), radius_factor, rtol)
-            w, dw, _ = _matching_defect(model, E, path, rtol)
+            w, dw = _matching_defect(model, E, path, rtol)
         except ShootingError as exc:
             logger.warning("integration failed at E=%s for k=%d: %s", E, k, exc)
             return EigenResult(k, E, math.inf, iterations, False)
@@ -691,9 +692,7 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
         logger.warning("PT-reality violated for k=%d: E=%s", k, E)
     if not converged:
         return EigenResult(k, E, abs(w), iterations, False)
-    check = replace(path, corner=CHECK_CORNER * path.corner, u_ref=None,
-                    panels=(2 * path.panels[0], path.panels[1]), floors=True)
-    shift, residual = _check_shift(model, E, check, dw, rtol)
+    shift, residual = _check_shift(model, E, _check_path(model, path, rtol), dw, rtol)
     path_ok = shift <= CHECK_REL * abs(E)
     if pt_real and not path_ok:
         logger.warning("path-dependent root for k=%d at E=%s", k, E)

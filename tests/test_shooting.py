@@ -10,10 +10,10 @@ from scipy.special import airy, gamma, j0, j1, y0, y1
 
 import ptwell.shooting as shooting
 import ptwell.wkb as wkb
+import _sabotage as sabotage
 from _arch_oracle import crossing as arch_crossing
 from _ray_oracle import _segment as oracle_segment
 from _ray_oracle import _wkb_start
-from _mp_oracle import level as mp_level
 from _ray_oracle import level as oracle_level
 from conftest import GOLDEN_ROWS, QUARTIC_LEVELS, oscillator_levels
 from ptwell.cli import TABLE_GRID
@@ -652,7 +652,7 @@ class TestWkbWindow:
         model = ModelSpec(1, 2.0)
         root = 1.3 * shooting.default_seed(model, 24)
         monkeypatch.setattr(shooting, "_matching_defect",
-                            lambda model, E, path, rtol: ((root - E) / root, -1.0 / root, 0.0))
+                            lambda model, E, path, rtol: ((root - E) / root, -1.0 / root))
         res = solve_level(model, 24)
         lo, hi = shooting._wkb_window(model, 24)
         assert not res.converged
@@ -867,7 +867,8 @@ class TestSolvePath:
         model = ModelSpec(1, 8.0)
         E = 5.553310025131625
         path = shooting._build_path(model, E, 1.0, shooting.DEFAULT_RTOL)
-        check = replace(path, corner=shooting.CHECK_CORNER * path.corner)
+        check = shooting._check_path(model, path, shooting.DEFAULT_RTOL)
+        assert check.corner < path.corner
         for u_side in (_u, _u_left):
             u = u_side(model, E, path, 1e-11)
             u_check = u_side(model, E, check, 1e-11)
@@ -1068,10 +1069,10 @@ class TestSolvePath:
 
     @pytest.mark.parametrize("M,eps,k", [(1, 8.0, 0)] + [(1, 2.0, k) for k in range(8, 17)])
     def test_one_defect_check_shift(self, monkeypatch, M, eps, k):
-        # the check-path shift, a Newton step on the exact slope of the
-        # solve's last shot, is within a factor 2 of a secant step between E
-        # and 1.001 E on the check path; the check-path defect at E is the
-        # result's residual
+        # the check path is _check_path of the solve's path; its shift, a
+        # Newton step on the exact slope of the solve's last shot, is within
+        # a factor 2 of a secant step between E and 1.001 E on the check
+        # path; the check-path defect at E is the result's residual
         model = ModelSpec(M, eps)
         seen = []
         check_shift = shooting._check_shift
@@ -1085,6 +1086,8 @@ class TestSolvePath:
         res = solve_level(model, k)
         assert res.converged
         (E, check, (shift, residual)), = seen
+        assert check == shooting._check_path(model, _path(model, check.E_ref),
+                                             shooting.DEFAULT_RTOL)
         c0 = shooting._matching_defect(model, E, check, shooting.DEFAULT_RTOL)[0]
         c1 = shooting._matching_defect(model, 1.001 * E, check, shooting.DEFAULT_RTOL)[0]
         two = abs(c0 * 0.001 * E / (c1 - c0))
@@ -1197,7 +1200,7 @@ class TestSlope:
         if (M, eps, k) == (1, 2.0, 5):
             energies.append(complex(E, 0.1 * math.sqrt(E)))
         for E in energies:
-            u, du, _ = shooting._u_interior(model, E, path, shooting.DEFAULT_RTOL)
+            u, du = shooting._u_interior(model, E, path, shooting.DEFAULT_RTOL)
             h = 1e-5 * abs(E)
             up, um = (_u(model, E + d, path) for d in (h, -h))
             errors = [abs(du - (up - um) / (2 * h)) / abs(du)]
@@ -1236,9 +1239,9 @@ class TestSlope:
             return (0.0 if leg[1] == chord else psi), *rest
 
         monkeypatch.setattr(shooting, "_segment", zeroed)
-        u, du, _ = shooting._u_interior(model, complex(E), path, shooting.DEFAULT_RTOL)
+        u, du = shooting._u_interior(model, complex(E), path, shooting.DEFAULT_RTOL)
         assert cmath.isfinite(u) and cmath.isfinite(du) and abs(u) > 1e15
-        w, dw, _ = shooting._matching_defect(model, complex(E), path, shooting.DEFAULT_RTOL)
+        w, dw = shooting._matching_defect(model, complex(E), path, shooting.DEFAULT_RTOL)
         assert abs(w) <= 1e-12 and abs(w / dw) <= 1e-12 * E
 
 
@@ -1375,11 +1378,20 @@ class TestFirstIterate:
             assert gap == pytest.approx(gap12 * (12.5 / (k + 0.5)) ** 4, rel=0.005)
 
 
-class TestCheckFloor:
-    # off the arch the check path's chord amplifies rounding: at high levels
-    # and large eps its passes stop at a rounding floor near 1e-6, above the
-    # sqrt(tol) a solve's leg may stop at.  The chord keeps its last pass,
-    # and the move counted adds the step the floor's uncertainty allows
+# the sweep and the large-eps table of ROADMAP's grounding note
+SWEEP = [(M, eps, k) for M in (1, 2, 3, 4)
+         for eps in (0.0, 2.0, 8.0, 18.0, 28.0, 38.0, 48.0, 58.0)
+         for k in [*range(0, 29, 2), 29]]
+LARGE_EPS = [(M, eps, k) for M in (1, 2, 3, 4)
+             for eps in (100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0) for k in (0, 1, 2, 5)]
+
+
+class TestCheckVertex:
+    # off the arch the check path's chord amplifies rounding by e^(2 g), g
+    # its net WKB growth.  With its vertex fixed at CHECK_CORNER x_t, g grew
+    # with eps and k until the chord stopped at rounding floors of 1e-6 and
+    # more; _check_path moves the vertex towards x_t so that g stays within
+    # the budget B = 1/2 ln(sqrt(tol) 2^53), and the chord agrees like any leg
 
     @staticmethod
     def _checked(monkeypatch, model, k):
@@ -1395,42 +1407,85 @@ class TestCheckFloor:
         (checked,) = seen
         return res, checked
 
-    def test_verdict_does_not_turn_on_last_bits(self, monkeypatch):
-        # at (1, 28, 21), with the sqrt(tol) bound on its floor, the check's
-        # chord raised past _MAX_PANELS at 27 of the 41 energies within 20
-        # ulps of the level, so the verdict turned on E's last bits; kept at
-        # its floor, the move counted stays far below CHECK_REL
-        model = ModelSpec(1, 28.0)
-        res, (E, check, slope) = self._checked(monkeypatch, model, 21)
-        assert res.converged
-        rtol = shooting.DEFAULT_RTOL
-        us, errs = [], []
-        for i in range(-6, 7):
-            Ei = E + i * math.ulp(E.real)
-            uR, _, err = shooting._u_interior(model, Ei, check, rtol)
-            us.append(uR)
-            errs.append(err)
-            w_err = shooting._matching_defect(model, Ei, check, rtol)[2]
-            shift, _ = shooting._check_shift(model, Ei, check, slope, rtol)
-            assert w_err / abs(slope) <= shift <= 0.2 * shooting.CHECK_REL * Ei.real, i
-        # the floors' uncertainties of u cover its scatter over the 13
-        # energies, where the level itself moves u by 1e-5
-        assert min(errs) > 0.0
-        assert all(abs(us[a] - us[b]) <= errs[a] + errs[b]
-                   for a in range(len(us)) for b in range(a))
-        with pytest.raises(shooting.ShootingError):
-            shooting._u_interior(model, E, replace(check, floors=False), rtol)
-
-    @pytest.mark.parametrize("eps,k", [(28.0, 21), (56.0, 10), (58.0, 9)])
-    def test_floor_levels_against_mp_oracle(self, monkeypatch, eps, k):
-        # levels whose check stops at a floor: the high-precision oracle,
-        # on its own straight-ray path, puts each within 1e-14 of the solve
+    @pytest.mark.parametrize("eps,k", [(28.0, 21), (56.0, 10), (58.0, 9), (58.0, 28),
+                                       (38.0, 16)])
+    def test_verdict_does_not_turn_on_last_bits(self, monkeypatch, eps, k):
+        # with the vertex at CHECK_CORNER x_t, 41, 28, 41, 22 and 37 of the
+        # 41 verdicts within 20 ulps of these levels passed, as the chord's
+        # floor fell.  Within the budget every shift is far below CHECK_REL
         model = ModelSpec(1, eps)
-        res, (E, check, _) = self._checked(monkeypatch, model, k)
+        res, (E, check, slope) = self._checked(monkeypatch, model, k)
         assert res.converged
-        assert shooting._u_interior(model, E, check, shooting.DEFAULT_RTOL)[2] > 0.0
-        E_ref = float(mp_level(1, eps, res.E.real))
+        assert check.corner > shooting.CHECK_CORNER * turning_radius(model, check.E_ref)
+        for i in range(-20, 21):
+            Ei = E + i * math.ulp(E.real)
+            shift, _ = shooting._check_shift(model, Ei, check, slope, shooting.DEFAULT_RTOL)
+            assert shift <= 0.01 * shooting.CHECK_REL * Ei.real, i
+
+    @pytest.mark.parametrize("eps,k", [(28.0, 21), (56.0, 10), (58.0, 9), (38.0, 16)])
+    def test_moved_vertex_levels_against_mp_oracle(self, eps, k):
+        # the high-precision oracle, on its own straight-ray path, puts each
+        # within 1e-14 of the solve; at (1, 38, 16) its 50-digit value is kept
+        res = solve_level(ModelSpec(1, eps), k)
+        assert res.converged
+        if (eps, k) == (38.0, 16):
+            E_ref = 64646.252470253802808
+        else:
+            from _mp_oracle import level as mp_level    # the only use of mpmath here
+            E_ref = float(mp_level(1, eps, res.E.real))
         assert abs(res.E.real - E_ref) <= 1e-14 * E_ref
+
+    def test_corner_kept_on_golden_and_high_levels(self):
+        # the golden rows and every level the high-levels benchmark draws
+        # keep the vertex at CHECK_CORNER x_t, so their verdicts are as before
+        high = [(1, 2.0, k) for k in (*range(8, 15), 16, 24)]
+        high += [(2, 0.0, k) for k in range(8, 27, 3)]
+        paths = [(ModelSpec(M, eps), E) for M, eps, E in GOLDEN_ROWS]
+        paths += [(ModelSpec(M, eps), shooting.default_seed(ModelSpec(M, eps), k))
+                  for M, eps, k in high]
+        for model, E in paths:
+            path = _path(model, E)
+            check = shooting._check_path(model, path, shooting.DEFAULT_RTOL)
+            assert check.corner == shooting.CHECK_CORNER * path.corner, model
+
+    def test_growth_within_budget(self):
+        # the chord's growth from the vertex c x_t, where -i ym lies on the
+        # arch through x_t: |Im int_c^1 sqrt(E - V(t x_t)) x_t dt|, by quad
+        rtol = shooting.DEFAULT_RTOL
+        budget = 0.5 * math.log(math.sqrt(shooting._leg_tol(rtol)) * 2.0 ** 53)
+        assert budget == pytest.approx(10.9, abs=0.05)
+        for M, eps, k in SWEEP + LARGE_EPS:
+            model = ModelSpec(M, eps)
+            E = shooting.default_seed(model, k)
+            r_t = turning_radius(model, E)
+            x_t = turning_points(model, E).x_right
+            c = shooting._check_path(model, shooting._Path(E, 0.0, r_t, 0.0, 0.0, (1, 1)),
+                                     rtol).corner / r_t
+            growth = quad(lambda t: (cmath.sqrt(E - potential_value(model, t * x_t))
+                                     * x_t).imag, c, 1.0)[0]
+            assert abs(growth) <= budget, (M, eps, k)
+
+    def test_check_catches_moved_solve_paths(self):
+        # the sabotage harness (_sabotage.py) on a fixed sample: the solve's
+        # own path with its vertex at 0.8 or 1.2 r_t, off the arch, converges
+        # to wrong roots at many levels; the check refuses every one of them
+        # but (1, 38, 18) at 1.2: there the budget puts the check vertex at
+        # 0.968 of the moved one, on the same side of the arch, and the
+        # check path agrees on the same wrong root, 4.7% above the level
+        sample = [(M, eps, k) for M in (1, 2, 3, 4) for eps in (8.0, 38.0, 58.0)
+                  for k in (6, 18, 28)]
+        want = {(M, eps, k): solve_level(ModelSpec(M, eps), k).E.real
+                for M, eps, k in sample}
+        for s in (0.8, 1.2):
+            wrong, missed = [], []
+            for (M, eps, k), E in want.items():
+                res = sabotage.solve(ModelSpec(M, eps), k, s)
+                if abs(res.E - E) > 1e-6 * E:
+                    wrong.append((M, eps, k))
+                    if res.converged:
+                        missed.append((M, eps, k))
+            assert len(wrong) >= 10, s
+            assert set(missed) <= ({(1, 38.0, 18)} if s == 1.2 else set()), (s, missed)
 
 
 class TestHermitianLevels:

@@ -47,10 +47,9 @@ starts from) once, from the seed energy, and rebuilds it only when |E|
 leaves a band of PATH_BAND around it.  The build's own shot starts each leg
 from a count sized by its WKB phase (_phase_count), and its result is the
 solve's defect and slope at that energy (_matching_defect); the counts it
-keeps let
-every later shot on the path finish both legs in two passes, one kernel
-call, and V (geometry.potential_value), which does not depend on E, is
-evaluated once per path and node set (_build_path, _legs).
+keeps let every later shot on the path finish both legs in two passes, one
+kernel call, and V (geometry.potential_value), which does not depend on E,
+is evaluated once per path and node set (_build_path, _legs).
 
 Only the right side is integrated.  PT symmetry maps the left solution at
 E to the mirror image of the right one at conj E, so
@@ -58,20 +57,21 @@ u_L(E) = -conj(u_R(conj E)) at -i y*: for real E the defect takes one shot
 and is real, so a real seed keeps Newton on the real axis, and its root
 passes the PT-reality check |Im E| <= 1e-8 |Re E| as it stands; complex E
 takes two shots, and a complex root is held to that check.  Since a real
-root cannot fail it, a converged root is also re-checked on a second path
-to the same match point, whose vertex lies inside x_t: an eigenvalue does
-not depend on the path, so a root that moves there by more than CHECK_REL
-|E| is reported unconverged (_check_shift gives the move, and the defect
-there, which is the result's residual).  Off the arch the check chord
-amplifies rounding, so a budget of e-folds places its vertex (_check_path),
-and every leg keeps one rule: agree to tol, or stop at a rounding floor of
-at most sqrt(tol).  All operations are pure.  scan_levels shoots only the
-levels that the spectral engine (ptwell.spectral) does not certify.
+root cannot fail it, a converged root is also checked on a second path to
+the same match point, whose vertex a budget of e-folds places inside x_t
+(_check_path): every leg keeps one rule, agree to tol or stop at a
+rounding floor of at most sqrt(tol).  The defect and its slope do not
+depend on the path, so from one energy, the first real shot after a
+build, which carries both paths' legs, their Newton images agree to
+rounding; a root whose images differ more than CHECK_REL |E| is reported
+unconverged (_check_shift).  All operations are pure.  scan_levels
+shoots only the levels the spectral engine (ptwell.spectral) does not certify.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import logging
@@ -111,10 +111,9 @@ class EigenResult:
 
     k: int
     E: complex
-    residual: float     # |matching defect| at E: on the check path for a
-                        # converged root, else at the last shot; for a
-                        # level from scan_levels' spectral engine, the
-                        # relative disagreement of its two contours
+    residual: float     # |w_check - w| of a converged root (_check_shift),
+                        # else |defect| at the last shot; from scan_levels'
+                        # spectral engine, its contours' relative gap
     iterations: int
     converged: bool
 
@@ -270,10 +269,12 @@ def _propagate(q, length: float, y0: complex, y1: complex, n: int,
     """(psi, dpsi/ds) at `length` from (y0, y1) at 0, for psi_ss = q(s) psi,
     across n Chebyshev panels, up to a common scale L; then L^2 times
     int_0^length psi^2 ds, and L^2.  By the _transfers entry t, else by
-    _transfers.  Every pass comes here."""
+    _transfers.  Every pass comes here; a lost state raises ShootingError."""
     a, b, c, e, g11, g12, g22, d = t if t is not None else _transfers([(q, length, (n,))])[0]
     z0, z1 = a * y0 + b * y1, c * y0 + e * y1
     scale = max(abs(z0), abs(z1))
+    if not 0.0 < scale < math.inf:
+        raise ShootingError("state lost in propagation")
     norm = (g11 * y0 + 2.0 * g12 * y1) * y0 + g22 * y1 * y1
     return z0 / scale, z1 / scale, norm / scale / scale, d / scale / scale
 
@@ -399,7 +400,8 @@ class _Path:
     radius `corner` (inside r_t on the check path, see _check_path), then a
     chord to the match point -i ym.  The legs start from `panels` Chebyshev
     panels; `v` keeps V (see _legs); `u_ref` is what _u_interior returns at
-    E_ref, from the build's shot."""
+    E_ref, from the build's shot; `checked`, None where no root is checked,
+    keeps what _u_interior shot on it and its check path at one real E."""
 
     E_ref: float
     ym: float
@@ -409,6 +411,7 @@ class _Path:
     panels: tuple[int, int]
     v: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     u_ref: tuple[complex, complex] | None = field(default=None, repr=False, compare=False)
+    checked: list | None = field(default=None, repr=False, compare=False)
 
 
 def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
@@ -436,24 +439,30 @@ def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
 
 
 def _shoot(model: ModelSpec, E: complex, path: _Path, panels: tuple[int, int],
-           rtol: float) -> tuple[complex, complex, tuple[int, int]]:
+           rtol: float, check: _Path | None = None) -> tuple:
     """psi'/psi at -i ym and its E-derivative, carried along the legs of
-    `path` from `panels` first, whose first two passes take one call of
-    _transfers; and the counts _segment returns.
+    `path` from `panels` first, and the counts _segment returns; then those
+    two on `check`, a path from the same outer point, from its own counts,
+    or None.  The first two passes of every leg take one call of _transfers.
 
     The derivative is W/psi^2 at -i ym: W = psi psi_E' - psi' psi_E starts
     at the outer point as the E-derivative of the WKB start and loses
     int psi^2 dx on each leg (_segment)."""
-    psi, dpsi_ds, w = _outgoing_ic(model, E, path.theta, path.R)    # s = R - |x|
-    dpsi = -dpsi_ds / cmath.exp(1j * path.theta)
-    legs = _legs(model, E, path)
-    firsts = _transfers([(q, length, (n, 2 * n))
-                         for (q, length, _), n in zip(legs, panels)])
-    psi, dpsi, w, ray = _segment(legs[0], psi, dpsi, panels[0], rtol, firsts[:2], w)
-    psi, dpsi, w, chord = _segment(legs[1], psi, dpsi, panels[1], rtol, firsts[2:], w)
-    if psi == 0.0:      # a node at -i ym to the last bit: psi is one rounding unit
-        psi = 2.0 ** -53 * abs(dpsi)
-    return dpsi / psi, w / (psi * psi), (ray, chord)
+    psi0, dpsi_ds, w0 = _outgoing_ic(model, E, path.theta, path.R)    # s = R - |x|
+    paths = [(path, panels)] if check is None else [(path, panels), (check, check.panels)]
+    shots = [(_legs(model, E, p), list(ns)) for p, ns in paths]
+    ts = iter(_transfers([(q, length, (n, 2 * n)) for legs, ns in shots
+                          for (q, length, _), n in zip(legs, ns)]))
+    out = []
+    for legs, ns in shots:
+        psi, dpsi, w = psi0, -dpsi_ds / cmath.exp(1j * path.theta), w0
+        for j, leg in enumerate(legs):
+            psi, dpsi, w, ns[j] = _segment(leg, psi, dpsi, ns[j], rtol,
+                                           itertools.islice(ts, 2), w)
+        if psi == 0.0:      # a node at -i ym to the last bit: psi is one rounding unit
+            psi = 2.0 ** -53 * abs(dpsi)
+        out.append((dpsi / psi, w / (psi * psi), tuple(ns)))
+    return *out[0], out[1][:2] if check else None
 
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
@@ -476,8 +485,8 @@ def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
                  wedge_angles(model).theta_right, R, (0, 0))
     start = tuple(_phase_count(q, length, rtol)
                   for q, length, _ in _legs(model, E_ref, path))
-    *u_ref, panels = _shoot(model, E_ref, path, start, rtol)
-    built = replace(path, panels=panels, u_ref=tuple(u_ref))
+    *u_ref, panels, _ = _shoot(model, E_ref, path, start, rtol)
+    built = replace(path, panels=panels, u_ref=tuple(u_ref), checked=[])
     built.v.update(path.v)
     return built
 
@@ -485,10 +494,17 @@ def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
 def _u_interior(model: ModelSpec, E: complex, path: _Path,
                 rtol: float) -> tuple[complex, complex]:
     """psi'/psi at -i ym, integrated along `path` from the outer point, and
-    its E-derivative (see _shoot)."""
+    its E-derivative (see _shoot); the first real shot fills path.checked."""
     if not cmath.isfinite(E):
         raise ShootingError("non-finite energy")
-    return _shoot(model, E, path, path.panels, rtol)[:2]
+    if path.checked != [] or E.imag != 0.0:
+        return _shoot(model, E, path, path.panels, rtol)[:2]
+    try:
+        shot = _shoot(model, E, path, path.panels, rtol, _check_path(model, path, rtol))
+    except ShootingError:       # the check path's legs may fail alone
+        shot = _shoot(model, E, path, path.panels, rtol)
+    path.checked.append((E, shot[:2], shot[3]))
+    return shot[:2]
 
 
 def _matching_defect(model: ModelSpec, E: complex, path: _Path,
@@ -520,14 +536,18 @@ def _matching_defect(model: ModelSpec, E: complex, path: _Path,
     that is one shot and a real defect and step; at the path's E_ref, u_R
     is the build's shot (u_ref), not a second shot of the same leg.
     """
-    if E == path.E_ref and path.u_ref is not None:
-        uR, duR = path.u_ref
-    else:
-        uR, duR = _u_interior(model, E, path, rtol)
-    mirror = (uR, duR) if E.imag == 0.0 else _u_interior(model, E.conjugate(), path, rtol)
+    at_ref = E == path.E_ref and path.u_ref is not None
+    u = path.u_ref if at_ref else _u_interior(model, E, path, rtol)
+    return _defect(model, E, path.ym, *u,
+                   u if E.imag == 0.0 else _u_interior(model, E.conjugate(), path, rtol))
+
+
+def _defect(model: ModelSpec, E: complex, ym: float, uR: complex, duR: complex,
+            mirror: tuple[complex, complex]) -> tuple[complex, complex]:
+    """_matching_defect's (w, dw) from (u_R, du_R/dE) at E and at conj E."""
     uL, duL = -mirror[0].conjugate(), -mirror[1].conjugate()
     scale = (1.0 + abs(uL)) * (1.0 + abs(uR))
-    if abs(uR) > math.sqrt(abs(E - potential_value(model, -1j * path.ym))) + 1.0 or (
+    if abs(uR) > math.sqrt(abs(E - potential_value(model, -1j * ym))) + 1.0 or (
             abs(uR) > 1.0 and abs(uL - uR) > abs(uL + uR)):
         # u_L - u_R = -u_L u_R (1/u_L - 1/u_R), and -u_L u_R = |u_R|^2 for real E
         dw = (duR / (uR * uR) - duL / (uL * uL)) * (-uL * uR) / scale
@@ -546,7 +566,7 @@ def default_seed(model: ModelSpec, k: int) -> float:
 
     The limit scale stays where it is measured to be the better start: on
     the golden table 2 (M = 2, k = 0, eps = 6..56) the next-order energy
-    is 37% low and a pass takes 35 kernel calls against 26.  A level's
+    is 37% low and a pass takes 29 kernel calls against 20.  A level's
     label does not depend on its seed: _wkb_window brackets it.
     """
     if model.M == 1 or model.epsilon < 4.0:
@@ -578,29 +598,30 @@ def _check_path(model: ModelSpec, path: _Path, rtol: float) -> _Path:
     G (2/3)(1 - c)^(3/2) with G = r_t sqrt(E N) cos(pi M/N).  c_B =
     1 - (1.5 B/G)^(2/3) keeps g to B = 1/2 ln(sqrt(tol) 2^53), 10.9 e-folds
     at the default rtol (tol = _leg_tol(rtol)): rounding stays below the
-    sqrt(tol) floor a leg may stop at (_segment).  The first leg runs on
-    past x_t, so it starts from twice the count kept for the solve's."""
+    sqrt(tol) floor a leg may stop at (_segment)."""
     n = 2.0 * model.M + model.epsilon
     budget = 0.5 * math.log(math.sqrt(_leg_tol(rtol)) * 2.0 ** 53)
     rate = path.corner * math.sqrt(path.E_ref * n) * math.cos(math.pi * model.M / n)
     # G; at eps = 0 cos(pi M/N) is 0 up to rounding, and c_B far below CHECK_CORNER
     c_b = 1.0 - (1.5 * budget / rate) ** (2.0 / 3.0) if rate > 0.0 else 0.0
-    return replace(path, corner=max(CHECK_CORNER, c_b) * path.corner, u_ref=None,
-                   panels=(2 * path.panels[0], path.panels[1]))
+    return replace(path, corner=max(CHECK_CORNER, c_b) * path.corner, u_ref=None, checked=None)
 
 
-def _check_shift(model: ModelSpec, E: complex, check: _Path, slope: complex,
-                 rtol: float) -> tuple[float, float]:
-    """(|root of the defect on `check` - E|, |defect on `check` at E|).  The
-    root is one Newton step from E with the solve's slope dw/dE: at a fixed
-    match point the defect does not depend on the path, so neither does its
-    slope, and the solve's is free of the rounding the check path's chord
-    may amplify.  Both are inf where the check path fails to integrate."""
-    try:
-        w, _ = _matching_defect(model, E, check, rtol)
-    except ShootingError:
+def _check_shift(model: ModelSpec, path: _Path, rtol: float) -> tuple[float, float]:
+    """(|w_check - w|/|dw|, |w_check - w|), w and dw the defect and its
+    slope on `path` and w_check the defect on its check path (_check_path),
+    at the first real shot after the build (path.checked), else at E_ref:
+    the distance between the two paths' Newton images from that energy.
+    Both are inf where the check path fails."""
+    E, u, u_check = path.checked[0] if path.checked else (path.E_ref, path.u_ref, None)
+    if not path.checked:
+        with contextlib.suppress(ShootingError):
+            u_check = _u_interior(model, E, _check_path(model, path, rtol), rtol)
+    w, dw = _defect(model, E, path.ym, *u, u)
+    if u_check is None or not dw:
         return math.inf, math.inf
-    return abs(w) / abs(slope), abs(w)
+    gap = abs(_defect(model, E, path.ym, *u_check, u_check)[0] - w)
+    return gap / abs(dw), gap
 
 
 def _check_tolerances(tol: float, rtol: float) -> None:
@@ -631,10 +652,9 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     ends the solve unconverged.  Newton stops at a Newton step with
     |dE| <= tol |E + dE|, and takes that step without shooting its end
     point; the result is flagged converged only if the PT-reality check
-    |Im E| <= 1e-8 |Re E| also holds, and if the root moves by at most
-    CHECK_REL |E| on the check path (see _check_path, and _check_shift,
-    which takes the slope of the last shot), whose defect at
-    E is then the residual.  A real seed takes one shot per defect and
+    |Im E| <= 1e-8 |Re E| also holds, and if the Newton images of its path
+    and the check path from one real energy lie within CHECK_REL |E| of
+    each other (_check_shift).  A real seed takes one shot per defect and
     stays real, so its root passes the PT-reality check as it stands; a
     complex seed takes two, at E and conj E (see _matching_defect).
     Failures return an unconverged EigenResult instead of raising.
@@ -692,7 +712,7 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
         logger.warning("PT-reality violated for k=%d: E=%s", k, E)
     if not converged:
         return EigenResult(k, E, abs(w), iterations, False)
-    shift, residual = _check_shift(model, E, _check_path(model, path, rtol), dw, rtol)
+    shift, residual = _check_shift(model, path, rtol)
     path_ok = shift <= CHECK_REL * abs(E)
     if pt_real and not path_ok:
         logger.warning("path-dependent root for k=%d at E=%s", k, E)

@@ -3,8 +3,7 @@
 The family of Hamiltonians is H = p^2 + x^(2M) (ix)^eps with integer M >= 1
 and deformation eps >= 0.  This module fixes the branch convention of the
 potential, the anti-Stokes wedge directions that carry the boundary
-conditions, the turning points of E - V, and the branch of sqrt(E - V)
-along a path.
+conditions, the turning points of E - V and the outer radius of a ray.
 
 Branch convention: (ix)^eps = exp(eps Log(ix)) with the principal logarithm,
 so the potential is analytic on the cut plane with the cut along the
@@ -84,22 +83,6 @@ def potential_value(model: ModelSpec, x: complex | np.ndarray) -> complex | np.n
         raise BranchCutError("potential branch cut along the positive imaginary axis")
     lib = np if array else cmath
     return x ** (2 * model.M) * lib.exp(model.epsilon * lib.log(ix))
-
-
-def continued_sqrt(model: ModelSpec, E: complex, x: np.ndarray,
-                   anchor: int) -> np.ndarray:
-    """sqrt(E - V) at the points x of a path, on one branch along it.
-
-    The root at x[anchor] is the principal one.  Node i + 1 flips sign
-    against node i when their principal roots are closer negated; the flips
-    multiplied from node 0, times the product at the anchor, give each
-    node's sign.  Neighbouring points must be close on the scale where the
-    root turns.
-    """
-    roots = np.sqrt(E - potential_value(model, x))
-    flip = np.abs(roots[:-1] - roots[1:]) > np.abs(roots[:-1] + roots[1:])
-    signs = np.cumprod(np.append(1.0, np.where(flip, -1.0, 1.0)))
-    return signs[anchor] * signs * roots
 
 
 # Gauss-Legendre nodes and weights on [-1, 1], computed once per order (at

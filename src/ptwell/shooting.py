@@ -26,10 +26,10 @@ The solver matches on the negative imaginary axis at the height where the
 classically allowed arch joining the turning points crosses it: the signal
 there stays O(1) for every deformation, which makes the large-deformation
 golden values reachable in double precision, while at the origin it falls
-off exponentially once the deformation is large.  On the axis V is real, so
-the imaginary part of the action to -i y has the closed-form slope
--Re sqrt(E - V(-i y)), and Newton finds the height below the turning
-radius in a few action evaluations (match_height).
+off exponentially once the deformation is large.  V is homogeneous of
+degree 2M + eps, so the arch is one curve scaled by the turning radius r_t,
+and the height is r_t times the root of one real equation in (M, eps)
+(match_height): the match point lies on the arch exactly.
 
 The path is monotone.  A straight leg runs from the outer point to the
 turning point x_t, and on it the wanted solution only grows; a chord joins
@@ -81,9 +81,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (ModelSpec, continued_sqrt, decay_radius,
-                       gauss_legendre, potential_value, turning_points,
-                       turning_radius, wedge_angles)
+from .geometry import (ModelSpec, decay_radius, gauss_legendre,
+                       potential_value, turning_points, turning_radius,
+                       wedge_angles)
 from .limit import level_nu
 from .spectral import _cheb, certified_levels
 from .wkb import wkb_energy_next
@@ -111,7 +111,7 @@ class EigenResult:
 
     k: int
     E: complex
-    residual: float     # |w_check - w| of a converged root (_check_shift),
+    residual: float     # a checked root's shift over |E| (_check_shift),
                         # else |defect| at the last shot; from scan_levels'
                         # spectral engine, its contours' relative gap
     iterations: int
@@ -352,44 +352,67 @@ def _segment(leg: tuple, psi: complex, dpsi: complex, panels: int, rtol: float,
 # interior matching: arch height, ray and chord
 # ---------------------------------------------------------------------------
 
-def _im_action_to_axis(model: ModelSpec, E: float, y: float) -> tuple[float, float]:
-    """G(y) = Im int sqrt(E - V) dx from the right turning point to -i y,
-    by 64-point Gauss-Legendre on the straight segment, and its slope
-    dG/dy = -Re sqrt(E - V(-i y)).
+def _arch_rule(model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(e^-tau, weights) of _arch_integral at `model`: 16 Gauss-Legendre
+    nodes on each panel of [0, 40 - d], d = -N ln sin(eps pi/(2N)), the
+    first panel d wide and each next up to 3 times as wide as its distance
+    from 0, at most 8; the weights carry the factor e^(-tau/N)/N."""
+    n = 2.0 * model.M + model.epsilon
+    d = max(-n * math.log(math.sin(0.5 * math.pi * model.epsilon / n)), 1e-12)
+    edges, width = [0.0], d
+    while edges[-1] < 40.0 - d:
+        edges.append(min(edges[-1] + min(width, 8.0), 40.0 - d))
+        width = 3.0 * edges[-1]
+    x, w = gauss_legendre(16)
+    ends = np.array(edges)
+    h = np.diff(ends)[:, None]
+    tau = ends[:-1, None] + h * (0.5 * x + 0.5)
+    return np.exp(-tau).ravel(), ((0.5 / n) * h * w * np.exp(-tau / n)).ravel()
 
-    The roots at the nodes are one branch, continued from the principal
-    root at -i y, where V = (-1)^M y^N is real (N = 2M + eps): below the
-    turning radius E - V(-i y) > 0, so the slope is -sqrt(E -+ y^N) < 0.
-    The sum runs over the nodes in order, as a scalar loop would add them.
-    """
-    a, b = turning_points(model, E).x_right, -1j * y
-    nodes, wts = gauss_legendre(64)
-    half = 0.5 * (b - a)
-    roots = continued_sqrt(model, E, np.append(0.5 * (a + b) + half * nodes, b), -1)
-    return float((np.cumsum(wts * roots[:-1])[-1] * half).imag), float(-roots[-1].real)
+
+def _arch_integral(model: ModelSpec, eta: float, rule: tuple) -> tuple[float, float]:
+    """J(eta) = int_0^eta sqrt(1 - (-1)^M s^N) ds for 0 < eta <= sin(eps
+    pi/(2N)), and its slope sqrt(1 - (-1)^M eta^N), by `rule` (_arch_rule).
+
+    J = eta + int_0^eta (sqrt(1 - v) - 1) ds, v = (-1)^M s^N, and the
+    second integrand, -v/(1 + sqrt(1 - v)), is taken in tau, s = eta
+    e^(-tau/N), where it falls as e^(-tau): beyond 40 - d it adds less than
+    e^(-40) eta, as eta^N <= e^(-d).  Its one singularity, the branch point
+    of sqrt(1 - v), lies at distance |ln eta^N| >= d from tau = 0 (at even
+    M, where eta^N reaches 0.96 at eps = 3200, the integrand nearly
+    vanishes at s = eta), and the panels are graded from there."""
+    u = (-1) ** model.M * eta ** (2.0 * model.M + model.epsilon)
+    v = u * rule[0]
+    return eta - eta * float(np.dot(rule[1], v / (1.0 + np.sqrt(1.0 - v)))), math.sqrt(1.0 - u)
 
 
 def match_height(model: ModelSpec, E: float) -> float:
-    """Height y* where the classically allowed arch crosses -i y.
+    """Height y* = r_t eta* where the classically allowed arch crosses -i y.
 
-    The zero of G (_im_action_to_axis), by Newton from h = -Im x_t, where
-    the straight segment joining the turning points crosses the axis.  Below
-    the turning radius r_t the slope -sqrt(E -+ y^N) keeps its sign and
-    shrinks in magnitude as y^N grows (concave G at odd M, convex at even
-    M), so G is monotone there and Newton converges monotonically after at
-    most one step; the iterates are kept in [y/2, r_t], and the loop stops
-    once a step is at most 1e-13 max(1, r_t).  This is the origin at
-    eps = 0, and approaches the turning radius as the deformation grows.
+    V is homogeneous of degree N = 2M + eps: on the ray through x_t,
+    V = E (rho/r_t)^N, and on the axis V(-i t) = (-1)^M t^N.  |V| = |x|^N,
+    so E - V has no zero inside |x| < r_t, and by Cauchy the action from
+    x_t to -i y runs along the ray to 0 and down the axis: its imaginary
+    part is r_t sqrt(E) (sin(eps pi/(2N)) B(1/N, 3/2)/N - J(y/r_t))
+    (_arch_integral).  eta*, the zero of that bracket, does not depend on E.
+    Newton from eta = sin(eps pi/(2N)) B(1/N, 3/2)/N converges to it
+    monotonically: J is convex and above eta at odd M, concave and below it
+    at even M, and so above eta J(1), whence eta* <= sin(eps pi/(2N)).  It
+    stops once a step is at most 1e-13 eta.  y* is the origin at eps = 0,
+    and approaches the turning radius as eps grows.
     """
     if model.epsilon == 0.0:
         return 0.0
-    r, y = turning_radius(model, E), -turning_points(model, E).x_right.imag
+    r, n = turning_radius(model, E), 2.0 * model.M + model.epsilon
+    eta = target = math.sin(0.5 * math.pi * model.epsilon / n) * math.gamma(1.0 + 1.0 / n) \
+        * math.gamma(1.5) / math.gamma(1.5 + 1.0 / n)
+    rule = _arch_rule(model)
     for _ in range(50):
-        g, slope = _im_action_to_axis(model, E, y)
-        y_next = min(max(y - g / slope, 0.5 * y), r)
-        if abs(y_next - y) <= 1e-13 * max(1.0, r):
-            return y_next
-        y = y_next
+        got, slope = _arch_integral(model, eta, rule)
+        step = (got - target) / slope
+        eta -= step
+        if abs(step) <= 1e-13 * eta:
+            return r * eta
     raise ShootingError("match height: Newton did not settle")
 
 
@@ -594,7 +617,7 @@ def _check_path(model: ModelSpec, path: _Path, rtol: float) -> _Path:
     a converged root is re-checked on.  Its chord amplifies rounding by
     e^(2 g), g the net WKB growth |Im int sqrt(E - V) dx| on it.  V = E t^N
     at t x_t, so g = r_t sqrt(E) cos(pi M/N) int_c^1 sqrt(1 - t^N) dt (from
-    x_t to -i ym it is 0: match_height puts ym on the arch), at most
+    x_t to -i ym it is 0: match_height puts ym on the arch exactly), at most
     G (2/3)(1 - c)^(3/2) with G = r_t sqrt(E N) cos(pi M/N).  c_B =
     1 - (1.5 B/G)^(2/3) keeps g to B = 1/2 ln(sqrt(tol) 2^53), 10.9 e-folds
     at the default rtol (tol = _leg_tol(rtol)): rounding stays below the
@@ -607,21 +630,23 @@ def _check_path(model: ModelSpec, path: _Path, rtol: float) -> _Path:
     return replace(path, corner=max(CHECK_CORNER, c_b) * path.corner, u_ref=None, checked=None)
 
 
-def _check_shift(model: ModelSpec, path: _Path, rtol: float) -> tuple[float, float]:
-    """(|w_check - w|/|dw|, |w_check - w|), w and dw the defect and its
-    slope on `path` and w_check the defect on its check path (_check_path),
-    at the first real shot after the build (path.checked), else at E_ref:
-    the distance between the two paths' Newton images from that energy.
-    Both are inf where the check path fails."""
+def _check_shift(model: ModelSpec, path: _Path, rtol: float) -> float:
+    """|w_check - w|/|dw|, w and dw the defect and its slope on `path` and
+    w_check the defect on its check path (_check_path), at the first real
+    shot after the build (path.checked), else at E_ref: the distance between
+    the two paths' Newton images from that energy, inf where the check path
+    fails.  The gap is widened by the defect's integration uncertainty,
+    tol 2|u_R|/(1 + |u_R|)^2 with tol = _leg_tol(rtol): where Re u_R is 0
+    on both paths the defects agree exactly, and would pass any root."""
     E, u, u_check = path.checked[0] if path.checked else (path.E_ref, path.u_ref, None)
     if not path.checked:
         with contextlib.suppress(ShootingError):
             u_check = _u_interior(model, E, _check_path(model, path, rtol), rtol)
     w, dw = _defect(model, E, path.ym, *u, u)
     if u_check is None or not dw:
-        return math.inf, math.inf
+        return math.inf
     gap = abs(_defect(model, E, path.ym, *u_check, u_check)[0] - w)
-    return gap / abs(dw), gap
+    return (gap + _leg_tol(rtol) * 2.0 * abs(u[0]) / (1.0 + abs(u[0])) ** 2) / abs(dw)
 
 
 def _check_tolerances(tol: float, rtol: float) -> None:
@@ -712,8 +737,8 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
         logger.warning("PT-reality violated for k=%d: E=%s", k, E)
     if not converged:
         return EigenResult(k, E, abs(w), iterations, False)
-    shift, residual = _check_shift(model, path, rtol)
-    path_ok = shift <= CHECK_REL * abs(E)
+    residual = _check_shift(model, path, rtol) / abs(E)
+    path_ok = residual <= CHECK_REL
     if pt_real and not path_ok:
         logger.warning("path-dependent root for k=%d at E=%s", k, E)
     return EigenResult(k, E, residual, iterations, pt_real and path_ok)
@@ -736,8 +761,7 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
     shot.
 
     Results are ordered by (epsilon, k).  Per-point failures are reported as
-    unconverged entries and the scan continues.  A level that stops rising
-    with epsilon triggers a warning, as does a collision of two levels.
+    unconverged entries and the scan continues.
 
     Raises:
         ValueError: for k_max < 0, or a tol or rtol that solve_level rejects.
@@ -757,16 +781,7 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
             seed = prev[k].real * (est / default_seed(prev_model, k)) \
                 if k in prev else est
             results.append(solve_level(model, k, seed, tol, rtol))
-        for k, res in enumerate(results):
-            if res.converged:
-                if k in prev and res.E.real < prev[k].real - tol * abs(res.E):
-                    logger.warning("level k=%d not rising at epsilon=%g",
-                                   k, model.epsilon)
-                prev[k] = res.E
-            out.append(res)
-        for a, b in itertools.combinations(results, 2):
-            if a.converged and b.converged and abs(a.E - b.E) < 1e-6 * abs(a.E):
-                logger.warning("level collision at epsilon=%g: k=%d and k=%d",
-                               model.epsilon, a.k, b.k)
+        prev.update((res.k, res.E) for res in results if res.converged)
+        out += results
         prev_model = model
     return out

@@ -2,13 +2,17 @@
 axis, for test oracles.
 
 G(y) = Im int sqrt(E - V) dx from the right turning point
-x_t = E^(1/N) exp(-i eps pi/(4M + 2 eps)) to -i y, N = 2M + eps, by the
-64-point Gauss-Legendre rule on the straight segment, which defines the
-height the solver matches at.  The branch of the root is tracked on a dense
-path along the segment, from the principal root at -i y (where
-V = (-1)^M y^N is real and E - V > 0 below the turning radius r_t), and
-the zero of G is bisected inside (0, r_t).  Oracle use only: it imports
-nothing from ptwell, so it shares no code with the solver it checks.
+x_t = E^(1/N) exp(-i eps pi/(4M + 2 eps)) to -i y, N = 2M + eps, along the
+straight segment.  With x = x_t + (-i y - x_t) w^2 the integrand is
+sqrt(E - V) 2 (-i y - x_t) w, which vanishes linearly at w = 0 and is
+smooth there: the square root of the simple zero of E - V at x_t is taken
+into the substitution, and a composite Gauss-Legendre rule in w converges
+at its full order.  The branch of the root is tracked along the rule's
+nodes from the principal root at -i y (where V = (-1)^M y^N is real and
+E - V > 0 below the turning radius r_t), and the zero of G is bisected
+inside (0, r_t).  Oracle use only: it imports nothing from ptwell, so it
+shares no code with the solver it checks, which finds the same height from
+a closed form.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ import math
 
 import numpy as np
 
-NODES, WEIGHTS = np.polynomial.legendre.leggauss(64)
-# the segment's parameter t, 1 at -i y and -1 at x_t: the Gauss nodes and a
-# dense grid, walked from t = 1 down
-PATH_T = np.concatenate([NODES, np.linspace(-1.0, 1.0, 1025)])
-ORDER = np.argsort(-PATH_T, kind="stable")
+_X, _W = np.polynomial.legendre.leggauss(16)
+PANELS = 64
+# the rule's nodes and weights in w on [0, 1]
+NODES = ((np.arange(PANELS)[:, None] + 0.5 * (_X + 1.0)) / PANELS).ravel()
+WEIGHTS = np.tile(_W / (2.0 * PANELS), PANELS)
 
 
 def _potential(x: np.ndarray, M: int, eps: float) -> np.ndarray:
@@ -31,21 +35,21 @@ def _potential(x: np.ndarray, M: int, eps: float) -> np.ndarray:
 
 
 def action(M: int, eps: float, E: float, y: float) -> float:
-    """G(y) on the branch continued along a dense path from -i y."""
+    """G(y) on the branch continued along the nodes from -i y."""
     N = 2 * M + eps
     x_t = E ** (1.0 / N) * complex(math.cos(eps * math.pi / (4 * M + 2 * eps)),
                                    -math.sin(eps * math.pi / (4 * M + 2 * eps)))
-    mid, half = 0.5 * (x_t - 1j * y), 0.5 * (-1j * y - x_t)
-    roots = np.sqrt(E - _potential(mid + half * PATH_T[ORDER], M, eps))
+    chord = -1j * y - x_t
+    # w = 1 (-i y) first, then the nodes from the largest w down
+    w = np.append(1.0, NODES[::-1])
+    roots = np.sqrt(E - _potential(x_t + chord * w * w, M, eps))
     # a point takes the sign of the root of its predecessor nearer to it
     turned = np.abs(roots[1:] - roots[:-1]) > np.abs(roots[1:] + roots[:-1])
     roots[1:] *= np.cumprod(np.where(turned, -1.0, 1.0))
-    at_t = np.empty(len(PATH_T), dtype=complex)
-    at_t[ORDER] = roots
     total = 0j
-    for w, q in zip(WEIGHTS, at_t[:64]):
-        total += w * q
-    return (total * half).imag
+    for wt, node, q in zip(WEIGHTS, NODES, roots[:0:-1]):
+        total += wt * 2.0 * node * q
+    return (total * chord).imag
 
 
 def crossing(M: int, eps: float, E: float) -> float:

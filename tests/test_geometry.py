@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ptwell.geometry import (BranchCutError, ModelSpec, continued_sqrt,
-                             potential_value, turning_points, turning_radius,
-                             wedge_angles)
+from ptwell.geometry import (BranchCutError, ModelSpec, potential_value,
+                             turning_points, turning_radius, wedge_angles)
 
 
 class TestPotential:
@@ -47,23 +46,6 @@ class TestPotential:
         got = potential_value(model, x)
         want = [potential_value(model, xi) for xi in x]
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
-class TestContinuedSqrt:
-    def test_follows_root_twice_around_a_turning_point(self):
-        # x = 1 + e^(i phi)/2 circles the zero x = 1 of E - V = 1 - x^2
-        # twice; the analytic root is i e^(i phi/2) sqrt(1/2) sqrt(1 + x),
-        # whose principal value changes sign at phi = 0 and at phi = 2 pi,
-        # one crossing on each side of the anchor at phi = 1
-        phi = np.linspace(1.0 - 2.0 * math.pi, 1.0 + 2.0 * math.pi, 401)
-        x = 1.0 + 0.5 * np.exp(1j * phi)
-        want = 1j * np.exp(0.5j * phi) * math.sqrt(0.5) * np.sqrt(1.0 + x)
-        got = continued_sqrt(ModelSpec(1, 0.0), 1.0, x, 200)
-        assert got[200] == np.sqrt(1.0 - x[200] ** 2)
-        sign = 1.0 if abs(want[200] - got[200]) < abs(want[200]) else -1.0
-        assert np.abs(got - sign * want).max() <= 1e-14
-        principal = np.sqrt(1.0 - x ** 2)
-        assert np.any(np.abs(principal + sign * want) < 1e-14)
 
 
 class TestWedges:

@@ -11,6 +11,7 @@ from scipy.special import airy, gamma, j0, j1, y0, y1
 import ptwell.shooting as shooting
 import ptwell.wkb as wkb
 import _sabotage as sabotage
+from _arch_oracle import action as arch_action
 from _arch_oracle import crossing as arch_crossing
 from _ray_oracle import _segment as oracle_segment
 from _ray_oracle import _wkb_start
@@ -533,94 +534,85 @@ class TestRootSeed:
             assert len(set(shots)) == len(shots)
 
 
-def _im_action_loop(model, E, y):
-    """Scalar reference for _im_action_to_axis: (Im action, slope, sum |terms|)."""
-    d = model.epsilon * math.pi / (4.0 * model.M + 2.0 * model.epsilon)
-    a, b = turning_radius(model, E) * cmath.exp(-1j * d), -1j * y
-    nodes, wts = np.polynomial.legendre.leggauss(64)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    roots = [cmath.sqrt(E - potential_value(model, x))
-             for x in [mid + half * t for t in nodes] + [b]]
-    for i in range(len(roots) - 2, -1, -1):
-        if abs(roots[i] - roots[i + 1]) > abs(roots[i] + roots[i + 1]):
-            roots[i] = -roots[i]
-    tot = 0j
-    for w, q in zip(wts, roots):
-        tot += w * q
-    return ((tot * half).imag, -roots[-1].real,
-            sum(abs(w * q) for w, q in zip(wts, roots)) * abs(half))
-
-
 MATCH_CASES = [(1, 2.0), (1, 58.0), (2, 6.0), (2, 56.0), (3, 1.3), (3, 54.0)]
 
 
+def _arch(model, eta):
+    """_arch_integral's (J(eta), slope) on the model's own rule."""
+    return shooting._arch_integral(model, eta, shooting._arch_rule(model))
+
+
 class TestImActionToAxis:
-    # the principal roots change sign along the segment at M = 3, eps = 54;
-    # the heights lie inside (0, r_t), where the root at -i y is real and
-    # positive (at even M, -i r_t is a zero of E - V)
+    # G(y), the imaginary part of the action from x_t to -i y, in the
+    # closed form match_height zeroes: r_t sqrt(E) (sin(eps pi/(2N))
+    # B(1/N, 3/2)/N - J(y/r_t)), J by _arch_integral, on heights up to
+    # sin(eps pi/(2N)) r_t, the bound on the root its rule is built for
     @pytest.mark.parametrize("M,eps", MATCH_CASES)
     @pytest.mark.parametrize("k", [0, 3])
     def test_equals_scalar_loop(self, M, eps, k):
+        # against the arch oracle's segment action (_arch_oracle.py), a
+        # scalar loop over a rule exact at the turning point's square root
         model = ModelSpec(M, eps)
         E = shooting.default_seed(model, k)
-        r = turning_radius(model, E)
-        for y in list(np.linspace(0.0, r, 26)[1:-1]) + [match_height(model, E)]:
-            want, slope, scale = _im_action_loop(model, E, float(y))
-            got = shooting._im_action_to_axis(model, E, float(y))
-            assert abs(got[0] - want) <= 1e-15 * scale
-            assert got[1] == pytest.approx(slope, rel=1e-15)
+        r, n = turning_radius(model, E), 2.0 * M + eps
+        top = math.sin(0.5 * math.pi * eps / n)
+        scale = r * math.sqrt(E)
+        arch = top * gamma(1.0 / n) * gamma(1.5) / (n * gamma(1.5 + 1.0 / n))
+        for eta in list(np.linspace(0.0, top, 26)[1:]) + [match_height(model, E) / r]:
+            got = scale * (arch - _arch(model, float(eta))[0])
+            assert abs(got - arch_action(M, eps, E, r * eta)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("M,eps", MATCH_CASES + [(4, 20.0), (4, 58.0), (6, 20.0)])
     def test_slope_is_derivative(self, M, eps):
-        # dG/dy = -Re sqrt(E - V(-i y)) = -sqrt(E -+ y^N) below the turning
-        # radius, against a central difference of G; the 64-point rule's
-        # error at the square-root end x_t moves with y by about 1e-6 of G
+        # dJ/deta = sqrt(1 - (-1)^M eta^N), against a central difference of J
+        # and against quad
         model = ModelSpec(M, eps)
-        E = shooting.default_seed(model, 0)
-        r, n = turning_radius(model, E), 2 * M + eps
-        for y in np.linspace(0.05, 0.95, 7) * r:
-            g, slope = shooting._im_action_to_axis(model, E, y)
-            assert slope == pytest.approx(-math.sqrt(E - (-1) ** M * y ** n), rel=1e-12)
-            h = 1e-5 * r
-            diff = (shooting._im_action_to_axis(model, E, y + h)[0]
-                    - shooting._im_action_to_axis(model, E, y - h)[0]) / (2.0 * h)
-            assert diff == pytest.approx(slope, rel=1e-4)
+        n, sign = 2 * M + eps, (-1) ** M
+        top = math.sin(0.5 * math.pi * eps / n)
+        for eta in np.linspace(0.05, 0.95, 7) * top:
+            got, slope = _arch(model, eta)
+            assert slope == pytest.approx(math.sqrt(1.0 - sign * eta ** n), rel=1e-15)
+            want = quad(lambda s: math.sqrt(1.0 - sign * s ** n), 0.0, eta,
+                        epsabs=0.0, epsrel=2e-14)[0]
+            assert got == pytest.approx(want, rel=1e-13)
+            h = 1e-5 * eta
+            diff = (_arch(model, eta + h)[0] - _arch(model, eta - h)[0]) / (2.0 * h)
+            assert diff == pytest.approx(slope, rel=1e-6)
 
 
 def _counted_height(monkeypatch, model, E):
-    """(match_height(model, E), the number of actions it evaluates)."""
+    """(match_height(model, E), the number of J evaluations it makes)."""
     calls = []
-    action = shooting._im_action_to_axis
+    integral = shooting._arch_integral
 
-    def counted(model, E, y):
-        calls.append(y)
-        return action(model, E, y)
+    def counted(model, eta, rule):
+        calls.append(eta)
+        return integral(model, eta, rule)
 
-    monkeypatch.setattr(shooting, "_im_action_to_axis", counted)
+    monkeypatch.setattr(shooting, "_arch_integral", counted)
     y = match_height(model, E)
-    monkeypatch.setattr(shooting, "_im_action_to_axis", action)
+    monkeypatch.setattr(shooting, "_arch_integral", integral)
     return y, len(calls)
 
 
 class TestMatchHeightRoot:
-    # against the arch oracle (_arch_oracle.py), which tracks the branch on
-    # a dense path and bisects inside (0, r_t) with no code shared.  At
-    # (2, 0.1), k = 0 the highest sign change of a 26-height scan found none
-    # and fell back to the argmin, 0.050 r_t (the crossing is at
-    # 0.034 r_t); at even M >= 4 and large eps it took a branch jump beyond
-    # r_t
+    # against the arch oracle (_arch_oracle.py), which integrates along the
+    # straight segment by a rule exact at x_t, tracks the branch along its
+    # nodes and bisects inside (0, r_t) with no code shared
 
     @pytest.mark.parametrize("M,eps", MATCH_CASES + [
-        (M, eps) for M in range(1, 7) for eps in (1e-3, 0.1, 2.0, 20.0, 58.0, 800.0)
+        (M, eps) for M in range(1, 7)
+        for eps in (1e-3, 0.1, 2.0, 20.0, 58.0, 800.0, 3200.0)
         if (M, eps) not in MATCH_CASES])
     @pytest.mark.parametrize("k", [0, 3])
     def test_equals_bisection(self, monkeypatch, M, eps, k):
-        # Newton takes at most 6 actions to the root, inside the turning radius
+        # Newton takes at most 7 evaluations of J to the root, inside the
+        # turning radius
         model = ModelSpec(M, eps)
         E = shooting.default_seed(model, k)
         r = turning_radius(model, E)
         got, calls = _counted_height(monkeypatch, model, E)
-        assert calls <= 6
+        assert calls <= 7
         assert 0.0 < got < r
         assert abs(got - arch_crossing(M, eps, E)) <= 1e-13 * max(1.0, r)
 
@@ -1082,8 +1074,9 @@ class TestSolvePath:
         # ride the first real shot after the build.  The shift is the
         # distance between the two paths' Newton images from that energy on
         # the exact slope of the solve's path, as separate shots of the two
-        # paths there give it, and their defect gap is the result's residual.
-        # On the check path a secant over 0.1% of E finds the same slope
+        # paths there give it, with the defect's integration uncertainty
+        # added to their gap; over |E| it is the result's residual.  On the
+        # check path a secant over 0.1% of E finds the same slope
         model = ModelSpec(M, eps)
         rtol = shooting.DEFAULT_RTOL
         seen = []
@@ -1097,18 +1090,42 @@ class TestSolvePath:
         monkeypatch.setattr(shooting, "_check_shift", recorded)
         res = solve_level(model, k)
         assert res.converged
-        (path, (shift, residual)), = seen
+        (path, shift), = seen
         (E, *_), = path.checked
         assert E.imag == 0.0 and E != path.E_ref
         check = shooting._check_path(model, path, rtol)
         assert check == shooting._check_path(model, _path(model, path.E_ref), rtol)
-        w, dw = shooting._matching_defect(model, E, replace(path, u_ref=None, checked=None),
-                                          rtol)
+        solve_path = replace(path, u_ref=None, checked=None)
+        w, dw = shooting._matching_defect(model, E, solve_path, rtol)
+        u_R = abs(_u(model, E, solve_path))
         c0 = shooting._matching_defect(model, E, check, rtol)[0]
         c1 = shooting._matching_defect(model, 1.001 * E, check, rtol)[0]
-        assert res.residual == residual == abs(c0 - w)
-        assert shift == abs(c0 - w) / abs(dw) <= 0.01 * shooting.CHECK_REL * res.E.real
+        blur = shooting._leg_tol(rtol) * 2.0 * u_R / (1.0 + u_R) ** 2
+        assert shift == (abs(c0 - w) + blur) / abs(dw) <= 0.01 * shooting.CHECK_REL * res.E.real
+        assert res.residual == shift / abs(res.E)
         assert 0.5 <= abs((c1 - c0) / (0.001 * E)) / abs(dw) <= 2.0
+
+    def test_flat_defect_is_not_a_match(self):
+        # where Re u_R is 0 on both paths the two defects agree exactly, so
+        # their gap alone would pass any root; the shift keeps the defect's
+        # integration uncertainty, tol 2|u_R|/(1 + |u_R|)^2, over its slope
+        model, rtol = ModelSpec(1, 38.0), shooting.DEFAULT_RTOL
+        path = _path(model, 183084.511)
+        E, du, u = complex(path.E_ref), path.u_ref[1], -511.578j
+        flat = replace(path, checked=[(E, (u, du), (u, du))])
+        dw = shooting._defect(model, E, path.ym, u, du, (u, du))[1]
+        blur = shooting._leg_tol(rtol) * 2.0 * abs(u) / (1.0 + abs(u)) ** 2
+        assert shooting._check_shift(model, flat, rtol) == blur / abs(dw) > 0.0
+
+    def test_refused_residual_in_units_of_e(self):
+        # a root refused on a path moved off the arch reports its shift
+        # over |E|, the unit of CHECK_REL: (1, 38, 28) at 1.2 r_t, where
+        # Re u_R is 1e-16 of |u_R| on both paths and the integration
+        # uncertainty is most of the gap
+        res = sabotage.solve(ModelSpec(1, 38.0), 28, 1.2)
+        assert not res.converged
+        assert abs(res.E.real - solve_level(ModelSpec(1, 38.0), 28).E.real) > 1e-3 * res.E.real
+        assert res.residual > 1.0
 
     @pytest.mark.parametrize("k,eps", [(12, 2.0), (28, 58.0)])
     @pytest.mark.parametrize("broken", ["panels", "vertex"])
@@ -1475,7 +1492,7 @@ class TestCheckVertex:
             Ei = E + i * math.ulp(E)
             again = replace(path, checked=[])
             shooting._u_interior(model, complex(Ei), again, rtol)
-            shift, _ = shooting._check_shift(model, again, rtol)
+            shift = shooting._check_shift(model, again, rtol)
             assert shift <= 0.01 * shooting.CHECK_REL * Ei, i
 
     @pytest.mark.parametrize("eps,k", [(28.0, 21), (56.0, 10), (58.0, 9), (38.0, 16)])
@@ -1638,9 +1655,9 @@ class TestScan:
         results = scan_levels([ModelSpec(1, eps) for eps in (0.0, 0.1, 0.2, 0.3)], 2)
         assert calls == [(eps, k) for eps in (0.1, 0.2) for k in range(3)]
         shot = [(r.E, r.iterations) for r in results if r.iterations]
-        assert shot == [(1.0030970656620783 + 0j, 3), (3.0611351519218113 + 0j, 3),
+        assert shot == [(1.0030970656620781 + 0j, 3), (3.0611351519218117 + 0j, 3),
                         (5.167085842366626 + 0j, 3), (1.0100685202881652 + 0j, 3),
-                        (3.137066846254479 + 0j, 3), (5.357600879563636 + 0j, 2)]
+                        (3.1370668462544784 + 0j, 3), (5.357600879563636 + 0j, 2)]
 
     @pytest.mark.parametrize("M,want", [
         (2, [1.905812, 7.753113, 17.684143, 29.998397, 44.784535, 61.656818]),
@@ -1688,3 +1705,19 @@ class TestMatchHeight:
         r_tp = 196.0 ** (1.0 / 60.0)
         ym = match_height(model, 196.0)
         assert 0.9 * r_tp <= ym <= 1.05 * r_tp
+
+    @pytest.mark.parametrize("M", range(1, 7))
+    def test_scale_invariance(self, M):
+        # V is homogeneous, so the arch is one curve scaled by r_t: y*/r_t
+        # does not depend on E
+        for eps in (0.1, 2.0, 58.0, 3200.0):
+            model = ModelSpec(M, eps)
+            etas = [match_height(model, E) / turning_radius(model, E)
+                    for E in (0.5, 1.0, 172.6, 1e6)]
+            assert max(etas) - min(etas) <= 1e-15, eps
+
+    def test_large_eps_table_converges(self):
+        # the large-eps table of ROADMAP's grounding note, where at even M
+        # the arch integrand nearly vanishes at the crossing
+        for M, eps, k in LARGE_EPS:
+            assert solve_level(ModelSpec(M, eps), k).converged, (M, eps, k)

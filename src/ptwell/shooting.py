@@ -61,9 +61,9 @@ root cannot fail it, a converged root is also checked on a second path to
 the same match point, whose vertex a budget of e-folds places inside x_t
 (_check_path): every leg keeps one rule, agree to tol or stop at a
 rounding floor of at most sqrt(tol).  The defect and its slope do not
-depend on the path, so from one energy, the first real shot after a
-build, which carries both paths' legs, their Newton images agree to
-rounding; a root whose images differ more than CHECK_REL |E| is reported
+depend on the path, so from E_ref, where the build's shot carries both
+paths' legs (_shoot_path), their Newton images agree to rounding; a root
+whose images on its last path differ more than CHECK_REL |E| is reported
 unconverged (_check_shift).  All operations are pure.  scan_levels
 shoots only the levels the spectral engine (ptwell.spectral) does not certify.
 """
@@ -71,7 +71,6 @@ shoots only the levels the spectral engine (ptwell.spectral) does not certify.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import itertools
 import logging
@@ -112,8 +111,9 @@ class EigenResult:
     k: int
     E: complex
     residual: float     # a checked root's shift over |E| (_check_shift),
-                        # else |defect| at the last shot; from scan_levels'
-                        # spectral engine, its contours' relative gap
+                        # inf where a shot failed or Newton found no finite
+                        # step, else |defect| at the last shot; from
+                        # scan_levels' engine, its contours' relative gap
     iterations: int
     converged: bool
 
@@ -422,9 +422,9 @@ class _Path:
     R e^{i theta} to the vertex, the turning point x_t of E_ref scaled to
     radius `corner` (inside r_t on the check path, see _check_path), then a
     chord to the match point -i ym.  The legs start from `panels` Chebyshev
-    panels; `v` keeps V (see _legs); `u_ref` is what _u_interior returns at
-    E_ref, from the build's shot; `checked`, None where no root is checked,
-    keeps what _u_interior shot on it and its check path at one real E."""
+    panels; `v` keeps V (see _legs); `u_ref` and `u_check` are what
+    _u_interior returns at E_ref on it and on its check path, from the
+    build's shot (_shoot_path), u_check None where the check path fails."""
 
     E_ref: float
     ym: float
@@ -434,7 +434,7 @@ class _Path:
     panels: tuple[int, int]
     v: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     u_ref: tuple[complex, complex] | None = field(default=None, repr=False, compare=False)
-    checked: list | None = field(default=None, repr=False, compare=False)
+    u_check: tuple[complex, complex] | None = field(default=None, repr=False, compare=False)
 
 
 def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
@@ -461,73 +461,75 @@ def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
     return [leg(0), leg(1)]
 
 
-def _shoot(model: ModelSpec, E: complex, path: _Path, panels: tuple[int, int],
-           rtol: float, check: _Path | None = None) -> tuple:
-    """psi'/psi at -i ym and its E-derivative, carried along the legs of
-    `path` from `panels` first, and the counts _segment returns; then those
-    two on `check`, a path from the same outer point, from its own counts,
-    or None.  The first two passes of every leg take one call of _transfers.
+def _shoot(model: ModelSpec, E: complex, paths: Sequence[_Path],
+           panels: tuple[int, int], rtol: float) -> list[tuple]:
+    """For each of `paths`, paths from the same outer point: psi'/psi at
+    -i ym and its E-derivative, carried along its legs from `panels` first,
+    and the counts _segment returns.  The first two passes of every leg of
+    every path take one call of _transfers.
 
     The derivative is W/psi^2 at -i ym: W = psi psi_E' - psi' psi_E starts
     at the outer point as the E-derivative of the WKB start and loses
     int psi^2 dx on each leg (_segment)."""
-    psi0, dpsi_ds, w0 = _outgoing_ic(model, E, path.theta, path.R)    # s = R - |x|
-    paths = [(path, panels)] if check is None else [(path, panels), (check, check.panels)]
-    shots = [(_legs(model, E, p), list(ns)) for p, ns in paths]
+    psi0, dpsi_ds, w0 = _outgoing_ic(model, E, paths[0].theta, paths[0].R)    # s = R - |x|
+    shots = [(_legs(model, E, p), list(panels)) for p in paths]
     ts = iter(_transfers([(q, length, (n, 2 * n)) for legs, ns in shots
                           for (q, length, _), n in zip(legs, ns)]))
     out = []
     for legs, ns in shots:
-        psi, dpsi, w = psi0, -dpsi_ds / cmath.exp(1j * path.theta), w0
+        psi, dpsi, w = psi0, -dpsi_ds / cmath.exp(1j * paths[0].theta), w0
         for j, leg in enumerate(legs):
             psi, dpsi, w, ns[j] = _segment(leg, psi, dpsi, ns[j], rtol,
                                            itertools.islice(ts, 2), w)
         if psi == 0.0:      # a node at -i ym to the last bit: psi is one rounding unit
             psi = 2.0 ** -53 * abs(dpsi)
         out.append((dpsi / psi, w / (psi * psi), tuple(ns)))
-    return *out[0], out[1][:2] if check else None
+    return out
 
 
-def _build_path(model: ModelSpec, E_ref: float, radius_factor: float,
-                rtol: float) -> _Path:
-    """The path for E_ref, with its panel counts and u_ref from one shot at
-    E_ref.
+def _shoot_path(model: ModelSpec, path: _Path, rtol: float) -> _Path:
+    """`path`, unshot, with its panel counts, u_ref and u_check from one
+    shot at E_ref that also carries its check path's legs (_check_path);
+    where those fail, its own are shot alone and u_check is None.
 
-    The shot starts each leg from _phase_count.  On M = 1..3, eps = 0..58,
-    k = 0..28 (270 builds) every first leg agrees in its first pair at rtol
-    1e-13, 1e-11 and 1e-8, and the chord in 152, 184 and 231 of them.  The
-    other chords take a third pass.  At 1e-11, 33 are Airy layers at the
-    turning point (k >= 1), where the WKB phase grows by almost nothing and
-    the layer needs 2 panels where the phase gives 1; the rest start a panel
-    short at larger phase, or are high levels at large eps whose pairs stop
-    at the rounding floor.  The count _segment keeps finishes later shots in
-    two passes after agreement, and in three after the floor.
-    """
-    R = _ray_radius(model, E_ref, radius_factor, rtol)
-    path = _Path(E_ref, match_height(model, E_ref), turning_radius(model, E_ref),
-                 wedge_angles(model).theta_right, R, (0, 0))
+    Both paths start each leg from _phase_count on `path`.  On M = 1..3,
+    eps = 0..58, k = 0..28 (270 builds) every first leg agrees in its first
+    pair at rtol 1e-13, 1e-11 and 1e-8, and the chord in 152, 184 and 231 of
+    them.  The other chords take a third pass.  At 1e-11, 33 are Airy
+    layers at the turning point (k >= 1), where the WKB phase grows by
+    almost nothing and the layer needs 2 panels where the phase gives 1; the
+    rest start a panel short at larger phase, or are high levels at large
+    eps whose pairs stop at the rounding floor.  The count _segment keeps
+    finishes later shots in two passes after agreement, and in three after
+    the floor."""
     start = tuple(_phase_count(q, length, rtol)
-                  for q, length, _ in _legs(model, E_ref, path))
-    *u_ref, panels, _ = _shoot(model, E_ref, path, start, rtol)
-    built = replace(path, panels=panels, u_ref=tuple(u_ref), checked=[])
+                  for q, length, _ in _legs(model, path.E_ref, path))
+    try:
+        shot, check = _shoot(model, path.E_ref, [path, _check_path(model, path, rtol)],
+                             start, rtol)
+    except ShootingError:       # the check path's legs may fail alone
+        (shot,), check = _shoot(model, path.E_ref, [path], start, rtol), None
+    built = replace(path, panels=shot[2], u_ref=shot[:2],
+                    u_check=check[:2] if check else None)
     built.v.update(path.v)
     return built
+
+
+def _build_path(model: ModelSpec, E_ref: float, radius_factor: float, rtol: float) -> _Path:
+    """The path for E_ref, shot at E_ref (_shoot_path)."""
+    R = _ray_radius(model, E_ref, radius_factor, rtol)
+    return _shoot_path(model, _Path(E_ref, match_height(model, E_ref),
+                                    turning_radius(model, E_ref),
+                                    wedge_angles(model).theta_right, R, (0, 0)), rtol)
 
 
 def _u_interior(model: ModelSpec, E: complex, path: _Path,
                 rtol: float) -> tuple[complex, complex]:
     """psi'/psi at -i ym, integrated along `path` from the outer point, and
-    its E-derivative (see _shoot); the first real shot fills path.checked."""
+    its E-derivative (see _shoot)."""
     if not cmath.isfinite(E):
         raise ShootingError("non-finite energy")
-    if path.checked != [] or E.imag != 0.0:
-        return _shoot(model, E, path, path.panels, rtol)[:2]
-    try:
-        shot = _shoot(model, E, path, path.panels, rtol, _check_path(model, path, rtol))
-    except ShootingError:       # the check path's legs may fail alone
-        shot = _shoot(model, E, path, path.panels, rtol)
-    path.checked.append((E, shot[:2], shot[3]))
-    return shot[:2]
+    return _shoot(model, E, [path], path.panels, rtol)[0][:2]
 
 
 def _matching_defect(model: ModelSpec, E: complex, path: _Path,
@@ -627,21 +629,18 @@ def _check_path(model: ModelSpec, path: _Path, rtol: float) -> _Path:
     rate = path.corner * math.sqrt(path.E_ref * n) * math.cos(math.pi * model.M / n)
     # G; at eps = 0 cos(pi M/N) is 0 up to rounding, and c_B far below CHECK_CORNER
     c_b = 1.0 - (1.5 * budget / rate) ** (2.0 / 3.0) if rate > 0.0 else 0.0
-    return replace(path, corner=max(CHECK_CORNER, c_b) * path.corner, u_ref=None, checked=None)
+    return replace(path, corner=max(CHECK_CORNER, c_b) * path.corner)
 
 
 def _check_shift(model: ModelSpec, path: _Path, rtol: float) -> float:
     """|w_check - w|/|dw|, w and dw the defect and its slope on `path` and
-    w_check the defect on its check path (_check_path), at the first real
-    shot after the build (path.checked), else at E_ref: the distance between
-    the two paths' Newton images from that energy, inf where the check path
-    fails.  The gap is widened by the defect's integration uncertainty,
+    w_check the defect on its check path (_check_path), at E_ref from the
+    build's shot (u_ref, u_check): the distance between the two paths'
+    Newton images from that energy, inf where the check path failed.  The
+    gap is widened by the defect's integration uncertainty,
     tol 2|u_R|/(1 + |u_R|)^2 with tol = _leg_tol(rtol): where Re u_R is 0
     on both paths the defects agree exactly, and would pass any root."""
-    E, u, u_check = path.checked[0] if path.checked else (path.E_ref, path.u_ref, None)
-    if not path.checked:
-        with contextlib.suppress(ShootingError):
-            u_check = _u_interior(model, E, _check_path(model, path, rtol), rtol)
+    E, u, u_check = path.E_ref, path.u_ref, path.u_check
     w, dw = _defect(model, E, path.ym, *u, u)
     if u_check is None or not dw:
         return math.inf
@@ -677,12 +676,13 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     ends the solve unconverged.  Newton stops at a Newton step with
     |dE| <= tol |E + dE|, and takes that step without shooting its end
     point; the result is flagged converged only if the PT-reality check
-    |Im E| <= 1e-8 |Re E| also holds, and if the Newton images of its path
-    and the check path from one real energy lie within CHECK_REL |E| of
-    each other (_check_shift).  A real seed takes one shot per defect and
-    stays real, so its root passes the PT-reality check as it stands; a
-    complex seed takes two, at E and conj E (see _matching_defect).
-    Failures return an unconverged EigenResult instead of raising.
+    |Im E| <= 1e-8 |Re E| also holds, and if the Newton images of the last
+    path and its check path from its E_ref lie within CHECK_REL |E| of each
+    other (_check_shift).  A real seed takes one shot per defect and stays
+    real, so its root passes the PT-reality check as it stands; a complex
+    seed takes two, at E and conj E (see _matching_defect).  Failures
+    return an unconverged EigenResult instead of raising, with residual inf
+    where Newton finds no finite step.
 
     Raises:
         ValueError: for k < 0, tol or rtol outside [1e-13, 1e-6], a
@@ -705,7 +705,7 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     for iterations in range(1, MAX_ITER + 1):
         dE = -w / dw if dw else complex(math.inf)
         if not cmath.isfinite(dE):
-            break
+            return EigenResult(k, E, math.inf, iterations, False)
         cap = 0.25 * abs(E)
         if abs(dE) > cap:
             dE *= cap / abs(dE)
@@ -722,7 +722,7 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
             dE = 0.5 * (lo + hi) - E
         E += dE
         if newton and abs(dE) <= tol * abs(E):
-            # the step is taken but not shot: the check path re-checks E
+            # the step is taken but not shot
             converged = True
             break
         try:

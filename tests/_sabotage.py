@@ -2,12 +2,12 @@
 catches.
 
 `solve` runs solve_level with the solve's own path built with its vertex at
-s r_t in place of the turning point x_t, the way _build_path builds a path:
-each leg starts from _phase_count and the build's shot at E_ref gives the
-kept counts and u_ref.  solve_level then checks its roots on _check_path of
-the moved path.  Off the arch the moved chord loses the wanted solution to
-the other one, so the solve may converge to a wrong root; the check path,
-on another path to the same match point, should then refuse it.
+s r_t in place of the turning point x_t, and shot the way _build_path shoots
+a path (_shoot_path): one shot at E_ref gives the kept counts, u_ref and, on
+_check_path of the moved path, u_check, which solve_level checks its roots
+against.  Off the arch the moved chord loses the wanted solution to the
+other one, so the solve may converge to a wrong root; the check path, on
+another path to the same match point, should then refuse it.
 
 Run as a script, it solves every level of SWEEP at default arguments and on
 paths moved to s = 0.8, 0.9 and 1.2, prints the levels that come back wrong
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import logging
 import sys
-from dataclasses import replace
 from unittest import mock
 
 import ptwell.shooting as shooting
@@ -39,15 +38,9 @@ def moved_path(model: ModelSpec, E_ref: float, radius_factor: float, rtol: float
                s: float) -> shooting._Path:
     """_build_path's path for E_ref, with its vertex at s r_t."""
     R = shooting._ray_radius(model, E_ref, radius_factor, rtol)
-    path = shooting._Path(E_ref, shooting.match_height(model, E_ref),
-                          s * turning_radius(model, E_ref),
-                          wedge_angles(model).theta_right, R, (0, 0))
-    start = tuple(shooting._phase_count(q, length, rtol)
-                  for q, length, _ in shooting._legs(model, E_ref, path))
-    *u_ref, panels, _ = shooting._shoot(model, E_ref, path, start, rtol)
-    built = replace(path, panels=panels, u_ref=tuple(u_ref), checked=[])
-    built.v.update(path.v)
-    return built
+    return shooting._shoot_path(model, shooting._Path(
+        E_ref, shooting.match_height(model, E_ref), s * turning_radius(model, E_ref),
+        wedge_angles(model).theta_right, R, (0, 0)), rtol)
 
 
 def solve(model: ModelSpec, k: int, s: float) -> shooting.EigenResult:

@@ -488,7 +488,8 @@ class TestOneRayDefect:
     def test_complex_seed_integrates_both_rays(self, shots):
         # every defect at a complex energy shoots at E and at conj E: the
         # seed's and one per Newton step but the last.  No iterate is real,
-        # so the check path is shot alone at the build's real energy
+        # and the check path's legs ride the build's shot at |seed|, so no
+        # real energy is shot after it
         defects, energies = shots
         res = solve_level(ModelSpec(1, 8.0), 0, seed=5.55 + 0.01j)
         assert res.converged
@@ -496,7 +497,7 @@ class TestOneRayDefect:
         assert abs(res.E.imag) <= 1e-8 * res.E.real
         left = [E for E in defects if E.imag != 0.0 and E.conjugate() in energies]
         assert len(left) == len(defects) == res.iterations
-        assert [E for E in energies if E.imag == 0.0] == [abs(5.55 + 0.01j)]
+        assert [E for E in energies if E.imag == 0.0] == []
 
 
 class TestRootSeed:
@@ -515,9 +516,9 @@ class TestRootSeed:
             calls.append((E, path))
             return defect(model, E, path, rtol)
 
-        def recorded_shot(model, E, path, panels, rtol):
-            shots.append((E, path.E_ref, path.corner))
-            return shoot(model, E, path, panels, rtol)
+        def recorded_shot(model, E, paths, panels, rtol):
+            shots.extend((E, path.E_ref, path.corner) for path in paths)
+            return shoot(model, E, paths, panels, rtol)
 
         monkeypatch.setattr(shooting, "_matching_defect", recorded)
         monkeypatch.setattr(shooting, "_shoot", recorded_shot)
@@ -886,32 +887,36 @@ class TestSolvePath:
 
     @pytest.mark.parametrize("M,eps,k", [(1, 58.0, 0), (2, 0.0, 20)])
     def test_two_passes_per_leg(self, monkeypatch, M, eps, k):
-        # the panel counts fixed when the path is built let every later
-        # integration on it finish each leg in two passes, and the check
-        # path's legs, which start from the same counts and ride the first
-        # shot after the build, too.  The build's shot gives the first
-        # Newton step and the last step is not shot, so the solve shoots once
-        # per iteration but the last
+        # the build's shot finishes each leg of the path and of its check
+        # path, which it carries, in two passes from _phase_count, and the
+        # panel counts it keeps let every later integration on the path
+        # finish each leg in two passes too.  The build's shot gives the
+        # first Newton step and the last step is not shot, so the solve
+        # shoots once per iteration
         model = ModelSpec(M, eps)
-        propagate, u_interior = shooting._propagate, shooting._u_interior
+        propagate = shooting._propagate
+        shoot_path, u_interior = shooting._shoot_path, shooting._u_interior
         passes, calls = [0], []
 
         def counted(*args):
             passes[0] += 1
             return propagate(*args)
 
-        def recorded(model, E, path, rtol):
-            before = passes[0]
-            u = u_interior(model, E, path, rtol)
-            calls.append((path, passes[0] - before))
-            return u
+        def recorded(shoot):
+            def recorded_shot(*args):     # (..., path, rtol)
+                before = passes[0]
+                out = shoot(*args)
+                calls.append((args[-2], passes[0] - before))
+                return out
+            return recorded_shot
 
         monkeypatch.setattr(shooting, "_propagate", counted)
-        monkeypatch.setattr(shooting, "_u_interior", recorded)
+        monkeypatch.setattr(shooting, "_shoot_path", recorded(shoot_path))
+        monkeypatch.setattr(shooting, "_u_interior", recorded(u_interior))
         res = solve_level(model, k)
         assert res.converged
         assert all(path.corner == turning_radius(model, path.E_ref) for path, _ in calls)
-        assert len(calls) == res.iterations - 1
+        assert len(calls) == res.iterations
         assert [n for _, n in calls] == [8] + [4] * (len(calls) - 1)
 
     def test_stored_counts_still_doubled(self):
@@ -1064,19 +1069,21 @@ class TestSolvePath:
         # with no rebuild: per leg the build's probes, end and first pair,
         # then the stored pair; on the check path its end and pair.  That is
         # 18 node sets however many shots are taken, while a shot calls q on
-        # 6 (two passes and the end, per leg); the check path rides a shot
+        # 6 (two passes and the end, per leg); the check path rides the
+        # build's shot
         assert shots[0] > 3
         assert evaluated[0] <= 18 < 6 * shots[0] <= calls[0]
 
     @pytest.mark.parametrize("M,eps,k", [(1, 8.0, 0)] + [(1, 2.0, k) for k in range(8, 17)])
     def test_one_defect_check_shift(self, monkeypatch, M, eps, k):
         # the check path is _check_path of the solve's path, and its legs
-        # ride the first real shot after the build.  The shift is the
-        # distance between the two paths' Newton images from that energy on
-        # the exact slope of the solve's path, as separate shots of the two
-        # paths there give it, with the defect's integration uncertainty
-        # added to their gap; over |E| it is the result's residual.  On the
-        # check path a secant over 0.1% of E finds the same slope
+        # ride the build's shot at E_ref.  The shift is the distance between
+        # the two paths' Newton images from that energy on the exact slope
+        # of the solve's path, as separate shots of the two paths there,
+        # from the build's start counts, give it, with the defect's
+        # integration uncertainty added to their gap; over |E| it is the
+        # result's residual.  On the check path a secant over 0.1% of E
+        # finds the same slope
         model = ModelSpec(M, eps)
         rtol = shooting.DEFAULT_RTOL
         seen = []
@@ -1091,11 +1098,12 @@ class TestSolvePath:
         res = solve_level(model, k)
         assert res.converged
         (path, shift), = seen
-        (E, *_), = path.checked
-        assert E.imag == 0.0 and E != path.E_ref
+        E = complex(path.E_ref)
         check = shooting._check_path(model, path, rtol)
         assert check == shooting._check_path(model, _path(model, path.E_ref), rtol)
-        solve_path = replace(path, u_ref=None, checked=None)
+        start = tuple(shooting._phase_count(q, length, rtol)
+                      for q, length, _ in shooting._legs(model, path.E_ref, path))
+        solve_path, check = (replace(p, panels=start, u_ref=None) for p in (path, check))
         w, dw = shooting._matching_defect(model, E, solve_path, rtol)
         u_R = abs(_u(model, E, solve_path))
         c0 = shooting._matching_defect(model, E, check, rtol)[0]
@@ -1112,7 +1120,7 @@ class TestSolvePath:
         model, rtol = ModelSpec(1, 38.0), shooting.DEFAULT_RTOL
         path = _path(model, 183084.511)
         E, du, u = complex(path.E_ref), path.u_ref[1], -511.578j
-        flat = replace(path, checked=[(E, (u, du), (u, du))])
+        flat = replace(path, u_ref=(u, du), u_check=(u, du))
         dw = shooting._defect(model, E, path.ym, u, du, (u, du))[1]
         blur = shooting._leg_tol(rtol) * 2.0 * abs(u) / (1.0 + abs(u)) ** 2
         assert shooting._check_shift(model, flat, rtol) == blur / abs(dw) > 0.0
@@ -1127,24 +1135,62 @@ class TestSolvePath:
         assert abs(res.E.real - solve_level(ModelSpec(1, 38.0), 28).E.real) > 1e-3 * res.E.real
         assert res.residual > 1.0
 
+    def test_no_finite_step_is_no_root(self):
+        # on the path moved to 1.2 r_t, (1, 38, 18) reaches E = 82453.227,
+        # 2.6% above the level, where Re u_R and its slope vanish to the
+        # last bit: w = dw = 0 gives no Newton step, and the stop reports an
+        # infinite residual, not |w| = 0, which would read as an exact root
+        res = sabotage.solve(ModelSpec(1, 38.0), 18, 1.2)
+        assert not res.converged
+        assert res.E.real == pytest.approx(82453.227, rel=1e-8)
+        assert abs(res.E.real - solve_level(ModelSpec(1, 38.0), 18).E.real) > 0.02 * res.E.real
+        assert res.residual == math.inf
+
+    @pytest.mark.parametrize("seed_factor", [0.5, 2.0])
+    @pytest.mark.parametrize("M,eps,k", [(1, 2.0, 8), (2, 0.0, 11), (1, 58.0, 9)])
+    def test_rebuilt_solve_judged_on_its_last_path(self, monkeypatch, M, eps, k, seed_factor):
+        # seeded at half or twice the level, Newton leaves the seed's path
+        # band and the path is rebuilt, with its check path, near the root:
+        # the root is judged on the last path built, whose E_ref lies within
+        # PATH_BAND of it
+        model = ModelSpec(M, eps)
+        want = solve_level(model, k)
+        seen, builds = [], []
+        check_shift, build_path = shooting._check_shift, shooting._build_path
+
+        def recorded(model, path, rtol):
+            seen.append(path)
+            return check_shift(model, path, rtol)
+
+        def counted(*args):
+            builds.append(build_path(*args))
+            return builds[-1]
+
+        monkeypatch.setattr(shooting, "_check_shift", recorded)
+        monkeypatch.setattr(shooting, "_build_path", counted)
+        res = solve_level(model, k, seed=seed_factor * want.E.real)
+        assert want.converged and res.converged
+        assert abs(res.E - want.E) <= 1e-12 * abs(want.E)
+        (path,) = seen
+        assert len(builds) > 1 and path is builds[-1]
+        assert abs(res.E.real - path.E_ref) <= shooting.PATH_BAND * path.E_ref
+
     @pytest.mark.parametrize("k,eps", [(12, 2.0), (28, 58.0)])
     @pytest.mark.parametrize("broken", ["panels", "vertex"])
     def test_failing_check_path_does_not_fail_the_solve(self, monkeypatch, caplog, k, eps, broken):
-        # check path legs that fail, past the panel cap or from a non-finite
-        # vertex, fail the call of _transfers that the solve's shot shares
-        # with them at (1, 2, 12), and the check path's lone shot at E_ref
-        # at (1, 58, 28), which converges off the build's shot.  The solve's
-        # shot is then taken alone: the solve runs as it would, and its root
-        # is reported path-dependent with an infinite residual
+        # check path legs that fail, past the panel cap (a vertex at 0.2 of
+        # the check path's, whose chord amplifies rounding so far that no
+        # pair agrees) or from a non-finite vertex, fail the build's shot,
+        # which carries them.  The solve's legs are then shot alone: the
+        # solve runs as it would, and its root is reported path-dependent
+        # with an infinite residual
         model = ModelSpec(1, eps)
         want = solve_level(model, k)
         check_path = shooting._check_path
 
         def failing(*args):
             check = check_path(*args)
-            if broken == "panels":
-                return replace(check, panels=(shooting._MAX_PANELS + 1, 1))
-            return replace(check, corner=math.nan)
+            return replace(check, corner=(0.2 if broken == "panels" else math.nan) * check.corner)
 
         monkeypatch.setattr(shooting, "_check_path", failing)
         with np.errstate(invalid="ignore"):
@@ -1162,9 +1208,8 @@ SCHEDULE_CASES = [(1, 8.0, 0), (2, 56.0, 0), (1, 58.0, 0), (1, 2.0, 24), (2, 0.0
 class TestShotSchedule:
     # the build's start counts agree at once and later shots start from the
     # counts it keeps, so each shot finishes both legs in the two passes of
-    # one kernel call; the check path's legs ride the first real shot after
-    # the build, in that call, so the check takes no call of its own; no
-    # shot is repeated
+    # one kernel call; the check path's legs ride the build's shot, in that
+    # call, so the check takes no call of its own; no shot is repeated
 
     @pytest.mark.parametrize("M,eps,k", SCHEDULE_CASES)
     def test_one_kernel_call_per_shot(self, monkeypatch, M, eps, k):
@@ -1176,10 +1221,10 @@ class TestShotSchedule:
             calls[0] += 1
             return transfers(legs)
 
-        def recorded(model, E, path, panels, rtol, check=None):
+        def recorded(model, E, paths, panels, rtol):
             before = calls[0]
-            out = shoot(model, E, path, panels, rtol, check)
-            shots.append(((path.E_ref, path.corner, E), calls[0] - before))
+            out = shoot(model, E, paths, panels, rtol)
+            shots.append(((paths[0].E_ref, paths[0].corner, E), calls[0] - before))
             return out
 
         monkeypatch.setattr(shooting, "_transfers", counted)
@@ -1196,21 +1241,23 @@ class TestShotSchedule:
         # the step below tol is taken without a shot: the build's shot and
         # one per Newton step but the last, even where that step rounds to
         # nothing, as at (2, 0, 26), all on the solve's path; the check
-        # path's legs ride the first of them after the build
+        # path's legs ride the build's shot, the first
         model = ModelSpec(M, eps)
         shoot, shots = shooting._shoot, []
 
-        def recorded(model, E, path, panels, rtol, check=None):
+        def recorded(model, E, paths, panels, rtol):
+            path, *check = paths
             on_solve = path.corner == turning_radius(model, path.E_ref)
-            shots.append((E, on_solve, check is not None))
-            return shoot(model, E, path, panels, rtol, check)
+            assert check in ([], [shooting._check_path(model, path, rtol)])
+            shots.append((E, on_solve, bool(check)))
+            return shoot(model, E, paths, panels, rtol)
 
         monkeypatch.setattr(shooting, "_shoot", recorded)
         res = solve_level(model, k)
         assert res.converged
         assert all(on_solve for _, on_solve, _ in shots)
         assert len(shots) == res.iterations
-        assert [E for E, _, carried in shots if carried] == [shots[1][0]]
+        assert [E for E, _, carried in shots if carried] == [shots[0][0]]
 
     @pytest.mark.parametrize("bad", [0, 1, 40])
     def test_non_finite_q_between_rescales(self, bad):
@@ -1228,10 +1275,10 @@ class TestShotSchedule:
             shooting._transfers([(q, 1.0, (64, 2))])
 
     def test_two_kernel_calls_at_a_high_level(self, monkeypatch):
-        # (1, 2, 12): the build's shot at the next-order WKB seed gives the
-        # first Newton step, one more shot, which the check path's legs
-        # ride, the second, below tol and not shot; no shot is spent on a
-        # slope and none on the check
+        # (1, 2, 12): the build's shot at the next-order WKB seed, which the
+        # check path's legs ride, gives the first Newton step, one more shot
+        # the second, below tol and not shot; no shot is spent on a slope
+        # and none on the check
         transfers, calls = shooting._transfers, [0]
 
         def counted(legs):
@@ -1477,21 +1524,19 @@ class TestCheckVertex:
         # with the vertex at CHECK_CORNER x_t, 41, 28, 41, 22 and 37 of the
         # 41 verdicts within 20 ulps of these levels passed, as the chord's
         # floor fell.  Within the budget every shift is far below CHECK_REL,
-        # at every energy within 20 ulps of the one the check was taken at:
-        # the first real shot after the build, or, at (1, 58, 28), which
-        # converges off the build's shot, the build's energy
+        # with the build re-shot at every energy within 20 ulps of the one
+        # the check was taken at, the build's energy
         model = ModelSpec(1, eps)
         rtol = shooting.DEFAULT_RTOL
         res, path = self._checked(monkeypatch, model, k)
         assert res.converged
         check = shooting._check_path(model, path, rtol)
         assert check.corner > shooting.CHECK_CORNER * turning_radius(model, path.E_ref)
-        E = path.checked[0][0].real if path.checked else path.E_ref
-        assert bool(path.checked) == ((eps, k) != (58.0, 28))
+        E = path.E_ref
         for i in range(-20, 21):
             Ei = E + i * math.ulp(E)
-            again = replace(path, checked=[])
-            shooting._u_interior(model, complex(Ei), again, rtol)
+            again = shooting._shoot_path(model, replace(path, E_ref=Ei), rtol)
+            assert again.u_check is not None
             shift = shooting._check_shift(model, again, rtol)
             assert shift <= 0.01 * shooting.CHECK_REL * Ei, i
 
@@ -1542,9 +1587,8 @@ class TestCheckVertex:
         # the sabotage harness (_sabotage.py) on a fixed sample: the solve's
         # own path with its vertex at 0.8 or 1.2 r_t, off the arch, converges
         # to wrong roots at many levels; the check refuses every one of them.
-        # At (1, 38, 18), s = 1.2, the check at the converged root let a root
-        # 4.7% above the level through; from the first real shot after the
-        # build, where the two paths' defects differ, it does not
+        # At (1, 38, 18), s = 1.2, Newton stops on a defect flat to the last
+        # bit, unconverged (test_no_finite_step_is_no_root)
         sample = [(M, eps, k) for M in (1, 2, 3, 4) for eps in (8.0, 38.0, 58.0)
                   for k in (6, 18, 28)]
         want = {(M, eps, k): solve_level(ModelSpec(M, eps), k).E.real

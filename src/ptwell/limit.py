@@ -6,14 +6,14 @@ collapses (as eps -> infinity) to
     psi''(z) + F pi^2 (1 + (-1)^(M+1) e^(i pi z)) psi(z) = 0,   F = E/eps^2,
 
 a complex analog of the square well.  The substitution w = nu e^(i pi z / 2)
-with nu = 2 sqrt(F) turns it into the modified Bessel equation for odd M and
-the ordinary Bessel equation for even M.  Decay on the vertical boundary
-lines Re z = +-(M+1) quantizes nu:
+with nu = 2 sqrt(F) turns it into the modified Bessel equation in the
+variable w e^(i pi (M+1)/2), whose solution K_nu decays on the left
+boundary line Re z = -(M+1).  Decay on the right line Re z = M+1 as well
+quantizes nu, for every M:
 
-    M = 1:  cos(nu pi) = 0          ->  nu = k + 1/2,
-    M = 2:  cos(2 nu pi) = -1/2     ->  nu = k + 1/3, k + 2/3,
+    sin((M+1) nu pi) / sin(nu pi) = 0   ->  nu = k + P/(M+1), P = 1..M,
 
-and in general nu = k + P/(M+1), P = 1..M, so F = nu^2/4.
+so F = nu^2/4 (M = 1: nu = k + 1/2; M = 2: nu = k + 1/3, k + 2/3).
 
 The refined deformation map F(eps) = E^((eps+2M+2)/(eps+2M)) / (eps+2)^2
 expands as F = f0 + f1/eps + ..., and at M = 1 the ground-state correction
@@ -29,8 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .specfun import (EULER_GAMMA, bessel_J_logw, bessel_K_logw,
-                      bessel_K_scaled, bessel_Y_logw)
+from .specfun import EULER_GAMMA, bessel_K_logw, bessel_K_scaled
 
 
 @dataclass(frozen=True)
@@ -62,100 +61,87 @@ def nu_spectrum(M: int, k_max: int) -> list[LimitLevel]:
 
 
 def quantization_residual(M: int, nu: float) -> float:
-    """cos(nu pi) for M = 1, cos(2 nu pi) + 1/2 for M = 2.
+    """sin((M+1) nu pi) / (2 sin(nu pi)), zero exactly at the levels
+    nu = k + P/(M+1), P = 1..M.
 
-    Arguments are reduced modulo the period before calling cos, so the
-    residual vanishes to ~1e-16 at spectrum values of any index.
+    Summed as cos(M nu pi) + cos((M-2) nu pi) + ..., plus 1/2 for even M:
+    cos(nu pi) at M = 1, cos(2 nu pi) + 1/2 at M = 2.  Each m nu is
+    reduced modulo 2 before calling cos, so the residual vanishes to
+    ~1e-16 at spectrum values of any index.
 
     Raises:
-        ValueError: unless 0 < nu < inf (nan included), and for M >= 3 (no
-            closed condition is implemented; the spectrum itself is
-            available through nu_spectrum).
+        ValueError: unless M is a positive integer and 0 < nu < inf (nan
+            included).
     """
+    if M < 1 or M != int(M):
+        raise ValueError("M must be a positive integer")
     if not 0.0 < nu < math.inf:
         raise ValueError("nu must be finite and positive")
-    if M == 1:
-        t = nu - 2.0 * round(nu / 2.0)
-        return math.cos(math.pi * t)
-    if M == 2:
-        t = nu - round(nu)
-        return math.cos(2.0 * math.pi * t) + 0.5
-    raise ValueError("closed quantization condition implemented for M in {1, 2}")
+    total = 0.0 if M % 2 == 1 else 0.5
+    for m in range(int(M), 0, -2):
+        t = m * nu - 2.0 * round(m * nu / 2.0)
+        total += math.cos(math.pi * t)
+    return total
+
+
+def _require_level(M: int, nu: float) -> None:
+    if abs(quantization_residual(M, nu)) > 1e-8:
+        raise ValueError(f"nu = {nu} is not a limit eigenvalue for M = {M}")
 
 
 # ---------------------------------------------------------------------------
 # limit eigenfunctions
 # ---------------------------------------------------------------------------
 
-def _coeffs(M: int, nu: float) -> tuple[complex, complex]:
-    """(C1, C2) enforcing decay on the left vertical; odd M uses (I, K) with
-    C2 = 1/pi, even M uses (J, Y) with C2 = 1."""
-    if M % 2 == 1:
-        c2 = 1.0 / math.pi
-        c1 = -1j * cmath.exp(1j * nu * math.pi) * math.pi * c2
-        return c1, complex(c2)
-    s = math.sin(nu * math.pi)
-    c2 = 1.0 + 0j
-    c1 = -c2 * (math.cos(nu * math.pi) - cmath.exp(3j * nu * math.pi)) / s
-    return c1, c2
-
-
-def _right_bc_residual(M: int, nu: float, c1: complex, c2: complex) -> float:
-    """Growing-component coefficient on the right vertical, normalized."""
-    if M % 2 == 1:
-        val = c1 * cmath.exp(1j * nu * math.pi) - 1j * math.pi * c2
-        scale = abs(c1) + math.pi * abs(c2)
-    else:
-        s = math.sin(nu * math.pi)
-        e = cmath.exp(3j * nu * math.pi)
-        val = c1 + c2 * (math.cos(nu * math.pi) - 1.0 / e) / s
-        scale = abs(c1) + abs(c2) / abs(s)
-    return abs(val) / scale
-
-
 def limit_wavefunction(M: int, nu: float, z: complex) -> complex:
-    """The limit eigenfunction at a point z of the arch region, M in {1, 2}.
+    """The limit eigenfunction at a point z of the arch region
+    |Re z| <= M + 1.
 
-    Odd M:  psi = C1 I_nu(w) + C2 K_nu(w), even M: psi = C1 J_nu(w) +
-    C2 Y_nu(w), with w = nu e^(i pi z/2) evaluated through the log-argument
-    entry points so the analytic continuation across |arg w| > pi (needed
-    for |Re z| up to M + 1) is built in.  C2 is normalized to 1/pi for M = 1,
-    which makes the ground function literally I_1/2 + K_1/2/pi =
-    e^w / sqrt(2 pi w); the overall scale is otherwise arbitrary.
+    psi = c e^(s nu) K_nu(w e^s) with w = nu e^(i pi z/2),
+    s = +i pi (M+1)/2 for Re z <= 0 and -i pi (M+1)/2 elsewhere, and
+    c = 1/pi for odd M, -2/pi for even M.  On the left boundary line
+    z = -(M+1) - i y the argument w e^s = nu e^(pi y/2) is positive, so psi
+    decays there.  Continued to the right line, K gains the growing I_nu
+    term with the factor sin((M+1) nu pi)/sin(nu pi) (DLMF 10.34.2), which
+    vanishes at the levels: there both signs of s give the same function,
+    decaying on both lines, and each keeps the K argument near the positive
+    axis on its half of the arch, so no two parts cancel near the legs.
+    K is evaluated through its log-argument entry point, which carries the
+    continuation across |arg| > pi.
 
-    For odd M, cos(nu pi) = 0 makes C1 I + C2 K equal to
-    e^(+-i nu pi)/pi K_nu(w e^(+-i pi)), which decays on Re z = -+(M + 1);
-    the sign of -Re z avoids the cancellation of the C1 and C2 parts near
-    the legs of the arch.
+    c makes the M = 1 ground function literally e^w / sqrt(2 pi w), and
+    each M = 2 function C1 J_nu(w) + Y_nu(w) with
+    C1 = -(cos nu pi - e^(3 i nu pi))/sin nu pi; the overall scale is
+    otherwise arbitrary.
 
     Raises:
-        ValueError: if nu is not a spectrum value (decay can then be
-            enforced on one vertical only), or M not in {1, 2}.
+        ValueError: if M is not a positive integer, or nu is not a
+            spectrum value (decay can then be enforced on one line only).
     """
-    if M not in (1, 2):
-        raise ValueError("limit wavefunction implemented for M in {1, 2}")
-    c1, c2 = _coeffs(M, nu)
-    if _right_bc_residual(M, nu, c1, c2) > 1e-8:
-        raise ValueError(f"nu = {nu} is not a limit eigenvalue for M = {M}")
+    _require_level(M, nu)
+    s = 0.5j * math.pi * (M + 1)
+    if z.real > 0.0:
+        s = -s
+    c = 1.0 if M % 2 == 1 else -2.0
     t = math.log(nu) + 1j * math.pi * z / 2.0
-    if M % 2 == 1:
-        s = 1j * math.pi if z.real <= 0.0 else -1j * math.pi
-        return cmath.exp(s * nu) / math.pi * bessel_K_logw(nu, t + s)
-    return c1 * bessel_J_logw(nu, t) + c2 * bessel_Y_logw(nu, t)
+    return c * cmath.exp(s * nu) / math.pi * bessel_K_logw(nu, t + s)
 
 
 def boundary_log_decay(M: int, nu: float, y: float) -> float:
     """ln |psi| on the vertical boundary lines z = +-(M+1) - i y.
 
-    There the growing Bessel component cancels by construction and
-    |psi| = c K_nu(r) with r = nu e^(pi y / 2); evaluated through the scaled
-    K so arbitrarily deep points do not underflow.  Decreases monotonically
-    in y (doubly exponential decay).
+    There the K argument w e^s of limit_wavefunction is real and positive,
+    so |psi| = |c| K_nu(r) with r = nu e^(pi y / 2) and |c| = 1/pi for odd
+    M, 2/pi for even M; evaluated through the scaled K so arbitrarily deep
+    points do not underflow.  Decreases monotonically in y (doubly
+    exponential decay).
+
+    Raises:
+        ValueError: if M is not a positive integer, or nu is not a
+            spectrum value (psi then grows on one of the lines).
     """
-    if M not in (1, 2):
-        raise ValueError("implemented for M in {1, 2}")
-    _, c2 = _coeffs(M, nu)
-    c = abs(c2) if M % 2 == 1 else abs(c2) * 2.0 / math.pi
+    _require_level(M, nu)
+    c = (1.0 if M % 2 == 1 else 2.0) / math.pi
     r = nu * math.exp(math.pi * y / 2.0)
     return math.log(c) + math.log(abs(bessel_K_scaled(nu, complex(r)))) - r
 
@@ -169,9 +155,12 @@ def scaled_ode_residual(M: int, F: float, z: complex,
     is normalized by |psi''| + F pi^2 (1 + |e^(i pi z)|) |psi|.  The step
     balances the rounding noise of psi, amplified by 1/h^2, against the h^4
     truncation error: on the first three levels of M = 1, 2 over Re z in
-    [-1.25, 1.25], Im z in [-0.75, 0.15] the worst residual is 4e-6 at a step
-    of 1e-4 (near the node of the M = 2, nu = 2/3 level at the origin),
-    1e-8 at 2e-3, 6e-9 at 3e-3 and 2e-8 at 5e-3.
+    [-1.25, 1.25], Im z in [-0.75, 0.15] (the benchmark's region) the worst
+    residual is 4e-6 at a step of 1e-4 (near the node of the M = 2,
+    nu = 2/3 level at the origin), 1e-8 at 2e-3, 6e-9 at 3e-3 and 2e-8 at
+    5e-3.  At 3e-3 the worst is 1.2e-8 on the first 3M levels of M = 1..4
+    over the whole arch, |Re z| <= M + 0.9, Im z in [-1, 0.2] (300 points
+    a level).
     """
     h = 3e-3
     pc = psi(z)

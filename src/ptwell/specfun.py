@@ -1,21 +1,19 @@
 """Double-precision special functions over scipy.special.
 
 Provides the exponentially scaled K_nu of real order and complex argument,
-and "log-argument" entry points for K_nu, J_nu and Y_nu that evaluate the
-analytic continuation off the principal sheet.
+and a "log-argument" entry point for K_nu that evaluates its analytic
+continuation off the principal sheet: every limit eigenfunction is one K
+function there (see `ptwell.limit`).
 
-Principal-sheet values come from scipy's iv/kv/jv/yv and kve (Amos'
-algorithm, ACM TOMS 12 (1986) 265).  A log-argument t = log w names a point
-on the Riemann surface of log; it is written as w0 e^(m pi i) with w0 in the
-right half-plane, and the rotation identities (DLMF 10.11.1-2, 10.34.1-2)
+Principal-sheet values come from scipy's iv/kv and kve (Amos' algorithm,
+ACM TOMS 12 (1986) 265).  A log-argument t = log w names a point on the
+Riemann surface of log; it is written as w0 e^(m pi i) with w0 in the
+right half-plane, and the rotation identity (DLMF 10.34.2)
 
     K_nu(w0 e^(m pi i)) = e^(-m nu pi i) K_nu(w0)
-                          - pi i sin(m nu pi)/sin(nu pi) I_nu(w0),
-    J_nu(w0 e^(m pi i)) = e^(m nu pi i) J_nu(w0),
-    Y_nu(w0 e^(m pi i)) = e^(-m nu pi i) Y_nu(w0)
-                          + 2i sin(m nu pi) cot(nu pi) J_nu(w0)
+                          - pi i sin(m nu pi)/sin(nu pi) I_nu(w0)
 
-carry the principal values there.  All functions are pure.
+carries the principal values there.  All functions are pure.
 
 scipy.special is imported on the first Bessel evaluation, not with this
 module: only the limit wavefunctions evaluate a Bessel function, and the
@@ -73,7 +71,7 @@ def bessel_K_scaled(nu: float, w: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# log-argument entry points: continuation off the principal sheet
+# log-argument entry point: continuation off the principal sheet
 # ---------------------------------------------------------------------------
 
 def _sheet(t: complex) -> tuple[complex, int]:
@@ -83,18 +81,25 @@ def _sheet(t: complex) -> tuple[complex, int]:
     return cmath.exp(complex(t.real, t.imag - m * math.pi)), m
 
 
+def _sin_pi(x: float) -> float:
+    """sin(x pi), with x reduced to [-1/2, 1/2] first: exactly zero at
+    integer x, where sin(x pi) would leave ~x 1e-16."""
+    t = x - 2.0 * round(x / 2.0)
+    if abs(t) > 0.5:
+        t = math.copysign(1.0, t) - t
+    return math.sin(math.pi * t)
+
+
 def _connection_ratio(nu: float, m: int) -> float:
-    """sin(m nu pi) / sin(nu pi), non-integer nu only."""
-    s = math.sin(nu * math.pi)
+    """sin(m nu pi) / sin(nu pi), non-integer nu only.
+
+    Exactly zero where m nu is an integer: there the I_nu term is absent,
+    and a rounding residue times I_nu could swamp a decaying K_nu.
+    """
+    s = _sin_pi(nu)
     if abs(s) < 1e-12:
         raise SpecialFunctionError("connection formula requires non-integer order")
-    return math.sin(m * nu * math.pi) / s
-
-
-def bessel_J_logw(nu: float, t: complex) -> complex:
-    """J_nu(e^t) on the sheet of log named by the log-argument t."""
-    w0, m = _sheet(t)
-    return cmath.exp(1j * m * nu * math.pi) * complex(_special().jv(nu, w0))
+    return _sin_pi(m * nu) / s
 
 
 def bessel_K_logw(nu: float, t: complex) -> complex:
@@ -104,12 +109,3 @@ def bessel_K_logw(nu: float, t: complex) -> complex:
     special = _special()
     return (cmath.exp(-1j * m * nu * math.pi) * complex(special.kv(nu, w0))
             - 1j * math.pi * ratio * complex(special.iv(nu, w0)))
-
-
-def bessel_Y_logw(nu: float, t: complex) -> complex:
-    """Y_nu(e^t) on the sheet named by t, non-integer nu only."""
-    w0, m = _sheet(t)
-    ratio = _connection_ratio(nu, m)
-    special = _special()
-    return (cmath.exp(-1j * m * nu * math.pi) * complex(special.yv(nu, w0))
-            + 2j * ratio * math.cos(nu * math.pi) * complex(special.jv(nu, w0)))

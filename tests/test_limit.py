@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from ptwell.limit import (E_of_F, F_of_eps, boundary_log_decay, f1_ground,
@@ -66,8 +67,27 @@ class TestQuantization:
                 assert abs(quantization_residual(M, lv.nu)) <= 1e-14
 
     def test_unsupported_M(self):
-        with pytest.raises(ValueError):
-            quantization_residual(3, 0.25)
+        for M in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="M"):
+                quantization_residual(M, 0.25)
+
+    def test_quartet_zeros(self):
+        # M = 3: cos(3 nu pi) + cos(nu pi) vanishes at nu = k + P/4, P = 1..3,
+        # and is at least 0.5 in size halfway between those zeros
+        for k in range(6):
+            for P in (1, 2, 3):
+                assert abs(quantization_residual(3, k + P / 4.0)) <= 1e-14
+            for x in (0.125, 0.375, 0.625, 0.875):
+                assert abs(quantization_residual(3, k + x)) >= 0.5
+
+    @pytest.mark.parametrize("M", range(1, 7))
+    def test_dirichlet_kernel(self, M):
+        # the cosine sum is sin((M+1) nu pi) / (2 sin(nu pi)); the quotient
+        # loses digits near integer nu, so nu keeps 0.05 away from them
+        rng = np.random.default_rng(M)
+        for nu in rng.integers(0, 12, 200) + rng.uniform(0.05, 0.95, 200):
+            want = math.sin((M + 1) * nu * math.pi) / (2.0 * math.sin(nu * math.pi))
+            assert quantization_residual(M, nu) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("M", [1, 2])
     @pytest.mark.parametrize("nu", [0.0, -0.5, math.inf, math.nan])
@@ -117,14 +137,67 @@ class TestWavefunction:
         logs = [boundary_log_decay(2, 1.0 / 3.0, y) for y in (4.0, 6.0, 8.0)]
         assert all(b < a for a, b in zip(logs, logs[1:]))
 
+    def test_decay_rejects_non_eigenvalue(self):
+        # off the spectrum psi grows on one boundary line, where
+        # |psi| = c K_nu(r) no longer holds
+        with pytest.raises(ValueError, match="eigenvalue"):
+            boundary_log_decay(1, 1.0, 2.0)
+        with pytest.raises(ValueError, match="eigenvalue"):
+            boundary_log_decay(2, 0.5, 2.0)
+
     def test_pt_self_conjugate(self):
-        # psi(-conj z) = conj(psi(z)) for the real-coefficient ground state
+        # psi(-conj z) = conj(psi(z)) on the first 3M levels of M = 1..4,
+        # over the whole arch
         rng = np.random.default_rng(23)
-        for _ in range(20):
-            z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.2, 0.2))
-            a = limit_wavefunction(1, 0.5, -z.conjugate())
-            b = limit_wavefunction(1, 0.5, z).conjugate()
-            assert abs(a - b) <= 1e-11 * max(abs(b), 1.0)
+        for M in (1, 2, 3, 4):
+            for lv in nu_spectrum(M, 2):
+                for _ in range(20):
+                    z = complex(rng.uniform(-(M + 0.9), M + 0.9),
+                                rng.uniform(-1.2, 0.2))
+                    a = limit_wavefunction(M, lv.nu, -z.conjugate())
+                    b = limit_wavefunction(M, lv.nu, z).conjugate()
+                    assert abs(a - b) <= 1e-13 * abs(b), (M, lv.nu, z)
+
+    def test_high_precision_oracle(self):
+        # against c e^(s nu) K_nu(w e^s) in 40-digit mpmath, with
+        # K_nu = pi (I_-nu - I_nu) / (2 sin nu pi) and each I continued by
+        # I_mu(v e^(m pi i)) = e^(m mu pi i) I_mu(v); at M = 3, nu = 3/2 the
+        # centre of the arch lies on the sheet m = 2, where the I_nu term of
+        # the continued K vanishes and K_nu is 1e-5 of I_nu
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(31)
+        for M in (1, 2, 3, 4):
+            for lv in nu_spectrum(M, 2):
+                for x in (0.0, *rng.uniform(-(M + 0.9), M + 0.9, 5)):
+                    z = complex(x, rng.uniform(-1.0, 0.2))
+                    with mp.workdps(40):
+                        nu = mp.mpf(lv.nu)
+                        s = (1 if z.real <= 0.0 else -1) * 0.5j * mp.pi * (M + 1)
+                        t = mp.log(nu) + 0.5j * mp.pi * z + s
+                        m = int(mp.nint(mp.im(t) / mp.pi))
+                        v = mp.exp(t - 1j * m * mp.pi)
+                        i_pair = [mp.expjpi(m * mu) * mp.besseli(mu, v)
+                                  for mu in (-nu, nu)]
+                        k = mp.pi * (i_pair[0] - i_pair[1]) / (2 * mp.sinpi(nu))
+                        want = complex((1 if M % 2 else -2) * mp.exp(s * nu) / mp.pi * k)
+                    got = limit_wavefunction(M, lv.nu, z)
+                    assert abs(got - want) <= 1e-12 * abs(want), (M, lv.nu, z)
+
+    def test_quartic_bessel_pair(self):
+        # the M = 2 eigenfunctions as C1 J_nu(w) + Y_nu(w), with C1 set by
+        # decay on the left line, against scipy's principal-sheet J and Y;
+        # |Re z| < 1 keeps w on the principal sheet
+        rng = np.random.default_rng(29)
+        for lv in nu_spectrum(2, 2)[:5]:
+            nu = lv.nu
+            c1 = -(math.cos(nu * math.pi) - cmath.exp(3j * nu * math.pi)) \
+                / math.sin(nu * math.pi)
+            for _ in range(40):
+                z = complex(rng.uniform(-0.99, 0.99), rng.uniform(-0.75, 0.15))
+                w = nu * cmath.exp(0.5j * math.pi * z)
+                want = c1 * special.jv(nu, w) + special.yv(nu, w)
+                got = limit_wavefunction(2, nu, z)
+                assert abs(got - want) <= 1e-12 * abs(want), (nu, z)
 
     def test_non_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
@@ -133,15 +206,16 @@ class TestWavefunction:
             limit_wavefunction(2, 0.5, 0.0)
 
     def test_unsupported_M(self):
-        with pytest.raises(ValueError):
-            limit_wavefunction(3, 0.25, 0.0)
+        for M in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="M"):
+                limit_wavefunction(M, 0.25, 0.0)
+            with pytest.raises(ValueError, match="M"):
+                boundary_log_decay(M, 0.25, 2.0)
 
 
 def _z_samples(rng, n=20):
-    # kept inside |Re z| <= 1.25, Im z in [-0.75, 0.15]: near the arch legs
-    # the eigenfunction is the small difference of its two Bessel parts, and
-    # the second-difference stencil would amplify that cancellation noise
-    # past the 1e-6 residual target
+    # the region the benchmark's limit items sample, |Re z| <= 1.25,
+    # Im z in [-0.75, 0.15]; test_whole_arch covers the rest of the arch
     return [complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.75, 0.15))
             for _ in range(n)]
 
@@ -154,6 +228,18 @@ class TestScaledOde:
                 psi = lambda zz: limit_wavefunction(M, lv.nu, zz)
                 for z in _z_samples(rng):
                     assert scaled_ode_residual(M, lv.F, z, psi) <= 1e-6
+
+    def test_whole_arch(self):
+        # the first 3M levels of M = 1..4 up to 0.1 from the boundary lines
+        # Re z = +-(M+1), well past the benchmark's |Re z| <= 1.25
+        rng = np.random.default_rng(43)
+        for M in (1, 2, 3, 4):
+            for lv in nu_spectrum(M, 2):
+                psi = lambda zz: limit_wavefunction(M, lv.nu, zz)
+                for _ in range(20):
+                    z = complex(rng.uniform(-(M + 0.9), M + 0.9),
+                                rng.uniform(-1.0, 0.2))
+                    assert scaled_ode_residual(M, lv.F, z, psi) <= 1e-6, (M, lv.nu, z)
 
     def test_near_node_at_origin(self):
         # the M = 2, nu = 2/3 eigenfunction vanishes at z = 0; there the

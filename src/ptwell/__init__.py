@@ -17,7 +17,8 @@ from .shooting import (EigenResult, ShootingError, match_height, scan_levels,
 from .specfun import (EULER_GAMMA, SpecialFunctionError, bessel_K_scaled,
                       gamma_fn)
 from .wkb import (action_integral, ground_expansion_exact, ground_expansion_wkb,
-                  wkb_energy_closed, wkb_energy_next, wkb_energy_quadrature)
+                  wkb_energy_closed, wkb_energy_fourth, wkb_energy_next,
+                  wkb_energy_quadrature)
 
 __version__ = "0.1.0"
 
@@ -30,6 +31,6 @@ __all__ = [
     "limit_wavefunction", "match_height", "nu_spectrum", "period_asymptotic",
     "period_exact", "potential_value", "quantization_residual", "richardson",
     "scan_levels", "scaled_ode_residual", "solve_level", "subtract_leading",
-    "turning_points", "wedge_angles", "wkb_energy_closed", "wkb_energy_next",
-    "wkb_energy_quadrature",
+    "turning_points", "wedge_angles", "wkb_energy_closed", "wkb_energy_fourth",
+    "wkb_energy_next", "wkb_energy_quadrature",
 ]

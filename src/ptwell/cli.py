@@ -3,7 +3,8 @@
 Subcommands
 -----------
 eigen    one shooting solve (M, epsilon, k)
-wkb      WKB estimate (closed Gamma-function form, optionally next order)
+wkb      WKB estimate (closed Gamma-function form, optionally second or
+         fourth order)
 limit    the solvable-limit spectrum nu = k + P/(M+1)
 table    golden tables 1-3 (ground-level deformation scans + extrapolants)
 figure1  level curves E_k(epsilon) for M = 1
@@ -35,7 +36,7 @@ from .extrapolation import richardson, subtract_leading
 from .geometry import ModelSpec
 from .limit import F_of_eps, nu_spectrum
 from .shooting import DEFAULT_RTOL, DEFAULT_TOL, EigenResult, scan_levels, solve_level
-from .wkb import wkb_energy_closed, wkb_energy_next
+from .wkb import wkb_energy_closed, wkb_energy_fourth, wkb_energy_next
 
 TABLE_GRID = (8.0, 18.0, 28.0, 38.0, 48.0, 58.0)
 MAX_FIGURE1_POINTS = 10_001     # eps = 0..10 in steps of 1e-3
@@ -163,7 +164,7 @@ def run_eigen(args: argparse.Namespace):
 
 
 def run_wkb(args: argparse.Namespace):
-    energy = wkb_energy_next if args.order == 2 else wkb_energy_closed
+    energy = {1: wkb_energy_closed, 2: wkb_energy_next, 4: wkb_energy_fourth}[args.order]
     payload = {
         "model": {"M": args.M, "epsilon": args.epsilon},
         "results": [{"k": args.k, "order": args.order,
@@ -256,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=int, default=1)
     sp.add_argument("--epsilon", type=float, required=True)
     sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--order", type=int, choices=(1, 2), default=1)
+    sp.add_argument("--order", type=int, choices=(1, 2, 4), default=1)
     output(sp, "json")
 
     sp = sub.add_parser("limit", help="solvable-limit spectrum")

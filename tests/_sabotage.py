@@ -43,10 +43,11 @@ def moved_path(model: ModelSpec, E_ref: float, radius_factor: float, rtol: float
         wedge_angles(model).theta_right, R, (0, 0)), rtol)
 
 
-def solve(model: ModelSpec, k: int, s: float) -> shooting.EigenResult:
-    """solve_level at default arguments, on paths whose vertex is s r_t."""
+def solve(model: ModelSpec, k: int, s: float, seed: float | None = None) -> shooting.EigenResult:
+    """solve_level from `seed`, else at default arguments, on paths whose
+    vertex is s r_t."""
     with mock.patch.object(shooting, "_build_path", functools.partial(moved_path, s=s)):
-        return shooting.solve_level(model, k)
+        return shooting.solve_level(model, k, seed)
 
 
 def caught(levels: dict, s: float) -> tuple[list, list]:

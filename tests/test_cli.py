@@ -9,7 +9,7 @@ import pytest
 import ptwell.cli as cli
 from ptwell.cli import (TableResult, dumps_json, format_csv, main, run_figure1,
                         table_csv_rows)
-from ptwell.wkb import wkb_energy_closed, wkb_energy_next
+from ptwell.wkb import wkb_energy_closed, wkb_energy_fourth, wkb_energy_next
 
 DATA = Path(__file__).parent / "data"
 
@@ -200,11 +200,11 @@ class TestMainEntry:
         res = cli.solve_level(cli.ModelSpec(1, 2.0), 12)
         assert main(["eigen", "--epsilon", "2", "--k", "12"]) == 0
         result, = json.loads(capsys.readouterr().out)["results"]
-        assert result["iterations"] == res.iterations == 2
+        assert result["iterations"] == res.iterations == 1
         assert main(["eigen", "--epsilon", "2", "--k", "12", "--format", "csv"]) == 0
         header, row = parse_csv(capsys.readouterr().out)
         assert header == ["k", "E", "E_imag", "residual", "iterations", "converged"]
-        assert row[header.index("iterations")] == "2"
+        assert row[header.index("iterations")] == "1"
         assert float(row[header.index("E")]) == res.E.real
 
     @pytest.mark.parametrize("command", ["eigen", "table", "figure1"])
@@ -249,7 +249,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("M", [1, 2, 3])
     @pytest.mark.parametrize("order, energy",
-                             [(1, wkb_energy_closed), (2, wkb_energy_next)])
+                             [(1, wkb_energy_closed), (2, wkb_energy_next),
+                              (4, wkb_energy_fourth)])
     def test_wkb_prints_the_energy_function(self, M, order, energy, capsys):
         for eps, k in ((0.0, 0), (1.0, 3), (8.0, 0), (58.0, 7)):
             rc = main(["wkb", "--M", str(M), "--epsilon", str(eps),
@@ -262,7 +263,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("flag, value", [("--M", "0"), ("--epsilon", "nan"),
                                              ("--k", "-1")])
-    @pytest.mark.parametrize("order", ["1", "2"])
+    @pytest.mark.parametrize("order", ["1", "2", "4"])
     def test_wkb_domain(self, flag, value, order, capsys):
         args = {"--M": "1", "--epsilon": "1", "--k": "0", "--order": order,
                 flag: value}

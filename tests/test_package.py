@@ -45,6 +45,7 @@ def test_cli_commands_leave_out_scipy():
             ["eigen", "--M", "1", "--epsilon", "2", "--k", "8"],
             ["figure1", "--eps-max", "0.2", "--step", "0.1", "--k-max", "1"],
             ["wkb", "--M", "2", "--epsilon", "0", "--k", "3", "--order", "2"],
+            ["wkb", "--M", "2", "--epsilon", "0", "--k", "3", "--order", "4"],
             ["limit", "--M", "2", "--k-max", "1"],
             ["period", "--epsilon", "2"],
         ]
@@ -55,7 +56,7 @@ def test_cli_commands_leave_out_scipy():
             print(argv[0], code, loaded)
         """)
     assert out.splitlines() == [f"{name} 0 []" for name in (
-        "table", "eigen", "figure1", "wkb", "limit", "period")]
+        "table", "eigen", "figure1", "wkb", "wkb", "limit", "period")]
 
 
 def test_first_bessel_call_binds_scipy_special():

@@ -21,7 +21,7 @@ from ptwell.cli import TABLE_GRID
 from ptwell.geometry import (ModelSpec, potential_value, turning_points,
                              turning_radius, wedge_angles)
 from ptwell.shooting import match_height, scan_levels, solve_level
-from ptwell.wkb import wkb_energy_closed, wkb_energy_next
+from ptwell.wkb import wkb_energy_closed, wkb_energy_fourth, wkb_energy_next
 
 
 def _path(model, E):
@@ -1199,11 +1199,12 @@ class TestSolvePath:
         assert res.residual > 1.0
 
     def test_no_finite_step_is_no_root(self):
-        # on the path moved to 1.2 r_t, (1, 38, 18) reaches E = 82453.227,
-        # 2.6% above the level, where Re u_R and its slope vanish to the
-        # last bit: w = dw = 0 gives no Newton step, and the stop reports an
-        # infinite residual, not |w| = 0, which would read as an exact root
-        res = sabotage.solve(ModelSpec(1, 38.0), 18, 1.2)
+        # on the path moved to 1.2 r_t, (1, 38, 18) seeded at the next-order
+        # WKB energy reaches E = 82453.227, 2.6% above the level, where
+        # Re u_R and its slope vanish to the last bit: w = dw = 0 gives no
+        # Newton step, and the stop reports an infinite residual, not
+        # |w| = 0, which would read as an exact root
+        res = sabotage.solve(ModelSpec(1, 38.0), 18, 1.2, seed=wkb_energy_next(18, 38.0))
         assert not res.converged
         assert res.E.real == pytest.approx(82453.227, rel=1e-8)
         assert abs(res.E.real - solve_level(ModelSpec(1, 38.0), 18).E.real) > 0.02 * res.E.real
@@ -1338,10 +1339,11 @@ class TestShotSchedule:
             shooting._transfers([(q, 1.0, (64, 2))])
 
     def test_two_kernel_calls_at_a_high_level(self, monkeypatch):
-        # (1, 2, 12): the build's shot at the next-order WKB seed, which the
-        # check path's legs ride, gives the first Newton step, one more shot
-        # the second, below tol and not shot; no shot is spent on a slope
-        # and none on the check
+        # (1, 2, 12) seeded at the next-order WKB energy: the build's shot,
+        # which the check path's legs ride, gives the first Newton step, one
+        # more shot the second, below tol and not shot; no shot is spent on
+        # a slope and none on the check (TestOneShot: from the default seed
+        # the first step is below tol)
         transfers, calls = shooting._transfers, [0]
 
         def counted(legs):
@@ -1349,7 +1351,7 @@ class TestShotSchedule:
             return transfers(legs)
 
         monkeypatch.setattr(shooting, "_transfers", counted)
-        res = solve_level(ModelSpec(1, 2.0), 12)
+        res = solve_level(ModelSpec(1, 2.0), 12, seed=wkb_energy_next(12, 2.0))
         assert res.converged
         assert res.iterations == 2
         assert calls[0] == 2
@@ -1478,7 +1480,8 @@ class TestNewtonSafeguards:
 
 class TestFirstIterate:
     # where default_seed is WKB (M = 1, or eps < 4) the solve starts from the
-    # next-order WKB energy, and its second defect lies one Newton step from
+    # fourth-order WKB energy.  From the next-order energy, which lies
+    # farther from these levels, its second defect lies one Newton step from
     # the first, with no shot spent on a slope
 
     @staticmethod
@@ -1499,17 +1502,26 @@ class TestFirstIterate:
                                        (58.0, 0)])
     def test_next_order_wkb_at_m1(self, monkeypatch, eps, k):
         energies, steps = self._defects(monkeypatch)
-        assert solve_level(ModelSpec(1, eps), k).converged
         E0 = wkb_energy_next(k, eps)
+        assert solve_level(ModelSpec(1, eps), k, seed=E0).converged
         assert energies[:2] == [E0, E0 + steps[0]]
 
     @pytest.mark.parametrize("M,eps,k", [(2, 0.0, 3), (2, 0.0, 26), (2, 1.0, 7),
                                          (3, 0.5, 2), (3, 3.0, 10), (4, 3.9, 5)])
     def test_next_order_wkb_at_small_eps(self, monkeypatch, M, eps, k):
         energies, steps = self._defects(monkeypatch)
-        assert solve_level(ModelSpec(M, eps), k).converged
         E0 = wkb_energy_next(k, eps, M)
+        assert solve_level(ModelSpec(M, eps), k, seed=E0).converged
         assert energies[:2] == [E0, E0 + steps[0]]
+
+    @pytest.mark.parametrize("M,eps,k", [(1, 0.5, 0), (1, 2.0, 3), (1, 2.0, 24),
+                                         (1, 8.0, 12), (1, 58.0, 0), (2, 0.0, 3),
+                                         (2, 0.0, 26), (2, 1.0, 7), (3, 0.5, 2),
+                                         (3, 3.0, 10), (4, 3.9, 5)])
+    def test_fourth_order_wkb_by_default(self, monkeypatch, M, eps, k):
+        energies, _ = self._defects(monkeypatch)
+        assert solve_level(ModelSpec(M, eps), k).converged
+        assert energies[0] == wkb_energy_fourth(k, eps, M)
 
     def test_given_seed_and_limit_scale_unchanged(self, monkeypatch):
         # a given seed is the first iterate; at M >= 2, eps >= 4 so is the
@@ -1558,6 +1570,37 @@ class TestFirstIterate:
 SWEEP = sabotage.SWEEP
 LARGE_EPS = [(M, eps, k) for M in (1, 2, 3, 4)
              for eps in (100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0) for k in (0, 1, 2, 5)]
+
+
+class TestOneShot:
+    # the fourth-order WKB seed lies within tol of these levels, so the
+    # first Newton step, from the build's shot, is at most tol |E| and is
+    # taken without a shot: the build's shot, which carries the check path's
+    # legs, is the solve's one kernel call
+
+    @pytest.mark.parametrize("M,eps,ks", [(1, 2.0, range(8, 31)), (2, 0.0, range(11, 27))])
+    def test_one_kernel_call(self, monkeypatch, M, eps, ks):
+        transfers, calls = shooting._transfers, [0]
+
+        def counted(legs):
+            calls[0] += 1
+            return transfers(legs)
+
+        monkeypatch.setattr(shooting, "_transfers", counted)
+        for k in ks:
+            calls[0] = 0
+            res = solve_level(ModelSpec(M, eps), k)
+            assert res.converged and res.iterations == 1 and calls[0] == 1, k
+
+    def test_seed_inside_window(self):
+        # where default_seed is WKB the seed brackets no other level
+        for M, eps, k in SWEEP:
+            model = ModelSpec(M, eps)
+            if M == 1 or eps < 4.0:
+                seed = shooting.default_seed(model, k)
+                assert seed == wkb_energy_fourth(k, eps, M)
+                lo, hi = shooting._wkb_window(model, k)
+                assert lo < seed < hi, (M, eps, k)
 
 
 class TestCheckVertex:
@@ -1762,9 +1805,9 @@ class TestScan:
         results = scan_levels([ModelSpec(1, eps) for eps in (0.0, 0.1, 0.2, 0.3)], 2)
         assert calls == [(eps, k) for eps in (0.1, 0.2) for k in range(3)]
         shot = [(r.E, r.iterations) for r in results if r.iterations]
-        assert shot == [(1.0030970656620781 + 0j, 3), (3.0611351519218117 + 0j, 3),
-                        (5.167085842366626 + 0j, 3), (1.0100685202881652 + 0j, 3),
-                        (3.1370668462544784 + 0j, 3), (5.357600879563636 + 0j, 2)]
+        assert shot == [(1.0030970656620783 + 0j, 3), (3.0611351519218117 + 0j, 3),
+                        (5.1670858423666255 + 0j, 3), (1.0100685202881654 + 0j, 3),
+                        (3.1370668462544784 + 0j, 3), (5.357600879563637 + 0j, 2)]
 
     @pytest.mark.parametrize("M,want", [
         (2, [1.905812, 7.753113, 17.684143, 29.998397, 44.784535, 61.656818]),

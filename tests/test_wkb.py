@@ -1,17 +1,20 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _wkb_oracle import coefficients as oracle_coefficients
 from conftest import oscillator_levels
 from ptwell.geometry import ModelSpec, potential_value, turning_points
 from ptwell.limit import E_of_F, level_nu, nu_spectrum
 from ptwell.specfun import gamma_fn
 from ptwell.wkb import (action_integral, ground_expansion_exact,
                         ground_expansion_wkb, wkb_energy_closed,
-                        wkb_energy_next, wkb_energy_quadrature)
+                        wkb_energy_fourth, wkb_energy_next,
+                        wkb_energy_quadrature)
 
 
 class TestActionIntegral:
@@ -81,7 +84,8 @@ class TestClosedForm:
         assert wkb_energy_closed(k, 0.0) == pytest.approx(2 * k + 1, rel=1e-14)
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0])
-    @pytest.mark.parametrize("energy", [wkb_energy_closed, wkb_energy_next])
+    @pytest.mark.parametrize("energy", [wkb_energy_closed, wkb_energy_next,
+                                        wkb_energy_fourth])
     def test_non_finite_domain(self, energy, epsilon):
         with pytest.raises(ValueError):
             energy(0, epsilon)
@@ -220,10 +224,84 @@ class TestClosedFormEveryM:
                    for k, err in errs.items())
 
     @pytest.mark.parametrize("M", [0, -1, 1.5])
-    @pytest.mark.parametrize("energy", [wkb_energy_closed, wkb_energy_next])
+    @pytest.mark.parametrize("energy", [wkb_energy_closed, wkb_energy_next,
+                                        wkb_energy_fourth])
     def test_rejects_bad_M(self, energy, M):
         with pytest.raises(ValueError):
             energy(0, 1.0, M)
+
+
+def _eta2(k, eps, M):
+    return (wkb_energy_fourth(k, eps, M) - wkb_energy_next(k, eps, M)) \
+        / wkb_energy_closed(k, eps, M)
+
+
+@functools.cache
+def _oracle(M, eps):
+    """(eta nu^2, eta2 nu^4) of the contour oracle, each taken once."""
+    return oracle_coefficients(M, eps)
+
+
+# eta2 nu^4 to ten decimals, from an earlier contour integration of y4
+FOURTH_ANCHORS = {(2, 0.0): -0.0035275797, (1, 2.0): 0.0004909953,
+                  (3, 0.0): -0.0037104926, (4, 0.0): 0.0054522089,
+                  (1, 8.0): -0.0012594916, (1, 18.0): -0.0012060079}
+
+
+class TestFourthOrder:
+    # the closed form's nu^-2 and nu^-4 terms against the contour integrals
+    # of y0, y2 and y4 (_wkb_oracle), which share no code with it; taken at
+    # k = 1 (nu^2 = 9/4, nu^4 = 81/16), where no model here stops the series
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, 4.0, 8.0])
+    def test_against_contour_oracle(self, M, eps):
+        eta, eta2 = _oracle(M, eps)
+        assert abs(eta.imag) <= 1e-14 and abs(eta2.imag) <= 1e-14
+        for got, want in ((_eta(1, eps, M) * 2.25, eta.real),
+                          (_eta2(1, eps, M) * 5.0625, eta2.real)):
+            assert abs(got - float(want)) <= 1e-10 * abs(want) + 1e-16
+
+    @pytest.mark.parametrize("M,eps", sorted(FOURTH_ANCHORS))
+    def test_anchors(self, M, eps):
+        want = FOURTH_ANCHORS[M, eps]
+        assert abs(_eta2(1, eps, M) * 5.0625 - want) <= 5e-11
+        assert abs(float(_oracle(M, eps)[1].real) - want) <= 5e-11
+
+    @pytest.mark.parametrize("M,eps,k", [(3, 8.0, 0), (4, 8.0, 0), (6, 0.0, 0),
+                                         (8, 20.0, 1)])
+    def test_stops_where_terms_stop_shrinking(self, M, eps, k):
+        # |eta2| >= |eta| here: the fourth-order energy is the next-order one
+        eta, eta2 = (c.real / (k + 0.5) ** p for c, p in zip(_oracle(M, eps), (2, 4)))
+        assert abs(eta2) >= abs(eta) > 0.1
+        assert wkb_energy_fourth(k, eps, M) == wkb_energy_next(k, eps, M)
+        assert wkb_energy_fourth(k + 1, eps, M) != wkb_energy_next(k + 1, eps, M)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 26])
+    def test_harmonic_collapse(self, k):
+        assert wkb_energy_fourth(k, 0.0) == pytest.approx(2 * k + 1, rel=1e-15)
+
+    def test_continuous_at_n_3(self):
+        # at N = 3 sin(3 pi/N) vanishes and r3 = 1 at M = 1
+        E = wkb_energy_fourth(3, 1.0)
+        for h in (1e-9, -1e-9):
+            assert wkb_energy_fourth(3, 1.0 + h) == pytest.approx(E, rel=1e-8)
+
+    @pytest.mark.parametrize("M,eps,coeffs,k_max", [
+        (2, 0.0, [0.0, 0.0, 0.0, 0.0, 1.0], 26),
+        (1, 2.0, [0.0, -2.0, 0.0, 0.0, 4.0], 30)])
+    def test_hermitian_levels(self, M, eps, coeffs, k_max):
+        # p^2 + x^4 and p^2 - x^4 (levels of p^2 + 4x^4 - 2x) from the
+        # oscillator basis: the fourth-order error falls as (k + 1/2)^-6,
+        # 4.5e-9 relative at (2, 0, 8) and 6.2e-10 at (1, 2, 8), and is 150
+        # to 2000 times smaller than the next-order error
+        ref = oscillator_levels(coeffs, k_max + 1)
+        errs = {k: abs(wkb_energy_fourth(k, eps, M) / ref[k] - 1.0)
+                for k in range(8, k_max + 1)}
+        for k, err in errs.items():
+            assert err * (k + 0.5) ** 6 == pytest.approx(
+                errs[8] * 8.5 ** 6, rel=0.05), k
+            assert abs(wkb_energy_next(k, eps, M) / ref[k] - 1.0) >= 150.0 * err, k
 
 
 class TestAsymptoticEnergy:

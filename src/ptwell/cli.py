@@ -100,7 +100,7 @@ def run_table(table_id: int, tol: float = DEFAULT_TOL,
     for eps in eps_true:
         results.append(solve_level(ModelSpec(M, eps), 0, tol=tol, rtol=rtol))
     ok = all(r.converged for r in results)
-    E0 = [r.E.real for r in results]
+    E0 = [r.E for r in results]
     fvals = [F_of_eps(e, ep, M) for e, ep in zip(E0, eps_true)]
     if table_id in (1, 2):
         raw = fvals
@@ -139,7 +139,7 @@ def run_figure1(eps_max: float, k_max: int, step: float,
     for i, model in enumerate(models):
         for res in results[i * (k_max + 1):(i + 1) * (k_max + 1)]:
             if res.converged:
-                curves[res.k].append((model.epsilon, res.E.real))
+                curves[res.k].append((model.epsilon, res.E))
             else:
                 failures.append({"epsilon": model.epsilon, "k": res.k})
     return curves, failures, not failures
@@ -153,8 +153,8 @@ def run_eigen(args: argparse.Namespace):
         "model": {"M": model.M, "epsilon": model.epsilon},
         "results": [{
             "k": res.k,
-            "E": res.E.real,
-            "E_imag": res.E.imag,
+            "E": res.E,
+            "E_imag": 0.0,      # E is real; kept for format stability
             "residual": res.residual,
             "iterations": res.iterations,
             "converged": res.converged,

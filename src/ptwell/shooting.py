@@ -7,8 +7,8 @@ correction at the outer radius where a lower bound on the decay exponent
 (geometry.decay_radius) reaches 1/2 ln(1/rtol) + 1.5: the inward
 integration damps the start error by about e^(-2 depth), below the
 integrator tolerance.  Eigenvalues are the zeros of a normalized
-log-derivative matching defect, located by a damped complex Newton
-iteration from the seed E0.  Each shot also gives the exact slope of
+log-derivative matching defect, located by Newton's method on the real
+axis from the seed E0.  Each shot also gives the exact slope of
 u = psi'/psi at the match point x_m: psi'' = (V - E) psi makes the
 Wronskian W = psi psi_E' - psi' psi_E of psi and its E-derivative fall as
 W' = -psi^2, so du/dE = W/psi^2 at x_m, where W is its value at the outer
@@ -54,19 +54,17 @@ evaluates it on the node sets of its shot in one call, after its probes
 
 Only the right side is integrated.  PT symmetry maps the left solution at
 E to the mirror image of the right one at conj E, so
-u_L(E) = -conj(u_R(conj E)) at -i y*: for real E the defect takes one shot
-and is real, so a real seed keeps Newton on the real axis, and its root
-passes the PT-reality check |Im E| <= 1e-8 |Re E| as it stands; complex E
-takes two shots, and a complex root is held to that check.  Since a real
-root cannot fail it, a converged root is also checked on a second path to
-the same match point, whose vertex a budget of e-folds places inside x_t
-(_check_path): every leg keeps one rule, agree to tol or stop at a
-rounding floor of at most sqrt(tol).  The defect and its slope do not
-depend on the path, so from E_ref, where the build's shot carries both
-paths' legs (_shoot_path), their Newton images agree to rounding; a root
-whose images on its last path differ more than CHECK_REL |E| is reported
-unconverged (_check_shift).  All operations are pure.  scan_levels
-shoots only the levels the spectral engine (ptwell.spectral) does not certify.
+u_L(E) = -conj(u_R(conj E)) at -i y*, and at the real energies a solve
+visits u_L = -conj(u_R): one shot gives a real defect.  A converged root
+is checked on a second path to the same match point, whose vertex a budget
+of e-folds places inside x_t (_check_path): every leg keeps one rule,
+agree to tol or stop at a rounding floor of at most sqrt(tol).  The defect
+and its slope do not depend on the path, so from E_ref, where the build's
+shot carries both paths' legs (_shoot_path), their Newton images agree to
+rounding; a root whose images on its last path differ more than
+CHECK_REL |E| is reported unconverged (_check_shift).  All operations are
+pure.  scan_levels shoots only the levels the spectral engine
+(ptwell.spectral) does not certify.
 """
 
 from __future__ import annotations
@@ -76,6 +74,7 @@ import functools
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -110,7 +109,7 @@ class EigenResult:
     """A converged (or failed) eigenvalue solve for one level."""
 
     k: int
-    E: complex
+    E: float
     residual: float     # a checked root's shift over |E| (_check_shift),
                         # inf where a shot failed or Newton found no finite
                         # step, else |defect| at the last shot; from
@@ -571,9 +570,9 @@ def _u_interior(model: ModelSpec, E: complex, path: _Path,
     return _shoot(model, E, [path], path.panels, rtol)[0][:2]
 
 
-def _matching_defect(model: ModelSpec, E: complex, path: _Path,
-                     rtol: float) -> tuple[complex, complex]:
-    """(w, dw) at E: the interior-matched defect
+def _matching_defect(model: ModelSpec, E: float, path: _Path,
+                     rtol: float) -> tuple[float, float]:
+    """(w, dw) at the real energy E: the interior-matched defect
     w = (u_L - u_R) / ((1 + |u_L|)(1 + |u_R|)), with u = psi'/psi at -i ym
     on `path`, and its slope dw = f' w/f, whose Newton step -w/dw is the
     step -f/f' on the holomorphic numerator f = u_L - u_R, or on
@@ -589,35 +588,34 @@ def _matching_defect(model: ModelSpec, E: complex, path: _Path,
     reciprocals are close to it: at eps = 0 the match point is the origin,
     where every odd level has its node, and at (1, 8, 3) the seed's u_R,
     -1262 - 24580i, lies near a pole just off the real axis (two Newton
-    steps on the reciprocals, four on the numerator).  For real E,
-    u_L - u_R = -2 Re u_R and u_L + u_R = 2i Im u_R; below k_m the
-    reciprocals are taken only where the real part dominates.  At
-    (2, 36, 2), seeded 2% above the level, u_R = 0.76 - 0.92i: the
-    reciprocals step away, to level 3, and the numerator steps to the
-    level.  Only the right side is integrated: PT symmetry maps the left
-    solution at E to the mirror image of the right one at conj E, so
-    u_L(E) = -conj(u_R(conj E)), and so is its E-derivative.  For real E
-    that is one shot and a real defect and step; at the path's E_ref, u_R
-    is the build's shot (u_ref), not a second shot of the same leg.
+    steps on the reciprocals, four on the numerator).  u_L - u_R =
+    -2 Re u_R and u_L + u_R = 2i Im u_R; below k_m the reciprocals are
+    taken only where the real part dominates.  At (2, 36, 2), seeded 2%
+    above the level, u_R = 0.76 - 0.92i: the reciprocals step away, to
+    level 3, and the numerator steps to the level.  Only the right side is
+    integrated: PT symmetry maps the left solution at E to the mirror image
+    of the right one at conj E, so at real E u_L = -conj(u_R), and so is
+    its E-derivative.  That is one shot and a real defect and step; at the
+    path's E_ref, u_R is the build's shot (u_ref), not a second shot of the
+    same leg.
     """
     at_ref = E == path.E_ref and path.u_ref is not None
-    u = path.u_ref if at_ref else _u_interior(model, E, path, rtol)
-    return _defect(model, E, path, *u,
-                   u if E.imag == 0.0 else _u_interior(model, E.conjugate(), path, rtol))
+    return _defect(model, E, path, *(path.u_ref if at_ref else _u_interior(model, E, path, rtol)))
 
 
-def _defect(model: ModelSpec, E: complex, path: _Path, uR: complex, duR: complex,
-            mirror: tuple[complex, complex]) -> tuple[complex, complex]:
-    """_matching_defect's (w, dw) from (u_R, du_R/dE) at E and at conj E."""
-    uL, duL = -mirror[0].conjugate(), -mirror[1].conjugate()
+def _defect(model: ModelSpec, E: float, path: _Path, uR: complex,
+            duR: complex) -> tuple[float, float]:
+    """_matching_defect's (w, dw) from (u_R, du_R/dE) at the real energy E."""
+    uL, duL = -uR.conjugate(), -duR.conjugate()
     scale = (1.0 + abs(uL)) * (1.0 + abs(uR))
     if abs(uR) > math.sqrt(abs(E - _v_at(model, path, -1j * path.ym))) + 1.0 or (
             abs(uR) > 1.0 and abs(uL - uR) > abs(uL + uR)):
-        # u_L - u_R = -u_L u_R (1/u_L - 1/u_R), and -u_L u_R = |u_R|^2 for real E
-        dw = (duR / (uR * uR) - duL / (uL * uL)) * (-uL * uR) / scale
+        # u_L - u_R = -u_L u_R (1/u_L - 1/u_R), and -u_L u_R = |u_R|^2
+        df = (duR / (uR * uR) - duL / (uL * uL)) * (-uL * uR)
     else:
-        dw = (duL - duR) / scale
-    return (uL - uR) / scale, dw
+        df = duL - duR
+    # f and f' are real: u_L - u_R = -2 Re u_R
+    return (uL - uR).real / scale, df.real / scale
 
 
 # ---------------------------------------------------------------------------
@@ -687,58 +685,59 @@ def _check_shift(model: ModelSpec, path: _Path, rtol: float) -> float:
     tol 2|u_R|/(1 + |u_R|)^2 with tol = _leg_tol(rtol): where Re u_R is 0
     on both paths the defects agree exactly, and would pass any root."""
     E, u, u_check = path.E_ref, path.u_ref, path.u_check
-    w, dw = _defect(model, E, path, *u, u)
+    w, dw = _defect(model, E, path, *u)
     if u_check is None or not dw:
         return math.inf
-    gap = abs(_defect(model, E, path, *u_check, u_check)[0] - w)
+    gap = abs(_defect(model, E, path, *u_check)[0] - w)
     return (gap + _leg_tol(rtol) * 2.0 * abs(u[0]) / (1.0 + abs(u[0])) ** 2) / abs(dw)
 
 
-def _check_tolerances(tol: float, rtol: float) -> None:
+def _check_args(k: int, name: str, tol: float, rtol: float) -> None:
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"{name} must be an integer >= 0")
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol out of range [1e-13, 1e-6]")
     if not 1e-13 <= rtol <= 1e-6:
         raise ValueError("rtol out of range [1e-13, 1e-6]")
 
 
-def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
+def solve_level(model: ModelSpec, k: int, seed: float | None = None,
                 tol: float = DEFAULT_TOL, rtol: float = DEFAULT_RTOL,
                 radius_factor: float = 1.0) -> EigenResult:
-    """Converge level k by damped complex Newton on the matching defect.
+    """Converge level k by Newton's method on the real matching defect.
 
-    Newton starts from the seed E0, default_seed if none is given.  Each
-    shot gives the defect and its exact slope (see _matching_defect), so
-    the build's shot at E0 gives the first step, which, like every step, is
-    capped at 0.25 |E|.  Level k is bracketed by _wkb_window.  On the real
-    axis the defect is -2 Re u_R / (1 + |u_R|)^2, and PT symmetry gives
+    Newton starts from the seed E0, default_seed if none is given, and
+    stays on the real axis, where the spectrum lies (Dorey, Dunning &
+    Tateo).  Each shot gives the defect and its exact slope (see
+    _matching_defect), so the build's shot at E0 gives the first step.
+    Level k is bracketed by _wkb_window.  The defect is
+    -2 Re u_R / (1 + |u_R|)^2, and PT symmetry gives
     psi_L(-i y) = conj psi_R(-i y), so where Re u_R or psi_R vanishes so
     does the Wronskian of psi_L and psi_R: the defect changes sign only at
     a level, and has the sign (-1)^k between levels k - 1 and k on every
-    path.  A real iterate inside the bracket becomes its lower end where
-    the defect has that sign, else its upper end, and the bracket outlives
-    a path rebuild.  A step whose real part leaves the bracket is replaced
-    by a step to its midpoint (Numerical Recipes' rtsafe); once the bracket
-    has narrowed to hi - lo <= tol hi, such a step finds no sign change and
-    ends the solve unconverged.  Newton stops at a Newton step with
+    path.  An iterate inside the bracket becomes its lower end where the
+    defect has that sign, else its upper end, and the bracket outlives a
+    path rebuild.  A step that leaves the bracket is replaced by a step to
+    its midpoint (Numerical Recipes' rtsafe); once the bracket has narrowed
+    to hi - lo <= tol hi, such a step finds no sign change and ends the
+    solve unconverged.  Newton stops at a Newton step with
     |dE| <= tol |E + dE|, and takes that step without shooting its end
-    point; the result is flagged converged only if the PT-reality check
-    |Im E| <= 1e-8 |Re E| also holds, and if the Newton images of the last
-    path and its check path from its E_ref lie within CHECK_REL |E| of each
-    other (_check_shift).  A real seed takes one shot per defect and stays
-    real, so its root passes the PT-reality check as it stands; a complex
-    seed takes two, at E and conj E (see _matching_defect).  Failures
-    return an unconverged EigenResult instead of raising, with residual inf
-    where Newton finds no finite step.
+    point; the result is flagged converged only if the Newton images of the
+    last path and its check path from its E_ref lie within CHECK_REL |E| of
+    each other (_check_shift).  Failures return an unconverged EigenResult
+    instead of raising, with residual inf where Newton finds no finite step.
 
     Raises:
-        ValueError: for k < 0, tol or rtol outside [1e-13, 1e-6], a
-            radius_factor that is not finite and >= 1, or a seed whose
-            modulus is 0, inf or nan (the path is built for |seed|).
+        ValueError: for a k that is not an integer >= 0, tol or rtol
+            outside [1e-13, 1e-6], a radius_factor that is not finite and
+            >= 1, or a seed with a nonzero imaginary part or whose modulus
+            is 0, inf or nan (the path is built for |seed|).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    _check_tolerances(tol, rtol)
+    _check_args(k, "k", tol, rtol)
     E = complex(default_seed(model, k) if seed is None else seed)
+    if E.imag:
+        raise ValueError("seed must be real: the spectrum is real")
+    E = E.real
     lo, hi = _wkb_window(model, k)
     try:
         path = _build_path(model, abs(E), radius_factor, rtol)
@@ -746,21 +745,16 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
     except ShootingError as exc:
         logger.warning("integration failed at seed for k=%d: %s", k, exc)
         return EigenResult(k, E, math.inf, 0, False)
-    iterations = 0
-    converged = False
     for iterations in range(1, MAX_ITER + 1):
-        dE = -w / dw if dw else complex(math.inf)
-        if not cmath.isfinite(dE):
+        dE = -w / dw if dw else math.inf
+        if not math.isfinite(dE):
             return EigenResult(k, E, math.inf, iterations, False)
-        cap = 0.25 * abs(E)
-        if abs(dE) > cap:
-            dE *= cap / abs(dE)
-        if E.imag == 0.0 and lo < E.real < hi:
-            if (w.real > 0.0) == (k % 2 == 0):
-                lo = E.real
+        if lo < E < hi:
+            if (w > 0.0) == (k % 2 == 0):
+                lo = E
             else:
-                hi = E.real
-        newton = lo <= (E + dE).real <= hi
+                hi = E
+        newton = lo <= E + dE <= hi
         if not newton:
             if hi - lo <= tol * hi:
                 logger.warning("no sign change in [%g, %g] for k=%d", lo, hi, k)
@@ -768,9 +762,7 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
             dE = 0.5 * (lo + hi) - E
         E += dE
         if newton and abs(dE) <= tol * abs(E):
-            # the step is taken but not shot
-            converged = True
-            break
+            break       # the step is taken but not shot
         try:
             if abs(abs(E) - path.E_ref) > PATH_BAND * path.E_ref:
                 path = _build_path(model, abs(E), radius_factor, rtol)
@@ -778,16 +770,13 @@ def solve_level(model: ModelSpec, k: int, seed: complex | None = None,
         except ShootingError as exc:
             logger.warning("integration failed at E=%s for k=%d: %s", E, k, exc)
             return EigenResult(k, E, math.inf, iterations, False)
-    pt_real = abs(E.imag) <= 1e-8 * abs(E.real)
-    if not pt_real:
-        logger.warning("PT-reality violated for k=%d: E=%s", k, E)
-    if not converged:
+    else:
         return EigenResult(k, E, abs(w), iterations, False)
     residual = _check_shift(model, path, rtol) / abs(E)
     path_ok = residual <= CHECK_REL
-    if pt_real and not path_ok:
+    if not path_ok:
         logger.warning("path-dependent root for k=%d at E=%s", k, E)
-    return EigenResult(k, E, residual, iterations, pt_real and path_ok)
+    return EigenResult(k, E, residual, iterations, path_ok)
 
 
 def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
@@ -810,21 +799,20 @@ def scan_levels(model_grid: Sequence[ModelSpec], k_max: int,
     unconverged entries and the scan continues.
 
     Raises:
-        ValueError: for k_max < 0, or a tol or rtol that solve_level rejects.
+        ValueError: for a k_max that is not an integer >= 0, or a tol or
+            rtol that solve_level rejects.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    _check_tolerances(tol, rtol)
+    _check_args(k_max, "k_max", tol, rtol)
     models = sorted(model_grid, key=lambda m: m.epsilon)
     out: list[EigenResult] = []
-    prev: dict[int, complex] = {}       # last converged E of each level
+    prev: dict[int, float] = {}         # last converged E of each level
     prev_model = None
     for model in models:
-        results = [EigenResult(k, complex(E), rel, 0, True) for k, (E, rel)
+        results = [EigenResult(k, E, rel, 0, True) for k, (E, rel)
                    in enumerate(certified_levels(model, k_max, tol))]
         for k in range(len(results), k_max + 1):
             est = default_seed(model, k)
-            seed = prev[k].real * (est / default_seed(prev_model, k)) \
+            seed = prev[k] * (est / default_seed(prev_model, k)) \
                 if k in prev else est
             results.append(solve_level(model, k, seed, tol, rtol))
         prev.update((res.k, res.E) for res in results if res.converged)

@@ -66,7 +66,7 @@ def caught(levels: dict, s: float) -> tuple[list, list]:
 
 if __name__ == "__main__":
     logging.disable(logging.WARNING)
-    levels = {(M, eps, k): shooting.solve_level(ModelSpec(M, eps), k).E.real
+    levels = {(M, eps, k): shooting.solve_level(ModelSpec(M, eps), k).E
               for M, eps, k in SWEEP}
     failed = False
     for s in (0.8, 0.9, 1.2):

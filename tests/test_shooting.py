@@ -11,6 +11,7 @@ from scipy.special import airy, gamma, j0, j1, y0, y1
 import ptwell.shooting as shooting
 import ptwell.wkb as wkb
 import _sabotage as sabotage
+from _named_sets import LARGE_EPS
 from _arch_oracle import action as arch_action
 from _arch_oracle import crossing as arch_crossing
 from _ray_oracle import _segment as oracle_segment
@@ -201,7 +202,7 @@ class TestMagnusRay:
     def test_agrees_with_dp45(self, M, eps, k):
         # the first leg, from the outer point to the turning point, at the level
         model = ModelSpec(M, eps)
-        E = solve_level(model, k).E.real
+        E = solve_level(model, k).E
         path = _path(model, E)
         ex = cmath.exp(1j * path.theta)
         x0, x1 = path.R * ex, turning_points(model, E).x_right
@@ -217,7 +218,7 @@ class TestMagnusRay:
     def test_chord_agrees_with_oracle(self):
         # psi'/psi at the match point, carried down the ray and the chord
         model = ModelSpec(1, 2.0)
-        E = solve_level(model, 8).E.real
+        E = solve_level(model, 8).E
         path = _path(model, E)
         ex = cmath.exp(1j * path.theta)
         corner, x_match = path.corner * ex, -1j * path.ym
@@ -435,11 +436,11 @@ class TestOneRayDefect:
         # the one-shot defect against the two-ray one, its left side
         # integrated down its own legs on the solve's counts
         model = ModelSpec(M, eps)
-        E = complex(shooting.default_seed(model, k))
-        path = replace(_path(model, E.real), u_ref=None)
+        E = shooting.default_seed(model, k)
+        path = replace(_path(model, E), u_ref=None)
         w = shooting._matching_defect(model, E, path, shooting.DEFAULT_RTOL)[0]
         uL, uR = _u_left(model, E, path), _u(model, E, path)
-        assert w.imag == 0.0
+        assert type(w) is float
         assert abs(w - (uL - uR) / ((1 + abs(uL)) * (1 + abs(uR)))) <= 1e-12
 
     @pytest.mark.parametrize("M,eps,k,im", [(1, 0.0, 0, 0.3), (1, 8.0, 1, 0.2),
@@ -475,29 +476,23 @@ class TestOneRayDefect:
 
     def test_real_seed_integrates_no_left_ray(self, shots):
         # one real shot per defect, but none for the defect at the build's
-        # energy, where the build's shot stands in: a real root passes the
-        # PT-reality check as it stands
+        # energy, where the build's shot stands in
         defects, energies = shots
         res = solve_level(ModelSpec(1, 8.0), 0)
         assert res.converged
-        assert res.E.imag == 0.0
-        assert res.E.real == pytest.approx(5.553310025131625, rel=1e-12)
-        assert all(E.imag == 0.0 for E in energies)
+        assert type(res.E) is float
+        assert res.E == pytest.approx(5.553310025131625, rel=1e-12)
+        assert all(type(E) is float for E in energies)
         assert len(energies) < len(defects)
 
-    def test_complex_seed_integrates_both_rays(self, shots):
-        # every defect at a complex energy shoots at E and at conj E: the
-        # seed's and one per Newton step but the last.  No iterate is real,
-        # and the check path's legs ride the build's shot at |seed|, so no
-        # real energy is shot after it
-        defects, energies = shots
-        res = solve_level(ModelSpec(1, 8.0), 0, seed=5.55 + 0.01j)
-        assert res.converged
-        assert res.E.real == pytest.approx(5.553310025131625, rel=1e-12)
-        assert abs(res.E.imag) <= 1e-8 * res.E.real
-        left = [E for E in defects if E.imag != 0.0 and E.conjugate() in energies]
-        assert len(left) == len(defects) == res.iterations
-        assert [E for E in energies if E.imag == 0.0] == []
+    @pytest.mark.parametrize("seed", [5.55 + 0.01j, complex(5.55, -1e-300),
+                                      complex(5.55, math.nan), complex(5.55, math.inf)])
+    def test_complex_seed_refused(self, shots, seed):
+        # Newton runs on the real axis, where the spectrum lies: a seed off
+        # it is refused before any shot
+        with pytest.raises(ValueError, match="real"):
+            solve_level(ModelSpec(1, 8.0), 0, seed=seed)
+        assert shots == ([], [])
 
 
 class TestRootSeed:
@@ -508,7 +503,7 @@ class TestRootSeed:
                                            (1, 8.0, 1e-9)])
     def test_reseed_near_root(self, monkeypatch, M, eps, tol):
         model = ModelSpec(M, eps)
-        root = solve_level(model, 0, tol=tol).E.real
+        root = solve_level(model, 0, tol=tol).E
         calls, shots = [], []
         defect, shoot = shooting._matching_defect, shooting._shoot
 
@@ -527,7 +522,7 @@ class TestRootSeed:
             shots.clear()
             res = solve_level(model, 0, seed=root + ulps * math.ulp(root), tol=tol)
             assert res.converged, ulps
-            assert res.E.real == pytest.approx(root, rel=1e-12)
+            assert res.E == pytest.approx(root, rel=1e-12)
             # a step that leaves E unchanged, or is below tol, stops without
             # evaluating again; a step back to the seed takes the build's
             # shot: no energy is shot twice on one path
@@ -659,7 +654,7 @@ class TestWkbWindow:
         res = solve_level(model, 24)
         lo, hi = shooting._wkb_window(model, 24)
         assert not res.converged
-        assert hi * (1.0 - 1e-9) <= res.E.real < hi
+        assert hi * (1.0 - 1e-9) <= res.E < hi
         assert res.iterations <= 40
         assert "no sign change" in caplog.text
 
@@ -679,7 +674,7 @@ class TestWkbWindow:
             return res
 
         def recorded_defect(model, E, path, rtol):
-            solves[-1][3].append(E.real)
+            solves[-1][3].append(E)
             return defect(model, E, path, rtol)
 
         monkeypatch.setattr(shooting, "solve_level", recorded_solve)
@@ -713,10 +708,10 @@ class TestSignBracket:
         model = ModelSpec(M, eps)
         for j in range(11):
             E = shooting._wkb_window(model, j)[0] if j else 0.25 * wkb_energy_next(0, eps, M)
-            w = shooting._matching_defect(model, complex(E), _path(model, E),
+            w = shooting._matching_defect(model, E, _path(model, E),
                                           shooting.DEFAULT_RTOL)[0]
-            assert w.imag == 0.0 and w.real != 0.0
-            assert (w.real > 0.0) == (j % 2 == 0), (j, E, w)
+            assert type(w) is float and w != 0.0
+            assert (w > 0.0) == (j % 2 == 0), (j, E, w)
 
     @pytest.mark.parametrize("M,eps,k,E_ref", [
         (3, 20.0, 2, 86.824345056556),      # converged to level 1, 36.571
@@ -730,19 +725,19 @@ class TestSignBracket:
         res = solve_level(ModelSpec(M, eps), k)
         assert res.converged
         E = oracle_level(M, eps, E_ref * (1.0 - 1e-8), E_ref * (1.0 + 1e-8))
-        assert abs(res.E.real - E) <= 1e-9 * E
+        assert abs(res.E - E) <= 1e-9 * E
 
 
 class TestSolveLevel:
     def test_oscillator_third_level(self):
         res = solve_level(ModelSpec(1, 0.0), 3)
         assert res.converged
-        assert res.E.real == pytest.approx(7.0, abs=1e-8)
+        assert res.E == pytest.approx(7.0, abs=1e-8)
 
     def test_table_one_row(self):
         res = solve_level(ModelSpec(1, 18.0), 0)
         assert res.converged
-        assert res.E.real == pytest.approx(20.67629, abs=1e-5)
+        assert res.E == pytest.approx(20.67629, abs=1e-5)
 
     def test_table_two_last_row(self):
         # row label 58 of the quartic table (deformation 56); the eigenvalue
@@ -751,15 +746,15 @@ class TestSolveLevel:
         # test_ray_oracle.py) gives 86.31763817, i.e. 86.31764 to five places
         res = solve_level(ModelSpec(2, 56.0), 0)
         assert res.converged
-        assert res.E.real == pytest.approx(86.31766, abs=1e-4)
-        assert res.E.real == pytest.approx(86.3176382, abs=2e-6)
+        assert res.E == pytest.approx(86.31766, abs=1e-4)
+        assert res.E == pytest.approx(86.3176382, abs=2e-6)
 
     def test_reality_invariant(self):
         for model, k in ((ModelSpec(1, 2.5), 1), (ModelSpec(1, 8.0), 0),
                          (ModelSpec(2, 6.0), 0)):
             res = solve_level(model, k)
             assert res.converged
-            assert abs(res.E.imag) <= 1e-8 * abs(res.E.real)
+            assert type(res.E) is float
             assert res.residual <= 1e-7
 
     def test_discretization_independence(self):
@@ -778,7 +773,7 @@ class TestSolveLevel:
         res = solve_level(ModelSpec(3, 8.0), 9, seed=279.1894151783502,
                           tol=1e-12, rtol=1e-13)
         assert res.converged
-        assert res.E.real == pytest.approx(279.189415, abs=1e-6)
+        assert res.E == pytest.approx(279.189415, abs=1e-6)
 
     @pytest.mark.parametrize("rtol", [0.0, 0.5, 1e-14, 1e-5, math.nan])
     def test_rtol_domain(self, rtol):
@@ -794,6 +789,26 @@ class TestSolveLevel:
             solve_level(ModelSpec(1, 2.0), 0, tol=tol)
         with pytest.raises(ValueError):
             scan_levels([ModelSpec(1, 2.0)], 0, tol=tol)
+
+    @pytest.mark.parametrize("k", [-1, 2.5, 2.0, math.nan, "2"])
+    def test_level_index_domain(self, monkeypatch, k):
+        # 2.5 and 2.0 raised TypeError from range in _wkb_window, and
+        # scan_levels ran its eigensolves before a slice raised TypeError;
+        # both refuse them before any work
+        def no_work(*args):
+            raise AssertionError("work done before the index was checked")
+
+        monkeypatch.setattr(shooting, "certified_levels", no_work)
+        monkeypatch.setattr(shooting, "_wkb_window", no_work)
+        with pytest.raises(ValueError, match="integer"):
+            solve_level(ModelSpec(1, 2.0), k)
+        with pytest.raises(ValueError, match="integer"):
+            scan_levels([ModelSpec(1, 2.0)], k)
+
+    def test_numpy_level_index(self):
+        # a numpy integer is an integer
+        assert solve_level(ModelSpec(1, 8.0), np.int64(0)).converged
+        assert len(scan_levels([ModelSpec(1, 8.0)], np.int64(1))) == 2
 
     @pytest.mark.parametrize("seed", [math.nan, math.inf, complex(math.nan, 0.0)])
     def test_non_finite_seed(self, seed):
@@ -828,7 +843,7 @@ class TestSolveLevel:
         E = oscillator_levels(coeffs, k + 1)[k]
         res = solve_level(ModelSpec(M, eps), k, rtol=rtol, radius_factor=factor)
         assert res.converged
-        assert abs(res.E.real - E) <= 1e-9 * E
+        assert abs(res.E - E) <= 1e-9 * E
 
 
 class TestSolvePath:
@@ -851,7 +866,7 @@ class TestSolvePath:
     def test_built_once_near_seed(self, counts):
         res = solve_level(ModelSpec(1, 58.0), 0)
         assert res.converged
-        assert res.E.real == pytest.approx(196.0341706067545, rel=1e-12)
+        assert res.E == pytest.approx(196.0341706067545, rel=1e-12)
         assert counts["match_height"] == 1
         assert counts["defect"] > 1
 
@@ -860,8 +875,8 @@ class TestSolvePath:
         seed = shooting.default_seed(model, 3)
         res = solve_level(model, 3)
         assert res.converged
-        assert abs(res.E.real - seed) > 0.3 * seed
-        assert res.E.real == pytest.approx(45.90602785378239, rel=1e-10)
+        assert abs(res.E - seed) > 0.3 * seed
+        assert res.E == pytest.approx(45.90602785378239, rel=1e-10)
         assert counts["match_height"] >= 2
         assert counts["match_height"] < counts["defect"]
 
@@ -879,10 +894,9 @@ class TestSolvePath:
 
     @pytest.mark.parametrize("k,E_ref", sorted(QUARTIC_LEVELS.items()))
     def test_check_path_flags_inaccurate_levels(self, k, E_ref):
-        # a real root passes the PT-reality check as it stands, so only the
-        # check path can flag an inaccurate level
+        # the check path is what flags an inaccurate level
         res = solve_level(ModelSpec(1, 2.0), k)
-        assert res.converged == (abs(res.E.real - E_ref) <= 1e-6 * E_ref)
+        assert res.converged == (abs(res.E - E_ref) <= 1e-6 * E_ref)
 
 
     @pytest.mark.parametrize("M,eps,k", [(1, 58.0, 0), (2, 0.0, 20)])
@@ -1161,7 +1175,7 @@ class TestSolvePath:
         res = solve_level(model, k)
         assert res.converged
         (path, shift), = seen
-        E = complex(path.E_ref)
+        E = path.E_ref
         check = shooting._check_path(model, path, rtol)
         assert check == shooting._check_path(model, _path(model, path.E_ref), rtol)
         start = tuple(shooting._phase_count(q, length, rtol)
@@ -1172,7 +1186,7 @@ class TestSolvePath:
         c0 = shooting._matching_defect(model, E, check, rtol)[0]
         c1 = shooting._matching_defect(model, 1.001 * E, check, rtol)[0]
         blur = shooting._leg_tol(rtol) * 2.0 * u_R / (1.0 + u_R) ** 2
-        assert shift == (abs(c0 - w) + blur) / abs(dw) <= 0.01 * shooting.CHECK_REL * res.E.real
+        assert shift == (abs(c0 - w) + blur) / abs(dw) <= 0.01 * shooting.CHECK_REL * res.E
         assert res.residual == shift / abs(res.E)
         assert 0.5 <= abs((c1 - c0) / (0.001 * E)) / abs(dw) <= 2.0
 
@@ -1182,9 +1196,9 @@ class TestSolvePath:
         # integration uncertainty, tol 2|u_R|/(1 + |u_R|)^2, over its slope
         model, rtol = ModelSpec(1, 38.0), shooting.DEFAULT_RTOL
         path = _path(model, 183084.511)
-        E, du, u = complex(path.E_ref), path.u_ref[1], -511.578j
+        E, du, u = path.E_ref, path.u_ref[1], -511.578j
         flat = replace(path, u_ref=(u, du), u_check=(u, du))
-        dw = shooting._defect(model, E, path, u, du, (u, du))[1]
+        dw = shooting._defect(model, E, path, u, du)[1]
         blur = shooting._leg_tol(rtol) * 2.0 * abs(u) / (1.0 + abs(u)) ** 2
         assert shooting._check_shift(model, flat, rtol) == blur / abs(dw) > 0.0
 
@@ -1195,7 +1209,7 @@ class TestSolvePath:
         # uncertainty is most of the gap
         res = sabotage.solve(ModelSpec(1, 38.0), 28, 1.2)
         assert not res.converged
-        assert abs(res.E.real - solve_level(ModelSpec(1, 38.0), 28).E.real) > 1e-3 * res.E.real
+        assert abs(res.E - solve_level(ModelSpec(1, 38.0), 28).E) > 1e-3 * res.E
         assert res.residual > 1.0
 
     def test_no_finite_step_is_no_root(self):
@@ -1206,8 +1220,8 @@ class TestSolvePath:
         # |w| = 0, which would read as an exact root
         res = sabotage.solve(ModelSpec(1, 38.0), 18, 1.2, seed=wkb_energy_next(18, 38.0))
         assert not res.converged
-        assert res.E.real == pytest.approx(82453.227, rel=1e-8)
-        assert abs(res.E.real - solve_level(ModelSpec(1, 38.0), 18).E.real) > 0.02 * res.E.real
+        assert res.E == pytest.approx(82453.227, rel=1e-8)
+        assert abs(res.E - solve_level(ModelSpec(1, 38.0), 18).E) > 0.02 * res.E
         assert res.residual == math.inf
 
     @pytest.mark.parametrize("seed_factor", [0.5, 2.0])
@@ -1232,12 +1246,12 @@ class TestSolvePath:
 
         monkeypatch.setattr(shooting, "_check_shift", recorded)
         monkeypatch.setattr(shooting, "_build_path", counted)
-        res = solve_level(model, k, seed=seed_factor * want.E.real)
+        res = solve_level(model, k, seed=seed_factor * want.E)
         assert want.converged and res.converged
         assert abs(res.E - want.E) <= 1e-12 * abs(want.E)
         (path,) = seen
         assert len(builds) > 1 and path is builds[-1]
-        assert abs(res.E.real - path.E_ref) <= shooting.PATH_BAND * path.E_ref
+        assert abs(res.E - path.E_ref) <= shooting.PATH_BAND * path.E_ref
 
     @pytest.mark.parametrize("k,eps", [(12, 2.0), (28, 58.0)])
     @pytest.mark.parametrize("broken", ["panels", "vertex"])
@@ -1356,7 +1370,7 @@ class TestShotSchedule:
         assert res.iterations == 2
         assert calls[0] == 2
         E = oscillator_levels([0.0, -2.0, 0.0, 0.0, 4.0], 13)[12]
-        assert abs(res.E.real - E) <= 1e-9 * E
+        assert abs(res.E - E) <= 1e-9 * E
 
 
 class TestSlope:
@@ -1419,7 +1433,7 @@ class TestSlope:
         monkeypatch.setattr(shooting, "_segment", zeroed)
         u, du = shooting._u_interior(model, complex(E), path, shooting.DEFAULT_RTOL)
         assert cmath.isfinite(u) and cmath.isfinite(du) and abs(u) > 1e15
-        w, dw = shooting._matching_defect(model, complex(E), path, shooting.DEFAULT_RTOL)
+        w, dw = shooting._matching_defect(model, E, path, shooting.DEFAULT_RTOL)
         assert abs(w) <= 1e-12 and abs(w / dw) <= 1e-12 * E
 
 
@@ -1434,7 +1448,7 @@ class TestNewtonSafeguards:
         res = solve_level(ModelSpec(2, 36.0), 2)
         assert res.converged
         E_ref = oracle_level(2, 36.0, 509.0, 512.0)
-        assert abs(res.E.real - E_ref) <= 1e-9 * E_ref
+        assert abs(res.E - E_ref) <= 1e-9 * E_ref
 
     @pytest.mark.parametrize("M,eps,k,E_ref", [(1, 8.0, 3, 133.7796461407702),
                                                (1, 20.0, 5, 1954.6837217307355),
@@ -1448,7 +1462,22 @@ class TestNewtonSafeguards:
         res = solve_level(ModelSpec(M, eps), k)
         assert res.converged
         assert res.iterations == 2
-        assert res.E.real == pytest.approx(E_ref, rel=1e-12)
+        assert res.E == pytest.approx(E_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_far_seeds_need_no_step_cap(self, M):
+        # no step is capped: a step that leaves the sign bracket is replaced
+        # by its midpoint, so seeds at half and twice default_seed converge
+        # to the default-seeded root
+        for eps in (0.0, 8.0, 58.0):
+            model = ModelSpec(M, eps)
+            for k in (0, 1, 5):
+                want = solve_level(model, k)
+                assert want.converged, (eps, k)
+                for factor in (0.5, 2.0):
+                    res = solve_level(model, k, factor * shooting.default_seed(model, k))
+                    assert res.converged, (eps, k, factor)
+                    assert abs(res.E - want.E) <= 1e-12 * want.E, (eps, k, factor)
 
     def test_bracket_keeps_a_crossed_root(self, monkeypatch):
         # at (2, 52, 6) the first Newton step, from the limit-scale seed
@@ -1461,13 +1490,13 @@ class TestNewtonSafeguards:
 
         def recorded(model, E, path, rtol):
             out = defect(model, E, path, rtol)
-            seen.append((E.real, out[0].real, path.E_ref))
+            seen.append((E, out[0], path.E_ref))
             return out
 
         monkeypatch.setattr(shooting, "_matching_defect", recorded)
         res = solve_level(model, 6)
         assert res.converged
-        assert res.E.real == pytest.approx(6317.054697636675, rel=1e-12)
+        assert res.E == pytest.approx(6317.054697636675, rel=1e-12)
         *solve, _ = seen        # the last defect is the check path's
         assert len({E_ref for *_, E_ref in solve}) == 1
         crossed = next(i for i in range(1, len(solve))
@@ -1546,9 +1575,9 @@ class TestFirstIterate:
         model = ModelSpec(1, 8.0)
         res = solve_level(model, 28)
         assert res.converged
-        assert abs(res.E.real - 4402.253485) <= 1e-8 * 4402.253485
+        assert abs(res.E - 4402.253485) <= 1e-8 * 4402.253485
         gap14, gap28 = (1.0 - E / wkb_energy_next(k, 8.0) for k, E in
-                        ((14, solve_level(model, 14).E.real), (28, res.E.real)))
+                        ((14, solve_level(model, 14).E), (28, res.E)))
         assert gap28 == pytest.approx(gap14 * (14.5 / 28.5) ** 4, rel=0.02)
 
     def test_high_levels_at_eps_28(self):
@@ -1558,18 +1587,16 @@ class TestFirstIterate:
         # match point by 2e-4 there, so the check is again the next-order
         # WKB gap: scaled by (k + 1/2)^4 from k = 12, it lands within 0.5%
         model = ModelSpec(1, 28.0)
-        gap12 = 1.0 - solve_level(model, 12).E.real / wkb_energy_next(12, 28.0)
+        gap12 = 1.0 - solve_level(model, 12).E / wkb_energy_next(12, 28.0)
         for k in (20, 21):
             res = solve_level(model, k)
             assert res.converged, k
-            gap = 1.0 - res.E.real / wkb_energy_next(k, 28.0)
+            gap = 1.0 - res.E / wkb_energy_next(k, 28.0)
             assert gap == pytest.approx(gap12 * (12.5 / (k + 0.5)) ** 4, rel=0.005)
 
 
 # the sweep and the large-eps table of ROADMAP's grounding note
 SWEEP = sabotage.SWEEP
-LARGE_EPS = [(M, eps, k) for M in (1, 2, 3, 4)
-             for eps in (100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0) for k in (0, 1, 2, 5)]
 
 
 class TestOneShot:
@@ -1656,8 +1683,8 @@ class TestCheckVertex:
             E_ref = 64646.252470253802808
         else:
             from _mp_oracle import level as mp_level    # the only use of mpmath here
-            E_ref = float(mp_level(1, eps, res.E.real))
-        assert abs(res.E.real - E_ref) <= 1e-14 * E_ref
+            E_ref = float(mp_level(1, eps, res.E))
+        assert abs(res.E - E_ref) <= 1e-14 * E_ref
 
     def test_corner_kept_on_golden_and_high_levels(self):
         # the golden rows and every level the high-levels benchmark draws
@@ -1697,7 +1724,7 @@ class TestCheckVertex:
         # bit, unconverged (test_no_finite_step_is_no_root)
         sample = [(M, eps, k) for M in (1, 2, 3, 4) for eps in (8.0, 38.0, 58.0)
                   for k in (6, 18, 28)]
-        want = {(M, eps, k): solve_level(ModelSpec(M, eps), k).E.real
+        want = {(M, eps, k): solve_level(ModelSpec(M, eps), k).E
                 for M, eps, k in sample}
         for s in (0.8, 1.2):
             wrong, missed = sabotage.caught(want, s)
@@ -1718,7 +1745,7 @@ class TestHermitianLevels:
         for k, E_ref in enumerate(oscillator_levels(coeffs, k_max + 1)):
             res = solve_level(model, k)
             assert res.converged, k
-            assert abs(res.E.real - E_ref) <= 1e-9 * E_ref, k
+            assert abs(res.E - E_ref) <= 1e-9 * E_ref, k
 
     def test_quartic_levels_to_rounding(self):
         # on the monotone path no leg stops at a rounding floor: the levels
@@ -1727,7 +1754,7 @@ class TestHermitianLevels:
         for k, E_ref in enumerate(oscillator_levels([0.0, -2.0, 0.0, 0.0, 4.0], 31)):
             res = solve_level(model, k)
             assert res.converged, k
-            assert abs(res.E.real - E_ref) <= 1e-12 * E_ref, k
+            assert abs(res.E - E_ref) <= 1e-12 * E_ref, k
 
     @pytest.mark.parametrize("eps,k,lo,hi", [(42.5, 2, 2253.0, 2254.0),
                                              (51.5, 1, 1265.0, 1266.0)])
@@ -1736,7 +1763,7 @@ class TestHermitianLevels:
         res = solve_level(ModelSpec(1, eps), k)
         assert res.converged
         E_ref = oracle_level(1, eps, lo, hi)
-        assert abs(res.E.real - E_ref) <= 1e-10 * E_ref
+        assert abs(res.E - E_ref) <= 1e-10 * E_ref
 
 
 class TestEvenMLabels:
@@ -1750,13 +1777,13 @@ class TestEvenMLabels:
         res = solve_level(ModelSpec(M, eps), k)
         assert res.converged
         E_ref = oracle_level(M, eps, lo, hi)
-        assert abs(res.E.real - E_ref) <= 1e-9 * E_ref
+        assert abs(res.E - E_ref) <= 1e-9 * E_ref
 
 
 class TestScan:
     def test_hermitian_anchor(self):
         results = scan_levels([ModelSpec(1, 0.0)], 4)
-        energies = [r.E.real for r in results]
+        energies = [r.E for r in results]
         assert energies == pytest.approx([1.0, 3.0, 5.0, 7.0, 9.0], rel=1e-8)
 
     def test_monotone_rise(self):
@@ -1765,7 +1792,7 @@ class TestScan:
         assert all(r.converged for r in results)
         per_level = {}
         for r, model in zip(results, [m for m in grid for _ in range(5)]):
-            per_level.setdefault(r.k, []).append(r.E.real)
+            per_level.setdefault(r.k, []).append(r.E)
         for k, curve in per_level.items():
             assert all(b > a for a, b in zip(curve, curve[1:])), f"level {k}"
 
@@ -1773,7 +1800,7 @@ class TestScan:
         grid = [ModelSpec(1, e) for e in (1.0, 0.0)]
         results = scan_levels(grid, 1)
         assert [r.k for r in results] == [0, 1, 0, 1]
-        assert results[0].E.real < results[2].E.real  # eps = 0 rows first
+        assert results[0].E < results[2].E  # eps = 0 rows first
 
     def test_no_action_quadrature(self, monkeypatch):
         # seeds, WKB windows and contour radii at M >= 2 come from the closed
@@ -1818,7 +1845,7 @@ class TestScan:
         # (M = 2) or 3, 4 and 5 (M = 3) one energy; these certified spectral
         # values are roots that shooting started from them converges to
         results = scan_levels([ModelSpec(M, 4.0)], 5)
-        assert [r.E.real for r in results] == pytest.approx(want, abs=1e-6)
+        assert [r.E for r in results] == pytest.approx(want, abs=1e-6)
         assert all(r.converged and r.iterations == 0 and r.residual <= 1e-9
                    for r in results)
 
@@ -1830,17 +1857,17 @@ class TestScan:
         results.append(solve_level(ModelSpec(1, 8.0), 0))
         assert {r.iterations > 0 for r in results} == {True, False}
         for r in results:
-            assert type(r.E) is complex and type(r.residual) is float
+            assert type(r.E) is float and type(r.residual) is float
 
     def test_levels_increase_at_eps_8(self):
-        energies = [r.E.real for r in scan_levels([ModelSpec(2, 8.0)], 5)]
+        energies = [r.E for r in scan_levels([ModelSpec(2, 8.0)], 5)]
         assert all(b > a for a, b in zip(energies, energies[1:]))
 
     def test_scan_reproduces_table_rows(self):
         grid = [ModelSpec(1, e) for e in (8.0, 18.0)]
         results = scan_levels(grid, 0)
-        assert results[0].E.real == pytest.approx(5.55331, abs=2e-5)
-        assert results[1].E.real == pytest.approx(20.67629, abs=2e-5)
+        assert results[0].E == pytest.approx(5.55331, abs=2e-5)
+        assert results[1].E == pytest.approx(20.67629, abs=2e-5)
 
 
 class TestMatchHeight:

@@ -91,8 +91,10 @@ def run_table(table_id: int, tol: float = DEFAULT_TOL,
 
     Tables 1 and 2 list E0, F, R1, R2 for M = 1 and M = 2; table 3 lists the
     leading-behavior-subtracted column R0 = (F - 1/16) eps and its
-    extrapolants for M = 1.
+    extrapolants for M = 1.  Raises ValueError for any other table_id.
     """
+    if table_id not in (1, 2, 3):
+        raise ValueError("table_id must be 1, 2 or 3")
     M = 2 if table_id == 2 else 1
     labels = list(TABLE_GRID)
     eps_true = [lab - (2 * M - 2) for lab in labels]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,16 +46,18 @@ class LimitLevel:
 def level_nu(M: int, j: int) -> float:
     """Limit index of level j = 0, 1, ... in ascending order:
     nu = j//M + ((j mod M) + 1)/(M + 1)."""
+    if not isinstance(j, numbers.Integral) or j < 0:
+        raise ValueError("j must be an integer >= 0")
     return j // M + ((j % M) + 1) / (M + 1.0)
 
 
 def nu_spectrum(M: int, k_max: int) -> list[LimitLevel]:
     """All limit levels with k <= k_max, sorted by nu: entry j is level j,
     with k = j // M, P = (j mod M) + 1 and nu = level_nu(M, j)."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    if not isinstance(M, numbers.Integral) or M < 1:
+        raise ValueError("M must be an integer >= 1")
+    if not isinstance(k_max, numbers.Integral) or k_max < 0:
+        raise ValueError("k_max must be an integer >= 0")
     nus = [level_nu(M, j) for j in range((k_max + 1) * M)]
     return [LimitLevel(j // M, j % M + 1, nu, nu ** 2 / 4.0)
             for j, nu in enumerate(nus)]

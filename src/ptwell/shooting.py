@@ -42,15 +42,16 @@ _DEGREE, on each of which psi'' = q psi is solved as an integral equation
 of WKB phase.  The equation is linear and a transfer matrix does not depend
 on the state it carries, so one call of the kernel _transfers forms the
 first two counts of both legs of a shot in one batched solve.  A solve
-builds its path (outer radius, vertex, match height and the count each leg
-starts from) once, from the seed energy, and rebuilds it only when |E|
-leaves a band of PATH_BAND around it.  The build's own shot starts each leg
-from a count sized by its WKB phase (_phase_count), and its result is the
-solve's defect and slope at that energy (_matching_defect); the counts it
-keeps let every later shot on the path finish both legs in two passes, one
-kernel call.  V (geometry.potential_value) does not depend on E: a build
-evaluates it on the node sets of its shot in one call, after its probes
-(_shoot_path), and every later shot on the path reads it there (_legs).
+builds its path, one record (_Path), once, from the seed energy, and
+rebuilds it only when |E| leaves a band of PATH_BAND around it.  V
+(geometry.potential_value) does not depend on E: the build evaluates it at
+the outer and the match point (_build_path), its shot on the node sets it
+uses, in one call after its probes (_shoot_path), and every later shot on
+the path reads it there (_legs).  The build's shot starts each leg from a
+count sized by its WKB phase (_phase_count), and its result is the solve's
+defect and slope at that energy (_matching_defect); the counts it keeps
+let every later shot on the path finish both legs in two passes, one
+kernel call.
 
 Only the right side is integrated.  PT symmetry maps the left solution at
 E to the mirror image of the right one at conj E, so
@@ -61,10 +62,10 @@ of e-folds places inside x_t (_check_path): every leg keeps one rule,
 agree to tol or stop at a rounding floor of at most sqrt(tol).  The defect
 and its slope do not depend on the path, so from E_ref, where the build's
 shot carries both paths' legs (_shoot_path), their Newton images agree to
-rounding; a root whose images on its last path differ more than
-CHECK_REL |E| is reported unconverged (_check_shift).  All operations are
-pure.  scan_levels shoots only the levels the spectral engine
-(ptwell.spectral) does not certify.
+rounding.  The distance between them is the path's check verdict
+(_check_shift), and a root whose last path's verdict exceeds CHECK_REL |E|
+is reported unconverged.  All operations are pure.  scan_levels shoots
+only the levels the spectral engine (ptwell.spectral) does not certify.
 """
 
 from __future__ import annotations
@@ -110,10 +111,10 @@ class EigenResult:
 
     k: int
     E: float
-    residual: float     # a checked root's shift over |E| (_check_shift),
-                        # inf where a shot failed or Newton found no finite
-                        # step, else |defect| at the last shot; from
-                        # scan_levels' engine, its contours' relative gap
+    residual: float     # a checked root's last path's verdict (_Path.shift)
+                        # over |E|, inf where a shot failed or Newton found
+                        # no finite step, else |defect| at the last shot;
+                        # from scan_levels' engine, its contours' relative gap
     iterations: int
     converged: bool
 
@@ -145,9 +146,9 @@ def _ray_radius(model: ModelSpec, E: float, radius_factor: float,
     return R
 
 
-def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float, v=None):
+def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float, v: complex):
     """(psi, dpsi/ds, W) of the WKB solution decaying outward, at s = 0;
-    v is V at R e^(i theta), evaluated here if None.
+    v is V at R e^(i theta).
 
     psi'/psi = -sqrt(Q) - Q'/(4Q) with Q = V - E and Q' = n V/x: the leading
     form with its first correction.  W = psi psi_E' - psi' psi_E, the
@@ -155,7 +156,6 @@ def _outgoing_ic(model: ModelSpec, E: complex, theta: float, R: float, v=None):
     psi'/psi, 1/(2 sqrt(Q)) - n V/(4 x Q^2), since psi = 1 at every E."""
     ex = cmath.exp(1j * theta)
     n = 2.0 * model.M + model.epsilon
-    v = potential_value(model, R * ex) if v is None else v
     q = cmath.sqrt(v - E)
     if (q * ex).real < 0.0:
         q = -q
@@ -426,91 +426,89 @@ def match_height(model: ModelSpec, E: float) -> float:
 
 @dataclass(frozen=True)
 class _Path:
-    """Path of one solve, built for |E| = E_ref: a straight leg from
-    R e^{i theta} to the vertex, the turning point x_t of E_ref scaled to
-    radius `corner` (inside r_t on the check path, see _check_path), then a
-    chord to the match point -i ym.  The legs start from `panels` Chebyshev
-    panels; `v` keeps what does not depend on E (_lines, _legs, _v_at);
-    `u_ref` and `u_check` are what _u_interior returns at E_ref on it and on
-    its check path, from the build's shot (_shoot_path), u_check None where
-    the check path fails."""
+    """The path of a solve at `model` and `rtol`, built for |E| = E_ref: a
+    straight leg from R e^{i theta} to the vertex, the turning point x_t of
+    E_ref scaled to radius `corner` (inside r_t on the check path, see
+    _check_path), then a chord to the match point -i ym (`lines`).  V at the
+    outer and the match point (scalar form) and on the legs' node sets
+    (`v`, keyed by leg and shape, see _legs) does not depend on E.  The legs
+    start from `panels` Chebyshev panels; _build_path leaves them (0, 0),
+    and the build's shot (_shoot_path) sets them, u_ref, what _shoot gives
+    at E_ref, and `shift`, the check verdict (_check_shift)."""
 
+    model: ModelSpec
+    rtol: float
     E_ref: float
     ym: float
     corner: float
     theta: float
     R: float
-    panels: tuple[int, int]
-    v: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    v_outer: complex
+    v_match: complex
+    panels: tuple[int, int] = (0, 0)
     u_ref: tuple[complex, complex] | None = field(default=None, repr=False, compare=False)
-    u_check: tuple[complex, complex] | None = field(default=None, repr=False, compare=False)
+    shift: float = field(default=math.inf, repr=False, compare=False)
+    v: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def lines(self) -> list[tuple[complex, float, complex]]:
+        """(x0, length, u) of the first leg and the chord: each runs from x0
+        over `length` along the unit direction u."""
+        x_t = turning_points(self.model, self.E_ref).x_right
+        ends = (self.R * cmath.exp(1j * self.theta), self.corner / abs(x_t) * x_t, -1j * self.ym)
+        return [(a, abs(b - a), (b - a) / abs(b - a)) for a, b in zip(ends, ends[1:])]
 
 
-def _legs(model: ModelSpec, E: complex, path: _Path) -> list[tuple]:
+def _legs(E: complex, path: _Path) -> list[tuple]:
     """(q, length, u) of the first leg and the chord of `path` at energy E:
     psi_ss = q(s) psi = u^2 (V - E) psi on [0, length] along the unit
     direction u.  q is called on fixed node sets, one per shape (the nodes of
     n panels, the leg's end, _phase_count's probes) and reads V on them in
-    path.v, where the build puts the sets of its shot (_shoot_path); a set
-    first met later, or on a path no build filled, is evaluated then (_fill)."""
+    path.v, where the build's shot puts the sets it uses (_shoot_path); a
+    set first met later is evaluated then (_fill)."""
     def leg(j, length, u):
         def q(s):
             if (j, s.shape) not in path.v:
-                _fill(model, [(path, j, s)])
+                _fill([(path, j, s)])
             return u * u * (path.v[j, s.shape] - E)
         return q, length, u
 
-    return [leg(j, length, u) for j, (_, length, u) in enumerate(_lines(model, path))]
+    return [leg(j, length, u) for j, (_, length, u) in enumerate(path.lines)]
 
 
-def _lines(model: ModelSpec, path: _Path) -> list[tuple[complex, float, complex]]:
-    """(x0, length, u) of the first leg and the chord of `path`, kept in
-    path.v: each runs from x0 over `length` along the unit direction u."""
-    if "lines" not in path.v:
-        x_t = turning_points(model, path.E_ref).x_right
-        ends = (path.R * cmath.exp(1j * path.theta), path.corner / abs(x_t) * x_t,
-                -1j * path.ym)
-        path.v["lines"] = [(a, abs(b - a), (b - a) / abs(b - a))
-                           for a, b in zip(ends, ends[1:])]
-    return path.v["lines"]
-
-
-def _fill(model: ModelSpec, sets: Sequence[tuple]) -> None:
+def _fill(sets: Sequence[tuple]) -> None:
     """V, in one potential_value call, on each node set (path, j, s) of
-    `sets`, s on leg j of path (_legs), kept in path.v under (j, s.shape)."""
+    `sets`, s on leg j of path (_legs), all paths of one model, kept in
+    path.v under (j, s.shape)."""
     sizes = [s.size for _, _, s in sets]
-    x0, _, u = zip(*(_lines(model, p)[j] for p, j, _ in sets))
-    v = potential_value(model, np.repeat(x0, sizes) + np.concatenate(
+    x0, _, u = zip(*(p.lines[j] for p, j, _ in sets))
+    v = potential_value(sets[0][0].model, np.repeat(x0, sizes) + np.concatenate(
         [s.ravel() for _, _, s in sets]) * np.repeat(u, sizes))
     for (p, j, s), end in zip(sets, itertools.accumulate(sizes)):
         p.v[j, s.shape] = v[end - s.size:end].reshape(s.shape)
 
 
-def _v_at(model: ModelSpec, path: _Path, x: complex) -> complex:
-    """V at the point x of `path` (scalar form), evaluated once per path."""
-    return path.v[x] if x in path.v else path.v.setdefault(x, potential_value(model, x))
-
-
-def _shoot(model: ModelSpec, E: complex, paths: Sequence[_Path],
-           panels: tuple[int, int], rtol: float) -> list[tuple]:
+def _shoot(E: complex, paths: Sequence[_Path], panels: tuple[int, int]) -> list[tuple]:
     """For each of `paths`, paths from the same outer point: psi'/psi at
     -i ym and its E-derivative, carried along its legs from `panels` first,
     and the counts _segment returns.  The first two passes of every leg of
-    every path take one call of _transfers.
+    every path take one call of _transfers; a non-finite E raises first.
 
     The derivative is W/psi^2 at -i ym: W = psi psi_E' - psi' psi_E starts
     at the outer point as the E-derivative of the WKB start and loses
     int psi^2 dx on each leg (_segment)."""
-    psi0, dpsi_ds, w0 = _outgoing_ic(model, E, paths[0].theta, paths[0].R,   # s = R - |x|
-                                     _v_at(model, paths[0], _lines(model, paths[0])[0][0]))
-    shots = [(_legs(model, E, p), list(panels)) for p in paths]
+    if not cmath.isfinite(E):
+        raise ShootingError("non-finite energy")
+    path = paths[0]     # the start's slope is in s = R - |x|
+    psi0, dpsi_ds, w0 = _outgoing_ic(path.model, E, path.theta, path.R, path.v_outer)
+    shots = [(_legs(E, p), list(panels)) for p in paths]
     ts = iter(_transfers([(q, length, (n, 2 * n)) for legs, ns in shots
                           for (q, length, _), n in zip(legs, ns)]))
     out = []
     for legs, ns in shots:
-        psi, dpsi, w = psi0, -dpsi_ds / cmath.exp(1j * paths[0].theta), w0
+        psi, dpsi, w = psi0, -dpsi_ds / cmath.exp(1j * path.theta), w0
         for j, leg in enumerate(legs):
-            psi, dpsi, w, ns[j] = _segment(leg, psi, dpsi, ns[j], rtol,
+            psi, dpsi, w, ns[j] = _segment(leg, psi, dpsi, ns[j], path.rtol,
                                            itertools.islice(ts, 2), w)
         if psi == 0.0:      # a node at -i ym to the last bit: psi is one rounding unit
             psi = 2.0 ** -53 * abs(dpsi)
@@ -518,10 +516,10 @@ def _shoot(model: ModelSpec, E: complex, paths: Sequence[_Path],
     return out
 
 
-def _shoot_path(model: ModelSpec, path: _Path, rtol: float) -> _Path:
-    """`path`, unshot, with its panel counts, u_ref and u_check from one
-    shot at E_ref that also carries its check path's legs (_check_path);
-    where those fail, its own are shot alone and u_check is None.
+def _shoot_path(path: _Path) -> _Path:
+    """`path`, unshot, with its panel counts, u_ref and check verdict from
+    one shot at E_ref that also carries its check path's legs (_check_path);
+    where those fail, its own are shot alone and the verdict is inf.
 
     Both paths start each leg from _phase_count on `path`.  On M = 1..3,
     eps = 0..58, k = 0..28 (270 builds) every first leg agrees in its first
@@ -534,44 +532,34 @@ def _shoot_path(model: ModelSpec, path: _Path, rtol: float) -> _Path:
     finishes later shots in two passes after agreement, and in three after
     the floor.  V is evaluated on the probes in one call, then on both paths'
     leg ends and first pairs in one more, unless _transfers refuses them."""
-    legs = _legs(model, path.E_ref, path)
-    _fill(model, [(path, j, length * _PROBE) for j, (_, length, _) in enumerate(legs)])
-    start = tuple(_phase_count(q, length, rtol) for q, length, _ in legs)
-    paths = [path, _check_path(model, path, rtol)]
+    legs = _legs(path.E_ref, path)
+    _fill([(path, j, length * _PROBE) for j, (_, length, _) in enumerate(legs)])
+    start = tuple(_phase_count(q, length, path.rtol) for q, length, _ in legs)
+    paths = [path, _check_path(path)]
     if 2 * max(start) <= _MAX_PANELS:
-        _fill(model, [(p, j, s) for p in paths
-                      for j, (_, length, _) in enumerate(_lines(model, p))
-                      for s in (np.array([length]), _nodes(length, start[j]),
-                                _nodes(length, 2 * start[j]))])
+        _fill([(p, j, s) for p in paths for j, (_, length, _) in enumerate(p.lines)
+               for s in (np.array([length]), _nodes(length, start[j]),
+                         _nodes(length, 2 * start[j]))])
     try:
-        shot, check = _shoot(model, path.E_ref, paths, start, rtol)
+        shot, check = _shoot(path.E_ref, paths, start)
     except ShootingError:       # the check path's legs may fail alone
-        (shot,), check = _shoot(model, path.E_ref, [path], start, rtol), None
+        (shot,), check = _shoot(path.E_ref, [path], start), None
     built = replace(path, panels=shot[2], u_ref=shot[:2],
-                    u_check=check[:2] if check else None)
-    built.v.update(path.v)
+                    shift=_check_shift(path, shot[:2], check and check[:2]))
+    # one geometry: the shot path keeps the lines and the V its build found
+    vars(built).update(v=path.v, lines=path.lines)
     return built
 
 
 def _build_path(model: ModelSpec, E_ref: float, radius_factor: float, rtol: float) -> _Path:
-    """The path for E_ref, shot at E_ref (_shoot_path)."""
-    R = _ray_radius(model, E_ref, radius_factor, rtol)
-    return _shoot_path(model, _Path(E_ref, match_height(model, E_ref),
-                                    turning_radius(model, E_ref),
-                                    wedge_angles(model).theta_right, R, (0, 0)), rtol)
+    """The path for E_ref, unshot, with V at its outer and match points."""
+    R, theta = _ray_radius(model, E_ref, radius_factor, rtol), wedge_angles(model).theta_right
+    ym, x_outer = match_height(model, E_ref), R * cmath.exp(1j * theta)
+    return _Path(model, rtol, E_ref, ym, turning_radius(model, E_ref), theta, R,
+                 potential_value(model, x_outer), potential_value(model, -1j * ym))
 
 
-def _u_interior(model: ModelSpec, E: complex, path: _Path,
-                rtol: float) -> tuple[complex, complex]:
-    """psi'/psi at -i ym, integrated along `path` from the outer point, and
-    its E-derivative (see _shoot)."""
-    if not cmath.isfinite(E):
-        raise ShootingError("non-finite energy")
-    return _shoot(model, E, [path], path.panels, rtol)[0][:2]
-
-
-def _matching_defect(model: ModelSpec, E: float, path: _Path,
-                     rtol: float) -> tuple[float, float]:
+def _matching_defect(E: float, path: _Path) -> tuple[float, float]:
     """(w, dw) at the real energy E: the interior-matched defect
     w = (u_L - u_R) / ((1 + |u_L|)(1 + |u_R|)), with u = psi'/psi at -i ym
     on `path`, and its slope dw = f' w/f, whose Newton step -w/dw is the
@@ -595,20 +583,19 @@ def _matching_defect(model: ModelSpec, E: float, path: _Path,
     level 3, and the numerator steps to the level.  Only the right side is
     integrated: PT symmetry maps the left solution at E to the mirror image
     of the right one at conj E, so at real E u_L = -conj(u_R), and so is
-    its E-derivative.  That is one shot and a real defect and step; at the
-    path's E_ref, u_R is the build's shot (u_ref), not a second shot of the
-    same leg.
+    its E-derivative.  That is one shot (_shoot) and a real defect and step;
+    at the path's E_ref, u_R is the build's shot (u_ref), not a second shot
+    of the same leg.
     """
-    at_ref = E == path.E_ref and path.u_ref is not None
-    return _defect(model, E, path, *(path.u_ref if at_ref else _u_interior(model, E, path, rtol)))
+    return _defect(E, path, *(path.u_ref if E == path.E_ref
+                              else _shoot(E, [path], path.panels)[0][:2]))
 
 
-def _defect(model: ModelSpec, E: float, path: _Path, uR: complex,
-            duR: complex) -> tuple[float, float]:
+def _defect(E: float, path: _Path, uR: complex, duR: complex) -> tuple[float, float]:
     """_matching_defect's (w, dw) from (u_R, du_R/dE) at the real energy E."""
     uL, duL = -uR.conjugate(), -duR.conjugate()
     scale = (1.0 + abs(uL)) * (1.0 + abs(uR))
-    if abs(uR) > math.sqrt(abs(E - _v_at(model, path, -1j * path.ym))) + 1.0 or (
+    if abs(uR) > math.sqrt(abs(E - path.v_match)) + 1.0 or (
             abs(uR) > 1.0 and abs(uL - uR) > abs(uL + uR)):
         # u_L - u_R = -u_L u_R (1/u_L - 1/u_R), and -u_L u_R = |u_R|^2
         df = (duR / (uR * uR) - duL / (uL * uL)) * (-uL * uR)
@@ -658,7 +645,7 @@ def _wkb_window(model: ModelSpec, k: int) -> tuple[float, float]:
     return (math.sqrt(w[0] * w[1]) if k else 0.0), math.sqrt(w[-2] * w[-1])
 
 
-def _check_path(model: ModelSpec, path: _Path, rtol: float) -> _Path:
+def _check_path(path: _Path) -> _Path:
     """`path` with its vertex at c x_t, c = max(CHECK_CORNER, c_B): the path
     a converged root is re-checked on.  Its chord amplifies rounding by
     e^(2 g), g the net WKB growth |Im int sqrt(E - V) dx| on it.  V = E t^N
@@ -668,28 +655,27 @@ def _check_path(model: ModelSpec, path: _Path, rtol: float) -> _Path:
     1 - (1.5 B/G)^(2/3) keeps g to B = 1/2 ln(sqrt(tol) 2^53), 10.9 e-folds
     at the default rtol (tol = _leg_tol(rtol)): rounding stays below the
     sqrt(tol) floor a leg may stop at (_segment)."""
-    n = 2.0 * model.M + model.epsilon
-    budget = 0.5 * math.log(math.sqrt(_leg_tol(rtol)) * 2.0 ** 53)
-    rate = path.corner * math.sqrt(path.E_ref * n) * math.cos(math.pi * model.M / n)
+    n = 2.0 * path.model.M + path.model.epsilon
+    budget = 0.5 * math.log(math.sqrt(_leg_tol(path.rtol)) * 2.0 ** 53)
+    rate = path.corner * math.sqrt(path.E_ref * n) * math.cos(math.pi * path.model.M / n)
     # G; at eps = 0 cos(pi M/N) is 0 up to rounding, and c_B far below CHECK_CORNER
     c_b = 1.0 - (1.5 * budget / rate) ** (2.0 / 3.0) if rate > 0.0 else 0.0
     return replace(path, corner=max(CHECK_CORNER, c_b) * path.corner)
 
 
-def _check_shift(model: ModelSpec, path: _Path, rtol: float) -> float:
-    """|w_check - w|/|dw|, w and dw the defect and its slope on `path` and
-    w_check the defect on its check path (_check_path), at E_ref from the
-    build's shot (u_ref, u_check): the distance between the two paths'
-    Newton images from that energy, inf where the check path failed.  The
-    gap is widened by the defect's integration uncertainty,
+def _check_shift(path: _Path, u: tuple, u_check: tuple | None) -> float:
+    """|w_check - w|/|dw|, w and dw the defect and its slope from the shot
+    u of `path` at E_ref and w_check that from u_check on its check path
+    (_check_path): the distance between the two paths' Newton images from
+    that energy, inf where the check path failed (u_check None).  The gap
+    is widened by the defect's integration uncertainty,
     tol 2|u_R|/(1 + |u_R|)^2 with tol = _leg_tol(rtol): where Re u_R is 0
     on both paths the defects agree exactly, and would pass any root."""
-    E, u, u_check = path.E_ref, path.u_ref, path.u_check
-    w, dw = _defect(model, E, path, *u)
+    w, dw = _defect(path.E_ref, path, *u)
     if u_check is None or not dw:
         return math.inf
-    gap = abs(_defect(model, E, path, *u_check)[0] - w)
-    return (gap + _leg_tol(rtol) * 2.0 * abs(u[0]) / (1.0 + abs(u[0])) ** 2) / abs(dw)
+    gap = abs(_defect(path.E_ref, path, *u_check)[0] - w)
+    return (gap + _leg_tol(path.rtol) * 2.0 * abs(u[0]) / (1.0 + abs(u[0])) ** 2) / abs(dw)
 
 
 def _check_args(k: int, name: str, tol: float, rtol: float) -> None:
@@ -740,8 +726,8 @@ def solve_level(model: ModelSpec, k: int, seed: float | None = None,
     E = E.real
     lo, hi = _wkb_window(model, k)
     try:
-        path = _build_path(model, abs(E), radius_factor, rtol)
-        w, dw = _matching_defect(model, E, path, rtol)
+        path = _shoot_path(_build_path(model, abs(E), radius_factor, rtol))
+        w, dw = _matching_defect(E, path)
     except ShootingError as exc:
         logger.warning("integration failed at seed for k=%d: %s", k, exc)
         return EigenResult(k, E, math.inf, 0, False)
@@ -765,14 +751,14 @@ def solve_level(model: ModelSpec, k: int, seed: float | None = None,
             break       # the step is taken but not shot
         try:
             if abs(abs(E) - path.E_ref) > PATH_BAND * path.E_ref:
-                path = _build_path(model, abs(E), radius_factor, rtol)
-            w, dw = _matching_defect(model, E, path, rtol)
+                path = _shoot_path(_build_path(model, abs(E), radius_factor, rtol))
+            w, dw = _matching_defect(E, path)
         except ShootingError as exc:
             logger.warning("integration failed at E=%s for k=%d: %s", E, k, exc)
             return EigenResult(k, E, math.inf, iterations, False)
     else:
         return EigenResult(k, E, abs(w), iterations, False)
-    residual = _check_shift(model, path, rtol) / abs(E)
+    residual = path.shift / abs(E)
     path_ok = residual <= CHECK_REL
     if not path_ok:
         logger.warning("path-dependent root for k=%d at E=%s", k, E)

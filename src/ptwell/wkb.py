@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 
 from .geometry import ModelSpec, gauss_legendre, potential_value, turning_points
 from .specfun import EULER_GAMMA, gamma_fn
@@ -100,8 +101,8 @@ def wkb_energy_closed(k: int, epsilon: float, M: int = 1) -> float:
      / (sin(pi/(eps + 2)) Gamma((eps + 3)/(eps + 2)))]^((2 eps + 4)/(eps + 4)).
     Exact at eps = 0, M = 1, where it collapses to 2k + 1.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError("k must be an integer >= 0")
     if not 0.0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and >= 0")
     if M < 1 or M != int(M):
@@ -122,8 +123,8 @@ def wkb_energy_quadrature(model: ModelSpec, k: int) -> float:
     wkb_energy_closed (within 6e-14 at 400 nodes on M = 1..4, eps < 60);
     no solver seed goes through it.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError("k must be an integer >= 0")
     expo = 0.5 + 1.0 / (2.0 * model.M + model.epsilon)
     return ((k + 0.5) * math.pi / action_integral(model, 1.0)) ** (1.0 / expo)
 

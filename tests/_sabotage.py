@@ -1,12 +1,12 @@
 """Solves on a deliberately moved path, for testing what the check path
 catches.
 
-`solve` runs solve_level with the solve's own path built with its vertex at
-s r_t in place of the turning point x_t, and shot the way _build_path shoots
-a path (_shoot_path): one shot at E_ref gives the kept counts, u_ref and, on
-_check_path of the moved path, u_check, which solve_level checks its roots
-against.  Off the arch the moved chord loses the wanted solution to the
-other one, so the solve may converge to a wrong root; the check path, on
+`solve` runs solve_level with the solve's own path built by _build_path and
+its vertex then moved from the turning point x_t to s r_t, before the solve
+shoots it (_shoot_path): one shot at E_ref gives the kept counts, u_ref and,
+on _check_path of the moved path, the check verdict that solve_level judges
+its roots by.  Off the arch the moved chord loses the wanted solution to
+the other one, so the solve may converge to a wrong root; the check path, on
 another path to the same match point, should then refuse it.
 
 Run as a script, it solves every level of SWEEP at default arguments and on
@@ -23,24 +23,24 @@ from __future__ import annotations
 import functools
 import logging
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import ptwell.shooting as shooting
-from ptwell.geometry import ModelSpec, turning_radius, wedge_angles
+from ptwell.geometry import ModelSpec
 
 SWEEP = [(M, eps, k) for M in (1, 2, 3, 4)
          for eps in (0.0, 2.0, 8.0, 18.0, 28.0, 38.0, 48.0, 58.0)
          for k in [*range(0, 29, 2), 29]]
 MIN_WRONG = 50      # each s leaves 98 to 247 of the sweep wrong
+_build_path = shooting._build_path      # unpatched: `solve` patches the module's name
 
 
 def moved_path(model: ModelSpec, E_ref: float, radius_factor: float, rtol: float,
                s: float) -> shooting._Path:
-    """_build_path's path for E_ref, with its vertex at s r_t."""
-    R = shooting._ray_radius(model, E_ref, radius_factor, rtol)
-    return shooting._shoot_path(model, shooting._Path(
-        E_ref, shooting.match_height(model, E_ref), s * turning_radius(model, E_ref),
-        wedge_angles(model).theta_right, R, (0, 0)), rtol)
+    """_build_path's unshot path for E_ref, with its vertex moved to s r_t."""
+    path = _build_path(model, E_ref, radius_factor, rtol)
+    return replace(path, corner=s * path.corner)
 
 
 def solve(model: ModelSpec, k: int, s: float, seed: float | None = None) -> shooting.EigenResult:

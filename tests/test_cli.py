@@ -81,6 +81,17 @@ class TestTableCommand:
         assert table1.all_converged
         assert table2.all_converged
 
+    @pytest.mark.parametrize("table_id", [0, 4, -1, "1"])
+    def test_unknown_table_id(self, monkeypatch, table_id):
+        # run_table(4) and run_table(0) returned table 3's R0 columns under
+        # the wrong id; any id but 1, 2 and 3 is refused before any solve
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve before the id was checked")
+
+        monkeypatch.setattr(cli, "solve_level", no_work)
+        with pytest.raises(ValueError, match="table_id"):
+            cli.run_table(table_id)
+
     @pytest.mark.parametrize("table_id", ["1", "2", "3"])
     def test_golden_csv_snapshot(self, table_id, tmp_path):
         # tests/data holds the tables as the CLI printed them before the

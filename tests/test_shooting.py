@@ -11,7 +11,7 @@ from scipy.special import airy, gamma, j0, j1, y0, y1
 import ptwell.shooting as shooting
 import ptwell.wkb as wkb
 import _sabotage as sabotage
-from _named_sets import LARGE_EPS
+from _named_sets import ITEM7, LARGE_EPS
 from _arch_oracle import action as arch_action
 from _arch_oracle import crossing as arch_crossing
 from _ray_oracle import _segment as oracle_segment
@@ -25,8 +25,9 @@ from ptwell.shooting import match_height, scan_levels, solve_level
 from ptwell.wkb import wkb_energy_closed, wkb_energy_fourth, wkb_energy_next
 
 
-def _path(model, E):
-    return shooting._build_path(model, E, 1.0, shooting.DEFAULT_RTOL)
+def _path(model, E, rtol=shooting.DEFAULT_RTOL):
+    """The solve's path for E, shot at E."""
+    return shooting._shoot_path(shooting._build_path(model, E, 1.0, rtol))
 
 
 def _rays(path):
@@ -34,22 +35,29 @@ def _rays(path):
     return [(-math.pi - path.theta, path.R), (path.theta, path.R)]
 
 
-def _u(model, E, path, rtol=shooting.DEFAULT_RTOL):
-    return shooting._u_interior(model, E, path, rtol)[0]
+def _u(E, path):
+    """psi'/psi at -i ym on `path`, shot at E from the path's counts."""
+    return shooting._shoot(E, [path], path.panels)[0][0]
 
 
-def _u_left(model, E, path, rtol=shooting.DEFAULT_RTOL):
+def _ic(model, E, theta, R):
+    """The WKB start at R e^(i theta), with V there from potential_value."""
+    return shooting._outgoing_ic(model, E, theta, R,
+                                 potential_value(model, R * cmath.exp(1j * theta)))
+
+
+def _u_left(E, path):
     """psi'/psi at -i ym integrated down the left side of `path`, the mirror
     image -conj(x) of the right one, from the path's step counts, with V
     from potential_value: the solver itself integrates only the right side."""
-    theta = -math.pi - path.theta
+    model, theta = path.model, -math.pi - path.theta
     ex = cmath.exp(1j * theta)
     x_t = turning_points(model, path.E_ref).x_left
     corner = path.corner / abs(x_t) * x_t
-    psi, dpsi_ds, _ = shooting._outgoing_ic(model, E, theta, path.R)
+    psi, dpsi_ds, _ = _ic(model, E, theta, path.R)
     y = psi, -dpsi_ds / ex
     for (x0, x1), n in zip(((path.R * ex, corner), (corner, -1j * path.ym)), path.panels):
-        y = shooting._segment(_straight_leg(model, E, x0, x1), *y, n, rtol, ())[:2]
+        y = shooting._segment(_straight_leg(model, E, x0, x1), *y, n, path.rtol, ())[:2]
     return y[1] / y[0]
 
 
@@ -126,7 +134,7 @@ class TestRayStart:
         model = ModelSpec(M, eps)
         path = _path(model, E)
         for theta, R in _rays(path):
-            y0, y1, _ = shooting._outgoing_ic(model, E, theta, R)
+            y0, y1, _ = _ic(model, E, theta, R)
             psi, dpsi_dx = _wkb_start(theta, R, M, eps, E)
             want = dpsi_dx / psi
             assert abs(-y1 / (cmath.exp(1j * theta) * y0) - want) <= 1e-13 * abs(want)
@@ -143,12 +151,12 @@ class TestRayStart:
         ex = cmath.exp(1j * path.theta)
 
         def log_derivative(E):
-            y0, y1, _ = shooting._outgoing_ic(model, E, path.theta, path.R)
+            y0, y1, _ = _ic(model, E, path.theta, path.R)
             return -y1 / (ex * y0)
 
         h = 1e-4 * abs(E)
         want = (log_derivative(E + h) - log_derivative(E - h)) / (2 * h)
-        w = shooting._outgoing_ic(model, E, path.theta, path.R)[2]
+        w = _ic(model, E, path.theta, path.R)[2]
         assert abs(w - want) <= 1e-8 * abs(want)
 
     @pytest.mark.parametrize("M,eps", [(1, 8.0), (2, 6.0), (1, 58.0)])
@@ -191,10 +199,10 @@ class TestMagnusRay:
         # psi'/psi = -2 Gamma((3 - E)/4) / Gamma((1 - E)/4); the left solution
         # is its mirror image, integrated down the left side by the test
         model = ModelSpec(1, 0.0)
-        path = shooting._build_path(model, abs(E), 1.0, 1e-13)
+        path = _path(model, abs(E), 1e-13)
         want = -2.0 * gamma((3.0 - E) / 4.0) / gamma((1.0 - E) / 4.0)
-        for u, sign in ((_u(model, complex(E), path, 1e-13), 1.0),
-                        (_u_left(model, complex(E), path, 1e-13), -1.0)):
+        for u, sign in ((_u(complex(E), path), 1.0),
+                        (_u_left(complex(E), path), -1.0)):
             assert abs(u - sign * want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("M,eps,k", [(1, 6.0, 0), (1, 58.0, 0), (2, 56.0, 0),
@@ -208,8 +216,8 @@ class TestMagnusRay:
         x0, x1 = path.R * ex, turning_points(model, E).x_right
         want = oracle_segment(x0, x1, _wkb_start(path.theta, path.R, M, eps, E),
                               M, eps, E)
-        psi, dpsi_ds, _ = shooting._outgoing_ic(model, E, path.theta, path.R)
-        leg = shooting._legs(model, E, path)[0]
+        psi, dpsi_ds, _ = _ic(model, E, path.theta, path.R)
+        leg = shooting._legs(E, path)[0]
         got = shooting._segment(leg, psi, -dpsi_ds / ex, path.panels[0],
                                 shooting.DEFAULT_RTOL, ())
         assert _projective(_scaled(model, E, x1, want),
@@ -225,7 +233,7 @@ class TestMagnusRay:
         y = oracle_segment(path.R * ex, corner,
                            _wkb_start(path.theta, path.R, 1, 2.0, E), 1, 2.0, E)
         want = oracle_segment(corner, x_match, y, 1, 2.0, E)
-        u = _u(model, E, path)
+        u = _u(E, path)
         assert _projective(_scaled(model, E, x_match, want),
                            _scaled(model, E, x_match, (1.0, u))) <= 1e-11
 
@@ -330,7 +338,7 @@ class TestMagnusRay:
         monkeypatch.setattr(shooting, "_MAX_PANELS", 4)
         model = ModelSpec(2, 0.0)
         with pytest.raises(shooting.ShootingError, match="panels"):
-            _u(model, 172.6 + 0j, _path(model, 172.6))
+            _u(172.6 + 0j, _path(model, 172.6))
 
     def test_non_finite_q_raises(self):
         with pytest.raises(shooting.ShootingError), np.errstate(invalid="ignore"):
@@ -343,7 +351,7 @@ class TestMagnusRay:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(shooting.ShootingError):
-                    _u(model, complex(E), path)
+                    _u(complex(E), path)
 
     @pytest.mark.parametrize("y", [(1.0, 1.0), (math.nan, 0.0)])
     def test_lost_state_raises(self, y):
@@ -371,19 +379,19 @@ class TestLogDerivative:
     def test_even_ground_state(self):
         # psi'(0) = 0 for the harmonic ground state reached from either side
         model = ModelSpec(1, 0.0)
-        uR = _u(model, 1.0, _path(model, 1.0))
+        uR = _u(1.0, _path(model, 1.0))
         assert abs(uR) <= 1e-6
 
     def test_parity(self):
         model = ModelSpec(1, 0.0)
         path = _path(model, 1.0)
-        assert abs(_u_left(model, 1.0, path) + _u(model, 1.0, path)) <= 1e-6
+        assert abs(_u_left(1.0, path) + _u(1.0, path)) <= 1e-6
 
     def test_matching_at_golden_energy(self):
         model = ModelSpec(1, 8.0)
         path = _path(model, 5.55331)
-        uL = _u_left(model, 5.55331, path)
-        uR = _u(model, 5.55331, path)
+        uL = _u_left(5.55331, path)
+        uR = _u(5.55331, path)
         assert abs(uL - uR) <= 1e-5
 
 
@@ -392,19 +400,16 @@ class TestMismatch:
 
     def test_zero_at_eigenvalue(self):
         model = ModelSpec(1, 0.0)
-        assert abs(shooting._matching_defect(model, 1.0, _path(model, 1.0),
-                                             shooting.DEFAULT_RTOL)[0]) <= 1e-6
+        assert abs(shooting._matching_defect(1.0, _path(model, 1.0))[0]) <= 1e-6
 
     def test_bounded_away_between_levels(self):
         model = ModelSpec(1, 0.0)
-        assert abs(shooting._matching_defect(model, 2.0, _path(model, 2.0),
-                                             shooting.DEFAULT_RTOL)[0]) >= 0.1
+        assert abs(shooting._matching_defect(2.0, _path(model, 2.0))[0]) >= 0.1
 
     def test_quartic_golden_row(self):
         # golden table row label 8 (deformation 6): E listed as 2.65128
         model = ModelSpec(2, 6.0)
-        assert abs(shooting._matching_defect(model, 2.65128, _path(model, 2.65128),
-                                             shooting.DEFAULT_RTOL)[0]) <= 1e-5
+        assert abs(shooting._matching_defect(2.65128, _path(model, 2.65128))[0]) <= 1e-5
 
 
 class TestOneRayDefect:
@@ -412,19 +417,21 @@ class TestOneRayDefect:
 
     @pytest.fixture
     def shots(self, monkeypatch):
-        """(energies of the defects, energies of the right-side shots)."""
+        """(energies of the defects, energies of the right-side shots of
+        one path, which a build's shot is not)."""
         defects, shots = [], []
-        u_interior, defect = shooting._u_interior, shooting._matching_defect
+        shoot, defect = shooting._shoot, shooting._matching_defect
 
-        def counted_shot(model, E, path, rtol):
-            shots.append(E)
-            return u_interior(model, E, path, rtol)
+        def counted_shot(E, paths, panels):
+            if len(paths) == 1:
+                shots.append(E)
+            return shoot(E, paths, panels)
 
-        def counted_defect(model, E, path, rtol):
+        def counted_defect(E, path):
             defects.append(E)
-            return defect(model, E, path, rtol)
+            return defect(E, path)
 
-        monkeypatch.setattr(shooting, "_u_interior", counted_shot)
+        monkeypatch.setattr(shooting, "_shoot", counted_shot)
         monkeypatch.setattr(shooting, "_matching_defect", counted_defect)
         return defects, shots
 
@@ -437,9 +444,9 @@ class TestOneRayDefect:
         # integrated down its own legs on the solve's counts
         model = ModelSpec(M, eps)
         E = shooting.default_seed(model, k)
-        path = replace(_path(model, E), u_ref=None)
-        w = shooting._matching_defect(model, E, path, shooting.DEFAULT_RTOL)[0]
-        uL, uR = _u_left(model, E, path), _u(model, E, path)
+        path = _path(model, E)
+        w = shooting._defect(E, path, *shooting._shoot(E, [path], path.panels)[0][:2])[0]
+        uL, uR = _u_left(E, path), _u(E, path)
         assert type(w) is float
         assert abs(w - (uL - uR) / ((1 + abs(uL)) * (1 + abs(uR)))) <= 1e-12
 
@@ -453,8 +460,8 @@ class TestOneRayDefect:
         E0 = shooting.default_seed(model, k)
         E = complex(E0, im * math.sqrt(E0))
         path = _path(model, abs(E))
-        uL = _u_left(model, E, path)
-        assert abs(uL + _u(model, E.conjugate(), path).conjugate()) <= 1e-13 * abs(uL)
+        uL = _u_left(E, path)
+        assert abs(uL + _u(E.conjugate(), path).conjugate()) <= 1e-13 * abs(uL)
 
     @pytest.mark.parametrize("M,eps,E", [(1, 2.0, 6.0), (1, 8.0, 5.55),
                                          (1, 58.0, 196.0), (2, 6.0, 2.65),
@@ -507,13 +514,13 @@ class TestRootSeed:
         calls, shots = [], []
         defect, shoot = shooting._matching_defect, shooting._shoot
 
-        def recorded(model, E, path, rtol):
+        def recorded(E, path):
             calls.append((E, path))
-            return defect(model, E, path, rtol)
+            return defect(E, path)
 
-        def recorded_shot(model, E, paths, panels, rtol):
+        def recorded_shot(E, paths, panels):
             shots.extend((E, path.E_ref, path.corner) for path in paths)
-            return shoot(model, E, paths, panels, rtol)
+            return shoot(E, paths, panels)
 
         monkeypatch.setattr(shooting, "_matching_defect", recorded)
         monkeypatch.setattr(shooting, "_shoot", recorded_shot)
@@ -650,7 +657,7 @@ class TestWkbWindow:
         model = ModelSpec(1, 2.0)
         root = 1.3 * shooting.default_seed(model, 24)
         monkeypatch.setattr(shooting, "_matching_defect",
-                            lambda model, E, path, rtol: ((root - E) / root, -1.0 / root))
+                            lambda E, path: ((root - E) / root, -1.0 / root))
         res = solve_level(model, 24)
         lo, hi = shooting._wkb_window(model, 24)
         assert not res.converged
@@ -673,9 +680,9 @@ class TestWkbWindow:
             assert res.converged, (model, k)
             return res
 
-        def recorded_defect(model, E, path, rtol):
+        def recorded_defect(E, path):
             solves[-1][3].append(E)
-            return defect(model, E, path, rtol)
+            return defect(E, path)
 
         monkeypatch.setattr(shooting, "solve_level", recorded_solve)
         monkeypatch.setattr(shooting, "_matching_defect", recorded_defect)
@@ -708,8 +715,7 @@ class TestSignBracket:
         model = ModelSpec(M, eps)
         for j in range(11):
             E = shooting._wkb_window(model, j)[0] if j else 0.25 * wkb_energy_next(0, eps, M)
-            w = shooting._matching_defect(model, E, _path(model, E),
-                                          shooting.DEFAULT_RTOL)[0]
+            w = shooting._matching_defect(E, _path(model, E))[0]
             assert type(w) is float and w != 0.0
             assert (w > 0.0) == (j % 2 == 0), (j, E, w)
 
@@ -884,12 +890,12 @@ class TestSolvePath:
         # rays that turn inside the turning radius: same psi'/psi
         model = ModelSpec(1, 8.0)
         E = 5.553310025131625
-        path = shooting._build_path(model, E, 1.0, shooting.DEFAULT_RTOL)
-        check = shooting._check_path(model, path, shooting.DEFAULT_RTOL)
+        path = _path(model, E)
+        check = shooting._check_path(path)
         assert check.corner < path.corner
         for u_side in (_u, _u_left):
-            u = u_side(model, E, path, 1e-11)
-            u_check = u_side(model, E, check, 1e-11)
+            u = u_side(E, path)
+            u_check = u_side(E, check)
             assert abs(u_check - u) <= 1e-9 * abs(u)
 
     @pytest.mark.parametrize("k,E_ref", sorted(QUARTIC_LEVELS.items()))
@@ -909,24 +915,29 @@ class TestSolvePath:
         # shoots once per iteration
         model = ModelSpec(M, eps)
         propagate = shooting._propagate
-        shoot_path, u_interior = shooting._shoot_path, shooting._u_interior
+        shoot_path, shoot = shooting._shoot_path, shooting._shoot
         passes, calls = [0], []
 
         def counted(*args):
             passes[0] += 1
             return propagate(*args)
 
-        def recorded(shoot):
-            def recorded_shot(*args):     # (..., path, rtol)
-                before = passes[0]
-                out = shoot(*args)
-                calls.append((args[-2], passes[0] - before))
-                return out
-            return recorded_shot
+        def recorded_build(path):
+            before = passes[0]
+            out = shoot_path(path)
+            calls.append((path, passes[0] - before))
+            return out
+
+        def recorded_shot(E, paths, panels):
+            before = passes[0]
+            out = shoot(E, paths, panels)
+            if len(paths) == 1:     # not the build's shot
+                calls.append((paths[0], passes[0] - before))
+            return out
 
         monkeypatch.setattr(shooting, "_propagate", counted)
-        monkeypatch.setattr(shooting, "_shoot_path", recorded(shoot_path))
-        monkeypatch.setattr(shooting, "_u_interior", recorded(u_interior))
+        monkeypatch.setattr(shooting, "_shoot_path", recorded_build)
+        monkeypatch.setattr(shooting, "_shoot", recorded_shot)
         res = solve_level(model, k)
         assert res.converged
         assert all(path.corner == turning_radius(model, path.E_ref) for path, _ in calls)
@@ -938,8 +949,8 @@ class TestSolvePath:
         model = ModelSpec(1, 58.0)
         E = 196.0341706067545
         path = _path(model, E)
-        u = _u(model, E, path)
-        assert abs(_u(model, E, replace(path, panels=(1, 1))) - u) <= 1e-12 * abs(u)
+        u = _u(E, path)
+        assert abs(_u(E, replace(path, panels=(1, 1))) - u) <= 1e-12 * abs(u)
 
     @pytest.mark.parametrize("M,eps,k,coeffs,tol", [
         (2, 0.0, 20, [0, 0, 0, 0, 1], 1e-9),
@@ -954,9 +965,9 @@ class TestSolvePath:
         model = ModelSpec(M, eps)
         E = oscillator_levels(coeffs, k + 1)[k]
         path = _path(model, E)
-        u = _u(model, E, path)
+        u = _u(E, path)
         try:
-            coarse = _u(model, E, replace(path, panels=(1, 1)))
+            coarse = _u(E, replace(path, panels=(1, 1)))
         except shooting.ShootingError:
             return
         assert abs(coarse - u) / ((1 + abs(coarse)) * (1 + abs(u))) <= tol
@@ -965,7 +976,7 @@ class TestSolvePath:
     def _chord_passes(monkeypatch, model, path):
         """Panel counts of the passes on the chord of `path`, as they run,
         with their results."""
-        _, length, *_ = shooting._legs(model, path.E_ref, path)[1]
+        _, length, *_ = shooting._legs(path.E_ref, path)[1]
         passes = []
         propagate = shooting._propagate
 
@@ -986,9 +997,9 @@ class TestSolvePath:
         E = shooting.default_seed(model, 9)
         path = _path(model, E)
         rtol = shooting.DEFAULT_RTOL
-        ray, chord = shooting._legs(model, E, path)
+        ray, chord = shooting._legs(E, path)
         ex = cmath.exp(1j * path.theta)
-        psi, dpsi_ds, _ = shooting._outgoing_ic(model, E, path.theta, path.R)
+        psi, dpsi_ds, _ = _ic(model, E, path.theta, path.R)
         psi, dpsi, *_ = shooting._segment(ray, psi, -dpsi_ds / ex, path.panels[0], rtol, ())
         passes = self._chord_passes(monkeypatch, model, path)
         *_, count = shooting._segment(chord, psi, dpsi, 1, rtol, ())
@@ -1015,7 +1026,7 @@ class TestSolvePath:
         corner = turning_radius(model, E) * ex
         ray, chord = (_straight_leg(model, E, x0, x1) for x0, x1 in
                       ((path.R * ex, corner), (corner, -1j * path.ym)))
-        psi, dpsi_ds, _ = shooting._outgoing_ic(model, E, path.theta, path.R)
+        psi, dpsi_ds, _ = _ic(model, E, path.theta, path.R)
         psi, dpsi, *_ = shooting._segment(
             ray, psi, -dpsi_ds / ex, shooting._phase_count(*ray[:2], rtol), rtol, ())
         passes = []
@@ -1041,7 +1052,7 @@ class TestSolvePath:
         E = oscillator_levels([0.0, -2.0, 0.0, 0.0, 4.0], 25)[24]
         path = _path(model, E)
         passes = self._chord_passes(monkeypatch, model, path)
-        _u(model, E, path)
+        _u(E, path)
         (n, a), (n2, b) = passes
         assert (n, n2) == (path.panels[1], 2 * path.panels[1])
         k = math.sqrt(abs(potential_value(model, -1j * path.ym) - E)) + 1.0
@@ -1057,7 +1068,7 @@ class TestSolvePath:
         # of its own, and a later shot makes none
         calls, fills, used, builds, shots, third = [], [], set(), [0], [0], [False]
         potential, legs, fill = shooting.potential_value, shooting._legs, shooting._fill
-        build_path, u_interior = shooting._build_path, shooting._u_interior
+        build_path, shoot = shooting._build_path, shooting._shoot
         transfers = shooting._transfers
 
         def key(path, j, s):
@@ -1067,18 +1078,18 @@ class TestSolvePath:
             calls.append(isinstance(x, np.ndarray))
             return potential(model, x)
 
-        def recorded_fill(model, sets):
+        def recorded_fill(sets):
             fills.append((third[0], [key(*node_set) for node_set in sets]))
-            return fill(model, sets)
+            return fill(sets)
 
-        def recorded_legs(model, E, path):
+        def recorded_legs(E, path):
             def recorded(j, q):
                 def q_used(s):
                     used.add(key(path, j, s))
                     return q(s)
                 return q_used
             return [(recorded(j, q), length, u)
-                    for j, (q, length, u) in enumerate(legs(model, E, path))]
+                    for j, (q, length, u) in enumerate(legs(E, path))]
 
         def flagged_transfers(legs):
             # a kernel call of one count is a pass beyond the first pair
@@ -1092,11 +1103,12 @@ class TestSolvePath:
             builds[0] += 1
             return build_path(*args)
 
-        def counted_shot(*args):
-            shots[0] += 1
+        def counted_shot(E, paths, panels):
             before = len(calls)
-            out = u_interior(*args)
-            assert len(calls) == before
+            out = shoot(E, paths, panels)
+            if len(paths) == 1:     # not the build's shot
+                shots[0] += 1
+                assert len(calls) == before
             return out
 
         monkeypatch.setattr(shooting, "potential_value", counted_potential)
@@ -1104,7 +1116,7 @@ class TestSolvePath:
         monkeypatch.setattr(shooting, "_legs", recorded_legs)
         monkeypatch.setattr(shooting, "_transfers", flagged_transfers)
         monkeypatch.setattr(shooting, "_build_path", counted_build)
-        monkeypatch.setattr(shooting, "_u_interior", counted_shot)
+        monkeypatch.setattr(shooting, "_shoot", counted_shot)
         # from 2% above the leading WKB seed (1, 2, 11) takes four Newton
         # steps on one path; seeded 20% high, (2, 2, 5) builds three paths
         # and meets node sets in third passes
@@ -1137,14 +1149,12 @@ class TestSolvePath:
             return paths[-1]
 
         monkeypatch.setattr(shooting, "_check_path", recorded_check)
-        paths.append(shooting._build_path(model, shooting.default_seed(model, 3), 1.0,
-                                          shooting.DEFAULT_RTOL))
+        paths.append(_path(model, shooting.default_seed(model, 3)))
         stored = 0
         for path in paths:
-            lines = shooting._lines(model, path)
-            for (j, shape), v in ((k, v) for k, v in path.v.items()
-                                  if isinstance(v, np.ndarray)):
-                x0, length, u = lines[j]
+            for (j, shape), v in path.v.items():
+                assert isinstance(v, np.ndarray), (j, shape)
+                x0, length, u = path.lines[j]
                 s = (np.array([length]) if shape == (1,) else length * shooting._PROBE
                      if shape == shooting._PROBE.shape else shooting._nodes(length, shape[0]))
                 assert np.array_equal(v, potential_value(model, x0 + s * u)), (j, shape)
@@ -1163,28 +1173,26 @@ class TestSolvePath:
         # finds the same slope
         model = ModelSpec(M, eps)
         rtol = shooting.DEFAULT_RTOL
-        seen = []
-        check_shift = shooting._check_shift
+        built, shoot_path = [], shooting._shoot_path
 
-        def recorded(model, path, rtol):
-            out = check_shift(model, path, rtol)
-            seen.append((path, out))
-            return out
+        def recorded(path):
+            built.append(shoot_path(path))
+            return built[-1]
 
-        monkeypatch.setattr(shooting, "_check_shift", recorded)
+        monkeypatch.setattr(shooting, "_shoot_path", recorded)
         res = solve_level(model, k)
         assert res.converged
-        (path, shift), = seen
-        E = path.E_ref
-        check = shooting._check_path(model, path, rtol)
-        assert check == shooting._check_path(model, _path(model, path.E_ref), rtol)
+        path = built[-1]
+        E, shift = path.E_ref, path.shift
+        check = shooting._check_path(path)
+        assert check == shooting._check_path(_path(model, path.E_ref))
         start = tuple(shooting._phase_count(q, length, rtol)
-                      for q, length, _ in shooting._legs(model, path.E_ref, path))
-        solve_path, check = (replace(p, panels=start, u_ref=None) for p in (path, check))
-        w, dw = shooting._matching_defect(model, E, solve_path, rtol)
-        u_R = abs(_u(model, E, solve_path))
-        c0 = shooting._matching_defect(model, E, check, rtol)[0]
-        c1 = shooting._matching_defect(model, 1.001 * E, check, rtol)[0]
+                      for q, length, _ in shooting._legs(path.E_ref, path))
+        solve_path, check = (replace(p, panels=start) for p in (path, check))
+        w, dw = shooting._defect(E, solve_path, *shooting._shoot(E, [solve_path], start)[0][:2])
+        u_R = abs(_u(E, solve_path))
+        c0 = shooting._defect(E, check, *shooting._shoot(E, [check], start)[0][:2])[0]
+        c1 = shooting._matching_defect(1.001 * E, check)[0]
         blur = shooting._leg_tol(rtol) * 2.0 * u_R / (1.0 + u_R) ** 2
         assert shift == (abs(c0 - w) + blur) / abs(dw) <= 0.01 * shooting.CHECK_REL * res.E
         assert res.residual == shift / abs(res.E)
@@ -1197,10 +1205,9 @@ class TestSolvePath:
         model, rtol = ModelSpec(1, 38.0), shooting.DEFAULT_RTOL
         path = _path(model, 183084.511)
         E, du, u = path.E_ref, path.u_ref[1], -511.578j
-        flat = replace(path, u_ref=(u, du), u_check=(u, du))
-        dw = shooting._defect(model, E, path, u, du)[1]
+        dw = shooting._defect(E, path, u, du)[1]
         blur = shooting._leg_tol(rtol) * 2.0 * abs(u) / (1.0 + abs(u)) ** 2
-        assert shooting._check_shift(model, flat, rtol) == blur / abs(dw) > 0.0
+        assert shooting._check_shift(path, (u, du), (u, du)) == blur / abs(dw) > 0.0
 
     def test_refused_residual_in_units_of_e(self):
         # a root refused on a path moved off the arch reports its shift
@@ -1233,24 +1240,18 @@ class TestSolvePath:
         # PATH_BAND of it
         model = ModelSpec(M, eps)
         want = solve_level(model, k)
-        seen, builds = [], []
-        check_shift, build_path = shooting._check_shift, shooting._build_path
+        builds, shoot_path = [], shooting._shoot_path
 
-        def recorded(model, path, rtol):
-            seen.append(path)
-            return check_shift(model, path, rtol)
-
-        def counted(*args):
-            builds.append(build_path(*args))
+        def counted(path):
+            builds.append(shoot_path(path))
             return builds[-1]
 
-        monkeypatch.setattr(shooting, "_check_shift", recorded)
-        monkeypatch.setattr(shooting, "_build_path", counted)
+        monkeypatch.setattr(shooting, "_shoot_path", counted)
         res = solve_level(model, k, seed=seed_factor * want.E)
         assert want.converged and res.converged
         assert abs(res.E - want.E) <= 1e-12 * abs(want.E)
-        (path,) = seen
-        assert len(builds) > 1 and path is builds[-1]
+        path = builds[-1]
+        assert len(builds) > 1 and res.residual == path.shift / abs(res.E)
         assert abs(res.E - path.E_ref) <= shooting.PATH_BAND * path.E_ref
 
     @pytest.mark.parametrize("k,eps", [(12, 2.0), (28, 58.0)])
@@ -1299,9 +1300,9 @@ class TestShotSchedule:
             calls[0] += 1
             return transfers(legs)
 
-        def recorded(model, E, paths, panels, rtol):
+        def recorded(E, paths, panels):
             before = calls[0]
-            out = shoot(model, E, paths, panels, rtol)
+            out = shoot(E, paths, panels)
             shots.append(((paths[0].E_ref, paths[0].corner, E), calls[0] - before))
             return out
 
@@ -1323,12 +1324,12 @@ class TestShotSchedule:
         model = ModelSpec(M, eps)
         shoot, shots = shooting._shoot, []
 
-        def recorded(model, E, paths, panels, rtol):
+        def recorded(E, paths, panels):
             path, *check = paths
             on_solve = path.corner == turning_radius(model, path.E_ref)
-            assert check in ([], [shooting._check_path(model, path, rtol)])
+            assert check in ([], [shooting._check_path(path)])
             shots.append((E, on_solve, bool(check)))
-            return shoot(model, E, paths, panels, rtol)
+            return shoot(E, paths, panels)
 
         monkeypatch.setattr(shooting, "_shoot", recorded)
         res = solve_level(model, k)
@@ -1392,9 +1393,9 @@ class TestSlope:
         if (M, eps, k) == (1, 2.0, 5):
             energies.append(complex(E, 0.1 * math.sqrt(E)))
         for E in energies:
-            u, du = shooting._u_interior(model, E, path, shooting.DEFAULT_RTOL)
+            u, du = shooting._shoot(E, [path], path.panels)[0][:2]
             h = 1e-5 * abs(E)
-            up, um = (_u(model, E + d, path) for d in (h, -h))
+            up, um = (_u(E + d, path) for d in (h, -h))
             errors = [abs(du - (up - um) / (2 * h)) / abs(du)]
             if u != 0.0:
                 errors.append(abs(-du / u ** 2 - (1 / up - 1 / um) / (2 * h))
@@ -1422,8 +1423,8 @@ class TestSlope:
         # by it.  psi at a node to the last bit is one rounding unit, so u
         # and du/dE are finite, and Newton, on the reciprocals, takes no step
         model, E = ModelSpec(1, 0.0), 19.0
-        path = replace(_path(model, E), u_ref=None)
-        chord = shooting._legs(model, E, path)[1][1]
+        path = _path(model, E)
+        chord = shooting._legs(E, path)[1][1]
         segment = shooting._segment
 
         def zeroed(leg, *args):
@@ -1431,9 +1432,9 @@ class TestSlope:
             return (0.0 if leg[1] == chord else psi), *rest
 
         monkeypatch.setattr(shooting, "_segment", zeroed)
-        u, du = shooting._u_interior(model, complex(E), path, shooting.DEFAULT_RTOL)
+        u, du = shooting._shoot(complex(E), [path], path.panels)[0][:2]
         assert cmath.isfinite(u) and cmath.isfinite(du) and abs(u) > 1e15
-        w, dw = shooting._matching_defect(model, E, path, shooting.DEFAULT_RTOL)
+        w, dw = shooting._defect(E, path, *shooting._shoot(E, [path], path.panels)[0][:2])
         assert abs(w) <= 1e-12 and abs(w / dw) <= 1e-12 * E
 
 
@@ -1488,8 +1489,8 @@ class TestNewtonSafeguards:
         model = ModelSpec(2, 52.0)
         seen, defect = [], shooting._matching_defect
 
-        def recorded(model, E, path, rtol):
-            out = defect(model, E, path, rtol)
+        def recorded(E, path):
+            out = defect(E, path)
             seen.append((E, out[0], path.E_ref))
             return out
 
@@ -1518,9 +1519,9 @@ class TestFirstIterate:
         """(energies of the defects, their Newton steps)."""
         energies, steps, defect = [], [], shooting._matching_defect
 
-        def recorded(model, E, path, rtol):
+        def recorded(E, path):
             energies.append(E)
-            out = defect(model, E, path, rtol)
+            out = defect(E, path)
             steps.append(-out[0] / out[1])
             return out
 
@@ -1630,6 +1631,48 @@ class TestOneShot:
                 assert lo < seed < hi, (M, eps, k)
 
 
+PURE_CASES = [(1, 2.0, 8), (2, 28.0, 10), (3, 58.0, 29), (4, 0.0, 4),           # SWEEP
+              (1, 28.0, 21), (1, 38.0, 16), (1, 48.0, 11), (1, 58.0, 28),      # ITEM7
+              (1, 100.0, 0), (2, 400.0, 2), (3, 1600.0, 5), (4, 3200.0, 1)]    # LARGE_EPS
+
+
+class TestPureSolves:
+    # a path is one record that keeps its lines, V and check verdict; none
+    # of them may leak from one solve into another, or through a replace
+    # that moves the vertex
+
+    def test_order_does_not_matter(self, monkeypatch):
+        assert set(PURE_CASES) <= set(SWEEP + ITEM7 + LARGE_EPS)
+        built, shoot_path = [], shooting._shoot_path
+
+        def recorded(path):
+            built.append(shoot_path(path))
+            return built[-1]
+
+        monkeypatch.setattr(shooting, "_shoot_path", recorded)
+
+        def records(cases):
+            out = {}
+            for M, eps, k in cases:
+                res = solve_level(ModelSpec(M, eps), k)
+                out[M, eps, k] = (repr(res.E), res.iterations, res.converged,
+                                  repr(res.residual))
+            return out
+
+        forwards = records(PURE_CASES)
+        assert records(PURE_CASES[::-1]) == forwards
+        # every path keeps V on node sets only, keyed by (leg, shape)
+        for path in built:
+            assert all(j in (0, 1) and type(shape) is tuple and isinstance(v, np.ndarray)
+                       for (j, shape), v in path.v.items())
+        # the check path is a replace of the solve's path: it computes its
+        # own lines from its own vertex
+        for path in built[:len(PURE_CASES)]:
+            check = shooting._check_path(path)
+            assert check.lines != path.lines
+            assert check.lines[0][0] == path.lines[0][0]
+
+
 class TestCheckVertex:
     # off the arch the check path's chord amplifies rounding by e^(2 g), g
     # its net WKB growth.  With its vertex fixed at CHECK_CORNER x_t, g grew
@@ -1639,16 +1682,18 @@ class TestCheckVertex:
 
     @staticmethod
     def _checked(monkeypatch, model, k):
-        """The result of a solve, and the path whose root was checked."""
-        seen, check_shift = [], shooting._check_shift
+        """The result of a solve, and the path whose root was checked: the
+        last path built, whose verdict is the result's residual."""
+        built, shoot_path = [], shooting._shoot_path
 
-        def recorded(model, path, rtol):
-            seen.append(path)
-            return check_shift(model, path, rtol)
+        def recorded(path):
+            built.append(shoot_path(path))
+            return built[-1]
 
-        monkeypatch.setattr(shooting, "_check_shift", recorded)
+        monkeypatch.setattr(shooting, "_shoot_path", recorded)
         res = solve_level(model, k)
-        (checked,) = seen
+        checked = built[-1]
+        assert res.residual == checked.shift / abs(res.E)
         return res, checked
 
     @pytest.mark.parametrize("eps,k", [(28.0, 21), (56.0, 10), (58.0, 9), (58.0, 28),
@@ -1663,15 +1708,14 @@ class TestCheckVertex:
         rtol = shooting.DEFAULT_RTOL
         res, path = self._checked(monkeypatch, model, k)
         assert res.converged
-        check = shooting._check_path(model, path, rtol)
+        check = shooting._check_path(path)
         assert check.corner > shooting.CHECK_CORNER * turning_radius(model, path.E_ref)
         E = path.E_ref
         for i in range(-20, 21):
             Ei = E + i * math.ulp(E)
-            again = shooting._shoot_path(model, replace(path, E_ref=Ei), rtol)
-            assert again.u_check is not None
-            shift = shooting._check_shift(model, again, rtol)
-            assert shift <= 0.01 * shooting.CHECK_REL * Ei, i
+            # a failed check path would leave the verdict inf
+            again = shooting._shoot_path(replace(path, E_ref=Ei))
+            assert again.shift <= 0.01 * shooting.CHECK_REL * Ei, i
 
     @pytest.mark.parametrize("eps,k", [(28.0, 21), (56.0, 10), (58.0, 9), (38.0, 16)])
     def test_moved_vertex_levels_against_mp_oracle(self, eps, k):
@@ -1696,7 +1740,7 @@ class TestCheckVertex:
                   for M, eps, k in high]
         for model, E in paths:
             path = _path(model, E)
-            check = shooting._check_path(model, path, shooting.DEFAULT_RTOL)
+            check = shooting._check_path(path)
             assert check.corner == shooting.CHECK_CORNER * path.corner, model
 
     def test_growth_within_budget(self):
@@ -1710,8 +1754,7 @@ class TestCheckVertex:
             E = shooting.default_seed(model, k)
             r_t = turning_radius(model, E)
             x_t = turning_points(model, E).x_right
-            c = shooting._check_path(model, shooting._Path(E, 0.0, r_t, 0.0, 0.0, (1, 1)),
-                                     rtol).corner / r_t
+            c = shooting._check_path(shooting._build_path(model, E, 1.0, rtol)).corner / r_t
             growth = quad(lambda t: (cmath.sqrt(E - potential_value(model, t * x_t))
                                      * x_t).imag, c, 1.0)[0]
             assert abs(growth) <= budget, (M, eps, k)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ptwell.limit as limit
+import ptwell.wkb as wkb
 from _wkb_oracle import coefficients as oracle_coefficients
 from conftest import oscillator_levels
 from ptwell.geometry import ModelSpec, potential_value, turning_points
@@ -370,3 +372,36 @@ class TestGroundExpansions:
     def test_domain(self):
         with pytest.raises(ValueError):
             ground_expansion_exact(0.5)
+
+
+LEVEL_INDEXED = {
+    "wkb_energy_closed": lambda k: wkb_energy_closed(k, 2.0),
+    "wkb_energy_next": lambda k: wkb_energy_next(k, 2.0, 2),
+    "wkb_energy_fourth": lambda k: wkb_energy_fourth(k, 8.0, 3),
+    "wkb_energy_quadrature": lambda k: wkb_energy_quadrature(ModelSpec(1, 2.0), k),
+    "level_nu": lambda j: level_nu(2, j),
+    "nu_spectrum k_max": lambda k: nu_spectrum(1, k),
+    "nu_spectrum M": lambda M: nu_spectrum(M, 2),
+}
+
+
+class TestLevelIndexDomain:
+    # a level index is an integer >= 0 everywhere, by the rule solve_level
+    # and scan_levels keep: 2.5 gave an energy (or a nu) that is no level,
+    # and nu_spectrum raised TypeError from range at 2.0 and 1.5
+
+    @pytest.mark.parametrize("name", LEVEL_INDEXED)
+    @pytest.mark.parametrize("k", [-1, 2.5, 2.0, math.nan, "2"])
+    def test_refused_before_any_work(self, monkeypatch, name, k):
+        def no_work(*args):
+            raise AssertionError("work done before the index was checked")
+
+        monkeypatch.setattr(wkb, "gamma_fn", no_work)
+        monkeypatch.setattr(wkb, "action_integral", no_work)
+        monkeypatch.setattr(limit, "level_nu", no_work)
+        with pytest.raises(ValueError, match="integer"):
+            LEVEL_INDEXED[name](k)
+
+    @pytest.mark.parametrize("name", LEVEL_INDEXED)
+    def test_numpy_integer_accepted(self, name):
+        assert LEVEL_INDEXED[name](np.int64(2)) == LEVEL_INDEXED[name](2)
